@@ -40,7 +40,7 @@ from .errors import (
 )
 from .grid import Field
 from .kernels import bilateral_kernel, make_spatial_kernel, zero_reaction
-from .operator import _overlap, flow_energy
+from .operator import flow_energy, one_step_filter
 from .pgm import field_to_image, image_to_field, load_pgm, save_pgm
 from .stepper import Problem, SolverConfig, export_trajectory, solve_problem
 
@@ -75,7 +75,7 @@ def _out_dir(args, cfg) -> str:
 def _cmd_solve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    traj = solve_problem(build_problem(cfg), threads=args.threads)
+    traj = solve_problem(build_problem(cfg))
     paths = export_trajectory(traj, out)
     _write(os.path.join(out, "run_config.txt"), serialize_config(cfg))
     final = traj.final_state.values
@@ -89,33 +89,12 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    traj = solve_problem(build_problem(cfg), threads=args.threads)
+    traj = solve_problem(build_problem(cfg))
     report = verify_invariants(traj)
     print(report.to_text())
     _write(os.path.join(out, "report.txt"), report.to_text() + "\n")
     _write(os.path.join(out, "report.csv"), report.to_csv())
     return 0 if report.all_passed else 1
-
-
-def _one_step_filter(grid, table, u: np.ndarray, h: float) -> np.ndarray:
-    """One pass of the classical normalized adaptive filter.
-
-    Weighs each neighbor by the even window exp(-(s/h)^2) of the value
-    difference s and renormalizes per node.  The zero offset is in every
-    table, so the denominator never vanishes.  This is the filter whose
-    odd correction drives the evolution; it does not conserve mass.
-    """
-    uu = u.reshape(grid.counts)
-    num = np.zeros_like(uu)
-    den = np.zeros_like(uu)
-    inv_h2 = 1.0 / (h * h)
-    for k in range(table.offsets.shape[0]):
-        dst, src = _overlap(grid.counts, table.offsets[k])
-        s = uu[src] - uu[dst]
-        w = table.weights[k] * np.exp(-(s * s) * inv_h2)
-        num[dst] += w * uu[src]
-        den[dst] += w
-    return (num / den).ravel()
 
 
 def _cmd_denoise(args) -> int:
@@ -126,15 +105,14 @@ def _cmd_denoise(args) -> int:
     table = make_spatial_kernel(grid, "gaussian", args.radius)
 
     if args.one_step:
-        result = _one_step_filter(grid, table, u0.values, args.h)
+        final = one_step_filter(grid, table, u0, args.h)
         kernel = bilateral_kernel(args.h)
         e0 = flow_energy(grid, table, kernel, u0)
-        e1 = flow_energy(grid, table, kernel, Field(grid, result))
+        e1 = flow_energy(grid, table, kernel, final)
         _write(
             os.path.join(out, "energy_series.csv"),
             _series_csv({"step": [0, 1], "t": [0.0, 0.0], "energy": [e0, e1]}),
         )
-        final = Field(grid, result)
     else:
         config = SolverConfig(
             T=args.T,
@@ -152,7 +130,7 @@ def _cmd_denoise(args) -> int:
             u0=u0,
             config=config,
         )
-        traj = solve_problem(problem, threads=args.threads)
+        traj = solve_problem(problem)
         d = traj.per_step
         _write(
             os.path.join(out, "energy_series.csv"),
@@ -219,7 +197,6 @@ def _cmd_study_refine(args) -> int:
 def _add_common(sub, seed_flag=True):
     sub.add_argument("--config", required=True, help="run configuration file")
     sub.add_argument("--out", default="", help="output directory (default: output.dir from the config)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for the integral operator")
     if seed_flag:
         sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
@@ -248,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.1, help="value-difference scale of the window")
     p.add_argument("--T", type=float, default=0.05, help="flow end time")
     p.add_argument("--steps", type=int, default=32, help="flow step count")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the integral operator")
     p.set_defaults(handler=_cmd_denoise)
 
     p = subs.add_parser("study", help="convergence and stability experiments")

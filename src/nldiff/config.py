@@ -15,12 +15,14 @@ keys, duplicate keys, malformed values, and missing required keys are all
 errors that name the offending line.  Every optional key has a default
 that is materialized into the parsed configuration, and serializing a
 configuration writes every key back out, so parse(serialize(c)) == c.
+The keys, their defaults, their order and how each value is parsed all
+come from the fields of the section dataclasses below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .kernels import (
     zero_reaction,
 )
 from .pgm import image_to_field, load_pgm
-from .stepper import Problem, SolverConfig
+from .stepper import MU_MODES, SCHEMES, Problem, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ class StudySection:
 @dataclass(frozen=True)
 class OutputSection:
     dir: str = "out"
-    formats: tuple = ("csv",)
 
 
 @dataclass(frozen=True)
@@ -123,22 +124,6 @@ def _parse_float(text: str) -> float:
     return v
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(_parse_float(p.strip()) for p in text.split(","))
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(p.strip()) for p in text.split(","))
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_norm(text: str) -> float:
     return math.inf if text.strip() in ("inf", "infinity") else _parse_float(text)
 
@@ -152,51 +137,41 @@ def _choice(*options):
     return parse
 
 
-# key -> (parser, default); defaults mirror the section dataclasses
-_SCHEMA = {
-    "seed": (_parse_int, 42),
-    "grid.dim": (_parse_int, 1),
-    "grid.extents": (_parse_floats, (0.0, 1.0)),
-    "grid.counts": (_parse_ints, (64,)),
-    "kernel.family": (_choice("gaussian", "box", "custom_table"), "gaussian"),
-    "kernel.radius": (_parse_float, 0.1),
-    "kernel.table_path": (_parse_str, ""),
-    "range.family": (
-        _choice("linear", "p_laplacian", "variable_exponent", "spatial_exponent", "bilateral_gaussian"),
-        "linear",
-    ),
-    "range.p": (_parse_float, 2.0),
-    "range.h": (_parse_float, 0.1),
-    "range.exponent_sigmas": (_parse_floats, (0.0, 1.0)),
-    "range.exponent_values": (_parse_floats, (2.0, 2.0)),
-    "range.mollify_n": (_parse_int, 0),
-    "range.mollify_quad": (_parse_int, 129),
-    "reaction.family": (_choice(*REACTION_FAMILIES), "zero"),
-    "reaction.rate": (_parse_float, 0.0),
-    "reaction.offset": (_parse_float, 0.0),
-    "reaction.slope": (_parse_float, 0.0),
-    "reaction.capacity": (_parse_float, 1.0),
-    "reaction.table_path": (_parse_str, ""),
-    "initial.kind": (_choice("constant", "random", "step", "field_csv", "pgm"), "constant"),
-    "initial.value": (_parse_float, 0.0),
-    "initial.low": (_parse_float, 0.0),
-    "initial.high": (_parse_float, 1.0),
-    "initial.path": (_parse_str, ""),
-    "solver.T": (_parse_float, 1.0),
-    "solver.steps": (_parse_int, 256),
-    "solver.scheme": (_choice("semi_implicit_w", "explicit_euler"), "semi_implicit_w"),
-    "solver.mu_mode": (_choice("auto_growth", "auto_linf", "manual"), "auto_growth"),
-    "solver.mu": (_parse_float, 0.0),
-    "solver.mu_margin": (_parse_float, 0.01),
-    "solver.record_every": (_parse_int, 1),
-    "study.levels": (_parse_ints, (4, 8, 16, 32)),
-    "study.refine_steps": (_parse_ints, (512, 1024, 2048, 4096)),
-    "study.norm": (_parse_norm, 2.0),
-    "study.perturb_scale": (_parse_float, 0.05),
-    "output.dir": (_parse_str, "out"),
-    "output.formats": (_parse_str, "csv"),
-}
+def _items(cfg: RunConfig):
+    """(key, value) for every key of a configuration, in file order."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            for g in fields(value):
+                yield f"{f.name}.{g.name}", getattr(value, g.name)
+        else:
+            yield f.name, value
 
+
+def _parser_for(default):
+    if isinstance(default, tuple):
+        item = _parse_float if isinstance(default[0], float) else int
+        return lambda text: tuple(item(p.strip()) for p in text.split(","))
+    return {int: int, float: _parse_float, str: str}[type(default)]
+
+
+# Every key and its default come from the section dataclasses; a value is
+# parsed by the type of its default unless it is listed here.
+_DEFAULTS = dict(_items(RunConfig()))
+_PARSERS = {key: _parser_for(default) for key, default in _DEFAULTS.items()}
+_PARSERS.update(
+    {
+        "kernel.family": _choice("gaussian", "box", "custom_table"),
+        "range.family": _choice(
+            "linear", "p_laplacian", "variable_exponent", "spatial_exponent", "bilateral_gaussian"
+        ),
+        "reaction.family": _choice(*REACTION_FAMILIES),
+        "initial.kind": _choice("constant", "random", "step", "field_csv", "pgm"),
+        "solver.scheme": _choice(*SCHEMES),
+        "solver.mu_mode": _choice(*MU_MODES),
+        "study.norm": _parse_norm,
+    }
+)
 _REQUIRED = ("grid.dim", "grid.extents", "grid.counts", "range.family", "solver.T", "solver.steps")
 
 
@@ -213,7 +188,7 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigParseError(f"unknown key {key!r}", line=lineno, path=path)
         if key in values:
             raise ConfigParseError(
@@ -221,18 +196,15 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
                 line=lineno,
                 path=path,
             )
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(val)
+            values[key] = _PARSERS[key](val)
         except (ValueError, TypeError) as exc:
             raise ConfigParseError(f"bad value for {key}: {exc}", line=lineno, path=path) from exc
         seen_lines[key] = lineno
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigParseError(f"missing required keys: {', '.join(missing)}", path=path)
-    for key, (_, default) in _SCHEMA.items():
-        values.setdefault(key, default)
-    return _assemble(values, path)
+    return _assemble({**_DEFAULTS, **values}, path)
 
 
 def parse_config(path) -> RunConfig:
@@ -259,57 +231,15 @@ def _assemble(v: dict, path: str) -> RunConfig:
         raise ConfigParseError(
             f"grid.counts needs {dim} entries, got {len(v['grid.counts'])}", path=path
         )
+    sections = {}
     try:
-        solver = SolverConfig(
-            T=v["solver.T"],
-            steps=v["solver.steps"],
-            scheme=v["solver.scheme"],
-            mu_mode=v["solver.mu_mode"],
-            mu=v["solver.mu"],
-            mu_margin=v["solver.mu_margin"],
-            record_every=v["solver.record_every"],
-        )
+        for f in fields(RunConfig):
+            if is_dataclass(f.default):
+                cls = type(f.default)
+                sections[f.name] = cls(**{g.name: v[f"{f.name}.{g.name}"] for g in fields(cls)})
     except ConfigurationError as exc:
         raise ConfigParseError(str(exc), path=path) from exc
-    return RunConfig(
-        seed=v["seed"],
-        grid=GridSection(dim=dim, extents=flat_ext, counts=v["grid.counts"]),
-        kernel=KernelSection(
-            family=v["kernel.family"], radius=v["kernel.radius"], table_path=v["kernel.table_path"]
-        ),
-        range=RangeSection(
-            family=v["range.family"],
-            p=v["range.p"],
-            h=v["range.h"],
-            exponent_sigmas=v["range.exponent_sigmas"],
-            exponent_values=v["range.exponent_values"],
-            mollify_n=v["range.mollify_n"],
-            mollify_quad=v["range.mollify_quad"],
-        ),
-        reaction=ReactionSection(
-            family=v["reaction.family"],
-            rate=v["reaction.rate"],
-            offset=v["reaction.offset"],
-            slope=v["reaction.slope"],
-            capacity=v["reaction.capacity"],
-            table_path=v["reaction.table_path"],
-        ),
-        initial=InitialSection(
-            kind=v["initial.kind"],
-            value=v["initial.value"],
-            low=v["initial.low"],
-            high=v["initial.high"],
-            path=v["initial.path"],
-        ),
-        solver=solver,
-        study=StudySection(
-            levels=v["study.levels"],
-            refine_steps=v["study.refine_steps"],
-            norm=v["study.norm"],
-            perturb_scale=v["study.perturb_scale"],
-        ),
-        output=OutputSection(dir=v["output.dir"], formats=tuple(v["output.formats"].split(","))),
-    )
+    return RunConfig(seed=v["seed"], **sections)
 
 
 def _fmt_value(val) -> str:
@@ -322,49 +252,7 @@ def _fmt_value(val) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Write a configuration back to text, every key materialized."""
-    c = cfg
-    values = {
-        "seed": c.seed,
-        "grid.dim": c.grid.dim,
-        "grid.extents": c.grid.extents,
-        "grid.counts": c.grid.counts,
-        "kernel.family": c.kernel.family,
-        "kernel.radius": c.kernel.radius,
-        "kernel.table_path": c.kernel.table_path,
-        "range.family": c.range.family,
-        "range.p": c.range.p,
-        "range.h": c.range.h,
-        "range.exponent_sigmas": c.range.exponent_sigmas,
-        "range.exponent_values": c.range.exponent_values,
-        "range.mollify_n": c.range.mollify_n,
-        "range.mollify_quad": c.range.mollify_quad,
-        "reaction.family": c.reaction.family,
-        "reaction.rate": c.reaction.rate,
-        "reaction.offset": c.reaction.offset,
-        "reaction.slope": c.reaction.slope,
-        "reaction.capacity": c.reaction.capacity,
-        "reaction.table_path": c.reaction.table_path,
-        "initial.kind": c.initial.kind,
-        "initial.value": c.initial.value,
-        "initial.low": c.initial.low,
-        "initial.high": c.initial.high,
-        "initial.path": c.initial.path,
-        "solver.T": c.solver.T,
-        "solver.steps": c.solver.steps,
-        "solver.scheme": c.solver.scheme,
-        "solver.mu_mode": c.solver.mu_mode,
-        "solver.mu": c.solver.mu,
-        "solver.mu_margin": c.solver.mu_margin,
-        "solver.record_every": c.solver.record_every,
-        "study.levels": c.study.levels,
-        "study.refine_steps": c.study.refine_steps,
-        "study.norm": c.study.norm,
-        "study.perturb_scale": c.study.perturb_scale,
-        "output.dir": c.output.dir,
-        "output.formats": ",".join(c.output.formats),
-    }
-    lines = [f"{key} = {_fmt_value(values[key])}" for key in _SCHEMA]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in _items(cfg))
 
 
 def _load_kernel_table_csv(path):

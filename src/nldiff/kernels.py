@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,21 @@ REACTION_FAMILIES = ("zero", "linear_decay", "affine", "logistic", "custom_table
 
 @dataclass(frozen=True)
 class SpatialKernelTable:
-    """A spatial kernel sampled on integer node offsets.
+    """A spatial kernel sampled on integer node offsets, and the walk over
+    the node pairs it couples.
 
     ``offsets`` has shape (K, dim) and ``weights`` shape (K,).  Entries are
     sorted lexicographically by offset, which fixes the evaluation order of
     every loop that walks the table and so keeps runs reproducible.
     ``normalization`` records the constant the raw samples were divided by
     to reach a unit discrete integral.
+
+    The table owns that walk: ``pairs`` holds one ``(weight, dst, src)``
+    triple per offset, in table order, where ``dst`` and ``src`` are the
+    slice tuples selecting the nodes x and x + d that both lie on the grid.
+    Offsets whose overlap with the grid is empty are left out, so every
+    pair sum in the package is a loop over ``pairs``; ``pair_count`` is the
+    number of ordered node pairs the walk visits.
     """
 
     grid: Grid
@@ -74,6 +82,8 @@ class SpatialKernelTable:
     offsets: np.ndarray
     weights: np.ndarray
     normalization: float
+    pairs: tuple = field(init=False, repr=False, compare=False)
+    pair_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = np.atleast_2d(np.asarray(self.offsets, dtype=np.int64))
@@ -83,6 +93,19 @@ class SpatialKernelTable:
         order = np.lexsort(offsets.T[::-1])
         object.__setattr__(self, "offsets", offsets[order])
         object.__setattr__(self, "weights", weights[order])
+        pairs, count = [], 0
+        for w, offset in zip(self.weights, self.offsets.tolist()):
+            dst, src, size = [], [], 1
+            for c, a in zip(self.grid.counts, offset):
+                lo, hi = max(0, -a), c - max(0, a)
+                dst.append(slice(lo, hi))
+                src.append(slice(lo + a, hi + a))
+                size *= max(0, hi - lo)
+            if size:
+                pairs.append((w, tuple(dst), tuple(src)))
+                count += size
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "pair_count", count)
 
     @property
     def size(self) -> int:
@@ -609,10 +632,6 @@ def custom_table_reaction(s_values, f_values, working_range=None) -> Reaction:
     ts = np.asarray(s_values, dtype=np.float64)
     wr = (float(ts[0]), float(ts[-1])) if working_range is None else working_range
     return Reaction("custom_table", table=(s_values, f_values), working_range=wr)
-
-
-def eval_reaction(spec: Reaction, t: float, x, s):
-    return spec.eval(t, x, s)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ For a state u the operator at node x is
     (L u)(x) = node_volume * sum_d  w(d) A(t, x, x+d, u(x+d) - u(x))
 
 with the sum over the kernel table's offsets d, clipped at the boundary:
-offsets that leave the grid are simply dropped, which is the discrete form
+pairs that leave the grid are simply dropped, which is the discrete form
 of integrating over the domain only and gives the flow its no-flux
-character.  Evaluation walks offsets in table order with one vectorized
-pass per offset, so a run is a direct O(nodes * offsets) sum and
-bit-reproducible.
+character.  The kernel table owns the walk: it fixes the offset order and
+holds, per offset, the weight and the clipped slices of the nodes x and
+x + d (see :class:`~nldiff.kernels.SpatialKernelTable`).  The operator,
+the pairing identity, the energies and the one-step filter all loop over
+those triples with one vectorized pass per offset, so a run is a direct
+O(nodes * offsets) sum and bit-reproducible.
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -31,7 +34,6 @@ h^2/2 is fixed by the antiderivative of s exp(-s^2/h^2).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +60,6 @@ class EnergyValue:
     parameter: float
 
 
-def _overlap(counts, offset):
-    dst, src = [], []
-    for c, a in zip(counts, offset):
-        lo = max(0, -int(a))
-        hi = c - max(0, int(a))
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + int(a), hi + int(a)))
-    return tuple(dst), tuple(src)
-
-
 def _reference_array(grid: Grid, kernel: RangeKernel):
     if not kernel.needs_pair_reference:
         return None
@@ -79,59 +71,27 @@ def _reference_array(grid: Grid, kernel: RangeKernel):
     return ref.values.reshape(grid.counts)
 
 
-def _accumulate(uu, ref, table, kernel, t, rows):
-    out = np.zeros_like(uu)
-    flops = 0
-    for k in rows:
-        dst, src = _overlap(uu.shape, table.offsets[k])
-        s = uu[src] - uu[dst]
-        if s.size == 0:
-            continue
-        pr = ref[src] - ref[dst] if ref is not None else None
-        out[dst] += table.weights[k] * kernel.eval(t, s, pr)
-        flops += s.size
-    return out, flops
-
-
 def apply_nonlocal(
     grid: Grid,
     table: SpatialKernelTable,
     kernel: RangeKernel,
     t: float,
     u: Field,
-    threads: int = 1,
 ) -> OperatorEval:
-    """Evaluate the nonlocal operator on a field.
-
-    With ``threads`` above one the offset list is split into that many
-    contiguous chunks evaluated concurrently; partial results are combined
-    in chunk order, so output is deterministic for a fixed thread count but
-    may differ from the single-threaded sum at round-off level.
-    """
+    """Evaluate the nonlocal operator on a field."""
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("state field does not live on the operator grid")
-    uu = u.values.reshape(grid.counts)
-    ref = _reference_array(grid, kernel)
-    raw, flops = _apply_raw(uu, ref, grid, table, kernel, t, threads)
-    return OperatorEval(result=Field(grid, raw.ravel()), t=float(t), flops_estimate=flops)
+    raw = _apply(u.reshaped(), _reference_array(grid, kernel), table, kernel, t)
+    return OperatorEval(result=Field(grid, raw.ravel()), t=float(t), flops_estimate=table.pair_count)
 
 
-def _apply_raw(uu, ref, grid, table, kernel, t, threads=1):
-    rows = range(table.size)
-    if threads <= 1 or table.size < 2 * threads:
-        out, flops = _accumulate(uu, ref, table, kernel, t, rows)
-    else:
-        chunks = np.array_split(np.arange(table.size), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda c: _accumulate(uu, ref, table, kernel, t, c), chunks)
-            )
-        out = parts[0][0]
-        for p, _ in parts[1:]:
-            out = out + p
-        flops = sum(fl for _, fl in parts)
-    return out * grid.node_volume, flops
+def _apply(uu, ref, table, kernel, t):
+    out = np.zeros_like(uu)
+    for w, dst, src in table.pairs:
+        pr = ref[src] - ref[dst] if ref is not None else None
+        out[dst] += w * kernel.eval(t, uu[src] - uu[dst], pr)
+    return out * table.grid.node_volume
 
 
 def _check_table(grid: Grid, table: SpatialKernelTable):
@@ -161,29 +121,20 @@ def dissipation_pairing(
     uu = u.reshaped()
     pp = phi.reshaped()
     ref = _reference_array(grid, kernel)
-    lhs_raw, _ = _apply_raw(uu, ref, grid, table, kernel, t)
-    lhs = grid.node_volume * float(np.sum(pp * lhs_raw))
+    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, ref, table, kernel, t)))
     acc = 0.0
-    for k in range(table.size):
-        dst, src = _overlap(uu.shape, table.offsets[k])
-        s = uu[src] - uu[dst]
-        if s.size == 0:
-            continue
+    for w, dst, src in table.pairs:
         pr = ref[src] - ref[dst] if ref is not None else None
-        acc += table.weights[k] * float(np.sum(kernel.eval(t, s, pr) * (pp[src] - pp[dst])))
+        acc += w * float(np.sum(kernel.eval(t, uu[src] - uu[dst], pr) * (pp[src] - pp[dst])))
     rhs = -0.5 * grid.node_volume**2 * acc
     return lhs, rhs
 
 
-def _pair_sum(grid: Grid, table: SpatialKernelTable, u: Field, term) -> float:
+def _pair_sum(table: SpatialKernelTable, u: Field, term) -> float:
     uu = u.reshaped()
     acc = 0.0
-    for k in range(table.size):
-        dst, src = _overlap(uu.shape, table.offsets[k])
-        s = uu[src] - uu[dst]
-        if s.size == 0:
-            continue
-        acc += table.weights[k] * float(np.sum(term(s, dst, src)))
+    for w, dst, src in table.pairs:
+        acc += w * float(np.sum(term(uu[src] - uu[dst], dst, src)))
     return acc
 
 
@@ -195,7 +146,7 @@ def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> Energ
     p = float(p)
     if not p >= 1.0:
         raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
-    acc = _pair_sum(grid, table, u, lambda s, dst, src: np.abs(s) ** p)
+    acc = _pair_sum(table, u, lambda s, dst, src: np.abs(s) ** p)
     return EnergyValue(kind="p", value=grid.node_volume**2 * acc / p, parameter=p)
 
 
@@ -206,7 +157,7 @@ def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) 
         raise GridMismatchError("field does not live on the energy grid")
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    acc = _pair_sum(grid, table, u, lambda s, dst, src: 1.0 - np.exp(-((s / h) ** 2)))
+    acc = _pair_sum(table, u, lambda s, dst, src: 1.0 - np.exp(-((s / h) ** 2)))
     return EnergyValue(kind="bilateral", value=grid.node_volume**2 * acc, parameter=float(h))
 
 
@@ -237,6 +188,29 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
             q = np.interp(np.abs(ref[src] - ref[dst]), sig, val)
             return np.abs(s) ** q / q
 
-        acc = _pair_sum(grid, table, u, term)
+        acc = _pair_sum(table, u, term)
         return grid.node_volume**2 * acc
     return energy_p(grid, table, u, 2.0).value
+
+
+def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> Field:
+    """One pass of the classical normalized adaptive filter.
+
+    Weighs each neighbor by the even window exp(-(s/h)^2) of the value
+    difference s and renormalizes per node.  The zero offset is in every
+    table, so the denominator never vanishes.  This is the filter whose
+    odd correction drives the evolution; it does not conserve mass.
+    """
+    _check_table(grid, table)
+    if u.grid != grid:
+        raise GridMismatchError("field does not live on the filter grid")
+    uu = u.reshaped()
+    num = np.zeros_like(uu)
+    den = np.zeros_like(uu)
+    inv_h2 = 1.0 / (h * h)
+    for w, dst, src in table.pairs:
+        s = uu[src] - uu[dst]
+        weight = w * np.exp(-(s * s) * inv_h2)
+        num[dst] += weight * uu[src]
+        den[dst] += weight
+    return Field(grid, (num / den).ravel())

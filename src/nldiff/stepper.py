@@ -56,7 +56,7 @@ from .kernels import (
     sample_lipschitz_constant,
     validate_assumptions,
 )
-from .operator import _apply_raw, _reference_array, flow_energy
+from .operator import _apply, _check_table, _reference_array, flow_energy
 
 SCHEMES = ("semi_implicit_w", "explicit_euler")
 MU_MODES = ("auto_growth", "auto_linf", "manual")
@@ -175,9 +175,7 @@ def step_semi_implicit(
     """One damped step; takes and returns the transformed unknown w."""
     if w_j.grid != grid:
         raise GridMismatchError("state does not live on the given grid")
-    ref = _reference_array(grid, kernel)
-    w = w_j.values.reshape(grid.counts)
-    new = _advance_semi(w, ref, grid, table, kernel, reaction, t_j, tau, mu)[0]
+    new = _step(w_j.reshaped(), t_j, tau, mu, True, table, kernel, reaction)[0]
     return Field(grid, new.ravel())
 
 
@@ -193,25 +191,29 @@ def step_explicit_euler(
     """One forward Euler step on the untransformed unknown."""
     if u_j.grid != grid:
         raise GridMismatchError("state does not live on the given grid")
-    ref = _reference_array(grid, kernel)
-    u = u_j.values.reshape(grid.counts)
-    rhs, _ = _rhs_at(u, ref, grid, table, kernel, reaction, t_j)
-    return Field(grid, (u + tau * rhs).ravel())
+    new = _step(u_j.reshaped(), t_j, tau, 0.0, False, table, kernel, reaction)[0]
+    return Field(grid, new.ravel())
 
 
-def _rhs_at(u, ref, grid, table, kernel, reaction, t, threads=1):
-    op, _ = _apply_raw(u, ref, grid, table, kernel, t, threads)
-    fv = reaction.eval(t, None, u)
-    return op + fv, op
+def _step(state, t_j, tau, mu, semi, table, kernel, reaction):
+    """One step of either scheme from the stored unknown at time t_j.
 
-
-def _advance_semi(w, ref, grid, table, kernel, reaction, t_j, tau, mu):
-    ept = math.exp(mu * t_j)
-    emt = math.exp(-mu * t_j)
-    u = ept * w
-    rhs, op = _rhs_at(u, ref, grid, table, kernel, reaction, t_j)
-    w_next = (w + (tau * emt) * rhs) / (1.0 + tau * mu)
-    return w_next, u, op
+    ``state`` is w for the damped scheme (``semi``) and u for explicit
+    Euler.  Returns (new_state, u, op): the stored unknown at t_j + tau,
+    the original unknown u at t_j and the operator applied to it.  Raises
+    :class:`NumericalBlowupError` when u at t_j is not finite; the caller
+    knows the step index and the last finite state.
+    """
+    u = math.exp(mu * t_j) * state if semi else state
+    if not np.all(np.isfinite(u)):
+        raise NumericalBlowupError("state left the finite range", step=0, t=t_j)
+    op = _apply(u, _reference_array(table.grid, kernel), table, kernel, t_j)
+    rhs = op + reaction.eval(t_j, None, u)
+    if semi:
+        new = (state + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu)
+    else:
+        new = u + tau * rhs
+    return new, u, op
 
 
 def _resolve_constants(kernel, reaction, u0, config, seed):
@@ -254,7 +256,6 @@ def solve(
     config: SolverConfig,
     *,
     seed: int = 42,
-    threads: int = 1,
     allow_nonconformant: bool = False,
 ) -> Trajectory:
     """Integrate the flow from u0 to time T.
@@ -263,9 +264,10 @@ def solve(
     a failing report raises :class:`AssumptionViolationError` unless
     ``allow_nonconformant`` is set, in which case the run proceeds with the
     report attached to the trajectory constants.  A state that stops being
-    finite raises :class:`NumericalBlowupError` carrying the step index and
-    the last finite state.
+    finite raises :class:`NumericalBlowupError` carrying the first step
+    whose u is not finite and the last finite u, recorded or not.
     """
+    _check_table(grid, table)
     if u0.grid != grid:
         raise GridMismatchError("initial state does not live on the given grid")
     report = validate_assumptions(table, kernel, reaction, u0, seed=seed)
@@ -307,7 +309,6 @@ def solve(
         )
 
     semi = config.scheme == "semi_implicit_w"
-    ref = _reference_array(grid, kernel)
     state = u0.values.reshape(grid.counts).copy()
 
     diag = {name: np.empty(N + 1) for name in DIAGNOSTIC_COLUMNS}
@@ -330,45 +331,25 @@ def solve(
         diag["energy"][j] = flow_energy(grid, table, kernel, Field(grid, u.ravel()))
         diag["op_sup"][j] = np.max(np.abs(op)) if op.size else 0.0
 
-    for j in range(N):
+    # The step from t_N is taken only for its u and op; its new state is unused.
+    u = state
+    for j in range(N + 1):
         t_j = t_of(j)
-        if semi:
-            ept = math.exp(mu * t_j)
-            emt = math.exp(-mu * t_j)
-            u = ept * state
-        else:
-            u = state
-        rhs, op = _rhs_at(u, ref, grid, table, kernel, reaction, t_j, threads)
+        try:
+            new, u_j, op = _step(state, t_j, tau, mu, semi, table, kernel, reaction)
+        except NumericalBlowupError as exc:
+            raise NumericalBlowupError(
+                f"{exc} at step {j} (t = {t_j:.6g})",
+                step=j,
+                t=t_j,
+                last_state=Field(grid, u.ravel().copy()),
+            ) from None
+        u = u_j
         fill_diag(j, u, op)
         if j in record_set:
             times.append(t_j)
             states.append(Field(grid, u.ravel().copy()))
-        if semi:
-            new = (state + (tau * emt) * rhs) / (1.0 + tau * mu)
-        else:
-            new = u + tau * rhs
-        if not np.all(np.isfinite(new)):
-            raise NumericalBlowupError(
-                f"state left the finite range at step {j + 1} (t = {t_of(j + 1):.6g})",
-                step=j + 1,
-                t=t_of(j + 1),
-                last_state=Field(grid, u.ravel().copy()),
-            )
         state = new
-
-    t_N = t_of(N)
-    u = math.exp(mu * t_N) * state if semi else state
-    if not np.all(np.isfinite(u)):
-        raise NumericalBlowupError(
-            f"state left the finite range at step {N} (t = {t_N:.6g})",
-            step=N,
-            t=t_N,
-            last_state=states[-1] if states else u0,
-        )
-    _, op = _rhs_at(u, ref, grid, table, kernel, reaction, t_N, threads)
-    fill_diag(N, u, op)
-    times.append(t_N)
-    states.append(Field(grid, u.ravel().copy()))
 
     return Trajectory(
         grid=grid,
@@ -384,7 +365,7 @@ def solve(
     )
 
 
-def solve_problem(problem: Problem, *, threads: int = 1, allow_nonconformant: bool = False,
+def solve_problem(problem: Problem, *, allow_nonconformant: bool = False,
                   config: SolverConfig | None = None, u0: Field | None = None,
                   kernel: RangeKernel | None = None) -> Trajectory:
     """Run a :class:`Problem`, optionally overriding pieces of it."""
@@ -396,7 +377,6 @@ def solve_problem(problem: Problem, *, threads: int = 1, allow_nonconformant: bo
         u0 if u0 is not None else problem.u0,
         config if config is not None else problem.config,
         seed=problem.seed,
-        threads=threads,
         allow_nonconformant=allow_nonconformant,
     )
 

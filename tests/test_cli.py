@@ -333,6 +333,20 @@ def test_blowup_exits_3_with_step_info(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_damped_transform_overflow_exits_3(tmp_path, capsys):
+    # w stays finite while u = e^{mu t} w overflows
+    cfg = tmp_path / "grow.cfg"
+    cfg.write_text("grid.dim = 1\ngrid.extents = 0, 1\ngrid.counts = 8\n"
+                   "kernel.family = box\nkernel.radius = 0.2\nrange.family = linear\n"
+                   "reaction.family = affine\nreaction.slope = 1500\ninitial.value = 0.5\n"
+                   "solver.T = 1\nsolver.steps = 64\nsolver.mu_mode = manual\n"
+                   "solver.mu = 690\n", encoding="utf-8")
+    with np.errstate(over="ignore"), pytest.warns(UserWarning):
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "step 62" in capsys.readouterr().err
+
+
 def noisy_image(tmp_path):
     rng = np.random.default_rng(1)
     rows = rng.integers(0, 256, size=(6, 8))

@@ -7,6 +7,7 @@ machinery of the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nldiff import (
     ConfigurationError,
@@ -213,18 +214,6 @@ def test_flow_energy_closed_forms():
     assert flow_energy(g, t, ve, u) == energy_p(g, t, u, 2.0).value
 
 
-def test_threaded_evaluation_matches_serial():
-    g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
-    t = make_spatial_kernel(g, "gaussian", 0.08)
-    assert t.size >= 8
-    u = Field(g, np.random.default_rng(2).uniform(0.0, 1.0, g.node_count))
-    k = p_laplacian_kernel(2.5)
-    serial = apply_nonlocal(g, t, k, 0.0, u, threads=1)
-    threaded = apply_nonlocal(g, t, k, 0.0, u, threads=3)
-    np.testing.assert_allclose(threaded.result.values, serial.result.values, rtol=1e-12)
-    assert threaded.flops_estimate == serial.flops_estimate
-
-
 def test_flops_counts_clipped_pairs():
     g = build_grid(1, [(0.0, 1.0)], [8])
     t = make_spatial_kernel(g, "box", 0.15)  # offsets -1, 0, 1
@@ -258,3 +247,56 @@ def test_energy_parameter_validation():
     k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
     with pytest.raises(ConfigurationError):
         apply_nonlocal(g, t, k, 0.0, u)
+
+
+@st.composite
+def even_tables(draw):
+    """Random counts and an even custom table with at least one offset that
+    overlaps no node pair of the grid."""
+    counts = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
+    reach = [st.integers(-(c + 2), c + 2) for c in counts]
+    half = draw(st.lists(st.tuples(*reach), min_size=1, max_size=6))
+    far = tuple(c + draw(st.integers(0, 2)) for c in counts)
+    table = {}
+    for d in half + [far]:
+        w = draw(st.floats(0.1, 2.0))
+        table[d] = table[tuple(-a for a in d)] = w
+    offsets = sorted(table)
+    return counts, offsets, [table[d] for d in offsets], draw(st.integers(0, 2**31 - 1))
+
+
+def scalar_pairs(grid, table):
+    """(x, y, w) for every weighted pair of nodes y = x + d on the grid."""
+    for mi in np.ndindex(*grid.counts):
+        for row, w in zip(table.offsets, table.weights):
+            ni = tuple(int(a) + int(d) for a, d in zip(mi, row))
+            if all(0 <= a < c for a, c in zip(ni, grid.counts)):
+                yield grid.flat_index(mi), grid.flat_index(ni), w
+
+
+@given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@settings(max_examples=12, deadline=None)
+def test_pair_walk_matches_scalar_sums(case, p):
+    counts, offsets, weights, seed = case
+    g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
+    t = make_spatial_kernel(g, "custom_table", table=(offsets, weights))
+    rng = np.random.default_rng(seed)
+    u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
+    phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
+    pairs = list(scalar_pairs(g, t))
+    nv = g.node_volume
+    want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
+    assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
+    for k in _kernels_for(g, u):
+        out = apply_nonlocal(g, t, k, 0.3, u)
+        assert out.flops_estimate == len(pairs)
+        want = dense_oracle(g, t, k, 0.3, u)
+        np.testing.assert_allclose(out.result.values, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
+        lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+        assert lhs == pytest.approx(nv * float(np.sum(phi.values * want)), rel=1e-12, abs=1e-14)
+        want_rhs = -0.5 * nv**2 * sum(
+            w * eval_range_kernel(k, 0.3, x, y, u.values[y] - u.values[x])
+            * (phi.values[y] - phi.values[x])
+            for x, y, w in pairs
+        )
+        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=1e-14), k.family

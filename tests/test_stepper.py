@@ -23,6 +23,7 @@ from nldiff import (
     Problem,
     SolverConfig,
     UndefinedRatioError,
+    affine_reaction,
     build_grid,
     export_trajectory,
     linear_kernel,
@@ -249,17 +250,42 @@ def test_nonconformant_override_records_the_failure():
     assert traj.constants["assumptions_ok"] is False
 
 
+def box_growth_problem(slope, mu, u0, record_every=1):
+    # a constant state keeps the operator at zero, so u grows like the
+    # affine reaction alone while the damping transform scales it by e^{mu t}
+    g = build_grid(1, [(0.0, 1.0)], [8])
+    t = make_spatial_kernel(g, "box", 0.2)
+    cfg = SolverConfig(T=1.0, steps=64, mu_mode="manual", mu=mu, record_every=record_every)
+    return Problem(g, t, linear_kernel(), affine_reaction(0.0, slope), Field(g, np.full(8, u0)), cfg)
+
+
 def test_blowup_carries_step_time_and_last_finite_state():
-    prob = two_node_problem([0.2, 1.0], T=0.1, steps=8,
-                            reaction=linear_decay_reaction(1e80))
-    # diagnostics overflow harmlessly on the way out; only the guard matters
-    with np.errstate(over="ignore"), pytest.warns(UserWarning, match="positivity bound"):
-        with pytest.raises(NumericalBlowupError) as exc:
-            solve_problem(prob)
-    err = exc.value
-    assert 1 <= err.step <= 8
-    assert err.t == pytest.approx(0.1 * err.step / 8)
-    assert np.all(np.isfinite(err.last_state.values))
+    cases = [
+        # the reaction drives the stored state out of range
+        (two_node_problem([0.2, 1.0], T=0.1, steps=8, reaction=linear_decay_reaction(1e80)), None),
+        # w stays finite while u = e^{mu t} w overflows
+        (box_growth_problem(1500.0, 690.0, 0.5), 62),
+        # u overflows only at the final step, after the last recorded state
+        (box_growth_problem(840.0, 699.0, 1.0, record_every=16), 64),
+    ]
+    for prob, want_step in cases:
+        cfg = prob.config
+        # diagnostics overflow harmlessly on the way out; only the guard matters
+        with np.errstate(over="ignore"), pytest.warns(UserWarning, match="positivity bound"):
+            with pytest.raises(NumericalBlowupError) as exc:
+                solve_problem(prob)
+        err = exc.value
+        assert 1 <= err.step <= cfg.steps
+        if want_step is not None:
+            assert err.step == want_step
+        assert err.t == pytest.approx(cfg.T * err.step / cfg.steps)
+        # the last finite state is u one step earlier, rebuilt from single steps
+        w = prob.u0
+        for j in range(err.step - 1):
+            w = step_semi_implicit(prob.grid, prob.table, prob.kernel, prob.reaction,
+                                   cfg.T * (j / cfg.steps), cfg.T / cfg.steps, cfg.mu, w)
+        t_last = cfg.T * ((err.step - 1) / cfg.steps)
+        np.testing.assert_array_equal(err.last_state.values, math.exp(cfg.mu * t_last) * w.values)
 
 
 def test_tau_restriction_warning_mentions_the_bound():
