@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +70,20 @@ class SpatialKernelTable:
     ``normalization`` records the constant the raw samples were divided by
     to reach a unit discrete integral.
 
-    The table owns that walk: ``pairs`` holds one ``(weight, dst, src)``
-    triple per offset, in table order, where ``dst`` and ``src`` are the
-    slice tuples selecting the nodes x and x + d that both lie on the grid.
-    Offsets whose overlap with the grid is empty are left out, so every
-    pair sum in the package is a loop over ``pairs``; ``pair_count`` is the
-    number of ordered node pairs the walk visits.
+    The table owns that walk.  The spatial kernel is even and every range
+    kernel but ``custom`` is odd, so the pair (x, x + d) and its mirror
+    (x + d, x) carry the same flux with opposite signs; the walk therefore
+    visits only the lexicographically positive offsets d > 0.  ``pairs``
+    holds one ``(weight, dst, src)`` triple per such offset, in table
+    order, where ``dst`` and ``src`` are the slice tuples selecting the
+    nodes x and x + d that both lie on the grid; offsets whose overlap with
+    the grid is empty are left out.  Every pair sum in the package is a
+    loop over ``pairs`` (see :mod:`nldiff.operator`).  ``zero_weight`` is
+    the weight of d = 0, which couples a node with itself and so carries no
+    flux of an odd kernel; the one-step filter still counts it.
+    ``pair_count`` is the number of ordered node pairs the full table
+    couples, every offset included.  A table that is not even, offsets and
+    weights bit for bit, raises :class:`KernelValidationError`.
     """
 
     grid: Grid
@@ -83,6 +92,7 @@ class SpatialKernelTable:
     weights: np.ndarray
     normalization: float
     pairs: tuple = field(init=False, repr=False, compare=False)
+    zero_weight: float = field(init=False, repr=False, compare=False)
     pair_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,20 +101,34 @@ class SpatialKernelTable:
         if offsets.shape[1] != self.grid.dim or offsets.shape[0] != weights.shape[0]:
             raise ConfigurationError("kernel table shapes do not match the grid")
         order = np.lexsort(offsets.T[::-1])
-        object.__setattr__(self, "offsets", offsets[order])
-        object.__setattr__(self, "weights", weights[order])
-        pairs, count = [], 0
-        for w, offset in zip(self.weights, self.offsets.tolist()):
+        offsets, weights = offsets[order], weights[order]
+        # Negation reverses lexicographic order, so an even table reads the
+        # same backwards with its offsets negated.
+        if not (np.array_equal(offsets[::-1], -offsets) and np.array_equal(weights[::-1], weights)):
+            index = dict(zip(map(tuple, offsets.tolist()), weights.tolist()))
+            uneven = sorted(o for o, w in index.items() if index.get(tuple(-c for c in o)) != w)
+            raise KernelValidationError(
+                f"kernel table is not even under offset negation; offending offsets {uneven}",
+                offenders=uneven,
+            )
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "weights", weights)
+        zero = (0,) * self.grid.dim
+        pairs, count, w0 = [], 0, 0.0
+        for w, offset in zip(weights, offsets.tolist()):
             dst, src, size = [], [], 1
             for c, a in zip(self.grid.counts, offset):
                 lo, hi = max(0, -a), c - max(0, a)
                 dst.append(slice(lo, hi))
                 src.append(slice(lo + a, hi + a))
                 size *= max(0, hi - lo)
-            if size:
+            count += size
+            if tuple(offset) == zero:
+                w0 += float(w)
+            elif size and tuple(offset) > zero:
                 pairs.append((w, tuple(dst), tuple(src)))
-                count += size
         object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "zero_weight", w0)
         object.__setattr__(self, "pair_count", count)
 
     @property
@@ -150,8 +174,9 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
         zero where |x| >= 4 radius; the box is the indicator of the ball
         |x| <= radius.
     table : (offsets, weights), optional
-        Raw samples for ``custom_table``.  They must be even under offset
-        negation, with bit-identical weights, and non-negative; violations
+        Raw samples for ``custom_table``.  They must be non-negative, list
+        each offset once, and be even under offset negation with
+        bit-identical weights once zero weights are dropped; violations
         raise :class:`KernelValidationError` listing the offenders.
 
     Whatever the family, raw weights are divided by their discrete integral
@@ -206,20 +231,11 @@ def _check_table_validity(offsets: np.ndarray, weights: np.ndarray):
             f"kernel weights must be finite and non-negative; offending offsets {bad_sign}",
             offenders=bad_sign,
         )
-    index = {tuple(o): w for o, w in zip(offsets, weights)}
-    if len(index) != len(weights):
-        dupes = [o for o in map(tuple, offsets) if list(map(tuple, offsets)).count(o) > 1]
+    keys = list(map(tuple, offsets))
+    seen = Counter(keys)
+    if len(seen) != len(keys):
+        dupes = [o for o in keys if seen[o] > 1]
         raise KernelValidationError("kernel table lists an offset twice", offenders=dupes)
-    uneven = []
-    for o, w in index.items():
-        mirror = tuple(-c for c in o)
-        if mirror not in index or index[mirror] != w:
-            uneven.append(o)
-    if uneven:
-        raise KernelValidationError(
-            f"kernel table is not even under offset negation; offending offsets {sorted(uneven)}",
-            offenders=sorted(uneven),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,7 @@ class RangeKernel:
                 )
             ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
             q = np.interp(ref, self.exponent_sigmas, self.exponent_values)
-            return _signed_power(s, np.broadcast_to(q, s.shape) - 1.0)
+            return _signed_power(s, q - 1.0)
         if self.family == "bilateral_gaussian":
             z = s / self.h
             return s * np.exp(-z * z)
@@ -386,25 +402,20 @@ class RangeKernel:
         m = self.mollifier
         shifted = s[..., None] - m.nodes / m.n
         if pair_ref is not None:
-            pair_ref = np.broadcast_to(np.asarray(pair_ref, dtype=np.float64), s.shape)[..., None]
-            pair_ref = np.broadcast_to(pair_ref, shifted.shape)
+            pair_ref = np.asarray(pair_ref, dtype=np.float64)[..., None]
         vals = self.base.eval(t, shifted, pair_ref)
         return vals @ m.weights
 
 
 def _signed_power(s: np.ndarray, exponent) -> np.ndarray:
-    """sign(s) |s|^exponent with the s = 0 limit pinned to 0.
+    """sign(s) |s|^exponent, elementwise, for a scalar or array exponent.
 
-    Keeping the zero case out of the power avoids 0^0 = 1 artifacts and
-    0^negative overflow when tabulated exponents dip below one away from
-    the origin.
+    At s = 0 this is sign(0) = 0 times 0^e, which is 0 for every e >= 0.
+    No kernel reaches s = 0 with a negative exponent: spatial_exponent
+    tables stay above 1, and a variable exponent has p(0) - 1 >= 1 at
+    s = 0, dropping below 0 only where |s| > 0.
     """
-    a = np.abs(s)
-    out = np.zeros_like(a)
-    nz = a > 0.0
-    e = np.broadcast_to(np.asarray(exponent, dtype=np.float64), a.shape)
-    out[nz] = np.sign(s[nz]) * a[nz] ** e[nz]
-    return out
+    return np.sign(s) * np.abs(s) ** exponent
 
 
 def linear_kernel() -> RangeKernel:
@@ -767,26 +778,17 @@ def validate_assumptions(
     """Check the structural hypotheses the well-posedness theory needs.
 
     Everything is reported; nothing raises.  The checks cover the spatial
-    kernel (evenness bit for bit, non-negative weights, unit discrete
-    mass), the range kernel (A(0) = 0, oddness, the sign condition
-    A(s) s >= 0, symmetry in the node pair, and monotonicity when
-    declared), the reaction (f(t, x, 0) >= 0 and the declared growth
-    bound), and non-negativity of the initial state.  Sampling uses a
+    kernel (non-negative weights, unit discrete mass; evenness bit for bit
+    is enforced when the table is built), the range kernel (A(0) = 0,
+    oddness, the sign condition A(s) s >= 0, symmetry in the node pair,
+    and monotonicity when declared), the reaction (f(t, x, 0) >= 0 and the
+    declared growth bound), and non-negativity of the initial state.  Sampling uses a
     dedicated generator seeded by ``seed`` so reports are reproducible.
     """
     rng = np.random.default_rng(seed)
     checks = []
 
     # spatial kernel
-    index = {tuple(o): w for o, w in zip(table.offsets, table.weights)}
-    uneven = [o for o, w in index.items() if index.get(tuple(-c for c in o)) != w]
-    checks.append(
-        CheckResult(
-            "spatial kernel evenness",
-            not uneven,
-            "" if not uneven else f"offsets without bit-identical mirror: {sorted(uneven)[:8]}",
-        )
-    )
     neg = np.flatnonzero(table.weights < 0.0)
     checks.append(
         CheckResult(

@@ -7,12 +7,21 @@ For a state u the operator at node x is
 with the sum over the kernel table's offsets d, clipped at the boundary:
 pairs that leave the grid are simply dropped, which is the discrete form
 of integrating over the domain only and gives the flow its no-flux
-character.  The kernel table owns the walk: it fixes the offset order and
-holds, per offset, the weight and the clipped slices of the nodes x and
-x + d (see :class:`~nldiff.kernels.SpatialKernelTable`).  The operator,
-the pairing identity, the energies and the one-step filter all loop over
-those triples with one vectorized pass per offset, so a run is a direct
-O(nodes * offsets) sum and bit-reproducible.
+character.
+
+The spatial kernel is even, w(-d) = w(d), and every range family but
+``custom`` is odd in s and symmetric in the node pair, so the pair
+(x, x + d) and its mirror (x + d, x) exchange the same flux w(d) A(s) with
+opposite signs.  The one pair walk, :func:`_pairs`, therefore visits each
+unordered pair once: it runs over the table's lexicographically positive
+offsets (see :class:`~nldiff.kernels.SpatialKernelTable`) and forms
+s = u(x+d) - u(x) with one vectorized pass per offset.  The operator
+evaluates A(s) once and scatters it to both ends of the pair.  A custom
+kernel is odd only if its author made it so; it is evaluated again at -s
+for the mirror, and at the zero offset, which keeps the sum over ordered
+pairs it is defined by.  The operator, the pairing identity, the energies
+and the one-step filter all loop over this walk, so a run is a direct
+O(nodes * offsets) sum in a fixed order and bit-reproducible.
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -22,14 +31,23 @@ integration by parts,
 
 which is what :func:`dissipation_pairing` returns both sides of.
 
-The energies here are raw double sums.  Their relation to the operator
+The energies here are raw double sums over ordered pairs,
+
+    E = node_volume^2 * sum_x sum_d w(d) Phi(u(x+d) - u(x)),
+
+with Phi the even antiderivative of A, Phi(0) = 0; the walk visits each
+unordered pair once and counts it twice.  Their relation to the operator
 uses the discrete inner product sum with weight node_volume and the fact
 that the double sum counts every unordered pair twice, so the descent
 direction of an energy is its coordinate gradient divided by
-2 * node_volume.  Under that convention the p-energy descends exactly
-along the operator with A = |s|^(p-2) s, and h^2/2 times the bilateral
-energy descends along the operator with A = s exp(-s^2/h^2); the factor
-h^2/2 is fixed by the antiderivative of s exp(-s^2/h^2).
+2 * node_volume.  Under that convention the p-energy, Phi = |s|^p / p,
+descends exactly along the operator with A = |s|^(p-2) s, and h^2/2 times
+the bilateral energy, Phi = 1 - exp(-s^2/h^2), descends along the
+operator with A = s exp(-s^2/h^2).  Phi is computed from s and the A(s)
+the walk already holds (:func:`_density`): s A / q for the power families
+of exponent q, one minus the Gaussian factor A / s for the bilateral
+family.  A time step therefore gets the energy of its state from the walk
+that applies the operator, with no second kernel evaluation.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from .kernels import RangeKernel, SpatialKernelTable
 @dataclass(frozen=True)
 class OperatorEval:
     """One operator application: the resulting field, the time it was
-    evaluated at, and how many kernel evaluations it took."""
+    evaluated at, and how many ordered node pairs it sums over."""
 
     result: Field
     t: float
@@ -71,6 +89,77 @@ def _reference_array(grid: Grid, kernel: RangeKernel):
     return ref.values.reshape(grid.counts)
 
 
+def _pairs(uu, ref, table):
+    """The pair walk: per positive offset d, yield (w, dst, src, s, pr) with
+    s = u(x+d) - u(x) over the clipped slices and pr the same difference
+    of the reference field (None without one)."""
+    for w, dst, src in table.pairs:
+        yield w, dst, src, uu[src] - uu[dst], None if ref is None else ref[src] - ref[dst]
+
+
+def _density(kernel: RangeKernel, t, s, pr, a=None):
+    """Energy density of the pairs with differences s, up to the factor
+    :func:`_energy_scale`; reuses A(s) when the caller holds it.
+
+    Families without a closed antiderivative in s alone
+    (variable_exponent, custom) get the quadratic density s^2/2, the same
+    as linear; mollified kernels take their base's density.
+    """
+    fam = kernel.family
+    if fam == "mollified":
+        return _density(kernel.base, t, s, pr)
+    if fam not in ("p_laplacian", "spatial_exponent", "bilateral_gaussian"):
+        return s * s / 2.0
+    if a is None:
+        a = kernel.eval(t, s, pr)
+    if fam == "bilateral_gaussian":
+        # A = s g with the Gaussian factor g = exp(-(s/h)^2), which is 1 at s = 0
+        return 1.0 - np.divide(a, s, out=np.ones_like(s), where=s != 0.0)
+    if fam == "p_laplacian":
+        q = kernel.p
+    else:
+        q = np.interp(np.abs(pr), kernel.exponent_sigmas, kernel.exponent_values)
+    return s * a / q
+
+
+def _energy_scale(kernel: RangeKernel) -> float:
+    if kernel.family == "mollified":
+        return _energy_scale(kernel.base)
+    return 0.5 * kernel.h**2 if kernel.family == "bilateral_gaussian" else 1.0
+
+
+def _apply(uu, ref, table, kernel, t, energy=False):
+    """The operator on the node array uu, and with ``energy`` the flow
+    energy of uu from the same walk (else None)."""
+    out = np.zeros_like(uu)
+    acc = 0.0
+    # Every family but custom is odd by construction, bit for bit; a custom
+    # kernel is evaluated at -s for the mirror pair and at the zero offset.
+    odd = kernel.family != "custom"
+    for w, dst, src, s, pr in _pairs(uu, ref, table):
+        a = kernel.eval(t, s, pr)
+        wa = w * a
+        out[dst] += wa
+        if odd:
+            out[src] -= wa
+        else:
+            out[src] += w * kernel.eval(t, -s, pr)
+        if energy:
+            acc += w * float(_density(kernel, t, s, pr, a).sum())
+    if not odd and table.zero_weight:
+        out += table.zero_weight * kernel.eval(t, np.zeros_like(uu), None)
+    # the walk visits each unordered pair once; the energy sums ordered pairs
+    e = _energy_scale(kernel) * (2.0 * table.grid.node_volume**2 * acc) if energy else None
+    return out * table.grid.node_volume, e
+
+
+def _energy_sum(uu, ref, table, kernel) -> float:
+    acc = 0.0
+    for w, _, _, s, pr in _pairs(uu, ref, table):
+        acc += w * float(_density(kernel, 0.0, s, pr).sum())
+    return 2.0 * table.grid.node_volume**2 * acc
+
+
 def apply_nonlocal(
     grid: Grid,
     table: SpatialKernelTable,
@@ -82,16 +171,8 @@ def apply_nonlocal(
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("state field does not live on the operator grid")
-    raw = _apply(u.reshaped(), _reference_array(grid, kernel), table, kernel, t)
+    raw = _apply(u.reshaped(), _reference_array(grid, kernel), table, kernel, t)[0]
     return OperatorEval(result=Field(grid, raw.ravel()), t=float(t), flops_estimate=table.pair_count)
-
-
-def _apply(uu, ref, table, kernel, t):
-    out = np.zeros_like(uu)
-    for w, dst, src in table.pairs:
-        pr = ref[src] - ref[dst] if ref is not None else None
-        out[dst] += w * kernel.eval(t, uu[src] - uu[dst], pr)
-    return out * table.grid.node_volume
 
 
 def _check_table(grid: Grid, table: SpatialKernelTable):
@@ -121,21 +202,16 @@ def dissipation_pairing(
     uu = u.reshaped()
     pp = phi.reshaped()
     ref = _reference_array(grid, kernel)
-    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, ref, table, kernel, t)))
+    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, ref, table, kernel, t)[0]))
+    odd = kernel.family != "custom"
     acc = 0.0
-    for w, dst, src in table.pairs:
-        pr = ref[src] - ref[dst] if ref is not None else None
-        acc += w * float(np.sum(kernel.eval(t, uu[src] - uu[dst], pr) * (pp[src] - pp[dst])))
+    for w, dst, src, s, pr in _pairs(uu, ref, table):
+        a = kernel.eval(t, s, pr)
+        # the pair's A minus its mirror's, which for an odd kernel is 2 A
+        a = a + a if odd else a - kernel.eval(t, -s, pr)
+        acc += w * float(np.sum(a * (pp[src] - pp[dst])))
     rhs = -0.5 * grid.node_volume**2 * acc
     return lhs, rhs
-
-
-def _pair_sum(table: SpatialKernelTable, u: Field, term) -> float:
-    uu = u.reshaped()
-    acc = 0.0
-    for w, dst, src in table.pairs:
-        acc += w * float(np.sum(term(uu[src] - uu[dst], dst, src)))
-    return acc
 
 
 def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> EnergyValue:
@@ -146,8 +222,8 @@ def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> Energ
     p = float(p)
     if not p >= 1.0:
         raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
-    acc = _pair_sum(table, u, lambda s, dst, src: np.abs(s) ** p)
-    return EnergyValue(kind="p", value=grid.node_volume**2 * acc / p, parameter=p)
+    value = _energy_sum(u.reshaped(), None, table, RangeKernel("p_laplacian", p=p))
+    return EnergyValue(kind="p", value=value, parameter=p)
 
 
 def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> EnergyValue:
@@ -157,8 +233,8 @@ def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) 
         raise GridMismatchError("field does not live on the energy grid")
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    acc = _pair_sum(table, u, lambda s, dst, src: 1.0 - np.exp(-((s / h) ** 2)))
-    return EnergyValue(kind="bilateral", value=grid.node_volume**2 * acc, parameter=float(h))
+    value = _energy_sum(u.reshaped(), None, table, RangeKernel("bilateral_gaussian", h=float(h)))
+    return EnergyValue(kind="bilateral", value=value, parameter=float(h))
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:
@@ -169,48 +245,46 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     module docstring is exactly the operator.  Families without a closed
     antiderivative in s alone (variable_exponent, custom) fall back to the
     quadratic energy, which is then a monitoring quantity rather than a
-    certified descent functional.
+    certified descent functional.  A solver step computes the same number,
+    bit for bit, in the walk that applies the operator.
     """
-    fam = kernel.family
-    if fam == "mollified":
-        return flow_energy(grid, table, kernel.base, u)
-    if fam in ("linear",):
-        return energy_p(grid, table, u, 2.0).value
-    if fam == "p_laplacian":
-        return energy_p(grid, table, u, kernel.p).value
-    if fam == "bilateral_gaussian":
-        return 0.5 * kernel.h**2 * energy_bilateral(grid, table, u, kernel.h).value
-    if fam == "spatial_exponent":
-        ref = _reference_array(grid, kernel)
-        sig, val = kernel.exponent_sigmas, kernel.exponent_values
-
-        def term(s, dst, src):
-            q = np.interp(np.abs(ref[src] - ref[dst]), sig, val)
-            return np.abs(s) ** q / q
-
-        acc = _pair_sum(table, u, term)
-        return grid.node_volume**2 * acc
-    return energy_p(grid, table, u, 2.0).value
+    _check_table(grid, table)
+    if u.grid != grid:
+        raise GridMismatchError("field does not live on the energy grid")
+    uu = u.reshaped()
+    return _energy_scale(kernel) * _energy_sum(uu, _reference_array(grid, kernel), table, kernel)
 
 
 def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> Field:
     """One pass of the classical normalized adaptive filter.
 
-    Weighs each neighbor by the even window exp(-(s/h)^2) of the value
-    difference s and renormalizes per node.  The zero offset is in every
-    table, so the denominator never vanishes.  This is the filter whose
-    odd correction drives the evolution; it does not conserve mass.
+    Weighs each neighbor, the node itself included when the table holds
+    the zero offset, by the even window exp(-(s/h)^2) of the value
+    difference s and renormalizes per node.  This is the filter whose odd
+    correction drives the evolution; it does not conserve mass.  A table
+    without the zero offset can leave a node with no weight at all, when
+    every neighbor's window underflows or leaves the grid; that raises
+    :class:`ConfigurationError`.
     """
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("field does not live on the filter grid")
+    if not h > 0.0:
+        raise ConfigurationError(f"filter width must be positive, got {h}")
     uu = u.reshaped()
-    num = np.zeros_like(uu)
-    den = np.zeros_like(uu)
+    num = table.zero_weight * uu
+    den = np.full_like(uu, table.zero_weight)
     inv_h2 = 1.0 / (h * h)
-    for w, dst, src in table.pairs:
-        s = uu[src] - uu[dst]
+    for w, dst, src, s, _ in _pairs(uu, None, table):
         weight = w * np.exp(-(s * s) * inv_h2)
         num[dst] += weight * uu[src]
         den[dst] += weight
+        num[src] += weight * uu[dst]
+        den[src] += weight
+    empty = int(np.count_nonzero(den == 0.0))
+    if empty:
+        raise ConfigurationError(
+            f"the filter weights vanish at {empty} node(s): the table has no zero offset and "
+            f"no neighbor window survives at h = {h!r}; widen h or add the zero offset"
+        )
     return Field(grid, (num / den).ravel())

@@ -56,7 +56,7 @@ from .kernels import (
     sample_lipschitz_constant,
     validate_assumptions,
 )
-from .operator import _apply, _check_table, _reference_array, flow_energy
+from .operator import _apply, _check_table, _reference_array
 
 SCHEMES = ("semi_implicit_w", "explicit_euler")
 MU_MODES = ("auto_growth", "auto_linf", "manual")
@@ -195,25 +195,26 @@ def step_explicit_euler(
     return Field(grid, new.ravel())
 
 
-def _step(state, t_j, tau, mu, semi, table, kernel, reaction):
+def _step(state, t_j, tau, mu, semi, table, kernel, reaction, energy=False):
     """One step of either scheme from the stored unknown at time t_j.
 
     ``state`` is w for the damped scheme (``semi``) and u for explicit
-    Euler.  Returns (new_state, u, op): the stored unknown at t_j + tau,
-    the original unknown u at t_j and the operator applied to it.  Raises
-    :class:`NumericalBlowupError` when u at t_j is not finite; the caller
-    knows the step index and the last finite state.
+    Euler.  Returns (new_state, u, op, e): the stored unknown at
+    t_j + tau, the original unknown u at t_j, the operator applied to it
+    and, with ``energy``, the flow energy of u from the same pair walk
+    (else None).  Raises :class:`NumericalBlowupError` when u at t_j is not
+    finite; the caller knows the step index and the last finite state.
     """
     u = math.exp(mu * t_j) * state if semi else state
     if not np.all(np.isfinite(u)):
         raise NumericalBlowupError("state left the finite range", step=0, t=t_j)
-    op = _apply(u, _reference_array(table.grid, kernel), table, kernel, t_j)
+    op, e = _apply(u, _reference_array(table.grid, kernel), table, kernel, t_j, energy)
     rhs = op + reaction.eval(t_j, None, u)
     if semi:
         new = (state + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu)
     else:
         new = u + tau * rhs
-    return new, u, op
+    return new, u, op, e
 
 
 def _resolve_constants(kernel, reaction, u0, config, seed):
@@ -322,13 +323,13 @@ def solve(
     def t_of(j):
         return T * (j / N)
 
-    def fill_diag(j, u, op):
+    def fill_diag(j, u, op, e):
         diag["step"][j] = j
         diag["t"][j] = t_of(j)
         diag["min"][j] = u.min()
         diag["max"][j] = u.max()
         diag["mass"][j] = grid.node_volume * u.sum()
-        diag["energy"][j] = flow_energy(grid, table, kernel, Field(grid, u.ravel()))
+        diag["energy"][j] = e
         diag["op_sup"][j] = np.max(np.abs(op)) if op.size else 0.0
 
     # The step from t_N is taken only for its u and op; its new state is unused.
@@ -336,7 +337,7 @@ def solve(
     for j in range(N + 1):
         t_j = t_of(j)
         try:
-            new, u_j, op = _step(state, t_j, tau, mu, semi, table, kernel, reaction)
+            new, u_j, op, e = _step(state, t_j, tau, mu, semi, table, kernel, reaction, True)
         except NumericalBlowupError as exc:
             raise NumericalBlowupError(
                 f"{exc} at step {j} (t = {t_j:.6g})",
@@ -345,7 +346,7 @@ def solve(
                 last_state=Field(grid, u.ravel().copy()),
             ) from None
         u = u_j
-        fill_diag(j, u, op)
+        fill_diag(j, u, op, e)
         if j in record_set:
             times.append(t_j)
             states.append(Field(grid, u.ravel().copy()))

@@ -15,6 +15,7 @@ from nldiff import (
     ConfigurationError,
     Field,
     KernelValidationError,
+    SpatialKernelTable,
     bilateral_kernel,
     build_grid,
     bump_mass,
@@ -37,6 +38,7 @@ from nldiff import (
     variable_exponent_kernel,
     zero_reaction,
 )
+from nldiff.kernels import _signed_power
 
 # scipy.integrate.quad oracles, absolute error below 1e-13
 BUMP_MASS_QUAD = 0.44399381616807937
@@ -124,9 +126,61 @@ def test_custom_table_rejects_uneven_and_duplicate_and_negative():
     assert (1,) in exc.value.offenders and (-1,) in exc.value.offenders
     with pytest.raises(KernelValidationError):
         make_spatial_kernel(g, "custom_table", table=([[0], [0]], [1.0, 1.0]))
+    # every listing of every duplicated offset is reported, in table order
+    offs = [[-1], [1], [0], [1], [-1], [2], [-2]]
+    with pytest.raises(KernelValidationError) as exc:
+        make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
+    assert exc.value.offenders == [(-1,), (1,), (1,), (-1,)]
     with pytest.raises(KernelValidationError) as exc:
         make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, -2.0, 1.0]))
     assert (0,) in exc.value.offenders
+
+
+def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
+    g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [5, 4])
+    t = make_spatial_kernel(g, "box", 0.3)
+    rows = [tuple(r) for r in t.offsets]
+    positive = [r for r in rows if r > (0, 0)]
+    assert len(t.pairs) == len(positive) == (len(rows) - 1) // 2
+    assert [w for w, _, _ in t.pairs] == [t.weight_of(r) for r in positive]
+    assert t.zero_weight == t.weight_of([0, 0])
+    # every ordered pair of the full table, the zero offset included
+    assert t.pair_count == sum((5 - abs(a)) * (4 - abs(b)) for a, b in rows)
+
+
+def test_uneven_table_is_refused_at_construction():
+    g = build_grid(1, [(0.0, 1.0)], [8])
+    even = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, 2.0, 1.0]))
+    with pytest.raises(KernelValidationError) as exc:
+        SpatialKernelTable(g, 0.1, [[-1], [0], [1]], [1.0, 2.0, 1.5], 1.0)
+    assert exc.value.offenders == [(-1,), (1,)]
+    with pytest.raises(KernelValidationError) as exc:
+        SpatialKernelTable(g, 0.1, [[0], [1]], [1.0, 1.0], 1.0)
+    assert exc.value.offenders == [(1,)]
+    # a zero weight is dropped before the table is built, leaving 1 unmatched
+    with pytest.raises(KernelValidationError) as exc:
+        make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [0.0, 1.0, 0.5]))
+    assert exc.value.offenders == [(1,)]
+    same = SpatialKernelTable(g, even.radius, even.offsets[::-1], even.weights[::-1],
+                              even.normalization)
+    np.testing.assert_array_equal(same.offsets, even.offsets)
+
+
+def test_signed_power_scalar_path_matches_masked_path():
+    tiny = np.nextafter(0.0, 1.0)
+    s = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-308, 1e-200, 0.3, -0.7, 1.0,
+                  -1.0, 3.5, -1e150, np.inf, -np.inf])
+    for e in (0.0, 0.5, 1.0, 1.5, 2.0):
+        fast = _signed_power(s, e)
+        masked = _signed_power(s, np.full(s.shape, e))
+        if e in (0.5, 2.0):
+            # sqrt and square for a scalar exponent, generic pow for an array
+            np.testing.assert_array_max_ulp(fast, masked, maxulp=1)
+        else:
+            np.testing.assert_array_equal(fast, masked)
+        assert not np.any(np.signbit(fast[s == 0.0]))
+        np.testing.assert_array_equal(fast[s == 0.0], 0.0)
+        assert np.all(np.sign(fast) * np.sign(s) >= 0.0)
 
 
 def test_spatial_kernel_bad_arguments():

@@ -5,6 +5,8 @@ directly from the operator definition, with none of the sliced-array
 machinery of the implementation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,11 @@ from nldiff import (
     ConfigurationError,
     Field,
     GridMismatchError,
+    SolverConfig,
     apply_nonlocal,
     bilateral_kernel,
     build_grid,
+    custom_kernel,
     dissipation_pairing,
     energy_bilateral,
     energy_p,
@@ -26,9 +30,12 @@ from nldiff import (
     make_spatial_kernel,
     mollify_range_kernel,
     p_laplacian_kernel,
+    solve,
     spatial_exponent_kernel,
     variable_exponent_kernel,
+    zero_reaction,
 )
+from nldiff.operator import one_step_filter
 
 
 def two_node_setup(c):
@@ -244,6 +251,8 @@ def test_energy_parameter_validation():
         energy_p(g, t, u, 0.5)
     with pytest.raises(ConfigurationError):
         energy_bilateral(g, t, u, 0.0)
+    with pytest.raises(ConfigurationError):
+        one_step_filter(g, t, u, 0.0)
     k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
     with pytest.raises(ConfigurationError):
         apply_nonlocal(g, t, k, 0.0, u)
@@ -252,13 +261,14 @@ def test_energy_parameter_validation():
 @st.composite
 def even_tables(draw):
     """Random counts and an even custom table with at least one offset that
-    overlaps no node pair of the grid."""
+    overlaps no node pair of the grid, half the time with the zero offset."""
     counts = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
     reach = [st.integers(-(c + 2), c + 2) for c in counts]
     half = draw(st.lists(st.tuples(*reach), min_size=1, max_size=6))
     far = tuple(c + draw(st.integers(0, 2)) for c in counts)
+    zero = [(0,) * len(counts)] if draw(st.booleans()) else []
     table = {}
-    for d in half + [far]:
+    for d in half + [far] + zero:
         w = draw(st.floats(0.1, 2.0))
         table[d] = table[tuple(-a for a in d)] = w
     offsets = sorted(table)
@@ -274,6 +284,26 @@ def scalar_pairs(grid, table):
                 yield grid.flat_index(mi), grid.flat_index(ni), w
 
 
+def antiderivative(k, s, pr):
+    """The energy density of one ordered pair, written per family from the
+    closed forms in the operator module docstring."""
+    if k.family == "mollified":
+        return antiderivative(k.base, s, pr)
+    if k.family == "p_laplacian":
+        return abs(s) ** k.p / k.p
+    if k.family == "spatial_exponent":
+        q = float(np.interp(abs(pr), k.exponent_sigmas, k.exponent_values))
+        return abs(s) ** q / q
+    if k.family == "bilateral_gaussian":
+        return 0.5 * k.h**2 * (1.0 - np.exp(-((s / k.h) ** 2)))
+    return 0.5 * s * s  # linear, and the quadratic fallback of the others
+
+
+def non_odd_kernel():
+    # neither odd nor zero at s = 0 once t > 0
+    return custom_kernel(lambda t, s: s + 0.1 * s * s + 0.05 * t)
+
+
 @given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 @settings(max_examples=12, deadline=None)
 def test_pair_walk_matches_scalar_sums(case, p):
@@ -287,7 +317,7 @@ def test_pair_walk_matches_scalar_sums(case, p):
     nv = g.node_volume
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
-    for k in _kernels_for(g, u):
+    for k in _kernels_for(g, u) + [non_odd_kernel()]:
         out = apply_nonlocal(g, t, k, 0.3, u)
         assert out.flops_estimate == len(pairs)
         want = dense_oracle(g, t, k, 0.3, u)
@@ -300,3 +330,46 @@ def test_pair_walk_matches_scalar_sums(case, p):
             for x, y, w in pairs
         )
         assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=1e-14), k.family
+        ref = u.values  # the spatial_exponent kernel's reference is u itself
+        want_flow = nv**2 * sum(
+            w * antiderivative(k, u.values[y] - u.values[x], ref[y] - ref[x]) for x, y, w in pairs
+        )
+        assert flow_energy(g, t, k, u) == pytest.approx(want_flow, rel=1e-12, abs=1e-14), k.family
+    num = np.zeros(g.node_count)
+    den = np.zeros(g.node_count)
+    for x, y, w in pairs:
+        weight = w * np.exp(-(((u.values[y] - u.values[x]) / 0.7) ** 2))
+        num[x] += weight * u.values[y]
+        den[x] += weight
+    if np.all(den > 0.0):
+        got = one_step_filter(g, t, u, 0.7).values
+        np.testing.assert_allclose(got, num / den, rtol=1e-12, atol=1e-14)
+    else:  # a node with no neighbor on the grid and no zero offset
+        with pytest.raises(ConfigurationError):
+            one_step_filter(g, t, u, 0.7)
+
+
+def test_one_step_filter_refuses_a_node_without_weight():
+    # no zero offset, and exp(-(1/0.01)^2) underflows: 0/0 at both nodes
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    t = make_spatial_kernel(g, "custom_table", table=([[-1], [1]], [1.0, 1.0]))
+    with pytest.raises(ConfigurationError, match="2 node"):
+        one_step_filter(g, t, Field(g, [0.0, 1.0]), 0.01)
+    # with the zero offset each node keeps its own value
+    t0 = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, 1.0, 1.0]))
+    np.testing.assert_array_equal(one_step_filter(g, t0, Field(g, [0.0, 1.0]), 0.01).values,
+                                  [0.0, 1.0])
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
+    g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [6, 5])
+    t = make_spatial_kernel(g, "gaussian", 0.3)
+    u0 = Field(g, np.random.default_rng(31).uniform(0.1, 0.9, g.node_count))
+    cfg = SolverConfig(T=0.05, steps=7, mu_mode="manual", mu=0.5, record_every=record_every)
+    for k in _kernels_for(g, u0) + [non_odd_kernel()]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
+            traj = solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=True)
+        for j, state in zip(traj.record_steps, traj.states):
+            assert traj.per_step["energy"][j] == flow_energy(g, t, k, state), (k.family, j)
