@@ -77,13 +77,25 @@ class SpatialKernelTable:
     holds one ``(weight, dst, src)`` triple per such offset, in table
     order, where ``dst`` and ``src`` are the slice tuples selecting the
     nodes x and x + d that both lie on the grid; offsets whose overlap with
-    the grid is empty are left out.  Every pair sum in the package is a
-    loop over ``pairs`` (see :mod:`nldiff.operator`).  ``zero_weight`` is
-    the weight of d = 0, which couples a node with itself and so carries no
-    flux of an odd kernel; the one-step filter still counts it.
-    ``pair_count`` is the number of ordered node pairs the full table
-    couples, every offset included.  A table that is not even, offsets and
-    weights bit for bit, raises :class:`KernelValidationError`.
+    the grid is empty are left out.
+
+    ``blocks`` is the walk itself, the same offsets in the same order cut
+    into blocks (see :mod:`nldiff.operator`).  An offset whose slice holds
+    at least ``_GATHER_BELOW`` pairs keeps it, as a slice block
+    ``(weight, None, dst, src)``.  Consecutive shorter offsets are packed
+    into gather blocks ``(weights, lengths, dst, src)`` of about
+    ``_GATHER_CHUNK`` pairs: one weight and pair count per offset, and
+    int32 flat node indices of every pair, offset after offset.  On short
+    slices the walk's cost is per-offset numpy dispatch rather than
+    arithmetic, which gathering removes; on long ones the gather costs
+    more than the slices, so the choice follows the slice length.
+
+    ``zero_weight`` is the weight of d = 0, which couples a node with
+    itself and so carries no flux of an odd kernel; the one-step filter
+    still counts it.  ``pair_count`` is the number of ordered node pairs
+    the full table couples, every offset included.  A table that is not
+    even, offsets and weights bit for bit, raises
+    :class:`KernelValidationError`.
     """
 
     grid: Grid
@@ -92,6 +104,7 @@ class SpatialKernelTable:
     weights: np.ndarray
     normalization: float
     pairs: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
     zero_weight: float = field(init=False, repr=False, compare=False)
     pair_count: int = field(init=False, repr=False, compare=False)
 
@@ -114,7 +127,7 @@ class SpatialKernelTable:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
         zero = (0,) * self.grid.dim
-        pairs, count, w0 = [], 0, 0.0
+        pairs, sizes, count, w0 = [], [], 0, 0.0
         for w, offset in zip(weights, offsets.tolist()):
             dst, src, size = [], [], 1
             for c, a in zip(self.grid.counts, offset):
@@ -127,7 +140,9 @@ class SpatialKernelTable:
                 w0 += float(w)
             elif size and tuple(offset) > zero:
                 pairs.append((w, tuple(dst), tuple(src)))
+                sizes.append(size)
         object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "blocks", _walk_blocks(self.grid, pairs, sizes))
         object.__setattr__(self, "zero_weight", w0)
         object.__setattr__(self, "pair_count", count)
 
@@ -144,6 +159,47 @@ class SpatialKernelTable:
         key = np.asarray(offset, dtype=np.int64)
         hit = np.flatnonzero(np.all(self.offsets == key, axis=1))
         return float(self.weights[hit[0]]) if hit.size else 0.0
+
+
+# Offsets with fewer pairs than _GATHER_BELOW are gathered, in blocks of about
+# _GATHER_CHUNK pairs, which bounds the index memory and the temporaries of
+# one block.  Measured on a 2-core x86 machine, numpy 2.4, one application
+# of a p = 2.5 operator with its energy:
+# - over 16 offsets of n pairs each, sliced vs gathered: n = 512: 0.32 vs
+#   0.17 ms, 1024: 0.42 vs 0.34 ms, 1536: 0.48 vs 0.50 ms, 4096: 0.86 vs
+#   1.39 ms.  These 1-D slices are contiguous; the strided slices of a 2-D
+#   grid favour gathering further.
+# - on an all-gathered 24^2 Gaussian-0.12 table, chunks of 2048, 8192 and
+#   65536 pairs: 1.52, 1.14 and 3.14 ms.
+_GATHER_BELOW = 1024
+_GATHER_CHUNK = 8192
+
+
+def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
+    """Cut the per-offset slices into slice blocks and gather blocks, in order."""
+    node = np.arange(grid.node_count, dtype=np.int32).reshape(grid.counts)
+    blocks, group, held = [], [], 0
+    for (w, dst, src), size in zip(pairs, sizes):
+        if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
+            blocks.append(_gather_block(node, group))
+            group, held = [], 0
+        if size >= _GATHER_BELOW:
+            blocks.append((w, None, dst, src))
+        else:
+            group.append((w, dst, src, size))
+            held += size
+    if group:
+        blocks.append(_gather_block(node, group))
+    return tuple(blocks)
+
+
+def _gather_block(node: np.ndarray, group: list) -> tuple:
+    return (
+        np.array([w for w, _, _, _ in group]),
+        np.array([size for _, _, _, size in group]),
+        np.concatenate([node[dst].ravel() for _, dst, _, _ in group]),
+        np.concatenate([node[src].ravel() for _, _, src, _ in group]),
+    )
 
 
 def _candidate_offsets(grid: Grid):
@@ -305,13 +361,34 @@ class MollifierSpec:
 
 
 def _mollifier_quadrature(quad_count: int):
-    nodes, _ = _bump_quadrature(quad_count)
+    # The midpoints, built from the right half so that they are mirror
+    # images bit for bit; the mollified evaluation relies on it.
+    h = 2.0 / quad_count
+    half = 1.0 - h * (np.arange(quad_count // 2) + 0.5)
+    nodes = np.concatenate([-half, np.zeros(quad_count % 2), half[::-1]])
     w = bump_profile(nodes)
     return nodes, w / np.sum(w)
 
 
+# Base evaluations per block of a mollified evaluation, (values x nodes).
+# Constant sampling would otherwise make 16 MB temporaries; blocks of 64 kB
+# stay below malloc's mmap threshold and in cache.  For 257 nodes, blocks
+# of 31 values evaluated 2204 values in 2.9 ms, blocks of 128 in 5.1 ms.
+_MOLLIFY_BLOCK = 8192
+
+
 # ---------------------------------------------------------------------------
 # range kernels
+
+
+@dataclass(frozen=True)
+class PairExponents:
+    """The exponents q of a set of node pairs for the spatial_exponent
+    family, interpolated once from the pairs' reference differences by
+    :meth:`RangeKernel.pair_exponents`.  :meth:`RangeKernel.eval` takes it
+    in place of the differences."""
+
+    q: np.ndarray
 
 
 class RangeKernel:
@@ -357,6 +434,9 @@ class RangeKernel:
         self.fn = fn
         self.holder_alpha = float(holder_alpha)
         self.monotone = bool(monotone)
+        # (table, reference, per-block PairExponents) of the last pair walk,
+        # kept by nldiff.operator
+        self.walk_cache = None
 
     @property
     def needs_pair_reference(self) -> bool:
@@ -367,8 +447,9 @@ class RangeKernel:
     def eval(self, t: float, s, pair_ref=None) -> np.ndarray:
         """Vectorized evaluation at value differences ``s``.
 
-        ``pair_ref`` carries the reference-field differences for the
-        spatial_exponent family and is ignored elsewhere.
+        ``pair_ref`` carries the reference-field differences, or their
+        :class:`PairExponents`, for the spatial_exponent family and is
+        ignored elsewhere.
         """
         s = np.asarray(s, dtype=np.float64)
         if self.family == "linear":
@@ -380,31 +461,56 @@ class RangeKernel:
             q = np.interp(a, self.exponent_sigmas, self.exponent_values)
             return _signed_power(s, q - 1.0)
         if self.family == "spatial_exponent":
-            if pair_ref is None:
-                raise ConfigurationError(
-                    "spatial_exponent kernels need the reference differences"
-                )
-            ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
-            q = np.interp(ref, self.exponent_sigmas, self.exponent_values)
-            return _signed_power(s, q - 1.0)
+            return _signed_power(s, self.pair_exponents(pair_ref).q - 1.0)
         if self.family == "bilateral_gaussian":
             z = s / self.h
             return s * np.exp(-z * z)
         if self.family == "custom":
             return np.asarray(self.fn(t, s), dtype=np.float64)
-        # mollified: smooth the base, then symmetrize so oddness is exact
-        # in floating point (a - b and -(b - a) share bits).
-        raw_pos = self._mollified_raw(t, s, pair_ref)
-        raw_neg = self._mollified_raw(t, -s, pair_ref)
-        return 0.5 * (raw_pos - raw_neg)
+        return self._mollified(t, s, pair_ref)
 
-    def _mollified_raw(self, t, s, pair_ref):
+    def pair_exponents(self, pair_ref) -> PairExponents:
+        """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
+        differences ``pair_ref`` (a spatial_exponent kernel or one mollified
+        from it), or ``pair_ref`` itself when it holds them already."""
+        if self.family == "mollified":
+            return self.base.pair_exponents(pair_ref)
+        if isinstance(pair_ref, PairExponents):
+            return pair_ref
+        if pair_ref is None:
+            raise ConfigurationError("spatial_exponent kernels need the reference differences")
+        ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
+        return PairExponents(np.interp(ref, self.exponent_sigmas, self.exponent_values))
+
+    def _mollified(self, t, s, pair_ref):
+        """The base smoothed by midpoint quadrature, then antisymmetrized.
+
+        With V the base at s - nodes/n, the smoothed base is V @ w at s
+        and V(-s) @ w at -s, and A = (V(s) - V(-s)) @ w / 2 is odd with
+        A(0) = 0 exactly in floating point.  The nodes are mirror images
+        bit for bit, the weights even and every built-in base odd bit for
+        bit, so V(-s) is minus V(s) with its columns reversed, and the base
+        is evaluated once per (s, node); a custom base is evaluated at -s
+        as well.  Values go in blocks of ``_MOLLIFY_BLOCK`` base evaluations.
+        """
         m = self.mollifier
-        shifted = s[..., None] - m.nodes / m.n
-        if pair_ref is not None:
-            pair_ref = np.asarray(pair_ref, dtype=np.float64)[..., None]
-        vals = self.base.eval(t, shifted, pair_ref)
-        return vals @ m.weights
+        shift = m.nodes / m.n
+        flat = s.reshape(-1)
+        q = None
+        if self.needs_pair_reference:
+            q = np.broadcast_to(self.pair_exponents(pair_ref).q, s.shape).reshape(-1)
+        out = np.empty_like(flat)
+        step = max(1, _MOLLIFY_BLOCK // shift.size)
+        for lo in range(0, flat.size, step):
+            rows = slice(lo, lo + step)
+            pe = None if q is None else PairExponents(q[rows, None])
+            v = self.base.eval(t, flat[rows, None] - shift, pe)
+            if self.base.family == "custom":
+                v = v - self.base.eval(t, -flat[rows, None] - shift, pe)
+            else:
+                v = v + v[:, ::-1]
+            out[rows] = 0.5 * (v @ m.weights)
+        return out.reshape(s.shape)
 
 
 def _signed_power(s: np.ndarray, exponent) -> np.ndarray:

@@ -14,14 +14,21 @@ The spatial kernel is even, w(-d) = w(d), and every range family but
 (x, x + d) and its mirror (x + d, x) exchange the same flux w(d) A(s) with
 opposite signs.  The one pair walk, :func:`_pairs`, therefore visits each
 unordered pair once: it runs over the table's lexicographically positive
-offsets (see :class:`~nldiff.kernels.SpatialKernelTable`) and forms
-s = u(x+d) - u(x) with one vectorized pass per offset.  The operator
-evaluates A(s) once and scatters it to both ends of the pair.  A custom
-kernel is odd only if its author made it so; it is evaluated again at -s
-for the mirror, and at the zero offset, which keeps the sum over ordered
-pairs it is defined by.  The operator, the pairing identity, the energies
-and the one-step filter all loop over this walk, so a run is a direct
-O(nodes * offsets) sum in a fixed order and bit-reproducible.
+offsets, cut into blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
+and forms s = u(x+d) - u(x) with one vectorized pass per block.  A slice
+block is one long offset, its nodes selected by slices and its weight one
+number; a gather block packs many short offsets, its nodes selected by flat
+indices and its weight repeated per pair.  The operator evaluates A(s) once
+and scatters it to both ends of the pair, with ``out[dst] += w A`` on
+slices and ``np.bincount`` on indices, which repeat inside a gather block
+(:func:`_scatter`).  A custom kernel is odd only if its author made it so;
+it is evaluated again at -s for the mirror, and at the zero offset, which
+keeps the sum over ordered pairs it is defined by.  The operator, the
+pairing identity, the energies and the one-step filter all loop over this
+walk, so a run is a direct O(nodes * offsets) sum in a fixed order and
+bit-reproducible.  The spatial_exponent family's per-pair exponents depend
+only on the fixed reference field, so they are interpolated once per
+(table, reference) (:func:`_walk_exponents`).
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -78,26 +85,64 @@ class EnergyValue:
     parameter: float
 
 
-def _reference_array(grid: Grid, kernel: RangeKernel):
+def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
+    """Per block of the table's walk, the
+    :class:`~nldiff.kernels.PairExponents` of its pairs for a kernel that
+    reads a pair reference, else None.  They are fixed by the reference
+    field, so they are computed once per (table, reference) and kept on the
+    kernel."""
     if not kernel.needs_pair_reference:
         return None
     ref = kernel.reference if kernel.family != "mollified" else kernel.base.reference
     if ref is None:
         raise ConfigurationError("spatial_exponent kernel is missing its reference field")
-    if ref.grid != grid:
+    if ref.grid != table.grid:
         raise GridMismatchError("kernel reference field lives on a different grid")
-    return ref.values.reshape(grid.counts)
+    cached = kernel.walk_cache
+    if cached is None or cached[0] is not table or cached[1] is not ref:
+        rr = ref.reshaped()
+        exps = tuple(
+            kernel.pair_exponents(_take(rr, src) - _take(rr, dst)) for _, _, dst, src in table.blocks
+        )
+        cached = kernel.walk_cache = (table, ref, exps)
+    return cached[2]
 
 
-def _pairs(uu, ref, table):
-    """The pair walk: per positive offset d, yield (w, dst, src, s, pr) with
-    s = u(x+d) - u(x) over the clipped slices and pr the same difference
-    of the reference field (None without one)."""
-    for w, dst, src in table.pairs:
-        yield w, dst, src, uu[src] - uu[dst], None if ref is None else ref[src] - ref[dst]
+def _take(a, idx):
+    """The values of the node array ``a`` a block selects: slices of the
+    array, or flat node indices."""
+    return a[idx] if isinstance(idx, tuple) else a.take(idx)
 
 
-def _density(kernel: RangeKernel, t, s, pr, a=None):
+def _scatter(op, out, idx, v):
+    """``out[idx] = op(out[idx], v)`` in place, with op np.add or
+    np.subtract; on flat node indices, which repeat, through np.bincount."""
+    if isinstance(idx, tuple):
+        view = out[idx]
+    else:
+        view, v = out.reshape(-1), np.bincount(idx, v, out.size)
+    op(view, v, out=view)
+
+
+def _weighted_sum(w, v) -> float:
+    """sum(w * v) over a block, w its weight or its per-pair weights."""
+    return w * float(v.sum()) if np.ndim(w) == 0 else float((w * v).sum())
+
+
+def _pairs(uu, table, kernel=None):
+    """The pair walk: per block of the table, yield (w, dst, src, s, pe)
+    with s = u(x+d) - u(x) over the block's pairs, w the weight of a slice
+    block or the per-pair weights of a gather block, and pe the block's
+    pair exponents for the kernel (None without, see
+    :func:`_walk_exponents`)."""
+    exps = None if kernel is None else _walk_exponents(table, kernel)
+    for k, (w, lengths, dst, src) in enumerate(table.blocks):
+        if lengths is not None:
+            w = np.repeat(w, lengths)
+        yield w, dst, src, _take(uu, src) - _take(uu, dst), None if exps is None else exps[k]
+
+
+def _density(kernel: RangeKernel, t, s, pe, a=None):
     """Energy density of the pairs with differences s, up to the factor
     :func:`_energy_scale`; reuses A(s) when the caller holds it.
 
@@ -107,18 +152,15 @@ def _density(kernel: RangeKernel, t, s, pr, a=None):
     """
     fam = kernel.family
     if fam == "mollified":
-        return _density(kernel.base, t, s, pr)
+        return _density(kernel.base, t, s, pe)
     if fam not in ("p_laplacian", "spatial_exponent", "bilateral_gaussian"):
         return s * s / 2.0
     if a is None:
-        a = kernel.eval(t, s, pr)
+        a = kernel.eval(t, s, pe)
     if fam == "bilateral_gaussian":
         # A = s g with the Gaussian factor g = exp(-(s/h)^2), which is 1 at s = 0
         return 1.0 - np.divide(a, s, out=np.ones_like(s), where=s != 0.0)
-    if fam == "p_laplacian":
-        q = kernel.p
-    else:
-        q = np.interp(np.abs(pr), kernel.exponent_sigmas, kernel.exponent_values)
+    q = kernel.p if fam == "p_laplacian" else kernel.pair_exponents(pe).q
     return s * a / q
 
 
@@ -128,7 +170,7 @@ def _energy_scale(kernel: RangeKernel) -> float:
     return 0.5 * kernel.h**2 if kernel.family == "bilateral_gaussian" else 1.0
 
 
-def _apply(uu, ref, table, kernel, t, energy=False):
+def _apply(uu, table, kernel, t, energy=False):
     """The operator on the node array uu, and with ``energy`` the flow
     energy of uu from the same walk (else None)."""
     out = np.zeros_like(uu)
@@ -136,16 +178,16 @@ def _apply(uu, ref, table, kernel, t, energy=False):
     # Every family but custom is odd by construction, bit for bit; a custom
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
-    for w, dst, src, s, pr in _pairs(uu, ref, table):
-        a = kernel.eval(t, s, pr)
+    for w, dst, src, s, pe in _pairs(uu, table, kernel):
+        a = kernel.eval(t, s, pe)
         wa = w * a
-        out[dst] += wa
+        _scatter(np.add, out, dst, wa)
         if odd:
-            out[src] -= wa
+            _scatter(np.subtract, out, src, wa)
         else:
-            out[src] += w * kernel.eval(t, -s, pr)
+            _scatter(np.add, out, src, w * kernel.eval(t, -s, pe))
         if energy:
-            acc += w * float(_density(kernel, t, s, pr, a).sum())
+            acc += _weighted_sum(w, _density(kernel, t, s, pe, a))
     if not odd and table.zero_weight:
         out += table.zero_weight * kernel.eval(t, np.zeros_like(uu), None)
     # the walk visits each unordered pair once; the energy sums ordered pairs
@@ -153,10 +195,10 @@ def _apply(uu, ref, table, kernel, t, energy=False):
     return out * table.grid.node_volume, e
 
 
-def _energy_sum(uu, ref, table, kernel) -> float:
+def _energy_sum(uu, table, kernel) -> float:
     acc = 0.0
-    for w, _, _, s, pr in _pairs(uu, ref, table):
-        acc += w * float(_density(kernel, 0.0, s, pr).sum())
+    for w, _, _, s, pe in _pairs(uu, table, kernel):
+        acc += _weighted_sum(w, _density(kernel, 0.0, s, pe))
     return 2.0 * table.grid.node_volume**2 * acc
 
 
@@ -171,7 +213,7 @@ def apply_nonlocal(
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("state field does not live on the operator grid")
-    raw = _apply(u.reshaped(), _reference_array(grid, kernel), table, kernel, t)[0]
+    raw = _apply(u.reshaped(), table, kernel, t)[0]
     return OperatorEval(result=Field(grid, raw.ravel()), t=float(t), flops_estimate=table.pair_count)
 
 
@@ -201,15 +243,14 @@ def dissipation_pairing(
         raise GridMismatchError("fields do not live on the operator grid")
     uu = u.reshaped()
     pp = phi.reshaped()
-    ref = _reference_array(grid, kernel)
-    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, ref, table, kernel, t)[0]))
+    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, table, kernel, t)[0]))
     odd = kernel.family != "custom"
     acc = 0.0
-    for w, dst, src, s, pr in _pairs(uu, ref, table):
-        a = kernel.eval(t, s, pr)
+    for w, dst, src, s, pe in _pairs(uu, table, kernel):
+        a = kernel.eval(t, s, pe)
         # the pair's A minus its mirror's, which for an odd kernel is 2 A
-        a = a + a if odd else a - kernel.eval(t, -s, pr)
-        acc += w * float(np.sum(a * (pp[src] - pp[dst])))
+        a = a + a if odd else a - kernel.eval(t, -s, pe)
+        acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)))
     rhs = -0.5 * grid.node_volume**2 * acc
     return lhs, rhs
 
@@ -222,7 +263,7 @@ def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> Energ
     p = float(p)
     if not p >= 1.0:
         raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
-    value = _energy_sum(u.reshaped(), None, table, RangeKernel("p_laplacian", p=p))
+    value = _energy_sum(u.reshaped(), table, RangeKernel("p_laplacian", p=p))
     return EnergyValue(kind="p", value=value, parameter=p)
 
 
@@ -233,7 +274,7 @@ def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) 
         raise GridMismatchError("field does not live on the energy grid")
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    value = _energy_sum(u.reshaped(), None, table, RangeKernel("bilateral_gaussian", h=float(h)))
+    value = _energy_sum(u.reshaped(), table, RangeKernel("bilateral_gaussian", h=float(h)))
     return EnergyValue(kind="bilateral", value=value, parameter=float(h))
 
 
@@ -251,8 +292,7 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("field does not live on the energy grid")
-    uu = u.reshaped()
-    return _energy_scale(kernel) * _energy_sum(uu, _reference_array(grid, kernel), table, kernel)
+    return _energy_scale(kernel) * _energy_sum(u.reshaped(), table, kernel)
 
 
 def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> Field:
@@ -275,12 +315,12 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     num = table.zero_weight * uu
     den = np.full_like(uu, table.zero_weight)
     inv_h2 = 1.0 / (h * h)
-    for w, dst, src, s, _ in _pairs(uu, None, table):
+    for w, dst, src, s, _ in _pairs(uu, table):
         weight = w * np.exp(-(s * s) * inv_h2)
-        num[dst] += weight * uu[src]
-        den[dst] += weight
-        num[src] += weight * uu[dst]
-        den[src] += weight
+        _scatter(np.add, num, dst, weight * _take(uu, src))
+        _scatter(np.add, den, dst, weight)
+        _scatter(np.add, num, src, weight * _take(uu, dst))
+        _scatter(np.add, den, src, weight)
     empty = int(np.count_nonzero(den == 0.0))
     if empty:
         raise ConfigurationError(

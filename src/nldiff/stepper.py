@@ -56,7 +56,7 @@ from .kernels import (
     sample_lipschitz_constant,
     validate_assumptions,
 )
-from .operator import _apply, _check_table, _reference_array
+from .operator import _apply, _check_table
 
 SCHEMES = ("semi_implicit_w", "explicit_euler")
 MU_MODES = ("auto_growth", "auto_linf", "manual")
@@ -208,7 +208,7 @@ def _step(state, t_j, tau, mu, semi, table, kernel, reaction, energy=False):
     u = math.exp(mu * t_j) * state if semi else state
     if not np.all(np.isfinite(u)):
         raise NumericalBlowupError("state left the finite range", step=0, t=t_j)
-    op, e = _apply(u, _reference_array(table.grid, kernel), table, kernel, t_j, energy)
+    op, e = _apply(u, table, kernel, t_j, energy)
     rhs = op + reaction.eval(t_j, None, u)
     if semi:
         new = (state + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu)

@@ -295,6 +295,44 @@ def test_mollified_kernel_vanishes_at_zero_exactly():
         assert float(mol.eval(0.0, np.array(0.0))) == 0.0
 
 
+def two_evaluation_mollifier(k, t, s, pair_ref=None):
+    """The mollified kernel as the base evaluated at s and at -s:
+    (raw(s) - raw(-s)) / 2 with raw the quadrature of the base."""
+    m = k.mollifier
+    pr = None if pair_ref is None else pair_ref[:, None]
+
+    def raw(x):
+        return k.base.eval(t, x[:, None] - m.nodes / m.n, pr) @ m.weights
+
+    return 0.5 * (raw(s) - raw(-s))
+
+
+@pytest.mark.parametrize("quad_count", [64, 129, 257, 513])
+def test_mollified_single_evaluation_matches_two_evaluations(quad_count):
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    bases = [
+        p_laplacian_kernel(1.5),
+        bilateral_kernel(0.3),
+        spatial_exponent_kernel([0.0, 1.0], [3.0, 1.5], Field(g, [0.0, 1.0])),
+        # a custom base is odd only at t = 0, so it is evaluated at -s too
+        custom_kernel(lambda t, s: s + 0.1 * t),
+    ]
+    rng = np.random.default_rng(quad_count)
+    s = np.concatenate([rng.uniform(-1.0, 1.0, 500), rng.uniform(-1e-3, 1e-3, 100), [0.0]])
+    for base in bases:
+        k = mollify_range_kernel(base, 4, quad_count)
+        assert np.array_equal(k.mollifier.nodes[::-1], -k.mollifier.nodes)
+        pair = rng.uniform(-1.0, 1.0, s.shape) if k.needs_pair_reference else None
+        for t in (0.0, 1.0):
+            a = k.eval(t, s, pair)
+            np.testing.assert_array_equal(k.eval(t, -s, pair), -a, err_msg=base.family)
+            assert a[-1] == 0.0
+            want = two_evaluation_mollifier(k, t, s, pair)
+            # relative to the largest value: near s = 0 the oracle's own
+            # cancellation error is far above 1e-14 of its value
+            assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), base.family
+
+
 def test_mollifying_an_affine_kernel_changes_nothing():
     # the quadrature weights sum to one and the bump is even, so smoothing
     # the identity reproduces it to round-off

@@ -35,6 +35,7 @@ from nldiff import (
     variable_exponent_kernel,
     zero_reaction,
 )
+from nldiff import kernels, operator
 from nldiff.operator import one_step_filter
 
 
@@ -304,12 +305,27 @@ def non_odd_kernel():
     return custom_kernel(lambda t, s: s + 0.1 * s * s + 0.05 * t)
 
 
-@given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def table_with_layout(grid, offsets, weights, gather_below, chunk):
+    """A custom table whose walk is cut with the given gather threshold and
+    chunk, so that small grids mix slice blocks and gather blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_GATHER_BELOW", gather_below)
+        mp.setattr(kernels, "_GATHER_CHUNK", chunk)
+        return make_spatial_kernel(grid, "custom_table", table=(offsets, weights))
+
+
+# (gather threshold, chunk): every offset sliced; short offsets gathered one
+# per block; mixed layouts with chunks of several offsets; the defaults,
+# which gather every offset of these small grids
+LAYOUTS = [(1, 1), (3, 1), (4, 5), (8, 12), (kernels._GATHER_BELOW, kernels._GATHER_CHUNK)]
+
+
+@given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from(LAYOUTS))
 @settings(max_examples=12, deadline=None)
-def test_pair_walk_matches_scalar_sums(case, p):
+def test_pair_walk_matches_scalar_sums(case, p, layout):
     counts, offsets, weights, seed = case
     g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
-    t = make_spatial_kernel(g, "custom_table", table=(offsets, weights))
+    t = table_with_layout(g, offsets, weights, *layout)
     rng = np.random.default_rng(seed)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
@@ -373,3 +389,72 @@ def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
             traj = solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=True)
         for j, state in zip(traj.record_steps, traj.states):
             assert traj.per_step["energy"][j] == flow_energy(g, t, k, state), (k.family, j)
+
+
+def block_kinds(table):
+    return ["slice" if lengths is None else "gather" for _, lengths, _, _ in table.blocks]
+
+
+def test_walk_layout_follows_slice_length():
+    # every offset of a 128^2 Gaussian-0.03 table (the denoise default)
+    # holds at least 12,769 pairs: all slices
+    big = make_spatial_kernel(build_grid(2, [(0.0, 1.0)] * 2, [128, 128]), "gaussian", 0.03)
+    assert block_kinds(big) == ["slice"] * len(big.pairs)
+    # on a 24^2 Gaussian-0.12 table no offset holds more than 552 pairs
+    g = build_grid(2, [(0.0, 1.0)] * 2, [24, 24])
+    small = make_spatial_kernel(g, "gaussian", 0.12)
+    assert set(block_kinds(small)) == {"gather"}
+    for block in small.blocks:
+        assert block[2].dtype == np.int32 and block[3].dtype == np.int32
+        assert block[2].size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
+    # the gather blocks hold every pair of the positive offsets, in table order
+    dst = np.concatenate([b[2] for b in small.blocks])
+    src = np.concatenate([b[3] for b in small.blocks])
+    nodes = np.arange(g.node_count).reshape(g.counts)
+    assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, d, _ in small.pairs]))
+    assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, s in small.pairs]))
+    want_w = np.concatenate([np.full(nodes[d].size, w) for w, d, _ in small.pairs])
+    assert np.array_equal(np.concatenate([np.repeat(b[0], b[1]) for b in small.blocks]), want_w)
+    # a 1-D grid longer than the threshold: offsets 1 and 2 keep their
+    # slices, offsets near the grid size are gathered around them
+    n = kernels._GATHER_BELOW + 2
+    line = build_grid(1, [(0.0, 1.0)], [n])
+    half = [1, n - 3, n - 2, 2, n - 1]
+    offs = sorted(half + [-d for d in half])
+    mixed = make_spatial_kernel(line, "custom_table", table=([[d] for d in offs], [1.0] * len(offs)))
+    assert block_kinds(mixed) == ["slice", "slice", "gather"]
+    u = Field(line, np.random.default_rng(5).uniform(0.0, 1.0, n))
+    for k in (p_laplacian_kernel(1.5), non_odd_kernel()):
+        got = apply_nonlocal(line, mixed, k, 0.3, u).result.values
+        np.testing.assert_allclose(got, dense_oracle(line, mixed, k, 0.3, u), rtol=1e-12, atol=1e-14)
+
+
+def _gaussian_rows(grid, radius):
+    t = make_spatial_kernel(grid, "gaussian", radius)
+    return t.offsets.tolist(), t.weights.tolist()
+
+
+def test_spatial_exponents_are_interpolated_once_and_bit_identical():
+    g = build_grid(2, [(0.0, 1.0)] * 2, [12, 9])
+    u = Field(g, np.random.default_rng(9).uniform(0.1, 0.9, g.node_count))
+    ref = Field(g, np.random.default_rng(10).uniform(0.0, 1.0, g.node_count))
+    t = table_with_layout(g, *_gaussian_rows(g, 0.2), 40, 64)
+    assert set(block_kinds(t)) == {"slice", "gather"}
+    base = spatial_exponent_kernel([0.0, 0.3, 1.0], [3.0, 2.4, 1.6], ref)
+    for k in (base, mollify_range_kernel(base, 4)):
+        op = apply_nonlocal(g, t, k, 0.0, u).result.values
+        energy = flow_energy(g, t, k, u)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            interp = np.interp
+            mp.setattr(np, "interp", lambda *a, **kw: calls.append(1) or interp(*a, **kw))
+            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).result.values, op)
+            assert flow_energy(g, t, k, u) == energy
+        assert calls == []
+        # raw reference differences instead, interpolated on every call
+        rr = ref.reshaped()
+        raw = tuple(operator._take(rr, s) - operator._take(rr, d) for _, _, d, s in t.blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operator, "_walk_exponents", lambda table, kernel: raw)
+            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).result.values, op)
+            assert flow_energy(g, t, k, u) == energy
