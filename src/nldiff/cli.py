@@ -28,35 +28,12 @@ import numpy as np
 
 from .analysis import contraction_study, mollifier_cauchy_study, time_refinement_study, verify_invariants
 from .config import build_problem, parse_config, serialize_config
-from .errors import (
-    AssumptionViolationError,
-    ConfigParseError,
-    ConfigurationError,
-    GridMismatchError,
-    KernelValidationError,
-    NumericalBlowupError,
-    PgmFormatError,
-    UndefinedRatioError,
-)
-from .grid import Field
+from .errors import AssumptionViolationError, NldiffError, NumericalBlowupError
+from .grid import Field, series_csv, write_text
 from .kernels import bilateral_kernel, make_spatial_kernel, zero_reaction
 from .operator import flow_energy, one_step_filter
 from .pgm import field_to_image, image_to_field, load_pgm, save_pgm
 from .stepper import Problem, SolverConfig, export_trajectory, solve_problem
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
-def _series_csv(columns: dict) -> str:
-    names = list(columns)
-    rows = [",".join(names)]
-    length = len(next(iter(columns.values())))
-    for i in range(length):
-        rows.append(",".join(format(float(columns[k][i]), ".17g") for k in names))
-    return "\n".join(rows) + "\n"
 
 
 def _load(args):
@@ -77,7 +54,7 @@ def _cmd_solve(args) -> int:
     out = _out_dir(args, cfg)
     traj = solve_problem(build_problem(cfg))
     paths = export_trajectory(traj, out)
-    _write(os.path.join(out, "run_config.txt"), serialize_config(cfg))
+    write_text(os.path.join(out, "run_config.txt"), serialize_config(cfg))
     final = traj.final_state.values
     print(f"solved {cfg.solver.steps} steps to t = {cfg.solver.T}")
     print(f"final range [{final.min():.6g}, {final.max():.6g}], "
@@ -92,8 +69,8 @@ def _cmd_verify(args) -> int:
     traj = solve_problem(build_problem(cfg))
     report = verify_invariants(traj)
     print(report.to_text())
-    _write(os.path.join(out, "report.txt"), report.to_text() + "\n")
-    _write(os.path.join(out, "report.csv"), report.to_csv())
+    write_text(os.path.join(out, "report.txt"), report.to_text() + "\n")
+    write_text(os.path.join(out, "report.csv"), report.to_csv())
     return 0 if report.all_passed else 1
 
 
@@ -109,9 +86,9 @@ def _cmd_denoise(args) -> int:
         kernel = bilateral_kernel(args.h)
         e0 = flow_energy(grid, table, kernel, u0)
         e1 = flow_energy(grid, table, kernel, final)
-        _write(
+        write_text(
             os.path.join(out, "energy_series.csv"),
-            _series_csv({"step": [0, 1], "t": [0.0, 0.0], "energy": [e0, e1]}),
+            series_csv({"step": [0, 1], "t": [0.0, 0.0], "energy": [e0, e1]}),
         )
     else:
         config = SolverConfig(
@@ -132,9 +109,9 @@ def _cmd_denoise(args) -> int:
         )
         traj = solve_problem(problem)
         d = traj.per_step
-        _write(
+        write_text(
             os.path.join(out, "energy_series.csv"),
-            _series_csv({"step": d["step"], "t": d["t"], "energy": d["energy"]}),
+            series_csv({"step": d["step"], "t": d["t"], "energy": d["energy"]}),
         )
         final = traj.final_state
 
@@ -156,9 +133,9 @@ def _cmd_study_contraction(args) -> int:
     u0_b = Field(problem.grid, problem.u0.values + scale * bump)
     report = contraction_study(problem, problem.u0, u0_b, cfg.study.norm)
     print(report.to_text())
-    _write(os.path.join(out, "contraction.csv"),
-           _series_csv({"t": report.series["t"], "ratio": report.series["ratio"]}))
-    _write(os.path.join(out, "contraction_report.csv"), report.to_csv())
+    write_text(os.path.join(out, "contraction.csv"),
+               series_csv({"t": report.series["t"], "ratio": report.series["ratio"]}))
+    write_text(os.path.join(out, "contraction_report.csv"), report.to_csv())
     return 0 if report.all_passed else 1
 
 
@@ -172,13 +149,11 @@ def _cmd_study_cauchy(args) -> int:
     )
     print(result.report.to_text())
     print(f"fitted level-decay exponent: {result.fitted_exponent:.4f}")
-    rows = ["level_i,level_j,l1_distance"]
-    for i, ni in enumerate(result.levels):
-        for j, nj in enumerate(result.levels):
-            if i < j:
-                rows.append(f"{ni},{nj},{result.pairwise_l1[i, j]:.17g}")
-    _write(os.path.join(out, "cauchy.csv"), "\n".join(rows) + "\n")
-    _write(os.path.join(out, "cauchy_report.csv"), result.report.to_csv())
+    i, j = np.triu_indices(len(result.levels), 1)
+    write_text(os.path.join(out, "cauchy.csv"), series_csv(
+        {"level_i": result.levels[i], "level_j": result.levels[j],
+         "l1_distance": result.pairwise_l1[i, j]}))
+    write_text(os.path.join(out, "cauchy_report.csv"), result.report.to_csv())
     return 0 if result.report.all_passed else 1
 
 
@@ -188,9 +163,9 @@ def _cmd_study_refine(args) -> int:
     problem = build_problem(cfg)
     report = time_refinement_study(problem, cfg.study.refine_steps)
     print(report.to_text())
-    _write(os.path.join(out, "refine.csv"),
-           _series_csv({"tau": report.series["tau"], "error": report.series["error"]}))
-    _write(os.path.join(out, "refine_report.csv"), report.to_csv())
+    write_text(os.path.join(out, "refine.csv"),
+               series_csv({"tau": report.series["tau"], "error": report.series["error"]}))
+    write_text(os.path.join(out, "refine_report.csv"), report.to_csv())
     return 0 if report.all_passed else 1
 
 
@@ -245,29 +220,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AssumptionViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.report is not None:
-            for check in exc.report.checks:
-                if not check.passed:
-                    print(f"  failed: {check.name}: {check.detail}", file=sys.stderr)
+            for check in exc.report.failed():
+                print(f"  failed: {check.name}: {check.detail}", file=sys.stderr)
         return 2
     except NumericalBlowupError as exc:
-        print(f"error: {exc} (step {exc.step}, t = {exc.t:.6g})", file=sys.stderr)
-        return 3
-    except (
-        ConfigurationError,
-        GridMismatchError,
-        KernelValidationError,
-        PgmFormatError,
-        UndefinedRatioError,
-    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 3
+    except (NldiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

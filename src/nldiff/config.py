@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigParseError, ConfigurationError
-from .grid import Field, build_grid, load_field
+from .grid import Field, build_grid, load_field, read_text
 from .kernels import (
     REACTION_FAMILIES,
     affine_reaction,
@@ -115,6 +115,10 @@ class RunConfig:
     solver: SolverConfig = SolverConfig(T=1.0, steps=256)
     study: StudySection = StudySection()
     output: OutputSection = OutputSection()
+
+    def __post_init__(self):
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _parse_float(text: str) -> float:
@@ -209,12 +213,7 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Parse a configuration file into a fully defaulted :class:`RunConfig`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read file: {exc}", path=str(path)) from exc
-    return parse_config_text(text, path=str(path))
+    return parse_config_text(read_text(path), path=str(path))
 
 
 def _assemble(v: dict, path: str) -> RunConfig:
@@ -237,9 +236,9 @@ def _assemble(v: dict, path: str) -> RunConfig:
             if is_dataclass(f.default):
                 cls = type(f.default)
                 sections[f.name] = cls(**{g.name: v[f"{f.name}.{g.name}"] for g in fields(cls)})
+        return RunConfig(seed=v["seed"], **sections)
     except ConfigurationError as exc:
         raise ConfigParseError(str(exc), path=path) from exc
-    return RunConfig(seed=v["seed"], **sections)
 
 
 def _fmt_value(val) -> str:
@@ -255,37 +254,30 @@ def serialize_config(cfg: RunConfig) -> str:
     return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in _items(cfg))
 
 
-def _load_kernel_table_csv(path):
-    offsets = []
-    weights = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                offsets.append([int(p) for p in parts[:-1]])
-                weights.append(float(parts[-1]))
-            except ValueError as exc:
-                raise ConfigParseError(f"bad kernel table row: {exc}", line=lineno, path=str(path)) from exc
-    return np.asarray(offsets), np.asarray(weights)
+def _read_table(path, columns, what: str) -> list:
+    """The rows of a comma-separated table file, one parser per column.
 
-
-def _load_reaction_table_csv(path):
-    s_vals, f_vals = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                s_vals.append(float(parts[0]))
-                f_vals.append(float(parts[1]))
-            except (ValueError, IndexError) as exc:
-                raise ConfigParseError(f"bad reaction table row: {exc}", line=lineno, path=str(path)) from exc
-    return s_vals, f_vals
+    Blank lines and '#' comments are skipped.  A row of the wrong width,
+    a value its parser rejects, or a file without data rows raises
+    :class:`ConfigParseError` naming the file and the line.
+    """
+    rows = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ConfigParseError(
+                f"{what} row needs {len(columns)} fields, got {len(parts)}", line=lineno, path=str(path)
+            )
+        try:
+            rows.append([parse(p.strip()) for parse, p in zip(columns, parts)])
+        except ValueError as exc:
+            raise ConfigParseError(f"bad {what} row: {exc}", line=lineno, path=str(path)) from exc
+    if not rows:
+        raise ConfigParseError(f"{what} has no data rows", path=str(path))
+    return rows
 
 
 def build_initial_state(cfg: RunConfig, grid) -> Field:
@@ -327,7 +319,10 @@ def build_problem(cfg: RunConfig) -> Problem:
     grid = build_grid(dim, extents, cfg.grid.counts)
 
     ks = cfg.kernel
-    table_data = _load_kernel_table_csv(ks.table_path) if ks.family == "custom_table" else None
+    table_data = None
+    if ks.family == "custom_table":
+        rows = _read_table(ks.table_path, [int] * dim + [_parse_float], "kernel table")
+        table_data = ([r[:-1] for r in rows], [r[-1] for r in rows])
     table = make_spatial_kernel(grid, ks.family, ks.radius, table=table_data)
 
     u0 = build_initial_state(cfg, grid)
@@ -356,8 +351,8 @@ def build_problem(cfg: RunConfig) -> Problem:
     elif fs.family == "logistic":
         reaction = logistic_reaction(fs.rate, fs.capacity)
     else:
-        s_vals, f_vals = _load_reaction_table_csv(fs.table_path)
-        reaction = custom_table_reaction(s_vals, f_vals)
+        rows = _read_table(fs.table_path, [_parse_float, _parse_float], "reaction table")
+        reaction = custom_table_reaction(*zip(*rows))
 
     return Problem(
         grid=grid,

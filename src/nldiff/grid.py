@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigParseError, ConfigurationError, GridMismatchError
 
 FIELD_FILE_MAGIC = "# nldiff-field v1"
 
@@ -178,8 +178,41 @@ def lp_norm(grid: Grid, f: Field, p) -> float:
     return float((grid.node_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file.
+
+    A file that cannot be opened or is not valid UTF-8 raises
+    :class:`ConfigParseError` naming the path (and, for a bad byte, its
+    line).  Every text input of the package goes through here.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read file: {exc}", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigParseError(f"not UTF-8 text: {exc}", line=line, path=str(path)) from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 text file with '\n' line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def series_csv(columns: dict) -> str:
+    """CSV text with one column per key, every value at 17 significant
+    digits (lossless for float64; integers print without a decimal point)."""
+    names = list(columns)
+    rows = [",".join(names)]
+    for i in range(len(columns[names[0]])):
+        rows.append(",".join(_fmt(columns[k][i]) for k in names))
+    return "\n".join(rows) + "\n"
 
 
 def save_field(f: Field, path) -> None:
@@ -195,14 +228,15 @@ def save_field(f: Field, path) -> None:
     lines.append("# extents " + " ".join(_fmt(v) for pair in g.extents for v in pair))
     lines.append("# counts " + " ".join(str(c) for c in g.counts))
     lines.extend(_fmt(v) for v in f.values)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_field(path) -> Field:
-    """Read a field written by :func:`save_field`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a field written by :func:`save_field`.
+
+    After the header, blank lines and '#' comment lines are skipped.
+    """
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != FIELD_FILE_MAGIC:
         raise ConfigurationError(f"{path}: missing '{FIELD_FILE_MAGIC}' header")
     header = {}
@@ -225,7 +259,7 @@ def load_field(path) -> Field:
     grid = build_grid(dim, extents, counts)
     values = []
     for i, ln in enumerate(lines[body_start:], start=body_start + 1):
-        if not ln.strip():
+        if not ln.strip() or ln.lstrip().startswith("#"):
             continue
         try:
             values.append(float(ln))

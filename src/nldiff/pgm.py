@@ -67,15 +67,11 @@ def load_pgm(path) -> ImageField:
         data = fh.read()
     fields = []
     pos = 0
-    gen = _tokens(data)
-    try:
-        for tok, nxt in gen:
-            fields.append(tok)
-            pos = nxt
-            if len(fields) == 4:
-                break
-    except StopIteration:  # pragma: no cover - generator protocol quirk
-        pass
+    for tok, nxt in _tokens(data):
+        fields.append(tok)
+        pos = nxt
+        if len(fields) == 4:
+            break
     if len(fields) < 4:
         raise PgmFormatError(f"{path}: truncated header")
     magic = fields[0]

@@ -35,6 +35,7 @@ mollified kernel or accept the warning.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ from .errors import (
     NumericalBlowupError,
     UndefinedRatioError,
 )
-from .grid import Field, Grid, lp_norm, save_field
+from .grid import Field, Grid, lp_norm, save_field, series_csv, write_text
 from .kernels import (
     RangeKernel,
     Reaction,
@@ -84,15 +85,15 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ConfigurationError(f"final time must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigurationError(f"final time must be finite and positive, got {self.T}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ConfigurationError(f"step count must be a positive integer, got {self.steps}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.mu_mode not in MU_MODES:
             raise ConfigurationError(f"unknown mu mode {self.mu_mode!r}")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ConfigurationError(f"mu must be non-negative, got {self.mu}")
         if not self.mu_margin > 0.0:
             raise ConfigurationError(f"mu margin must be positive, got {self.mu_margin}")
@@ -127,7 +128,7 @@ def select_mu(mode: str, c_a: float = 0.0, c_f: float = 0.0, k: float | None = N
             raise ConfigurationError(f"auto_linf needs a positive sup-norm bound, got {k}")
         return c_f * (1.0 + k) / k
     if mode == "manual":
-        if mu < 0.0:
+        if not mu >= 0.0:
             raise ConfigurationError(f"mu must be non-negative, got {mu}")
         return float(mu)
     raise ConfigurationError(f"unknown mu mode {mode!r}")
@@ -441,8 +442,6 @@ def export_trajectory(traj: Trajectory, out_dir) -> list:
     the certificate column is e^{mu t} max|u0| and positivity_ok flags
     min >= -1e-10.  Returns the written paths.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for step, state in zip(traj.record_steps, traj.states):
@@ -451,17 +450,11 @@ def export_trajectory(traj: Trajectory, out_dir) -> list:
         written.append(path)
     mu = traj.constants["mu"]
     norm_u0 = traj.constants["norm_u0"]
-    rows = ["step,t,min,max,mass,energy,linf_bound_cert,positivity_ok"]
     d = traj.per_step
-    for j in range(d["step"].size):
-        cert = math.exp(mu * d["t"][j]) * norm_u0
-        ok = 1 if d["min"][j] >= -1e-10 else 0
-        rows.append(
-            f"{int(d['step'][j])},{d['t'][j]:.17g},{d['min'][j]:.17g},{d['max'][j]:.17g},"
-            f"{d['mass'][j]:.17g},{d['energy'][j]:.17g},{cert:.17g},{ok}"
-        )
+    columns = {name: d[name] for name in ("step", "t", "min", "max", "mass", "energy")}
+    columns["linf_bound_cert"] = [math.exp(mu * t) * norm_u0 for t in d["t"]]
+    columns["positivity_ok"] = d["min"] >= -1e-10
     diag_path = os.path.join(out_dir, "diagnostics.csv")
-    with open(diag_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_text(diag_path, series_csv(columns))
     written.append(diag_path)
     return written

@@ -22,6 +22,7 @@ from nldiff import (
     field_to_image,
     image_to_field,
     load_pgm,
+    make_spatial_kernel,
     parse_config,
     parse_config_text,
     save_field,
@@ -169,6 +170,37 @@ def test_build_problem_wires_the_mollifier():
     assert prob.kernel.family == "mollified"
     assert prob.kernel.base.p == 1.5
     assert prob.grid.node_count == 16
+
+
+def test_custom_tables_and_fields_load_through_a_config(tmp_path):
+    # UTF-8 comments are allowed in every input file
+    ktab = tmp_path / "kernel.csv"
+    ktab.write_text("# offset, weight (σ = 1)\n-1, 0.5\n0, 0\n\n1, 0.5\n", encoding="utf-8")
+    rtab = tmp_path / "reaction.csv"
+    rtab.write_text("# s, f(s)\n0, 0\n1, -0.5\n2, -2\n", encoding="utf-8")
+    g = build_grid(1, [(0.0, 1.0)], [16])
+    u0 = tmp_path / "u0.csv"
+    save_field(Field(g, np.linspace(0.1, 0.9, 16)), u0)
+    with open(u0, "a", encoding="utf-8") as fh:
+        fh.write("# σ-smoothed start\n")
+    cfg = parse_config_text(
+        MINIMAL
+        + f"kernel.family = custom_table\nkernel.table_path = {ktab}\n"
+        + f"reaction.family = custom_table\nreaction.table_path = {rtab}\n"
+        + f"initial.kind = field_csv\ninitial.path = {u0}\n"
+    )
+    prob = build_problem(cfg)
+    expect = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [0.5, 0.0, 0.5]))
+    np.testing.assert_array_equal(prob.table.offsets, expect.offsets)
+    np.testing.assert_array_equal(prob.table.weights, expect.weights)
+    assert prob.reaction.working_range == (0.0, 2.0)
+    np.testing.assert_array_equal(prob.reaction.eval(0.0, None, [0.5, 1.5]), [-0.25, -1.25])
+    np.testing.assert_array_equal(prob.u0.values, np.linspace(0.1, 0.9, 16))
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ConfigParseError, match="seed must be a non-negative integer"):
+        parse_config_text(MINIMAL + "seed = -1\n", path="run.cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +354,65 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert main(["solve", "--config", str(tmp_path / "ghost.cfg"),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "table, extra, detail",
+    [
+        ("1, 0.5\n0.5\n-1, 0.5\n", "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 2: kernel table row needs 2 fields, got 1"),
+        ("1, 0.5\n0, 0.25x\n-1, 0.5\n", "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 2: bad kernel table row"),
+        ("# s, f\n", "reaction.family = custom_table\nreaction.table_path = {}\n",
+         "reaction table has no data rows"),
+        ("0, 0\n1, nan\n", "reaction.family = custom_table\nreaction.table_path = {}\n",
+         "line 2: bad reaction table row"),
+        ("# caf\xe9\n0, 0\n1, -1\n", "reaction.family = custom_table\nreaction.table_path = {}\n",
+         "line 1: not UTF-8 text"),
+        ("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 16\n" + "0.5\n" * 15 + "\xb5\n",
+         "initial.kind = field_csv\ninitial.path = {}\n", "line 20: not UTF-8 text"),
+    ],
+    ids=["kernel_row_width", "kernel_bad_weight", "reaction_comment_only",
+         "reaction_nan", "reaction_latin1", "field_latin1"],
+)
+def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
+    path = tmp_path / "table.csv"
+    path.write_bytes(table.encode("latin-1"))
+    cfg = write_cfg(tmp_path, extra.format(path))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and detail in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ((MINIMAL + "# caf\xe9\n").encode("latin-1"), "line 8: not UTF-8 text"),
+        ((MINIMAL + "seed = -1\n").encode("utf-8"), "seed must be a non-negative integer"),
+        ((MINIMAL.replace("solver.T = 0.1", "solver.T = inf") + "solver.mu_mode = manual\n")
+         .encode("utf-8"), "final time must be finite and positive"),
+    ],
+    ids=["config_latin1", "config_negative_seed", "config_infinite_T"],
+)
+def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "initial.kind = random\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+
+
+def test_non_ascii_output_dir_round_trips_the_config(tmp_path):
+    cfg = write_cfg(tmp_path, f"output.dir = {tmp_path / 'out_σ'}\n")
+    assert main(["solve", "--config", cfg]) == 0
+    assert parse_config(tmp_path / "out_σ" / "run_config.txt") == parse_config(cfg)
 
 
 def test_blowup_exits_3_with_step_info(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nldiff import (
+    ConfigParseError,
     ConfigurationError,
     Field,
     GridMismatchError,
@@ -174,3 +175,5 @@ def test_load_field_rejects_garbage(tmp_path):
     path.write_text("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 4\n1\n2\nxx\n4\n")
     with pytest.raises(ConfigurationError, match="line 7"):
         load_field(path)
+    with pytest.raises(ConfigParseError, match="cannot read file"):
+        load_field(tmp_path / "absent.csv")

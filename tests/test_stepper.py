@@ -63,6 +63,8 @@ def test_select_mu_hand_values():
         select_mu("auto_linf", c_f=0.6)
     with pytest.raises(ConfigurationError):
         select_mu("no_such_mode")
+    with pytest.raises(ConfigurationError):
+        select_mu("manual", mu=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -77,6 +79,9 @@ def test_select_mu_hand_values():
         dict(T=1.0, steps=4, mu=-0.1),
         dict(T=1.0, steps=4, mu_margin=0.0),
         dict(T=1.0, steps=4, record_every=0),
+        dict(T=math.inf, steps=4),
+        dict(T=math.nan, steps=4),
+        dict(T=1.0, steps=4, mu=math.nan),
     ],
 )
 def test_solver_config_rejects(kwargs):
