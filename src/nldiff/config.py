@@ -44,7 +44,7 @@ from .kernels import (
     zero_reaction,
 )
 from .pgm import image_to_field, load_pgm
-from .stepper import MU_MODES, SCHEMES, Problem, SolverConfig
+from .stepper import MU_MODES, SCHEMES, Problem, SolverConfig, _check_seed
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,20 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def _parse_float(text: str) -> float:
     v = float(text)
     if math.isnan(v):
         raise ValueError("nan is not a valid value")
+    return v
+
+
+def _parse_weight(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"weight must be finite and non-negative, got {text}")
     return v
 
 
@@ -258,10 +264,11 @@ def _read_table(path, columns, what: str) -> list:
     """The rows of a comma-separated table file, one parser per column.
 
     Blank lines and '#' comments are skipped.  A row of the wrong width,
-    a value its parser rejects, or a file without data rows raises
+    a value its parser rejects, a row whose key (every field but the last)
+    an earlier row has, or a file without data rows raises
     :class:`ConfigParseError` naming the file and the line.
     """
-    rows = []
+    rows, first = [], {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,6 +282,11 @@ def _read_table(path, columns, what: str) -> list:
             rows.append([parse(p.strip()) for parse, p in zip(columns, parts)])
         except ValueError as exc:
             raise ConfigParseError(f"bad {what} row: {exc}", line=lineno, path=str(path)) from exc
+        key = tuple(rows[-1][:-1])
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigParseError(
+                f"{what} lists {key} twice, first on line {first[key]}", line=lineno, path=str(path)
+            )
     if not rows:
         raise ConfigParseError(f"{what} has no data rows", path=str(path))
     return rows
@@ -321,7 +333,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     ks = cfg.kernel
     table_data = None
     if ks.family == "custom_table":
-        rows = _read_table(ks.table_path, [int] * dim + [_parse_float], "kernel table")
+        rows = _read_table(ks.table_path, [int] * dim + [_parse_weight], "kernel table")
         table_data = ([r[:-1] for r in rows], [r[-1] for r in rows])
     table = make_spatial_kernel(grid, ks.family, ks.radius, table=table_data)
 

@@ -32,14 +32,13 @@ a custom kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, KernelValidationError
+from .errors import ConfigurationError, KernelValidationError
 from .grid import Field, Grid
 
 RANGE_FAMILIES = (
@@ -281,17 +280,19 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
 
 
 def _check_table_validity(offsets: np.ndarray, weights: np.ndarray):
-    bad_sign = [tuple(o) for o, w in zip(offsets, weights) if w < 0 or not math.isfinite(w)]
+    keys = list(map(tuple, offsets.tolist()))
+    bad_sign = [o for o, w in zip(keys, weights.tolist()) if w < 0 or not math.isfinite(w)]
     if bad_sign:
         raise KernelValidationError(
             f"kernel weights must be finite and non-negative; offending offsets {bad_sign}",
             offenders=bad_sign,
         )
-    keys = list(map(tuple, offsets))
     seen = Counter(keys)
     if len(seen) != len(keys):
         dupes = [o for o in keys if seen[o] > 1]
-        raise KernelValidationError("kernel table lists an offset twice", offenders=dupes)
+        raise KernelValidationError(
+            f"kernel table lists an offset twice; offending offsets {dupes}", offenders=dupes
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,30 +445,41 @@ class RangeKernel:
             return True
         return self.family == "mollified" and self.base.needs_pair_reference
 
-    def eval(self, t: float, s, pair_ref=None) -> np.ndarray:
+    def eval(self, t: float, s, pair_ref=None, density=False):
         """Vectorized evaluation at value differences ``s``.
 
         ``pair_ref`` carries the reference-field differences, or their
         :class:`PairExponents`, for the spatial_exponent family and is
-        ignored elsewhere.
+        ignored elsewhere.  With ``density`` it returns (A, Phi), Phi the
+        flow's energy density (see :mod:`nldiff.operator`): s A / q for the
+        power families of exponent q, (h^2/2)(1 - exp(-(s/h)^2)) for the
+        bilateral family, the quadratic s^2/2 for variable_exponent and
+        custom, which have no antiderivative in s alone, and the base's
+        density for a mollified kernel.
         """
         s = np.asarray(s, dtype=np.float64)
-        if self.family == "linear":
-            return s.copy()
-        if self.family == "p_laplacian":
-            return _signed_power(s, self.p - 1.0)
-        if self.family == "variable_exponent":
-            a = np.abs(s)
-            q = np.interp(a, self.exponent_sigmas, self.exponent_values)
-            return _signed_power(s, q - 1.0)
-        if self.family == "spatial_exponent":
-            return _signed_power(s, self.pair_exponents(pair_ref).q - 1.0)
-        if self.family == "bilateral_gaussian":
+        fam, q = self.family, None
+        if fam == "bilateral_gaussian":
             z = s / self.h
-            return s * np.exp(-z * z)
-        if self.family == "custom":
-            return np.asarray(self.fn(t, s), dtype=np.float64)
-        return self._mollified(t, s, pair_ref)
+            g = np.exp(-z * z)
+            a = s * g
+            return (a, (0.5 * self.h**2) * (1.0 - g)) if density else a
+        if fam == "mollified":
+            a = self._mollified(t, s, pair_ref)
+            return (a, self.base.eval(t, s, pair_ref, True)[1]) if density else a
+        if fam == "linear":
+            a, q = s.copy(), 2.0
+        elif fam == "p_laplacian":
+            a, q = _signed_power(s, self.p - 1.0), self.p
+        elif fam == "spatial_exponent":
+            q = self.pair_exponents(pair_ref).q
+            a = _signed_power(s, q - 1.0)
+        elif fam == "variable_exponent":
+            p = np.interp(np.abs(s), self.exponent_sigmas, self.exponent_values)
+            a = _signed_power(s, p - 1.0)
+        else:
+            a = np.asarray(self.fn(t, s), dtype=np.float64)
+        return (a, s * s / 2.0 if q is None else s * a / q) if density else a
 
     def pair_exponents(self, pair_ref) -> PairExponents:
         """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
@@ -617,8 +629,8 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     if base.family == "mollified":
         raise ConfigurationError("refusing to mollify an already mollified kernel")
     probe = np.linspace(-1.0, 1.0, 33)
-    vals = base.eval(0.0, probe, np.zeros_like(probe) if base.needs_pair_reference else None)
-    if np.max(np.abs(vals + base.eval(0.0, -probe, np.zeros_like(probe) if base.needs_pair_reference else None))) > 1e-12:
+    pair_ref = np.zeros_like(probe) if base.needs_pair_reference else None
+    if np.max(np.abs(base.eval(0.0, probe, pair_ref) + base.eval(0.0, -probe, pair_ref))) > 1e-12:
         raise ConfigurationError("mollification requires an odd base kernel")
     nodes, weights = _mollifier_quadrature(int(quad_count))
     spec = MollifierSpec(n=int(n), quad_count=int(quad_count), nodes=nodes, weights=weights)
@@ -636,10 +648,9 @@ def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> 
     """Scalar evaluation at a node pair, resolving the pair reference."""
     pair_ref = None
     if spec.needs_pair_reference:
-        ref = spec.reference if spec.family != "mollified" else spec.base.reference
-        if ref is None:
+        if spec.reference is None:
             raise ConfigurationError("spatial_exponent kernel is missing its reference field")
-        pair_ref = np.float64(ref.values[y] - ref.values[x])
+        pair_ref = np.float64(spec.reference.values[y] - spec.reference.values[x])
     return float(spec.eval(t, np.asarray(float(s)), pair_ref))
 
 
@@ -747,8 +758,10 @@ def logistic_reaction(growth: float, capacity: float, working_range=(-2.0, 2.0))
 
 def custom_table_reaction(s_values, f_values, working_range=None) -> Reaction:
     ts = np.asarray(s_values, dtype=np.float64)
-    wr = (float(ts[0]), float(ts[-1])) if working_range is None else working_range
-    return Reaction("custom_table", table=(s_values, f_values), working_range=wr)
+    if working_range is None and ts.ndim == 1 and ts.size:
+        working_range = (float(ts[0]), float(ts[-1]))
+    # Reaction refuses a malformed table before it reads the working range
+    return Reaction("custom_table", table=(s_values, f_values), working_range=working_range)
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +931,7 @@ def validate_assumptions(
     pair_ref = None
     if kernel.needs_pair_reference:
         idx = rng.integers(0, u0.grid.node_count, size=(s.size, 2))
-        ref_field = kernel.reference if kernel.family != "mollified" else kernel.base.reference
-        pair_ref = ref_field.values[idx[:, 1]] - ref_field.values[idx[:, 0]]
+        pair_ref = kernel.reference.values[idx[:, 1]] - kernel.reference.values[idx[:, 0]]
     a_pos = kernel.eval(0.0, s, pair_ref)
     a_neg = kernel.eval(0.0, -s, pair_ref)
 

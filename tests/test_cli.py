@@ -371,9 +371,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "line 1: not UTF-8 text"),
         ("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 16\n" + "0.5\n" * 15 + "\xb5\n",
          "initial.kind = field_csv\ninitial.path = {}\n", "line 20: not UTF-8 text"),
+        ("1, -0.5\n0, 0\n-1, -0.5\n", "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 1: bad kernel table row: weight must be finite and non-negative, got -0.5"),
+        ("1, 0.5\n0, 1\n-1, 0.5\n1, 0.5\n",
+         "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 4: kernel table lists (1,) twice, first on line 1"),
+        ("0, 0\n0.5, 1\n0.5, 2\n", "reaction.family = custom_table\nreaction.table_path = {}\n",
+         "line 3: reaction table lists (0.5,) twice, first on line 2"),
     ],
     ids=["kernel_row_width", "kernel_bad_weight", "reaction_comment_only",
-         "reaction_nan", "reaction_latin1", "field_latin1"],
+         "reaction_nan", "reaction_latin1", "field_latin1", "kernel_negative_weight",
+         "kernel_duplicate_offset", "reaction_duplicate_abscissa"],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
     path = tmp_path / "table.csv"
@@ -382,6 +390,7 @@ def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and detail in err and "Traceback" not in err
+    assert "np.int64" not in err
 
 
 @pytest.mark.parametrize(

@@ -131,9 +131,13 @@ def test_custom_table_rejects_uneven_and_duplicate_and_negative():
     with pytest.raises(KernelValidationError) as exc:
         make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
     assert exc.value.offenders == [(-1,), (1,), (1,), (-1,)]
+    assert "offending offsets [(-1,), (1,), (1,), (-1,)]" in str(exc.value)
     with pytest.raises(KernelValidationError) as exc:
         make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, -2.0, 1.0]))
     assert (0,) in exc.value.offenders
+    with pytest.raises(KernelValidationError) as exc:
+        make_spatial_kernel(g, "custom_table", table=([[1], [0], [-1]], [-0.5, 0.0, -0.5]))
+    assert "offending offsets [(1,), (-1,)]" in str(exc.value)
 
 
 def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
@@ -427,6 +431,11 @@ def test_reaction_bad_parameters():
         logistic_reaction(0.4, 0.0)
     with pytest.raises(ConfigurationError):
         custom_table_reaction([0.0, 0.0], [1.0, 1.0])
+
+
+def test_empty_reaction_table_is_refused():
+    with pytest.raises(ConfigurationError, match="reaction table"):
+        custom_table_reaction([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nldiff import (
     ConfigurationError,
@@ -321,6 +321,7 @@ LAYOUTS = [(1, 1), (3, 1), (4, 5), (8, 12), (kernels._GATHER_BELOW, kernels._GAT
 
 
 @given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from(LAYOUTS))
+@example(([6], [(-4,), (-1,), (1,), (4,)], [0.5, 1.0, 1.0, 0.5], 3), 2.0, (3, 1))  # slice + gather
 @settings(max_examples=12, deadline=None)
 def test_pair_walk_matches_scalar_sums(case, p, layout):
     counts, offsets, weights, seed = case
@@ -334,6 +335,9 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
+        # the evaluation that also returns the energy density returns the same A
+        for _, _, _, s, pe in operator._pairs(u.reshaped(), t, k):
+            assert np.array_equal(k.eval(0.3, s, pe, True)[0], k.eval(0.3, s, pe)), k.family
         out = apply_nonlocal(g, t, k, 0.3, u)
         assert out.flops_estimate == len(pairs)
         want = dense_oracle(g, t, k, 0.3, u)

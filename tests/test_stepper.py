@@ -311,6 +311,16 @@ def test_initial_state_grid_mismatch():
         solve_problem(prob, u0=Field(other, np.zeros(3)))
 
 
+def test_negative_seed_is_refused_by_the_library():
+    # refused with the config path's message, not by numpy's generator
+    prob = two_node_problem([0.2, 1.0])
+    bad = Problem(prob.grid, prob.table, prob.kernel, prob.reaction, prob.u0, prob.config, seed=-1)
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer, got -1"):
+        solve_problem(bad)
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer, got -1"):
+        solve(prob.grid, prob.table, prob.kernel, prob.reaction, prob.u0, prob.config, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # separation ratios
 
