@@ -445,41 +445,56 @@ class RangeKernel:
             return True
         return self.family == "mollified" and self.base.needs_pair_reference
 
-    def eval(self, t: float, s, pair_ref=None, density=False):
+    def eval(self, t: float, s, pair_ref=None) -> np.ndarray:
         """Vectorized evaluation at value differences ``s``.
 
         ``pair_ref`` carries the reference-field differences, or their
         :class:`PairExponents`, for the spatial_exponent family and is
-        ignored elsewhere.  With ``density`` it returns (A, Phi), Phi the
-        flow's energy density (see :mod:`nldiff.operator`): s A / q for the
-        power families of exponent q, (h^2/2)(1 - exp(-(s/h)^2)) for the
-        bilateral family, the quadratic s^2/2 for variable_exponent and
-        custom, which have no antiderivative in s alone, and the base's
-        density for a mollified kernel.
+        ignored elsewhere.
         """
         s = np.asarray(s, dtype=np.float64)
-        fam, q = self.family, None
-        if fam == "bilateral_gaussian":
+        if self.family == "linear":
+            return s.copy()
+        if self.family == "p_laplacian":
+            return _signed_power(s, self.p - 1.0)
+        if self.family == "variable_exponent":
+            a = np.abs(s)
+            q = np.interp(a, self.exponent_sigmas, self.exponent_values)
+            return _signed_power(s, q - 1.0)
+        if self.family == "spatial_exponent":
+            return _signed_power(s, self.pair_exponents(pair_ref).q - 1.0)
+        if self.family == "bilateral_gaussian":
             z = s / self.h
-            g = np.exp(-z * z)
-            a = s * g
-            return (a, (0.5 * self.h**2) * (1.0 - g)) if density else a
+            return s * np.exp(-z * z)
+        if self.family == "custom":
+            return np.asarray(self.fn(t, s), dtype=np.float64)
+        return self._mollified(t, s, pair_ref)
+
+    def density(self, t: float, s, pair_ref=None, a=None):
+        """The flow's energy density Phi at ``s`` (see :mod:`nldiff.operator`),
+        given the caller's A(s) ``a`` where it holds one: s A / q for the
+        power families of exponent q, (h^2/2)(1 - exp(-(s/h)^2)) for the
+        bilateral family, the base's density for a mollified kernel, and the
+        quadratic s^2/2 for variable_exponent and custom, which have no
+        antiderivative in s alone."""
+        s = np.asarray(s, dtype=np.float64)
+        fam = self.family
         if fam == "mollified":
-            a = self._mollified(t, s, pair_ref)
-            return (a, self.base.eval(t, s, pair_ref, True)[1]) if density else a
-        if fam == "linear":
-            a, q = s.copy(), 2.0
-        elif fam == "p_laplacian":
-            a, q = _signed_power(s, self.p - 1.0), self.p
+            return self.base.density(t, s, pair_ref)
+        if fam == "bilateral_gaussian":
+            # in place: on blocks of 10^4 pairs, a new array per step costs
+            # about as much as the exponential
+            z = np.divide(s, self.h, out=np.empty_like(s))
+            z *= z
+            np.exp(np.negative(z, out=z), out=z)
+            return np.multiply(0.5 * self.h * self.h, np.subtract(1.0, z, out=z), out=z)
+        if fam == "p_laplacian":
+            q = self.p
         elif fam == "spatial_exponent":
             q = self.pair_exponents(pair_ref).q
-            a = _signed_power(s, q - 1.0)
-        elif fam == "variable_exponent":
-            p = np.interp(np.abs(s), self.exponent_sigmas, self.exponent_values)
-            a = _signed_power(s, p - 1.0)
         else:
-            a = np.asarray(self.fn(t, s), dtype=np.float64)
-        return (a, s * s / 2.0 if q is None else s * a / q) if density else a
+            return s * s / 2.0
+        return s * (self.eval(t, s, pair_ref) if a is None else a) / q
 
     def pair_exponents(self, pair_ref) -> PairExponents:
         """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
@@ -544,6 +559,14 @@ def p_laplacian_kernel(p: float) -> RangeKernel:
     if not p > 1.0:
         raise ConfigurationError(f"p_laplacian exponent must exceed 1, got {p}")
     return RangeKernel("p_laplacian", p=float(p), holder_alpha=min(1.0, p - 1.0), monotone=True)
+
+
+def _p_energy_kernel(p: float) -> RangeKernel:
+    """The p_laplacian kernel of the p-energy, for any p >= 1; the energy
+    of p = 1, the total variation, has no admissible kernel."""
+    if not p >= 1.0:
+        raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
+    return RangeKernel("p_laplacian", p=float(p))
 
 
 def _validated_exponent_table(sigmas, values):

@@ -42,17 +42,18 @@ The flow energy is the raw double sum over ordered pairs
 
     E = node_volume^2 * sum_x sum_d w(d) Phi(t, x, x+d, u(x+d) - u(x)),
 
-with Phi the energy density :meth:`~nldiff.kernels.RangeKernel.eval`
-returns beside A: the even antiderivative of A with Phi(0) = 0 where one
-exists in s alone, the quadratic s^2/2 otherwise.  The walk visits each
-unordered pair once and counts it twice.  With the discrete inner product
-of weight node_volume, the descent direction of E is its coordinate
-gradient divided by 2 * node_volume, and under that convention the
-p-energy, Phi = |s|^p / p, descends exactly along the operator with
-A = |s|^(p-2) s, and the bilateral energy, Phi = (h^2/2)(1 - exp(-s^2/h^2)),
-along the operator with A = s exp(-s^2/h^2).  One kernel evaluation gives
-a pair walk both A and Phi, so a time step gets the energy of its state
-from the walk that applies the operator.
+with Phi the energy density :meth:`~nldiff.kernels.RangeKernel.density`:
+the even antiderivative of A with Phi(0) = 0 where one exists in s alone,
+the quadratic s^2/2 otherwise.  The walk visits each unordered pair once
+and counts it twice.  With the discrete inner product of weight
+node_volume, the descent direction of E is its coordinate gradient
+divided by 2 * node_volume, and under that convention the p-energy,
+Phi = |s|^p / p, descends exactly along the operator with
+A = |s|^(p-2) s, and the bilateral energy,
+Phi = (h^2/2)(1 - exp(-s^2/h^2)), along the operator with
+A = s exp(-s^2/h^2).  The walk hands the density the A it has just
+applied, so a time step gets the energy of its state from the walk that
+applies the operator.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Field, Grid
-from .kernels import RangeKernel, SpatialKernelTable, bilateral_kernel
+from .kernels import RangeKernel, SpatialKernelTable, _p_energy_kernel, bilateral_kernel
 
 
 @dataclass(frozen=True)
@@ -149,19 +150,15 @@ def _apply(uu, table, kernel, t, energy=False):
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
     for w, dst, src, s, pe in _pairs(uu, table, kernel):
-        a, phi = kernel.eval(t, s, pe, True) if energy else (kernel.eval(t, s, pe), None)
-        if energy:
-            acc += _weighted_sum(w, phi)
+        a = kernel.eval(t, s, pe)
         wa = w * a
         _scatter(np.add, out, dst, wa)
         if odd:
             _scatter(np.subtract, out, src, wa)
         else:
             _scatter(np.add, out, src, w * kernel.eval(t, -s, pe))
-        # Held over into the next block, these raise the heap top malloc trims
-        # after each apply: 100k page faults (5k without) and +10% wall time
-        # for `nldiff verify` on configs/logistic_patch_2d.cfg.
-        del a, phi, wa
+        if energy:
+            acc += _weighted_sum(w, kernel.density(t, s, pe, a))
     if not odd and table.zero_weight:
         out += table.zero_weight * kernel.eval(t, np.zeros_like(uu), None)
     # the walk visits each unordered pair once; the energy sums ordered pairs
@@ -226,17 +223,19 @@ def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> Energ
     """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p, the flow
     energy of the p-Laplacian kernel."""
     p = float(p)
-    if not p >= 1.0:
-        raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
-    value = flow_energy(grid, table, RangeKernel("p_laplacian", p=p), u)
+    value = flow_energy(grid, table, _p_energy_kernel(p), u)
     return EnergyValue(kind="p", value=value, parameter=p)
 
 
 def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> EnergyValue:
     """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2)), the
     flow energy of the bilateral kernel divided by h^2/2."""
-    value = flow_energy(grid, table, bilateral_kernel(h), u) / (0.5 * h * h)
-    return EnergyValue(kind="bilateral", value=value, parameter=float(h))
+    kernel = bilateral_kernel(h)
+    scale = 0.5 * kernel.h * kernel.h
+    if not np.finfo(np.float64).tiny <= scale < np.inf:
+        raise ConfigurationError(f"bilateral width {h!r} is out of range: h^2/2 is not a normal float")
+    value = flow_energy(grid, table, kernel, u) / scale
+    return EnergyValue(kind="bilateral", value=value, parameter=kernel.h)
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:
@@ -253,11 +252,9 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("field does not live on the energy grid")
-    # a mollified kernel has its base's density; this skips its quadrature
-    kernel = kernel.base or kernel
     acc = 0.0
     for w, _, _, s, pe in _pairs(u.reshaped(), table, kernel):
-        acc += _weighted_sum(w, kernel.eval(0.0, s, pe, True)[1])
+        acc += _weighted_sum(w, kernel.density(0.0, s, pe))
     return 2.0 * grid.node_volume**2 * acc
 
 

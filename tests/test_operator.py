@@ -252,6 +252,9 @@ def test_energy_parameter_validation():
         energy_p(g, t, u, 0.5)
     with pytest.raises(ConfigurationError):
         energy_bilateral(g, t, u, 0.0)
+    for h in (1e-160, 1e160):  # h^2/2 underflows, overflows
+        with pytest.raises(ConfigurationError, match="not a normal float"):
+            energy_bilateral(g, t, u, h)
     with pytest.raises(ConfigurationError):
         one_step_filter(g, t, u, 0.0)
     k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
@@ -335,9 +338,11 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
-        # the evaluation that also returns the energy density returns the same A
+        # the density from the A the operator's walk holds is the one
+        # flow_energy computes on its own
         for _, _, _, s, pe in operator._pairs(u.reshaped(), t, k):
-            assert np.array_equal(k.eval(0.3, s, pe, True)[0], k.eval(0.3, s, pe)), k.family
+            a = k.eval(0.3, s, pe)
+            assert np.array_equal(k.density(0.3, s, pe, a), k.density(0.3, s, pe)), k.family
         out = apply_nonlocal(g, t, k, 0.3, u)
         assert out.flops_estimate == len(pairs)
         want = dense_oracle(g, t, k, 0.3, u)
