@@ -482,12 +482,8 @@ class RangeKernel:
         if fam == "mollified":
             return self.base.density(t, s, pair_ref)
         if fam == "bilateral_gaussian":
-            # in place: on blocks of 10^4 pairs, a new array per step costs
-            # about as much as the exponential
-            z = np.divide(s, self.h, out=np.empty_like(s))
-            z *= z
-            np.exp(np.negative(z, out=z), out=z)
-            return np.multiply(0.5 * self.h * self.h, np.subtract(1.0, z, out=z), out=z)
+            z = s / self.h
+            return (0.5 * self.h * self.h) * (1.0 - np.exp(-z * z))
         if fam == "p_laplacian":
             q = self.p
         elif fam == "spatial_exponent":
