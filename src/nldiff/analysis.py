@@ -10,64 +10,19 @@ always covers the full battery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Field, lp_norm
-from .kernels import RangeKernel, mollify_range_kernel
+from .kernels import RangeKernel, RunReport, mollify_range_kernel
 from .stepper import (
     Problem,
     Trajectory,
     solve_problem,
     stability_constant_estimate,
 )
-
-
-@dataclass(frozen=True)
-class Check:
-    """One verified inequality: measured value against its threshold."""
-
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    note: str = ""
-
-
-@dataclass
-class RunReport:
-    checks: list = dataclass_field(default_factory=list)
-    constants: dict = dataclass_field(default_factory=dict)
-    series: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, measured: float, threshold: float, note: str = ""):
-        self.checks.append(Check(name, bool(passed), float(measured), float(threshold), note))
-
-    def to_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            line = f"[{mark}] {c.name}: measured {c.measured:.6e} vs threshold {c.threshold:.6e}"
-            if c.note:
-                line += f" ({c.note})"
-            lines.append(line)
-        for k in sorted(self.constants):
-            lines.append(f"constant {k} = {self.constants[k]!r}")
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        rows = ["check,name,pass,measured,threshold"]
-        for c in self.checks:
-            rows.append(
-                f"check,{c.name},{1 if c.passed else 0},{c.measured:.17g},{c.threshold:.17g}"
-            )
-        return "\n".join(rows) + "\n"
 
 
 def verify_invariants(traj: Trajectory) -> RunReport:
@@ -134,8 +89,7 @@ def verify_invariants(traj: Trajectory) -> RunReport:
             "max |w| against max(|u0|, C_f / margin)",
         )
 
-    gradient_flow = traj.kernel.family in ("linear", "p_laplacian", "bilateral_gaussian")
-    if gradient_flow and traj.reaction.is_zero and c["mu"] == 0.0:
+    if traj.kernel.has_energy and traj.reaction.is_zero and c["mu"] == 0.0:
         increments = np.diff(d["energy"])
         worst = float(np.max(increments)) if increments.size else 0.0
         applicable = c["tau"] <= c["tau_positivity_limit"]

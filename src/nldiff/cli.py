@@ -94,7 +94,6 @@ def _cmd_denoise(args) -> int:
         config = SolverConfig(
             T=args.T,
             steps=args.steps,
-            scheme="semi_implicit_w",
             mu_mode="manual",
             mu=0.0,
             record_every=max(1, args.steps),
@@ -224,7 +223,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if exc.report is not None:
             for check in exc.report.failed():
-                print(f"  failed: {check.name}: {check.detail}", file=sys.stderr)
+                print(f"  {check}", file=sys.stderr)
         return 2
     except NumericalBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from .kernels import (
     zero_reaction,
 )
 from .pgm import image_to_field, load_pgm
-from .stepper import MU_MODES, SCHEMES, Problem, SolverConfig, _check_seed
+from .stepper import MU_MODES, Problem, SolverConfig, _check_seed
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,6 @@ _PARSERS.update(
         ),
         "reaction.family": _choice(*REACTION_FAMILIES),
         "initial.kind": _choice("constant", "random", "step", "field_csv", "pgm"),
-        "solver.scheme": _choice(*SCHEMES),
         "solver.mu_mode": _choice(*MU_MODES),
         "study.norm": _parse_norm,
     }

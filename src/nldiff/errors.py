@@ -30,8 +30,10 @@ class KernelValidationError(NldiffError):
 class AssumptionViolationError(NldiffError):
     """The solver refused to run because the problem data is nonconformant.
 
-    Carries the full validation report; pass ``allow_nonconformant=True`` to
-    run anyway (the a priori estimates are then void).
+    ``report`` is the :class:`~nldiff.kernels.RunReport` of
+    :func:`~nldiff.kernels.validate_assumptions`, every check with its
+    measured value and threshold; pass ``allow_nonconformant=True`` to run
+    anyway (the a priori estimates are then void).
     """
 
     def __init__(self, message: str, report=None):

@@ -201,8 +201,12 @@ def _gather_block(node: np.ndarray, group: list) -> tuple:
     )
 
 
-def _candidate_offsets(grid: Grid):
-    ranges = [np.arange(-(c - 1), c) for c in grid.counts]
+def _candidate_offsets(grid: Grid, reach: float):
+    """The grid's offsets, in lexicographic order, whose length along each
+    axis is at most ``reach`` plus one node spacing: every offset of the
+    ball of radius ``reach``, in the order of the grid's full offset box."""
+    cells = [int(min(c - 1, reach / h + 1.0)) for c, h in zip(grid.counts, grid.spacing)]
+    ranges = [np.arange(-m, m + 1) for m in cells]
     if grid.dim == 1:
         return ranges[0][:, None]
     a, b = np.meshgrid(*ranges, indexing="ij")
@@ -241,7 +245,7 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
     if family in ("gaussian", "box"):
         if not radius > 0.0:
             raise ConfigurationError(f"kernel radius must be positive, got {radius}")
-        cand = _candidate_offsets(grid)
+        cand = _candidate_offsets(grid, 4.0 * radius if family == "gaussian" else radius)
         rsq = _physical_sq_norm(grid, cand)
         if family == "gaussian":
             keep = rsq < (4.0 * radius) ** 2
@@ -469,6 +473,13 @@ class RangeKernel:
         if self.family == "custom":
             return np.asarray(self.fn(t, s), dtype=np.float64)
         return self._mollified(t, s, pair_ref)
+
+    @property
+    def has_energy(self) -> bool:
+        """Whether :meth:`density` is an antiderivative of A in s, so the
+        flow descends its energy; the mollified, variable_exponent and
+        custom densities are only monitors."""
+        return self.family in ("linear", "p_laplacian", "spatial_exponent", "bilateral_gaussian")
 
     def density(self, t: float, s, pair_ref=None, a=None):
         """The flow's energy density Phi at ``s`` (see :mod:`nldiff.operator`),
@@ -879,29 +890,54 @@ def sample_holder_constant(
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class Check:
+    """One verified inequality: measured value against its threshold."""
+
     name: str
     passed: bool
-    detail: str = ""
+    measured: float
+    threshold: float
+    note: str = ""
+
+    def __str__(self):
+        mark = "PASS" if self.passed else "FAIL"
+        line = f"[{mark}] {self.name}: measured {self.measured:.6e} vs threshold {self.threshold:.6e}"
+        return line + (f" ({self.note})" if self.note else "")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
+@dataclass
+class RunReport:
+    """Named checks with their measured values and thresholds, plus the
+    constants and series behind them; written by :func:`validate_assumptions`
+    and by the studies in :mod:`nldiff.analysis`."""
+
+    checks: list = field(default_factory=list)
+    constants: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed(self):
+    def failed(self) -> list:
         return [c for c in self.checks if not c.passed]
 
-    def __str__(self):
-        lines = []
-        for c in self.checks:
-            mark = "ok" if c.passed else "FAIL"
-            lines.append(f"[{mark}] {c.name}" + (f": {c.detail}" if c.detail else ""))
+    def add(self, name: str, passed: bool, measured: float, threshold: float, note: str = ""):
+        self.checks.append(Check(name, bool(passed), float(measured), float(threshold), note))
+
+    def to_text(self) -> str:
+        lines = [str(c) for c in self.checks]
+        for k in sorted(self.constants):
+            lines.append(f"constant {k} = {self.constants[k]!r}")
         return "\n".join(lines)
+
+    def to_csv(self) -> str:
+        rows = ["check,name,pass,measured,threshold"]
+        for c in self.checks:
+            rows.append(
+                f"check,{c.name},{1 if c.passed else 0},{c.measured:.17g},{c.threshold:.17g}"
+            )
+        return "\n".join(rows) + "\n"
 
 
 def validate_assumptions(
@@ -912,7 +948,7 @@ def validate_assumptions(
     *,
     seed: int = 42,
     samples: int = 256,
-) -> ValidationReport:
+) -> RunReport:
     """Check the structural hypotheses the well-posedness theory needs.
 
     Everything is reported; nothing raises.  The checks cover the spatial
@@ -920,29 +956,21 @@ def validate_assumptions(
     is enforced when the table is built), the range kernel (A(0) = 0,
     oddness, the sign condition A(s) s >= 0, symmetry in the node pair,
     and monotonicity when declared), the reaction (f(t, x, 0) >= 0 and the
-    declared growth bound), and non-negativity of the initial state.  Sampling uses a
-    dedicated generator seeded by ``seed`` so reports are reproducible.
+    declared growth bound), and non-negativity of the initial state.  Each
+    goes into the returned :class:`RunReport` with its measured value and
+    threshold.  Sampling uses a dedicated generator seeded by ``seed`` so
+    reports are reproducible.
     """
     rng = np.random.default_rng(seed)
-    checks = []
+    rep = RunReport()
 
     # spatial kernel
     neg = np.flatnonzero(table.weights < 0.0)
-    checks.append(
-        CheckResult(
-            "spatial kernel non-negativity",
-            neg.size == 0,
-            "" if neg.size == 0 else f"negative weights at table rows {neg[:8].tolist()}",
-        )
-    )
+    rep.add("spatial kernel non-negativity", neg.size == 0, neg.size, 0.0,
+            "" if neg.size == 0 else f"negative weights at table rows {neg[:8].tolist()}")
     mass = table.discrete_mass()
-    checks.append(
-        CheckResult(
-            "spatial kernel unit mass",
-            abs(mass - 1.0) <= 1e-10,
-            f"discrete mass {mass!r}",
-        )
-    )
+    rep.add("spatial kernel unit mass", abs(mass - 1.0) <= 1e-10, abs(mass - 1.0), 1e-10,
+            f"discrete mass {mass!r}")
 
     # range kernel, sampled on a window scaled to the data
     radius = 2.0 * max(1.0, float(np.max(np.abs(u0.values))))
@@ -955,76 +983,47 @@ def validate_assumptions(
     a_neg = kernel.eval(0.0, -s, pair_ref)
 
     zero_val = float(np.abs(kernel.eval(0.0, np.zeros(1), np.zeros(1) if kernel.needs_pair_reference else None))[0])
-    checks.append(CheckResult("range kernel vanishes at 0", zero_val <= 1e-12, f"|A(0)| = {zero_val:.3e}"))
+    rep.add("range kernel vanishes at 0", zero_val <= 1e-12, zero_val, 1e-12, f"|A(0)| = {zero_val:.3e}")
 
     odd_defect = float(np.max(np.abs(a_pos + a_neg)))
-    checks.append(
-        CheckResult(
-            "range kernel oddness",
-            odd_defect <= 1e-10 * max(1.0, float(np.max(np.abs(a_pos)))),
+    odd_thr = 1e-10 * max(1.0, float(np.max(np.abs(a_pos))))
+    rep.add("range kernel oddness", odd_defect <= odd_thr, odd_defect, odd_thr,
             f"max |A(s) + A(-s)| = {odd_defect:.3e}"
-            + ("" if odd_defect <= 1e-10 else "; an even window like exp(-s^2/h^2) fails here"),
-        )
-    )
+            + ("" if odd_defect <= 1e-10 else "; an even window like exp(-s^2/h^2) fails here"))
 
     sign_defect = float(np.min(a_pos * s))
-    checks.append(
-        CheckResult(
-            "range kernel sign condition",
-            sign_defect >= -1e-12,
-            f"min A(s) s = {sign_defect:.3e}",
-        )
-    )
+    rep.add("range kernel sign condition", sign_defect >= -1e-12, sign_defect, -1e-12,
+            f"min A(s) s = {sign_defect:.3e}")
 
     if kernel.needs_pair_reference:
         swapped = kernel.eval(0.0, s, -np.asarray(pair_ref))
         pair_defect = float(np.max(np.abs(a_pos - swapped)))
     else:
         pair_defect = 0.0
-    checks.append(
-        CheckResult(
-            "range kernel pair symmetry",
-            pair_defect <= 1e-12,
-            f"max |A(x,y,s) - A(y,x,s)| = {pair_defect:.3e}",
-        )
-    )
+    rep.add("range kernel pair symmetry", pair_defect <= 1e-12, pair_defect, 1e-12,
+            f"max |A(x,y,s) - A(y,x,s)| = {pair_defect:.3e}")
 
     if kernel.monotone:
         sorted_s = np.sort(s)
         vals = kernel.eval(0.0, sorted_s, np.zeros_like(sorted_s) if kernel.needs_pair_reference else None)
         defect = float(np.min(np.diff(vals)))
-        checks.append(
-            CheckResult(
-                "range kernel monotonicity",
-                defect >= -1e-12,
-                f"min sampled increment {defect:.3e}",
-            )
-        )
+        rep.add("range kernel monotonicity", defect >= -1e-12, defect, -1e-12,
+                f"min sampled increment {defect:.3e}")
 
     # reaction
     f0 = reaction.eval(0.0, None, np.zeros(1))[0]
-    checks.append(CheckResult("reaction non-negative at 0", f0 >= 0.0, f"f(0) = {f0!r}"))
+    rep.add("reaction non-negative at 0", f0 >= 0.0, f0, 0.0, f"f(0) = {f0!r}")
     lo, hi = reaction.working_range
     sg = np.linspace(lo, hi, 1025)
     fv = reaction.eval(0.0, None, sg)
     excess = float(np.max(np.abs(fv) - reaction.c_growth * (1.0 + np.abs(sg))))
-    checks.append(
-        CheckResult(
-            "reaction growth bound",
-            excess <= 1e-12 * max(1.0, reaction.c_growth),
-            f"max |f| - C(1+|s|) = {excess:.3e} on [{lo}, {hi}]",
-        )
-    )
+    growth_thr = 1e-12 * max(1.0, reaction.c_growth)
+    rep.add("reaction growth bound", excess <= growth_thr, excess, growth_thr,
+            f"max |f| - C(1+|s|) = {excess:.3e} on [{lo}, {hi}]")
 
     # initial state
     min_idx = int(np.argmin(u0.values))
     min_val = float(u0.values[min_idx])
-    checks.append(
-        CheckResult(
-            "initial state non-negativity",
-            min_val >= 0.0,
-            f"min {min_val!r} at node {min_idx}",
-        )
-    )
-
-    return ValidationReport(checks=tuple(checks))
+    rep.add("initial state non-negativity", min_val >= 0.0, min_val, 0.0,
+            f"min {min_val!r} at node {min_idx}")
+    return rep

@@ -1,6 +1,6 @@
 """Time discretization of the nonlocal reaction-diffusion flow.
 
-The workhorse scheme integrates the damped substitution u = exp(mu t) w.
+The solver integrates the damped substitution u = exp(mu t) w.
 One step of size tau from time t_j reads
 
     w_{j+1} = ( w_j + tau e^{-mu t_j} [ (L u_j) + f(t_j, ., u_j) ] )
@@ -9,8 +9,8 @@ One step of size tau from time t_j reads
 so the nonlocal operator L and the reaction are explicit at the left
 endpoint while the damping -mu w is implicit, which is what makes the
 growth and sup-norm estimates close.  With mu = 0 every transform above
-multiplies by exactly 1.0 and the update collapses, bit for bit, to the
-plain explicit Euler scheme that is also available for cross-checks.
+multiplies by exactly 1.0 and the update is, bit for bit, the plain
+explicit Euler scheme u_{j+1} = u_j + tau [ (L u_j) + f(t_j, ., u_j) ].
 
 Three ways to pick mu:
 
@@ -59,7 +59,6 @@ from .kernels import (
 )
 from .operator import _apply, _check_table
 
-SCHEMES = ("semi_implicit_w", "explicit_euler")
 MU_MODES = ("auto_growth", "auto_linf", "manual")
 
 DIAGNOSTIC_COLUMNS = ("step", "t", "min", "max", "mass", "energy", "op_sup")
@@ -78,7 +77,6 @@ class SolverConfig:
 
     T: float
     steps: int
-    scheme: str = "semi_implicit_w"
     mu_mode: str = "auto_growth"
     mu: float = 0.0
     mu_margin: float = 0.01
@@ -89,8 +87,6 @@ class SolverConfig:
             raise ConfigurationError(f"final time must be finite and positive, got {self.T}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ConfigurationError(f"step count must be a positive integer, got {self.steps}")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.mu_mode not in MU_MODES:
             raise ConfigurationError(f"unknown mu mode {self.mu_mode!r}")
         if not self.mu >= 0.0:
@@ -182,46 +178,25 @@ def step_semi_implicit(
     """One damped step; takes and returns the transformed unknown w."""
     if w_j.grid != grid:
         raise GridMismatchError("state does not live on the given grid")
-    new = _step(w_j.reshaped(), t_j, tau, mu, True, table, kernel, reaction)[0]
+    new = _step(w_j.reshaped(), t_j, tau, mu, table, kernel, reaction)[0]
     return Field(grid, new.ravel())
 
 
-def step_explicit_euler(
-    grid: Grid,
-    table: SpatialKernelTable,
-    kernel: RangeKernel,
-    reaction: Reaction,
-    t_j: float,
-    tau: float,
-    u_j: Field,
-) -> Field:
-    """One forward Euler step on the untransformed unknown."""
-    if u_j.grid != grid:
-        raise GridMismatchError("state does not live on the given grid")
-    new = _step(u_j.reshaped(), t_j, tau, 0.0, False, table, kernel, reaction)[0]
-    return Field(grid, new.ravel())
+def _step(w, t_j, tau, mu, table, kernel, reaction, energy=False):
+    """One damped step from the transformed unknown w at time t_j.
 
-
-def _step(state, t_j, tau, mu, semi, table, kernel, reaction, energy=False):
-    """One step of either scheme from the stored unknown at time t_j.
-
-    ``state`` is w for the damped scheme (``semi``) and u for explicit
-    Euler.  Returns (new_state, u, op, e): the stored unknown at
-    t_j + tau, the original unknown u at t_j, the operator applied to it
-    and, with ``energy``, the flow energy of u from the same pair walk
-    (else None).  Raises :class:`NumericalBlowupError` when u at t_j is not
-    finite; the caller knows the step index and the last finite state.
+    Returns (new_w, u, op, e): w at t_j + tau, the original unknown
+    u = e^{mu t_j} w, the operator applied to it and, with ``energy``, the
+    flow energy of u from the same pair walk (else None).  Raises
+    :class:`NumericalBlowupError` when u is not finite; the caller knows
+    the step index and the last finite state.
     """
-    u = math.exp(mu * t_j) * state if semi else state
+    u = math.exp(mu * t_j) * w
     if not np.all(np.isfinite(u)):
         raise NumericalBlowupError("state left the finite range", step=0, t=t_j)
     op, e = _apply(u, table, kernel, t_j, energy)
     rhs = op + reaction.eval(t_j, None, u)
-    if semi:
-        new = (state + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu)
-    else:
-        new = u + tau * rhs
-    return new, u, op, e
+    return (w + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu), u, op, e
 
 
 def _resolve_constants(kernel, reaction, u0, config, seed):
@@ -266,12 +241,14 @@ def solve(
     seed: int = 42,
     allow_nonconformant: bool = False,
 ) -> Trajectory:
-    """Integrate the flow from u0 to time T.
+    """Integrate the flow from u0 to time T with the damped scheme of the
+    module docstring (explicit Euler when mu = 0).
 
-    The problem data is validated against the structural hypotheses first;
-    a failing report raises :class:`AssumptionViolationError` unless
-    ``allow_nonconformant`` is set, in which case the run proceeds and the
-    trajectory constants keep only the verdict, ``assumptions_ok``.  A
+    The problem data is validated against the structural hypotheses first
+    by :func:`validate_assumptions`; a failing report raises
+    :class:`AssumptionViolationError`, which carries that ``RunReport``,
+    unless ``allow_nonconformant`` is set, in which case the run proceeds
+    and the trajectory constants keep only the verdict, ``assumptions_ok``.  A
     negative or non-integer ``seed`` raises :class:`ConfigurationError`.  A
     state that stops being finite raises :class:`NumericalBlowupError`
     carrying the first step whose u is not finite and the last finite u,
@@ -308,7 +285,6 @@ def solve(
             "tau": tau,
             "kernel_mass": mass_s,
             "tau_positivity_limit": tau_limit,
-            "scheme": config.scheme,
             "assumptions_ok": report.all_passed,
         }
     )
@@ -319,7 +295,6 @@ def solve(
             stacklevel=2,
         )
 
-    semi = config.scheme == "semi_implicit_w"
     state = u0.values.reshape(grid.counts).copy()
 
     diag = {name: np.empty(N + 1) for name in DIAGNOSTIC_COLUMNS}
@@ -347,7 +322,7 @@ def solve(
     for j in range(N + 1):
         t_j = t_of(j)
         try:
-            new, u_j, op, e = _step(state, t_j, tau, mu, semi, table, kernel, reaction, True)
+            new, u_j, op, e = _step(state, t_j, tau, mu, table, kernel, reaction, True)
         except NumericalBlowupError as exc:
             raise NumericalBlowupError(
                 f"{exc} at step {j} (t = {t_j:.6g})",

@@ -26,9 +26,12 @@ from nldiff import (
     logistic_reaction,
     make_spatial_kernel,
     mollifier_cauchy_study,
+    mollify_range_kernel,
     p_laplacian_kernel,
     solve_problem,
+    spatial_exponent_kernel,
     time_refinement_study,
+    variable_exponent_kernel,
     verify_invariants,
     zero_reaction,
 )
@@ -134,6 +137,28 @@ def test_invariants_energy_check_needs_gradient_flow_setup():
     with_reaction = solve_problem(
         small_problem(rng.uniform(0.1, 0.9, 16), reaction=logistic_reaction(0.3, 2.0)))
     assert "energy descent" not in [c.name for c in verify_invariants(with_reaction).checks]
+
+
+@pytest.mark.parametrize(
+    "values, warns",
+    [((3.0, 2.5), False), ((2.5, 2.0), False), ((1.8, 1.5), True)],
+    ids=["3-2.5", "2.5-2", "1.8-1.5"],
+)
+def test_invariants_energy_descent_for_spatial_exponent(values, warns):
+    rng = np.random.default_rng(17)
+    g = build_grid(1, [(0.0, 1.0)], [32])
+    kernel = spatial_exponent_kernel([0.0, 1.0], values, Field(g, rng.uniform(0.0, 1.0, 32)))
+    problem = small_problem(rng.uniform(0.1, 0.9, 32), kernel=kernel, counts=32)
+    if warns:  # exponents below 2 have an unbounded slope at 0
+        with pytest.warns(UserWarning, match="positivity bound"):
+            traj = solve_problem(problem)
+    else:
+        traj = solve_problem(problem)
+    descent = next(c for c in verify_invariants(traj).checks if c.name == "energy descent")
+    assert descent.passed and descent.measured < 0.0
+    assert kernel.has_energy
+    assert not mollify_range_kernel(kernel, 4).has_energy
+    assert not variable_exponent_kernel([0.0, 1.0], [3.0, 2.5]).has_energy
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,7 @@ def test_nonconformant_data_exits_2_with_details(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "initial state non-negativity" in captured.err
+    assert "measured -5.000000e-01 vs threshold 0.000000e+00" in captured.err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -400,8 +401,11 @@ def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
         ((MINIMAL + "seed = -1\n").encode("utf-8"), "seed must be a non-negative integer"),
         ((MINIMAL.replace("solver.T = 0.1", "solver.T = inf") + "solver.mu_mode = manual\n")
          .encode("utf-8"), "final time must be finite and positive"),
+        ((MINIMAL + "solver.scheme = semi_implicit_w\n").encode("utf-8"),
+         "line 8: unknown key 'solver.scheme'"),
     ],
-    ids=["config_latin1", "config_negative_seed", "config_infinite_T"],
+    ids=["config_latin1", "config_negative_seed", "config_infinite_T",
+         "config_removed_scheme_key"],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
     cfg = tmp_path / "run.cfg"

@@ -108,6 +108,56 @@ def test_kernel_table_is_sorted_lexicographically():
     assert rows == sorted(rows)
 
 
+def _full_box_table(g, family, radius):
+    """Gaussian or box table from every offset of the grid, filtered."""
+    ranges = [np.arange(-(c - 1), c) for c in g.counts]
+    cand = np.stack([a.ravel() for a in np.meshgrid(*ranges, indexing="ij")], axis=-1)
+    rsq = np.zeros(cand.shape[0])
+    for k in range(g.dim):
+        rsq += (cand[:, k] * g.spacing[k]) ** 2
+    if family == "gaussian":
+        keep = rsq < (4.0 * radius) ** 2
+        raw = np.exp(-rsq[keep] / (radius * radius))
+    else:
+        keep = rsq <= radius * radius
+        raw = np.ones(int(np.count_nonzero(keep)))
+    normalization = g.node_volume * float(np.sum(raw))
+    return cand[keep], raw / normalization, normalization
+
+
+@pytest.mark.parametrize("family", ["gaussian", "box"])
+@pytest.mark.parametrize(
+    "extents, counts, radii",
+    [
+        ([(0.0, 1.0)], [37], [0.01, 0.05, 0.3, 5.0, 1e150]),
+        ([(0.0, 1.0), (-0.5, 0.7)], [24, 17], [0.03, 0.1, 0.5, 3.0, 1e150]),
+    ],
+    ids=["1d", "2d"],
+)
+def test_radius_box_enumeration_matches_the_full_grid(family, extents, counts, radii):
+    g = build_grid(len(counts), extents, counts)
+    for radius in radii:
+        t = make_spatial_kernel(g, family, radius)
+        offsets, weights, normalization = _full_box_table(g, family, radius)
+        assert np.array_equal(t.offsets, offsets)
+        assert np.array_equal(t.weights, weights)
+        assert t.normalization == normalization
+
+
+def test_narrow_gaussian_table_on_a_large_grid_stays_small():
+    import tracemalloc
+
+    g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [512, 512])
+    tracemalloc.start()
+    try:
+        t = make_spatial_kernel(g, "gaussian", 0.002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.size == 49
+    assert peak < 8e6
+
+
 def test_custom_table_normalization_and_lookup():
     g = build_grid(1, [(0.0, 1.0)], [8])
     offs = np.array([[-1], [0], [1]])
@@ -493,7 +543,7 @@ def test_validate_flags_even_window_kernel():
     assert "range kernel oddness" in failed
     assert "range kernel sign condition" in failed
     odd = next(c for c in report.checks if c.name == "range kernel oddness")
-    assert "even window" in odd.detail
+    assert "even window" in odd.note
 
 
 def test_validate_flags_negative_initial_state():
@@ -503,7 +553,7 @@ def test_validate_flags_negative_initial_state():
     report = validate_assumptions(t, k, zero_reaction(), Field(g, vals))
     bad = next(c for c in report.checks if c.name == "initial state non-negativity")
     assert not bad.passed
-    assert "node 5" in bad.detail
+    assert "node 5" in bad.note
 
 
 def test_validate_flags_negative_reaction_at_zero():

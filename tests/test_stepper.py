@@ -1,4 +1,4 @@
-"""Time stepping: scheme collapse, bit-exact recurrence oracles, guards.
+"""Time stepping: the mu = 0 collapse, bit-exact recurrence oracles, guards.
 
 Two oracles anchor this module.  A scalar transcription of the damped
 update formula, written against a two-node problem whose operator has a
@@ -24,6 +24,7 @@ from nldiff import (
     SolverConfig,
     UndefinedRatioError,
     affine_reaction,
+    apply_nonlocal,
     build_grid,
     export_trajectory,
     linear_kernel,
@@ -35,17 +36,15 @@ from nldiff import (
     solve,
     solve_problem,
     stability_constant_estimate,
-    step_explicit_euler,
     step_semi_implicit,
     zero_reaction,
 )
 
 
-def two_node_problem(u0_vals, *, T=0.5, steps=16, mu_mode="manual", mu=0.0,
-                     reaction=None, scheme="semi_implicit_w"):
+def two_node_problem(u0_vals, *, T=0.5, steps=16, mu_mode="manual", mu=0.0, reaction=None):
     g = build_grid(1, [(0.0, 1.0)], [2])
     t = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, 0.0, 1.0]))
-    cfg = SolverConfig(T=T, steps=steps, scheme=scheme, mu_mode=mu_mode, mu=mu)
+    cfg = SolverConfig(T=T, steps=steps, mu_mode=mu_mode, mu=mu)
     return Problem(g, t, linear_kernel(), reaction or zero_reaction(), Field(g, u0_vals), cfg)
 
 
@@ -74,7 +73,7 @@ def test_select_mu_hand_values():
         dict(T=-1.0, steps=4),
         dict(T=1.0, steps=0),
         dict(T=1.0, steps=2.5),
-        dict(T=1.0, steps=4, scheme="leapfrog"),
+        dict(T=1.0, steps=4, mu_margin=math.nan),
         dict(T=1.0, steps=4, mu_mode="adaptive"),
         dict(T=1.0, steps=4, mu=-0.1),
         dict(T=1.0, steps=4, mu_margin=0.0),
@@ -125,14 +124,22 @@ def test_mu_zero_collapses_to_explicit_euler_bit_for_bit():
     t = make_spatial_kernel(g, "gaussian", 0.1)
     u0 = Field(g, np.random.default_rng(6).uniform(0.1, 0.9, 24))
     r = logistic_reaction(0.4, 2.0)
-    semi = solve(g, t, p_laplacian_kernel(2.5), r, u0,
-                 SolverConfig(T=0.25, steps=64, scheme="semi_implicit_w", mu_mode="manual"))
-    euler = solve(g, t, p_laplacian_kernel(2.5), r, u0,
-                  SolverConfig(T=0.25, steps=64, scheme="explicit_euler", mu_mode="manual"))
-    assert len(semi.states) == len(euler.states)
-    for a, b in zip(semi.states, euler.states):
-        np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(semi.per_step["max"], euler.per_step["max"])
+    k = p_laplacian_kernel(2.5)
+    T, steps = 0.25, 64
+    semi = solve(g, t, k, r, u0, SolverConfig(T=T, steps=steps, mu_mode="manual"))
+    # forward Euler written out here, independent of the solver's step
+    tau = T / steps
+    u = u0.values.copy()
+    euler = [u]
+    for j in range(steps):
+        t_j = T * (j / steps)
+        u = u + tau * (apply_nonlocal(g, t, k, t_j, Field(g, u)).result.values
+                       + r.eval(t_j, None, u))
+        euler.append(u)
+    assert len(semi.states) == len(euler)
+    for a, b in zip(semi.states, euler):
+        np.testing.assert_array_equal(a.values, b)
+    np.testing.assert_array_equal(semi.per_step["max"], [b.max() for b in euler])
 
 
 def damped_recurrence_oracle(u0, T, steps, mu):
@@ -174,7 +181,7 @@ def test_single_step_wrappers_match_solver_formulas():
     op = np.array([0.5 * (u[1] - u[0]), 0.5 * (u[0] - u[1])])
     want = (w.values + (tau * emt) * (op + np.zeros(2))) / (1.0 + tau * mu)
     np.testing.assert_array_equal(got.values, want)
-    got_e = step_explicit_euler(g, t, linear_kernel(), zero_reaction(), 0.0, tau, w)
+    got_e = step_semi_implicit(g, t, linear_kernel(), zero_reaction(), 0.0, tau, 0.0, w)
     op0 = np.array([0.5 * (w.values[1] - w.values[0]), 0.5 * (w.values[0] - w.values[1])])
     np.testing.assert_array_equal(got_e.values, w.values + tau * (op0 + np.zeros(2)))
 
