@@ -92,7 +92,8 @@ class SpatialKernelTable:
     ``zero_weight`` is the weight of d = 0, which couples a node with
     itself and so carries no flux of an odd kernel; the one-step filter
     still counts it.  ``pair_count`` is the number of ordered node pairs
-    the full table couples, every offset included.  A table that is not
+    the full table couples, every offset included, and ``largest_block``
+    the number of pairs in the walk's largest block.  A table that is not
     even, offsets and weights bit for bit, raises
     :class:`KernelValidationError`.
     """
@@ -106,6 +107,7 @@ class SpatialKernelTable:
     blocks: tuple = field(init=False, repr=False, compare=False)
     zero_weight: float = field(init=False, repr=False, compare=False)
     pair_count: int = field(init=False, repr=False, compare=False)
+    largest_block: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = np.atleast_2d(np.asarray(self.offsets, dtype=np.int64))
@@ -141,7 +143,9 @@ class SpatialKernelTable:
                 pairs.append((w, tuple(dst), tuple(src)))
                 sizes.append(size)
         object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "blocks", _walk_blocks(self.grid, pairs, sizes))
+        blocks, largest = _walk_blocks(self.grid, pairs, sizes)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "largest_block", largest)
         object.__setattr__(self, "zero_weight", w0)
         object.__setattr__(self, "pair_count", count)
 
@@ -175,9 +179,10 @@ _GATHER_CHUNK = 8192
 
 
 def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
-    """Cut the per-offset slices into slice blocks and gather blocks, in order."""
+    """Cut the per-offset slices into slice blocks and gather blocks, in
+    order; returns the blocks and the pair count of the largest."""
     node = np.arange(grid.node_count, dtype=np.int32).reshape(grid.counts)
-    blocks, group, held = [], [], 0
+    blocks, group, held, largest = [], [], 0, 0
     for (w, dst, src), size in zip(pairs, sizes):
         if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
             blocks.append(_gather_block(node, group))
@@ -187,9 +192,10 @@ def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
         else:
             group.append((w, dst, src, size))
             held += size
+        largest = max(largest, size if size >= _GATHER_BELOW else held)
     if group:
         blocks.append(_gather_block(node, group))
-    return tuple(blocks)
+    return tuple(blocks), largest
 
 
 def _gather_block(node: np.ndarray, group: list) -> tuple:
@@ -220,6 +226,12 @@ def _physical_sq_norm(grid: Grid, offsets: np.ndarray) -> np.ndarray:
     return acc
 
 
+# A larger radius builds the offsets and weights of this one: on a grid
+# narrower than 1e140 both hold every offset with Gaussian weight 1.0, and
+# (4 radius)^2 stays finite, which it does not past ~1e154.
+_FLAT_RADIUS = 1e150
+
+
 def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None) -> SpatialKernelTable:
     """Build a spatial kernel table on a grid.
 
@@ -229,9 +241,10 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
     family : str
         ``gaussian``, ``box``, or ``custom_table``.
     radius : float
-        Length scale.  The Gaussian is exp(-|x|^2 / radius^2), truncated to
-        zero where |x| >= 4 radius; the box is the indicator of the ball
-        |x| <= radius.
+        Length scale, positive and finite.  The Gaussian is
+        exp(-|x|^2 / radius^2), truncated to zero where |x| >= 4 radius; the
+        box is the indicator of the ball |x| <= radius.  A radius above
+        1e150 builds the table of radius 1e150.
     table : (offsets, weights), optional
         Raw samples for ``custom_table``.  They must be non-negative, list
         each offset once, and be even under offset negation with
@@ -243,16 +256,17 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
     ``normalization``.
     """
     if family in ("gaussian", "box"):
-        if not radius > 0.0:
-            raise ConfigurationError(f"kernel radius must be positive, got {radius}")
-        cand = _candidate_offsets(grid, 4.0 * radius if family == "gaussian" else radius)
+        if not 0.0 < radius < math.inf:
+            raise ConfigurationError(f"kernel radius must be positive and finite, got {radius}")
+        r = min(float(radius), _FLAT_RADIUS)
+        cand = _candidate_offsets(grid, 4.0 * r if family == "gaussian" else r)
         rsq = _physical_sq_norm(grid, cand)
         if family == "gaussian":
-            keep = rsq < (4.0 * radius) ** 2
+            keep = rsq < (4.0 * r) ** 2
             cand = cand[keep]
-            raw = np.exp(-rsq[keep] / (radius * radius))
+            raw = np.exp(-rsq[keep] / (r * r))
         else:
-            keep = rsq <= radius * radius
+            keep = rsq <= r * r
             cand = cand[keep]
             raw = np.ones(int(np.count_nonzero(keep)))
     elif family == "custom_table":
@@ -456,23 +470,7 @@ class RangeKernel:
         :class:`PairExponents`, for the spatial_exponent family and is
         ignored elsewhere.
         """
-        s = np.asarray(s, dtype=np.float64)
-        if self.family == "linear":
-            return s.copy()
-        if self.family == "p_laplacian":
-            return _signed_power(s, self.p - 1.0)
-        if self.family == "variable_exponent":
-            a = np.abs(s)
-            q = np.interp(a, self.exponent_sigmas, self.exponent_values)
-            return _signed_power(s, q - 1.0)
-        if self.family == "spatial_exponent":
-            return _signed_power(s, self.pair_exponents(pair_ref).q - 1.0)
-        if self.family == "bilateral_gaussian":
-            g = _gaussian_window(s, self.h)
-            return np.multiply(s, g, out=g)
-        if self.family == "custom":
-            return np.asarray(self.fn(t, s), dtype=np.float64)
-        return self._mollified(t, s, pair_ref)
+        return self.terms(t, s, pair_ref)[0]
 
     @property
     def has_energy(self) -> bool:
@@ -481,27 +479,60 @@ class RangeKernel:
         custom densities are only monitors."""
         return self.family in ("linear", "p_laplacian", "spatial_exponent", "bilateral_gaussian")
 
-    def density(self, t: float, s, pair_ref=None, a=None):
-        """The flow's energy density Phi at ``s`` (see :mod:`nldiff.operator`),
-        given the caller's A(s) ``a`` where it holds one: s A / q for the
-        power families of exponent q, (h^2/2)(1 - exp(-(s/h)^2)) for the
-        bilateral family, the base's density for a mollified kernel, and the
-        quadratic s^2/2 for variable_exponent and custom, which have no
-        antiderivative in s alone."""
+    def density(self, t: float, s, pair_ref=None, out=None):
+        """The flow's energy density Phi at ``s``; see :meth:`terms`."""
+        # A mollified kernel's density is its base's, so the quadrature A
+        # is not needed for it.
+        kernel = self.base if self.family == "mollified" else self
+        return kernel.terms(t, s, pair_ref, True, out)[1]
+
+    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
+        """(A, Phi) at value differences ``s`` from one evaluation, Phi
+        only with ``energy`` (else None).
+
+        Phi is the flow's energy density (see :mod:`nldiff.operator`):
+        s A / q = |s|^q / q for the power families of exponent q,
+        (h^2/2)(1 - g) for the bilateral family, whose A is s g with the
+        same window g = exp(-(s/h)^2), the base's density for a mollified
+        kernel, and the quadratic s^2/2 for variable_exponent and custom,
+        which have no antiderivative in s alone.  ``pair_ref`` is as in
+        :meth:`eval`.  ``out``, a pair of C-contiguous float64 arrays
+        shaped like ``s`` (the second may be None without ``energy``),
+        receives A and Phi in place of new arrays; the pair walk passes
+        buffers it reuses from block to block.
+        """
         s = np.asarray(s, dtype=np.float64)
+        a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
         fam = self.family
-        if fam == "mollified":
-            return self.base.density(t, s, pair_ref)
         if fam == "bilateral_gaussian":
-            g = _gaussian_window(s, self.h)
-            return np.multiply(0.5 * self.h * self.h, np.subtract(1.0, g, out=g), out=g)
-        if fam == "p_laplacian":
+            g = _gaussian_window(s, self.h, a)
+            if energy:
+                np.multiply(0.5 * self.h * self.h, np.subtract(1.0, g, out=phi), out=phi)
+            return np.multiply(s, g, out=a), phi
+        if fam == "mollified":
+            if energy:
+                self.base.terms(t, s, pair_ref, True, (a, phi))
+            return self._mollified(t, s, pair_ref, a), phi
+        q = None
+        if fam == "linear":
+            np.copyto(a, s)
+        elif fam == "custom":
+            np.copyto(a, self.fn(t, s))
+        elif fam == "p_laplacian":
             q = self.p
+            _signed_power(s, q - 1.0, a)
         elif fam == "spatial_exponent":
             q = self.pair_exponents(pair_ref).q
-        else:
-            return s * s / 2.0
-        return s * (self.eval(t, s, pair_ref) if a is None else a) / q
+            _signed_power(s, q - 1.0, a)
+        else:  # variable_exponent
+            p = np.interp(np.abs(s), self.exponent_sigmas, self.exponent_values)
+            _signed_power(s, p - 1.0, a)
+        if energy:
+            if q is None:
+                np.divide(np.multiply(s, s, out=phi), 2.0, out=phi)
+            else:
+                np.divide(np.multiply(s, a, out=phi), q, out=phi)
+        return a, phi
 
     def pair_exponents(self, pair_ref) -> PairExponents:
         """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
@@ -516,8 +547,9 @@ class RangeKernel:
         ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
         return PairExponents(np.interp(ref, self.exponent_sigmas, self.exponent_values))
 
-    def _mollified(self, t, s, pair_ref):
-        """The base smoothed by midpoint quadrature, then antisymmetrized.
+    def _mollified(self, t, s, pair_ref, out):
+        """The base smoothed by midpoint quadrature, then antisymmetrized,
+        written to ``out``.
 
         With V the base at s - nodes/n, the smoothed base is V @ w at s
         and V(-s) @ w at -s, and A = (V(s) - V(-s)) @ w / 2 is odd with
@@ -533,7 +565,7 @@ class RangeKernel:
         q = None
         if self.needs_pair_reference:
             q = np.broadcast_to(self.pair_exponents(pair_ref).q, s.shape).reshape(-1)
-        out = np.empty_like(flat)
+        res = out.reshape(-1)
         step = max(1, _MOLLIFY_BLOCK // shift.size)
         for lo in range(0, flat.size, step):
             rows = slice(lo, lo + step)
@@ -543,29 +575,36 @@ class RangeKernel:
                 v = v - self.base.eval(t, -flat[rows, None] - shift, pe)
             else:
                 v = v + v[:, ::-1]
-            out[rows] = 0.5 * (v @ m.weights)
-        return out.reshape(s.shape)
+            res[rows] = 0.5 * (v @ m.weights)
+        return out
 
 
-def _gaussian_window(s: np.ndarray, h: float) -> np.ndarray:
-    """exp(-(s/h)^2) in one new array.  In place because every temporary the
-    size of a walk block is a heap allocation that glibc may hand back and
-    fault in again per block: a 128^2 denoise run took 98k minor page
-    faults with the plain expressions and 21k this way."""
-    z = np.divide(s, h, out=np.empty_like(s))
+def _gaussian_window(s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """exp(-(s/h)^2), computed in ``out``.  In place because every temporary
+    the size of a walk block is a heap allocation that glibc may hand back
+    and fault in again per block.  Minor page faults of a 128^2 denoise
+    run: 98k with the plain expressions; 7k to 32k, with the heap layout,
+    with this window in one new array per call; 5.7k in the pair walk's
+    reused buffers."""
+    z = np.divide(s, h, out=out)
     z *= z
     return np.exp(np.negative(z, out=z), out=z)
 
 
-def _signed_power(s: np.ndarray, exponent) -> np.ndarray:
-    """sign(s) |s|^exponent, elementwise, for a scalar or array exponent.
+def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
+    """sign(s) |s|^exponent, elementwise, for a scalar or array exponent,
+    computed in ``out``.
 
     At s = 0 this is sign(0) = 0 times 0^e, which is 0 for every e >= 0.
     No kernel reaches s = 0 with a negative exponent: spatial_exponent
     tables stay above 1, and a variable exponent has p(0) - 1 >= 1 at
     s = 0, dropping below 0 only where |s| > 0.
     """
-    return np.sign(s) * np.abs(s) ** exponent
+    mag = np.abs(s, out=out)
+    # the operator, unlike np.power, takes numpy's sqrt and square paths
+    # for a scalar exponent of 0.5 or 2
+    mag **= exponent
+    return np.multiply(np.sign(s), mag, out=mag)
 
 
 def linear_kernel() -> RangeKernel:
@@ -643,10 +682,19 @@ def spatial_exponent_kernel(sigmas, values, reference: Field) -> RangeKernel:
     )
 
 
-def bilateral_kernel(h: float) -> RangeKernel:
+def bilateral_width(h: float) -> float:
+    """The width h of a bilateral window, checked: positive, with h^2/2 a
+    normal finite float, so that the energy scale h^2/2 is neither 0 nor
+    infinite and the one-step filter's 1/h^2 is finite."""
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    return RangeKernel("bilateral_gaussian", h=float(h), holder_alpha=1.0, monotone=False)
+    if not np.finfo(np.float64).tiny <= 0.5 * h * h < math.inf:
+        raise ConfigurationError(f"bilateral width {h!r} is out of range: h^2/2 is not a normal float")
+    return float(h)
+
+
+def bilateral_kernel(h: float) -> RangeKernel:
+    return RangeKernel("bilateral_gaussian", h=bilateral_width(h), holder_alpha=1.0, monotone=False)
 
 
 def custom_kernel(fn, *, monotone: bool = False, holder_alpha: float = 1.0) -> RangeKernel:

@@ -18,17 +18,22 @@ offsets, cut into blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
 and forms s = u(x+d) - u(x) with one vectorized pass per block.  A slice
 block is one long offset, its nodes selected by slices and its weight one
 number; a gather block packs many short offsets, its nodes selected by flat
-indices and its weight repeated per pair.  The operator evaluates A(s) once
-and scatters it to both ends of the pair, with ``out[dst] += w A`` on
-slices and ``np.bincount`` on indices, which repeat inside a gather block
-(:func:`_scatter`).  A custom kernel is odd only if its author made it so;
-it is evaluated again at -s for the mirror, and at the zero offset, which
-keeps the sum over ordered pairs it is defined by.  The operator, the
-pairing identity, the energies and the one-step filter all loop over this
-walk, so a run is a direct O(nodes * offsets) sum in a fixed order and
-bit-reproducible.  The spatial_exponent family's per-pair exponents depend
-only on the fixed reference field, so they are interpolated once per
-(table, reference) (:func:`_walk_exponents`).
+indices and its weight repeated per pair.  The walk writes s into a
+scratch buffer and hands out two more for the block's results; the three
+are allocated once per walk and sized to the table's largest block, since
+a fresh temporary per block is a heap allocation the allocator may return
+to the system and fault in again on the next block.  The operator
+evaluates A(s) once, with :meth:`~nldiff.kernels.RangeKernel.terms`, forms
+w A in place and scatters it to both ends of the pair, with
+``out[dst] += w A`` on slices and ``np.bincount`` on indices, which repeat
+inside a gather block (:func:`_scatter`).  A custom kernel is odd only if
+its author made it so; it is evaluated again at -s for the mirror, and at
+the zero offset, which keeps the sum over ordered pairs it is defined by.
+The operator, the pairing identity, the energies and the one-step filter
+all loop over this walk, so a run is a direct O(nodes * offsets) sum in a
+fixed order and bit-reproducible.  The spatial_exponent family's per-pair
+exponents depend only on the fixed reference field, so they are
+interpolated once per (table, reference) (:func:`_walk_exponents`).
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -42,7 +47,7 @@ The flow energy is the raw double sum over ordered pairs
 
     E = node_volume^2 * sum_x sum_d w(d) Phi(t, x, x+d, u(x+d) - u(x)),
 
-with Phi the energy density :meth:`~nldiff.kernels.RangeKernel.density`:
+with Phi the energy density of :meth:`~nldiff.kernels.RangeKernel.terms`:
 the even antiderivative of A with Phi(0) = 0 where one exists in s alone,
 the quadratic s^2/2 otherwise.  The walk visits each unordered pair once
 and counts it twice.  With the discrete inner product of weight
@@ -51,9 +56,11 @@ divided by 2 * node_volume, and under that convention the p-energy,
 Phi = |s|^p / p, descends exactly along the operator with
 A = |s|^(p-2) s, and the bilateral energy,
 Phi = (h^2/2)(1 - exp(-s^2/h^2)), along the operator with
-A = s exp(-s^2/h^2).  The walk hands the density the A it has just
-applied, so a time step gets the energy of its state from the walk that
-applies the operator.
+A = s exp(-s^2/h^2).  One call of ``terms`` per block returns A and
+Phi from the same intermediates, the bilateral pair from one Gaussian
+window, so a time step gets the energy of its state from the walk that
+applies the operator, and :func:`flow_energy` and
+:func:`dissipation_pairing` walk the same blocks with the same buffers.
 """
 
 from __future__ import annotations
@@ -64,7 +71,13 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Field, Grid
-from .kernels import RangeKernel, SpatialKernelTable, _p_energy_kernel, bilateral_kernel
+from .kernels import (
+    RangeKernel,
+    SpatialKernelTable,
+    _p_energy_kernel,
+    bilateral_kernel,
+    bilateral_width,
+)
 
 
 @dataclass(frozen=True)
@@ -124,21 +137,34 @@ def _scatter(op, out, idx, v):
 
 
 def _weighted_sum(w, v) -> float:
-    """sum(w * v) over a block, w its weight or its per-pair weights."""
-    return w * float(v.sum()) if np.ndim(w) == 0 else float((w * v).sum())
+    """sum(w * v) over a block, w its weight or its per-pair weights; the
+    scratch array v is overwritten."""
+    return w * float(v.sum()) if np.ndim(w) == 0 else float(np.multiply(w, v, out=v).sum())
 
 
 def _pairs(uu, table, kernel=None):
-    """The pair walk: per block of the table, yield (w, dst, src, s, pe)
-    with s = u(x+d) - u(x) over the block's pairs, w the weight of a slice
-    block or the per-pair weights of a gather block, and pe the block's
+    """The pair walk: per block of the table, yield (w, dst, src, s, pe,
+    scratch) with s = u(x+d) - u(x) over the block's pairs, w the weight of
+    a slice block or the per-pair weights of a gather block, pe the block's
     pair exponents for the kernel (None without, see
-    :func:`_walk_exponents`)."""
+    :func:`_walk_exponents`), and scratch two arrays shaped like s that the
+    caller may overwrite.  s and scratch are views of three buffers the
+    walk allocates once, sized to the table's largest block, so they hold
+    only until the next block."""
     exps = None if kernel is None else _walk_exponents(table, kernel)
+    buf = np.empty((3, table.largest_block))
     for k, (w, lengths, dst, src) in enumerate(table.blocks):
-        if lengths is not None:
+        if lengths is None:
+            hi, lo = uu[src], uu[dst]
+            s, a, b = (row[: hi.size].reshape(hi.shape) for row in buf)
+            np.subtract(hi, lo, out=s)
+        else:
             w = np.repeat(w, lengths)
-        yield w, dst, src, _take(uu, src) - _take(uu, dst), None if exps is None else exps[k]
+            s, a, b = buf[:, : src.size]
+            # the indices are in range; "clip" writes to out without a copy
+            np.take(uu, src, out=s, mode="clip")
+            np.subtract(s, np.take(uu, dst, out=a, mode="clip"), out=s)
+        yield w, dst, src, s, None if exps is None else exps[k], (a, b)
 
 
 def _apply(uu, table, kernel, t, energy=False):
@@ -149,21 +175,21 @@ def _apply(uu, table, kernel, t, energy=False):
     # Every family but custom is odd by construction, bit for bit; a custom
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
-    for w, dst, src, s, pe in _pairs(uu, table, kernel):
-        a = kernel.eval(t, s, pe)
-        wa = w * a
+    for w, dst, src, s, pe, scratch in _pairs(uu, table, kernel):
+        a, phi = kernel.terms(t, s, pe, energy, scratch)
+        wa = np.multiply(w, a, out=a)
         _scatter(np.add, out, dst, wa)
         if odd:
             _scatter(np.subtract, out, src, wa)
         else:
-            _scatter(np.add, out, src, w * kernel.eval(t, -s, pe))
+            _scatter(np.add, out, src, w * kernel.terms(t, -s, pe)[0])
         if energy:
-            acc += _weighted_sum(w, kernel.density(t, s, pe, a))
+            acc += _weighted_sum(w, phi)
     if not odd and table.zero_weight:
-        out += table.zero_weight * kernel.eval(t, np.zeros_like(uu), None)
+        out += table.zero_weight * kernel.terms(t, np.zeros_like(uu))[0]
     # the walk visits each unordered pair once; the energy sums ordered pairs
     e = 2.0 * table.grid.node_volume**2 * acc if energy else None
-    return out * table.grid.node_volume, e
+    return np.multiply(out, table.grid.node_volume, out=out), e
 
 
 def apply_nonlocal(
@@ -210,10 +236,10 @@ def dissipation_pairing(
     lhs = grid.node_volume * float(np.sum(pp * _apply(uu, table, kernel, t)[0]))
     odd = kernel.family != "custom"
     acc = 0.0
-    for w, dst, src, s, pe in _pairs(uu, table, kernel):
-        a = kernel.eval(t, s, pe)
+    for w, dst, src, s, pe, (a, _) in _pairs(uu, table, kernel):
+        a = kernel.terms(t, s, pe, out=(a, None))[0]
         # the pair's A minus its mirror's, which for an odd kernel is 2 A
-        a = a + a if odd else a - kernel.eval(t, -s, pe)
+        a = a + a if odd else a - kernel.terms(t, -s, pe)[0]
         acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)))
     rhs = -0.5 * grid.node_volume**2 * acc
     return lhs, rhs
@@ -231,10 +257,7 @@ def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) 
     """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2)), the
     flow energy of the bilateral kernel divided by h^2/2."""
     kernel = bilateral_kernel(h)
-    scale = 0.5 * kernel.h * kernel.h
-    if not np.finfo(np.float64).tiny <= scale < np.inf:
-        raise ConfigurationError(f"bilateral width {h!r} is out of range: h^2/2 is not a normal float")
-    value = flow_energy(grid, table, kernel, u) / scale
+    value = flow_energy(grid, table, kernel, u) / (0.5 * kernel.h * kernel.h)
     return EnergyValue(kind="bilateral", value=value, parameter=kernel.h)
 
 
@@ -253,8 +276,8 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     if u.grid != grid:
         raise GridMismatchError("field does not live on the energy grid")
     acc = 0.0
-    for w, _, _, s, pe in _pairs(u.reshaped(), table, kernel):
-        acc += _weighted_sum(w, kernel.density(0.0, s, pe))
+    for w, _, _, s, pe, scratch in _pairs(u.reshaped(), table, kernel):
+        acc += _weighted_sum(w, kernel.density(0.0, s, pe, scratch))
     return 2.0 * grid.node_volume**2 * acc
 
 
@@ -263,7 +286,8 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
 
     Weighs each neighbor, the node itself included when the table holds
     the zero offset, by the even window exp(-(s/h)^2) of the value
-    difference s and renormalizes per node.  This is the filter whose odd
+    difference s and renormalizes per node; h is checked as a bilateral
+    kernel's width is (:func:`~nldiff.kernels.bilateral_width`).  This is the filter whose odd
     correction drives the evolution; it does not conserve mass.  A table
     without the zero offset can leave a node with no weight at all, when
     every neighbor's window underflows or leaves the grid; that raises
@@ -272,13 +296,12 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("field does not live on the filter grid")
-    if not h > 0.0:
-        raise ConfigurationError(f"filter width must be positive, got {h}")
+    h = bilateral_width(h)
     uu = u.reshaped()
     num = table.zero_weight * uu
     den = np.full_like(uu, table.zero_weight)
     inv_h2 = 1.0 / (h * h)
-    for w, dst, src, s, _ in _pairs(uu, table):
+    for w, dst, src, s, _, _ in _pairs(uu, table):
         weight = w * np.exp(-(s * s) * inv_h2)
         _scatter(np.add, num, dst, weight * _take(uu, src))
         _scatter(np.add, den, dst, weight)

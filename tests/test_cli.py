@@ -488,6 +488,34 @@ def test_denoise_one_step_smooths(tmp_path):
     assert len(series) == 3  # header, before, after
 
 
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["--h", "1e-200"], "h^2/2 is not a normal float"),
+        (["--one-step", "--h", "1e-200"], "h^2/2 is not a normal float"),
+        (["--radius", "inf"], "kernel radius must be positive and finite, got inf"),
+        (["--one-step", "--radius", "nan"], "kernel radius must be positive and finite, got nan"),
+    ],
+    ids=["flow_h_underflow", "one_step_h_underflow", "infinite_radius", "nan_radius"],
+)
+def test_bad_denoise_arguments_exit_2(tmp_path, capsys, args, detail):
+    img = noisy_image(tmp_path)
+    assert main(["denoise", "--image", img, "--out", str(tmp_path / "d"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and detail in err and "Traceback" not in err
+
+
+def test_huge_radius_runs_as_radius_1e150(tmp_path):
+    img = noisy_image(tmp_path)
+    for radius in ("1e150", "1e300"):
+        assert main(["denoise", "--image", img, "--out", str(tmp_path / radius), "--one-step",
+                     "--radius", radius]) == 0
+        cfg = write_cfg(tmp_path, f"kernel.family = gaussian\nkernel.radius = {radius}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / radius / "solve")]) == 0
+    for name in ("denoised.pgm", "energy_series.csv", "solve/diagnostics.csv"):
+        assert (tmp_path / "1e300" / name).read_bytes() == (tmp_path / "1e150" / name).read_bytes()
+
+
 def test_study_contraction_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "initial.kind = random\ninitial.low = 0.2\n"
                               "initial.high = 0.8\nsolver.mu_mode = manual\n")

@@ -225,8 +225,8 @@ def test_signed_power_scalar_path_matches_masked_path():
     s = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-308, 1e-200, 0.3, -0.7, 1.0,
                   -1.0, 3.5, -1e150, np.inf, -np.inf])
     for e in (0.0, 0.5, 1.0, 1.5, 2.0):
-        fast = _signed_power(s, e)
-        masked = _signed_power(s, np.full(s.shape, e))
+        fast = _signed_power(s, e, np.empty_like(s))
+        masked = _signed_power(s, np.full(s.shape, e), np.empty_like(s))
         if e in (0.5, 2.0):
             # sqrt and square for a scalar exponent, generic pow for an array
             np.testing.assert_array_max_ulp(fast, masked, maxulp=1)
@@ -245,6 +245,33 @@ def test_spatial_kernel_bad_arguments():
         make_spatial_kernel(g, "no_such_family", 0.1)
     with pytest.raises(ConfigurationError):
         make_spatial_kernel(g, "custom_table")
+    for family in ("gaussian", "box"):
+        for radius in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                make_spatial_kernel(g, family, radius)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "box"])
+def test_huge_radius_builds_the_table_of_radius_1e150(family):
+    # (4 radius)^2 overflows a float past ~1e154
+    g = build_grid(2, [(0.0, 1.0), (-0.5, 0.7)], [7, 5])
+    flat = make_spatial_kernel(g, family, 1e150)
+    assert flat.size == 13 * 9
+    for radius in (1e155, 1e300, np.finfo(np.float64).max):
+        t = make_spatial_kernel(g, family, radius)
+        assert t.radius == radius
+        assert np.array_equal(t.offsets, flat.offsets)
+        assert np.array_equal(t.weights, flat.weights)
+        assert t.normalization == flat.normalization
+
+
+def test_bilateral_width_keeps_its_energy_scale_normal():
+    for h in (0.0, -1.0, math.nan, math.inf, 1e-160, 1e-200, 1e160):
+        with pytest.raises(ConfigurationError):
+            bilateral_kernel(h)
+    # h^2/2 is normal at both ends, though h * h overflows at the top
+    assert bilateral_kernel(2.2e-154).h == 2.2e-154
+    assert bilateral_kernel(1.5e154).h == 1.5e154
 
 
 # ---------------------------------------------------------------------------

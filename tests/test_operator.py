@@ -255,6 +255,8 @@ def test_energy_parameter_validation():
     for h in (1e-160, 1e160):  # h^2/2 underflows, overflows
         with pytest.raises(ConfigurationError, match="not a normal float"):
             energy_bilateral(g, t, u, h)
+        with pytest.raises(ConfigurationError, match="not a normal float"):
+            one_step_filter(g, t, u, h)
     with pytest.raises(ConfigurationError):
         one_step_filter(g, t, u, 0.0)
     k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
@@ -338,11 +340,13 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
-        # the density from the A the operator's walk holds is the one
-        # flow_energy computes on its own
-        for _, _, _, s, pe in operator._pairs(u.reshaped(), t, k):
-            a = k.eval(0.3, s, pe)
-            assert np.array_equal(k.density(0.3, s, pe, a), k.density(0.3, s, pe)), k.family
+        # the fused pass, in the walk's scratch buffers, is eval and density
+        # bit for bit
+        for _, _, _, s, pe, scratch in operator._pairs(u.reshaped(), t, k):
+            a, dens = k.terms(0.3, s, pe, True, scratch)
+            assert a is scratch[0] and dens is scratch[1], k.family
+            assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
+            assert np.array_equal(dens, k.density(0.3, s, pe)), k.family
         out = apply_nonlocal(g, t, k, 0.3, u)
         assert out.flops_estimate == len(pairs)
         want = dense_oracle(g, t, k, 0.3, u)
@@ -398,6 +402,40 @@ def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
             traj = solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=True)
         for j, state in zip(traj.record_steps, traj.states):
             assert traj.per_step["energy"][j] == flow_energy(g, t, k, state), (k.family, j)
+
+
+def test_eval_wrapped_with_its_exact_signature_changes_no_result():
+    # A profiler may time range evaluations by replacing RangeKernel.eval
+    # with a wrapper of exactly (kernel, t, s, pair_ref=None); the program
+    # must pass eval nothing else, and the wrapper must change no result.
+    g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [7, 6])
+    t = table_with_layout(g, *_gaussian_rows(g, 0.3), 30, 64)
+    u0 = Field(g, np.random.default_rng(41).uniform(0.1, 0.9, g.node_count))
+    cfg = SolverConfig(T=0.02, steps=6, mu_mode="manual", mu=0.0)
+    kernels_ = (bilateral_kernel(0.4), p_laplacian_kernel(2.5))
+    mol = mollify_range_kernel(p_laplacian_kernel(2.5), 4)
+
+    def results():
+        out = []
+        for k in kernels_:
+            traj = solve(g, t, k, zero_reaction(), u0, cfg)
+            out += [traj.final_state.values, traj.per_step["energy"], flow_energy(g, t, k, u0)]
+        return out + [apply_nonlocal(g, t, mol, 0.0, u0).result.values, flow_energy(g, t, mol, u0)]
+
+    plain = results()
+    original = kernels.RangeKernel.eval
+    seen = []
+
+    def traced_eval(kernel, t, s, pair_ref=None):
+        seen.append(kernel.family)
+        return original(kernel, t, s, pair_ref)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels.RangeKernel, "eval", traced_eval)
+        wrapped = results()
+    assert {"bilateral_gaussian", "p_laplacian"} <= set(seen)
+    for a, b in zip(plain, wrapped):
+        assert np.array_equal(a, b)
 
 
 def block_kinds(table):
