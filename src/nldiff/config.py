@@ -71,6 +71,13 @@ class RangeSection:
     mollify_n: int = 0
     mollify_quad: int = 129
 
+    def __post_init__(self):
+        # 0 means no mollification; a level is checked where it is built
+        if self.mollify_n < 0:
+            raise ConfigurationError(
+                f"range.mollify_n must be 0 (off) or a positive level, got {self.mollify_n}"
+            )
+
 
 @dataclass(frozen=True)
 class ReactionSection:

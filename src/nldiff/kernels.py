@@ -79,15 +79,15 @@ class SpatialKernelTable:
     the grid is empty are left out.
 
     ``blocks`` is the walk itself, the same offsets in the same order cut
-    into blocks (see :mod:`nldiff.operator`).  An offset whose slice holds
-    at least ``_GATHER_BELOW`` pairs keeps it, as a slice block
-    ``(weight, None, dst, src)``.  Consecutive shorter offsets are packed
-    into gather blocks ``(weights, lengths, dst, src)`` of about
-    ``_GATHER_CHUNK`` pairs: one weight and pair count per offset, and
-    int32 flat node indices of every pair, offset after offset.  On short
-    slices the walk's cost is per-offset numpy dispatch rather than
-    arithmetic, which gathering removes; on long ones the gather costs
-    more than the slices, so the choice follows the slice length.
+    into blocks, each a triple ``(w, dst, src)`` that only the walk,
+    :func:`nldiff.operator._pairs`, decodes.  An offset whose slice holds
+    at least ``_GATHER_BELOW`` pairs is a slice block, its ``pairs``
+    triple itself.  Consecutive shorter offsets are packed into gather
+    blocks of about ``_GATHER_CHUNK`` pairs: a float64 weight per pair
+    next to int32 flat node indices of every pair, offset after offset.
+    On short slices the walk's cost is per-offset numpy dispatch rather
+    than arithmetic, which gathering removes; on long ones the gather
+    costs more than the slices, so the choice follows the slice length.
 
     ``zero_weight`` is the weight of d = 0, which couples a node with
     itself and so carries no flux of an odd kernel; the one-step filter
@@ -183,14 +183,14 @@ def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
     order; returns the blocks and the pair count of the largest."""
     node = np.arange(grid.node_count, dtype=np.int32).reshape(grid.counts)
     blocks, group, held, largest = [], [], 0, 0
-    for (w, dst, src), size in zip(pairs, sizes):
+    for pair, size in zip(pairs, sizes):
         if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
             blocks.append(_gather_block(node, group))
             group, held = [], 0
         if size >= _GATHER_BELOW:
-            blocks.append((w, None, dst, src))
+            blocks.append(pair)
         else:
-            group.append((w, dst, src, size))
+            group.append((*pair, size))
             held += size
         largest = max(largest, size if size >= _GATHER_BELOW else held)
     if group:
@@ -200,8 +200,7 @@ def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
 
 def _gather_block(node: np.ndarray, group: list) -> tuple:
     return (
-        np.array([w for w, _, _, _ in group]),
-        np.array([size for _, _, _, size in group]),
+        np.concatenate([np.full(size, w) for w, _, _, size in group]),
         np.concatenate([node[dst].ravel() for _, dst, _, _ in group]),
         np.concatenate([node[src].ravel() for _, _, src, _ in group]),
     )
@@ -612,16 +611,16 @@ def linear_kernel() -> RangeKernel:
 
 
 def p_laplacian_kernel(p: float) -> RangeKernel:
-    if not p > 1.0:
-        raise ConfigurationError(f"p_laplacian exponent must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ConfigurationError(f"p_laplacian exponent must be finite and exceed 1, got {p}")
     return RangeKernel("p_laplacian", p=float(p), holder_alpha=min(1.0, p - 1.0), monotone=True)
 
 
 def _p_energy_kernel(p: float) -> RangeKernel:
     """The p_laplacian kernel of the p-energy, for any p >= 1; the energy
     of p = 1, the total variation, has no admissible kernel."""
-    if not p >= 1.0:
-        raise ConfigurationError(f"energy exponent must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ConfigurationError(f"energy exponent must be finite and >= 1, got {p}")
     return RangeKernel("p_laplacian", p=float(p))
 
 
@@ -630,6 +629,8 @@ def _validated_exponent_table(sigmas, values):
     val = np.asarray(values, dtype=np.float64)
     if sig.ndim != 1 or sig.shape != val.shape or sig.size < 2:
         raise ConfigurationError("exponent table needs matching 1-d arrays of length >= 2")
+    if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(val))):
+        raise ConfigurationError("exponent table entries must be finite")
     if sig[0] != 0.0 or np.any(np.diff(sig) <= 0.0):
         raise ConfigurationError("exponent abscissae must start at 0 and increase strictly")
     if np.any(np.diff(val) > 0.0):
@@ -685,7 +686,7 @@ def spatial_exponent_kernel(sigmas, values, reference: Field) -> RangeKernel:
 def bilateral_width(h: float) -> float:
     """The width h of a bilateral window, checked: positive, with h^2/2 a
     normal finite float, so that the energy scale h^2/2 is neither 0 nor
-    infinite and the one-step filter's 1/h^2 is finite."""
+    infinite."""
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
     if not np.finfo(np.float64).tiny <= 0.5 * h * h < math.inf:
@@ -712,8 +713,11 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     """
     if int(n) != n or n < 1:
         raise ConfigurationError(f"mollification level must be a positive integer, got {n}")
-    if quad_count < 64:
-        raise ConfigurationError(f"mollifier quadrature needs >= 64 panels, got {quad_count}")
+    # no finer than bump_mass's own quadrature; checked before any allocation
+    if not 64 <= quad_count <= _BUMP_PANELS:
+        raise ConfigurationError(
+            f"mollifier quadrature needs 64 to {_BUMP_PANELS} panels, got {quad_count}"
+        )
     if base.family == "mollified":
         raise ConfigurationError("refusing to mollify an already mollified kernel")
     probe = np.linspace(-1.0, 1.0, 33)
@@ -751,8 +755,8 @@ class Reaction:
 
     ``c_growth`` bounds |f| <= c_growth (1 + |s|) on the declared working
     range, ``l_lipschitz`` bounds the slope there, and ``non_increasing``
-    declares monotone decay in s.  The constructors fill all three from
-    the family parameters.
+    declares monotone decay in s.  All three are derived from the family
+    parameters.
     """
 
     def __init__(
@@ -765,9 +769,6 @@ class Reaction:
         capacity: float = 1.0,
         table=None,
         working_range: tuple = (-2.0, 2.0),
-        c_growth: float | None = None,
-        l_lipschitz: float | None = None,
-        non_increasing: bool | None = None,
     ):
         if family not in REACTION_FAMILIES:
             raise ConfigurationError(f"unknown reaction family {family!r}")
@@ -787,10 +788,8 @@ class Reaction:
         if not lo < hi:
             raise ConfigurationError("reaction working range is empty")
         self.working_range = (float(lo), float(hi))
-        auto_c, auto_l, auto_mono = self._derive_constants()
-        self.c_growth = float(auto_c if c_growth is None else c_growth)
-        self.l_lipschitz = float(auto_l if l_lipschitz is None else l_lipschitz)
-        self.non_increasing = bool(auto_mono if non_increasing is None else non_increasing)
+        c, lip, mono = self._derive_constants()
+        self.c_growth, self.l_lipschitz, self.non_increasing = float(c), float(lip), bool(mono)
 
     def _derive_constants(self):
         if self.family == "zero":

@@ -15,14 +15,15 @@ The spatial kernel is even, w(-d) = w(d), and every range family but
 opposite signs.  The one pair walk, :func:`_pairs`, therefore visits each
 unordered pair once: it runs over the table's lexicographically positive
 offsets, cut into blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
-and forms s = u(x+d) - u(x) with one vectorized pass per block.  A slice
-block is one long offset, its nodes selected by slices and its weight one
-number; a gather block packs many short offsets, its nodes selected by flat
-indices and its weight repeated per pair.  The walk writes s into a
-scratch buffer and hands out two more for the block's results; the three
-are allocated once per walk and sized to the table's largest block, since
-a fresh temporary per block is a heap allocation the allocator may return
-to the system and fault in again on the next block.  The operator
+and forms s = u(x+d) - u(x) with one vectorized pass per block.  Every
+block is a triple (w, dst, src), and the walk is the only code that
+decodes one: a slice block is one long offset, its nodes selected by
+slice tuples and w one number; a gather block packs many short offsets,
+its nodes selected by flat indices and w one weight per pair.  The walk
+writes s into a scratch buffer and hands out two more for the block's
+results; the three are allocated once per walk and sized to the table's
+largest block, since a fresh temporary per block is a heap allocation the
+allocator may return to the system and fault in again on the next block.  The operator
 evaluates A(s) once, with :meth:`~nldiff.kernels.RangeKernel.terms`, forms
 w A in place and scatters it to both ends of the pair, with
 ``out[dst] += w A`` on slices and ``np.bincount`` on indices, which repeat
@@ -33,7 +34,8 @@ The operator, the pairing identity, the energies and the one-step filter
 all loop over this walk, so a run is a direct O(nodes * offsets) sum in a
 fixed order and bit-reproducible.  The spatial_exponent family's per-pair
 exponents depend only on the fixed reference field, so they are
-interpolated once per (table, reference) (:func:`_walk_exponents`).
+interpolated once per (table, reference), from a walk over the reference
+field (:func:`_walk_exponents`).
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -65,8 +67,6 @@ applies the operator, and :func:`flow_energy` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
@@ -74,27 +74,11 @@ from .grid import Field, Grid
 from .kernels import (
     RangeKernel,
     SpatialKernelTable,
+    _gaussian_window,
     _p_energy_kernel,
     bilateral_kernel,
     bilateral_width,
 )
-
-
-@dataclass(frozen=True)
-class OperatorEval:
-    """One operator application: the resulting field, the time it was
-    evaluated at, and how many ordered node pairs it sums over."""
-
-    result: Field
-    t: float
-    flops_estimate: int
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    kind: str
-    value: float
-    parameter: float
 
 
 def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
@@ -112,10 +96,7 @@ def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
         raise GridMismatchError("kernel reference field lives on a different grid")
     cached = kernel.walk_cache
     if cached is None or cached[0] is not table or cached[1] is not ref:
-        rr = ref.reshaped()
-        exps = tuple(
-            kernel.pair_exponents(_take(rr, src) - _take(rr, dst)) for _, _, dst, src in table.blocks
-        )
+        exps = tuple(kernel.pair_exponents(r) for _, _, _, r, _, _ in _pairs(ref.reshaped(), table))
         cached = kernel.walk_cache = (table, ref, exps)
     return cached[2]
 
@@ -143,23 +124,23 @@ def _weighted_sum(w, v) -> float:
 
 
 def _pairs(uu, table, kernel=None):
-    """The pair walk: per block of the table, yield (w, dst, src, s, pe,
-    scratch) with s = u(x+d) - u(x) over the block's pairs, w the weight of
-    a slice block or the per-pair weights of a gather block, pe the block's
-    pair exponents for the kernel (None without, see
-    :func:`_walk_exponents`), and scratch two arrays shaped like s that the
-    caller may overwrite.  s and scratch are views of three buffers the
-    walk allocates once, sized to the table's largest block, so they hold
-    only until the next block."""
+    """The pair walk, the one decoder of the table's blocks: per block
+    (w, dst, src), yield (w, dst, src, s, pe, scratch) with
+    s = u(x+d) - u(x) over the block's pairs, pe the block's pair exponents
+    for the kernel (None without, see :func:`_walk_exponents`), and scratch
+    two arrays shaped like s that the caller may overwrite.  A block whose
+    dst is a tuple of slices has a scalar weight w; one of flat node
+    indices has a weight per pair.  s and scratch are views of three
+    buffers the walk allocates once, sized to the table's largest block,
+    so they hold only until the next block."""
     exps = None if kernel is None else _walk_exponents(table, kernel)
     buf = np.empty((3, table.largest_block))
-    for k, (w, lengths, dst, src) in enumerate(table.blocks):
-        if lengths is None:
+    for k, (w, dst, src) in enumerate(table.blocks):
+        if isinstance(dst, tuple):
             hi, lo = uu[src], uu[dst]
             s, a, b = (row[: hi.size].reshape(hi.shape) for row in buf)
             np.subtract(hi, lo, out=s)
         else:
-            w = np.repeat(w, lengths)
             s, a, b = buf[:, : src.size]
             # the indices are in range; "clip" writes to out without a copy
             np.take(uu, src, out=s, mode="clip")
@@ -198,13 +179,12 @@ def apply_nonlocal(
     kernel: RangeKernel,
     t: float,
     u: Field,
-) -> OperatorEval:
+) -> Field:
     """Evaluate the nonlocal operator on a field."""
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("state field does not live on the operator grid")
-    raw = _apply(u.reshaped(), table, kernel, t)[0]
-    return OperatorEval(result=Field(grid, raw.ravel()), t=float(t), flops_estimate=table.pair_count)
+    return Field(grid, _apply(u.reshaped(), table, kernel, t)[0].ravel())
 
 
 def _check_table(grid: Grid, table: SpatialKernelTable):
@@ -245,20 +225,17 @@ def dissipation_pairing(
     return lhs, rhs
 
 
-def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> EnergyValue:
+def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> float:
     """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p, the flow
     energy of the p-Laplacian kernel."""
-    p = float(p)
-    value = flow_energy(grid, table, _p_energy_kernel(p), u)
-    return EnergyValue(kind="p", value=value, parameter=p)
+    return flow_energy(grid, table, _p_energy_kernel(float(p)), u)
 
 
-def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> EnergyValue:
+def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> float:
     """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2)), the
     flow energy of the bilateral kernel divided by h^2/2."""
     kernel = bilateral_kernel(h)
-    value = flow_energy(grid, table, kernel, u) / (0.5 * kernel.h * kernel.h)
-    return EnergyValue(kind="bilateral", value=value, parameter=kernel.h)
+    return flow_energy(grid, table, kernel, u) / (0.5 * kernel.h * kernel.h)
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:
@@ -285,13 +262,15 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     """One pass of the classical normalized adaptive filter.
 
     Weighs each neighbor, the node itself included when the table holds
-    the zero offset, by the even window exp(-(s/h)^2) of the value
+    the zero offset, by the even window g = exp(-(s/h)^2) of the value
     difference s and renormalizes per node; h is checked as a bilateral
-    kernel's width is (:func:`~nldiff.kernels.bilateral_width`).  This is the filter whose odd
-    correction drives the evolution; it does not conserve mass.  A table
-    without the zero offset can leave a node with no weight at all, when
-    every neighbor's window underflows or leaves the grid; that raises
-    :class:`ConfigurationError`.
+    kernel's width is (:func:`~nldiff.kernels.bilateral_width`).  The
+    window is the bilateral kernel's, bit for bit, computed in the pair
+    walk's scratch buffers, which then hold w g and w g u per pair.  This
+    is the filter whose odd correction drives the evolution; it does not
+    conserve mass.  A table without the zero offset can leave a node with
+    no weight at all, when every neighbor's window underflows or leaves
+    the grid; that raises :class:`ConfigurationError`.
     """
     _check_table(grid, table)
     if u.grid != grid:
@@ -300,13 +279,12 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     uu = u.reshaped()
     num = table.zero_weight * uu
     den = np.full_like(uu, table.zero_weight)
-    inv_h2 = 1.0 / (h * h)
-    for w, dst, src, s, _, _ in _pairs(uu, table):
-        weight = w * np.exp(-(s * s) * inv_h2)
-        _scatter(np.add, num, dst, weight * _take(uu, src))
-        _scatter(np.add, den, dst, weight)
-        _scatter(np.add, num, src, weight * _take(uu, dst))
-        _scatter(np.add, den, src, weight)
+    for w, dst, src, s, _, (wg, wgu) in _pairs(uu, table):
+        np.multiply(w, _gaussian_window(s, h, wg), out=wg)
+        _scatter(np.add, den, dst, wg)
+        _scatter(np.add, den, src, wg)
+        _scatter(np.add, num, dst, np.multiply(wg, _take(uu, src), out=wgu))
+        _scatter(np.add, num, src, np.multiply(wg, _take(uu, dst), out=wgu))
     empty = int(np.count_nonzero(den == 0.0))
     if empty:
         raise ConfigurationError(

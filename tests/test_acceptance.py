@@ -339,15 +339,15 @@ def test_a08_gradient_consistency():
 
     for p in (1.5, 2.0, 3.0):
         vals = rng.uniform(0.2, 1.0, 12)
-        grad = fd_gradient(lambda v: energy_p(g, table, Field(g, v), p).value, vals)
-        op = apply_nonlocal(g, table, p_laplacian_kernel(p), 0.0, Field(g, vals)).result.values
+        grad = fd_gradient(lambda v: energy_p(g, table, Field(g, v), p), vals)
+        op = apply_nonlocal(g, table, p_laplacian_kernel(p), 0.0, Field(g, vals)).values
         diff = np.max(np.abs(grad / (2.0 * g.node_volume) + op))
         worst = max(worst, float(diff / np.max(np.abs(op))))
     for h in (0.1, 1.0):
         vals = h * rng.uniform(0.2, 1.0, 12)  # keep differences in the responsive band
         grad = fd_gradient(
-            lambda v: 0.5 * h * h * energy_bilateral(g, table, Field(g, v), h).value, vals)
-        op = apply_nonlocal(g, table, bilateral_kernel(h), 0.0, Field(g, vals)).result.values
+            lambda v: 0.5 * h * h * energy_bilateral(g, table, Field(g, v), h), vals)
+        op = apply_nonlocal(g, table, bilateral_kernel(h), 0.0, Field(g, vals)).values
         diff = np.max(np.abs(grad / (2.0 * g.node_volume) + op))
         worst = max(worst, float(diff / np.max(np.abs(op))))
     verdict(

@@ -403,9 +403,11 @@ def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
          .encode("utf-8"), "final time must be finite and positive"),
         ((MINIMAL + "solver.scheme = semi_implicit_w\n").encode("utf-8"),
          "line 8: unknown key 'solver.scheme'"),
+        ((MINIMAL + "range.mollify_n = -3\n").encode("utf-8"),
+         "range.mollify_n must be 0 (off) or a positive level, got -3"),
     ],
     ids=["config_latin1", "config_negative_seed", "config_infinite_T",
-         "config_removed_scheme_key"],
+         "config_removed_scheme_key", "config_negative_mollify_n"],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
     cfg = tmp_path / "run.cfg"
@@ -413,6 +415,28 @@ def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, detail",
+    [
+        (["solve"], "range.mollify_n = 4\nrange.mollify_quad = 100000000\n",
+         "mollifier quadrature needs 64 to 65536 panels, got 100000000"),
+        (["study", "cauchy"], "range.mollify_quad = 65537\n",
+         "mollifier quadrature needs 64 to 65536 panels, got 65537"),
+        (["solve"], "range.p = inf\n", "p_laplacian exponent must be finite and exceed 1, got inf"),
+        (["solve"], "range.exponent_values = inf, 3\n", "exponent table entries must be finite"),
+    ],
+    ids=["huge_mollify_quad", "huge_cauchy_quad", "infinite_p", "infinite_exponent"],
+)
+def test_refused_kernel_parameters_exit_2(tmp_path, capsys, command, extra, detail):
+    family = "variable_exponent" if "exponent_values" in extra else "p_laplacian"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace("range.family = linear", f"range.family = {family}") + extra,
+                   encoding="utf-8")
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and detail in err and "Traceback" not in err
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

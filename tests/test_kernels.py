@@ -38,6 +38,7 @@ from nldiff import (
     variable_exponent_kernel,
     zero_reaction,
 )
+from nldiff import kernels
 from nldiff.kernels import _signed_power
 
 # scipy.integrate.quad oracles, absolute error below 1e-13
@@ -305,6 +306,12 @@ def test_variable_exponent_values_and_admissibility():
         variable_exponent_kernel([0.0, 1.0], [3.0, 3.5])  # increasing
     with pytest.raises(ConfigurationError):
         variable_exponent_kernel([0.5, 1.0], [3.0, 2.5])  # must start at 0
+    # a NaN exponent gave A = NaN, an infinite one A = 0 or inf
+    for values in ([3.0, math.nan], [math.inf, 3.0], [3.0, -math.inf]):
+        with pytest.raises(ConfigurationError, match="finite"):
+            variable_exponent_kernel([0.0, 1.0], values)
+    with pytest.raises(ConfigurationError, match="finite"):
+        variable_exponent_kernel([0.0, math.inf], [3.0, 2.5])
 
 
 def test_spatial_exponent_kernel_pairwise():
@@ -467,6 +474,12 @@ def test_mollify_refusals():
         mollify_range_kernel(linear_kernel(), 0)
     with pytest.raises(ConfigurationError):
         mollify_range_kernel(linear_kernel(), 4, quad_count=32)
+    # refused before the quadrature is allocated
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_mollifier_quadrature", lambda n: pytest.fail("quadrature built"))
+        for quad_count in (kernels._BUMP_PANELS + 1, 100_000_000):
+            with pytest.raises(ConfigurationError, match="64 to 65536 panels"):
+                mollify_range_kernel(linear_kernel(), 4, quad_count=quad_count)
     shifted = custom_kernel(lambda t, s: np.asarray(s) + 0.1)
     with pytest.raises(ConfigurationError, match="odd"):
         mollify_range_kernel(shifted, 4)

@@ -50,10 +50,9 @@ def test_two_node_hand_values():
     # neighbor of each node is the other one
     g, t, u = two_node_setup(0.8)
     out = apply_nonlocal(g, t, linear_kernel(), 0.0, u)
-    np.testing.assert_allclose(out.result.values, [0.4, -0.4], rtol=1e-15)
-    assert out.t == 0.0
-    assert out.flops_estimate == 2
-    assert energy_p(g, t, u, 2.0).value == pytest.approx(0.25 * 0.8**2, rel=1e-15)
+    np.testing.assert_allclose(out.values, [0.4, -0.4], rtol=1e-15)
+    assert t.pair_count == 2
+    assert energy_p(g, t, u, 2.0) == pytest.approx(0.25 * 0.8**2, rel=1e-15)
 
 
 def dense_oracle(grid, table, kernel, t, u):
@@ -93,7 +92,7 @@ def test_operator_matches_dense_oracle(shape):
     rng = np.random.default_rng(11)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     for k in _kernels_for(g, u):
-        got = apply_nonlocal(g, t, k, 0.3, u).result.values
+        got = apply_nonlocal(g, t, k, 0.3, u).values
         want = dense_oracle(g, t, k, 0.3, u)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
 
@@ -105,7 +104,7 @@ def test_operator_output_integrates_to_zero():
     rng = np.random.default_rng(4)
     u = Field(g, rng.uniform(0.0, 2.0, g.node_count))
     for k in _kernels_for(g, u):
-        lu = apply_nonlocal(g, t, k, 0.0, u).result
+        lu = apply_nonlocal(g, t, k, 0.0, u)
         assert abs(integrate(g, lu)) < 1e-13, k.family
 
 
@@ -151,12 +150,12 @@ def test_value_shift_and_negation_symmetries():
     rng = np.random.default_rng(17)
     vals = rng.uniform(0.0, 1.0, 24)
     k = p_laplacian_kernel(2.5)
-    base = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).result.values
-    shifted = apply_nonlocal(g, t, k, 0.0, Field(g, vals + 5.0)).result.values
+    base = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).values
+    shifted = apply_nonlocal(g, t, k, 0.0, Field(g, vals + 5.0)).values
     np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-13)
     # negating the state negates every difference exactly, and odd kernels
     # turn that into an exact sign flip of the output
-    negated = apply_nonlocal(g, t, k, 0.0, Field(g, -vals)).result.values
+    negated = apply_nonlocal(g, t, k, 0.0, Field(g, -vals)).values
     np.testing.assert_array_equal(negated, -base)
 
 
@@ -178,7 +177,7 @@ def test_energy_gradient_matches_operator_p(p):
     vals = rng.uniform(0.2, 1.0, 12)
     k = p_laplacian_kernel(p)
     grad = fd_gradient(lambda v: flow_energy(g, t, k, Field(g, v)), vals)
-    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).result.values
+    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).values
     np.testing.assert_allclose(grad / (2.0 * g.node_volume), -op, rtol=1e-6, atol=1e-10)
 
 
@@ -190,7 +189,7 @@ def test_energy_gradient_matches_operator_bilateral(h):
     vals = h * np.random.default_rng(5).uniform(0.0, 1.0, 12)
     k = bilateral_kernel(h)
     grad = fd_gradient(lambda v: flow_energy(g, t, k, Field(g, v)), vals)
-    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).result.values
+    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).values
     np.testing.assert_allclose(grad / (2.0 * g.node_volume), -op, rtol=1e-6, atol=1e-12)
 
 
@@ -202,31 +201,30 @@ def test_energy_gradient_matches_operator_spatial_exponent():
     k = spatial_exponent_kernel([0.0, 0.5], [3.0, 2.2], ref)
     vals = rng.uniform(0.2, 1.0, 12)
     grad = fd_gradient(lambda v: flow_energy(g, t, k, Field(g, v)), vals)
-    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).result.values
+    op = apply_nonlocal(g, t, k, 0.0, Field(g, vals)).values
     np.testing.assert_allclose(grad / (2.0 * g.node_volume), -op, rtol=1e-6, atol=1e-10)
 
 
 def test_flow_energy_closed_forms():
     g, t, u = two_node_setup(0.6)
     assert flow_energy(g, t, linear_kernel(), u) == pytest.approx(0.25 * 0.36, rel=1e-14)
-    assert flow_energy(g, t, p_laplacian_kernel(3.0), u) == energy_p(g, t, u, 3.0).value
+    assert flow_energy(g, t, p_laplacian_kernel(3.0), u) == energy_p(g, t, u, 3.0)
     h = 0.7
     assert flow_energy(g, t, bilateral_kernel(h), u) == pytest.approx(
-        0.5 * h * h * energy_bilateral(g, t, u, h).value, rel=1e-15
+        0.5 * h * h * energy_bilateral(g, t, u, h), rel=1e-15
     )
     # mollified kernels monitor their base energy
     mol = mollify_range_kernel(p_laplacian_kernel(3.0), 4)
     assert flow_energy(g, t, mol, u) == flow_energy(g, t, p_laplacian_kernel(3.0), u)
     # families without a closed antiderivative fall back to the quadratic
     ve = variable_exponent_kernel([0.0, 1.0], [2.5, 2.0])
-    assert flow_energy(g, t, ve, u) == energy_p(g, t, u, 2.0).value
+    assert flow_energy(g, t, ve, u) == energy_p(g, t, u, 2.0)
 
 
 def test_flops_counts_clipped_pairs():
     g = build_grid(1, [(0.0, 1.0)], [8])
     t = make_spatial_kernel(g, "box", 0.15)  # offsets -1, 0, 1
-    u = Field(g, np.linspace(0.0, 1.0, 8))
-    assert apply_nonlocal(g, t, linear_kernel(), 0.0, u).flops_estimate == 7 + 8 + 7
+    assert t.pair_count == 7 + 8 + 7
 
 
 def test_operator_grid_mismatches():
@@ -248,8 +246,12 @@ def test_operator_grid_mismatches():
 
 def test_energy_parameter_validation():
     g, t, u = two_node_setup(1.0)
-    with pytest.raises(ConfigurationError):
-        energy_p(g, t, u, 0.5)
+    for p in (0.5, np.inf, np.nan):  # energy_p(inf) was 0.0
+        with pytest.raises(ConfigurationError):
+            energy_p(g, t, u, p)
+    for p in (1.0, np.inf, np.nan):  # p = inf gave A(0.5) = 0, A(2) = inf
+        with pytest.raises(ConfigurationError):
+            p_laplacian_kernel(p)
     with pytest.raises(ConfigurationError):
         energy_bilateral(g, t, u, 0.0)
     for h in (1e-160, 1e160):  # h^2/2 underflows, overflows
@@ -338,7 +340,8 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     pairs = list(scalar_pairs(g, t))
     nv = g.node_volume
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
-    assert energy_p(g, t, u, p).value == pytest.approx(want_e, rel=1e-12, abs=1e-14)
+    assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
+    assert t.pair_count == len(pairs)
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
         # the fused pass, in the walk's scratch buffers, is eval and density
         # bit for bit
@@ -347,10 +350,9 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
             assert a is scratch[0] and dens is scratch[1], k.family
             assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
             assert np.array_equal(dens, k.density(0.3, s, pe)), k.family
-        out = apply_nonlocal(g, t, k, 0.3, u)
-        assert out.flops_estimate == len(pairs)
         want = dense_oracle(g, t, k, 0.3, u)
-        np.testing.assert_allclose(out.result.values, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
+        got = apply_nonlocal(g, t, k, 0.3, u).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
         lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
         assert lhs == pytest.approx(nv * float(np.sum(phi.values * want)), rel=1e-12, abs=1e-14)
         want_rhs = -0.5 * nv**2 * sum(
@@ -390,6 +392,21 @@ def test_one_step_filter_refuses_a_node_without_weight():
                                   [0.0, 1.0])
 
 
+def test_one_step_filter_uses_the_bilateral_window_bit_for_bit():
+    # on two nodes each one sees itself and the other: the filter is
+    # (w0 u + w1 g u') / (w0 + w1 g) with the bilateral kernel's window g
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    t = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [0.7, 1.3, 0.7]))
+    w0, w1 = t.zero_weight, t.weight_of([1])
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        u = rng.uniform(-1.0, 1.0, 2)
+        h = 10.0 ** rng.uniform(-1.0, 1.0)
+        gw = np.exp(-(((u[1] - u[0]) / h) ** 2))
+        want = (w0 * u + w1 * gw * u[::-1]) / (w0 + w1 * gw)
+        assert np.array_equal(one_step_filter(g, t, Field(g, u), h).values, want), (u, h)
+
+
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [6, 5])
@@ -420,7 +437,7 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
         for k in kernels_:
             traj = solve(g, t, k, zero_reaction(), u0, cfg)
             out += [traj.final_state.values, traj.per_step["energy"], flow_energy(g, t, k, u0)]
-        return out + [apply_nonlocal(g, t, mol, 0.0, u0).result.values, flow_energy(g, t, mol, u0)]
+        return out + [apply_nonlocal(g, t, mol, 0.0, u0).values, flow_energy(g, t, mol, u0)]
 
     plain = results()
     original = kernels.RangeKernel.eval
@@ -439,7 +456,7 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
 
 
 def block_kinds(table):
-    return ["slice" if lengths is None else "gather" for _, lengths, _, _ in table.blocks]
+    return ["slice" if isinstance(dst, tuple) else "gather" for _, dst, _ in table.blocks]
 
 
 def test_walk_layout_follows_slice_length():
@@ -451,17 +468,16 @@ def test_walk_layout_follows_slice_length():
     g = build_grid(2, [(0.0, 1.0)] * 2, [24, 24])
     small = make_spatial_kernel(g, "gaussian", 0.12)
     assert set(block_kinds(small)) == {"gather"}
-    for block in small.blocks:
-        assert block[2].dtype == np.int32 and block[3].dtype == np.int32
-        assert block[2].size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
-    # the gather blocks hold every pair of the positive offsets, in table order
-    dst = np.concatenate([b[2] for b in small.blocks])
-    src = np.concatenate([b[3] for b in small.blocks])
+    for w, dst, src in small.blocks:
+        assert w.dtype == np.float64 and dst.dtype == np.int32 and src.dtype == np.int32
+        assert w.size == dst.size == src.size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
+    # the gather blocks hold every pair of the positive offsets, in table
+    # order, each with its offset's weight
+    w, dst, src = (np.concatenate(col) for col in zip(*small.blocks))
     nodes = np.arange(g.node_count).reshape(g.counts)
     assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, d, _ in small.pairs]))
     assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, s in small.pairs]))
-    want_w = np.concatenate([np.full(nodes[d].size, w) for w, d, _ in small.pairs])
-    assert np.array_equal(np.concatenate([np.repeat(b[0], b[1]) for b in small.blocks]), want_w)
+    assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, d, _ in small.pairs]))
     # a 1-D grid longer than the threshold: offsets 1 and 2 keep their
     # slices, offsets near the grid size are gathered around them
     n = kernels._GATHER_BELOW + 2
@@ -472,7 +488,7 @@ def test_walk_layout_follows_slice_length():
     assert block_kinds(mixed) == ["slice", "slice", "gather"]
     u = Field(line, np.random.default_rng(5).uniform(0.0, 1.0, n))
     for k in (p_laplacian_kernel(1.5), non_odd_kernel()):
-        got = apply_nonlocal(line, mixed, k, 0.3, u).result.values
+        got = apply_nonlocal(line, mixed, k, 0.3, u).values
         np.testing.assert_allclose(got, dense_oracle(line, mixed, k, 0.3, u), rtol=1e-12, atol=1e-14)
 
 
@@ -489,19 +505,19 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
     assert set(block_kinds(t)) == {"slice", "gather"}
     base = spatial_exponent_kernel([0.0, 0.3, 1.0], [3.0, 2.4, 1.6], ref)
     for k in (base, mollify_range_kernel(base, 4)):
-        op = apply_nonlocal(g, t, k, 0.0, u).result.values
+        op = apply_nonlocal(g, t, k, 0.0, u).values
         energy = flow_energy(g, t, k, u)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             interp = np.interp
             mp.setattr(np, "interp", lambda *a, **kw: calls.append(1) or interp(*a, **kw))
-            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).result.values, op)
+            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, op)
             assert flow_energy(g, t, k, u) == energy
         assert calls == []
         # raw reference differences instead, interpolated on every call
         rr = ref.reshaped()
-        raw = tuple(operator._take(rr, s) - operator._take(rr, d) for _, _, d, s in t.blocks)
+        raw = tuple(operator._take(rr, s) - operator._take(rr, d) for _, d, s in t.blocks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operator, "_walk_exponents", lambda table, kernel: raw)
-            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).result.values, op)
+            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, op)
             assert flow_energy(g, t, k, u) == energy

@@ -133,7 +133,7 @@ def test_mu_zero_collapses_to_explicit_euler_bit_for_bit():
     euler = [u]
     for j in range(steps):
         t_j = T * (j / steps)
-        u = u + tau * (apply_nonlocal(g, t, k, t_j, Field(g, u)).result.values
+        u = u + tau * (apply_nonlocal(g, t, k, t_j, Field(g, u)).values
                        + r.eval(t_j, None, u))
         euler.append(u)
     assert len(semi.states) == len(euler)
