@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Field, lp_norm
-from .kernels import RangeKernel, RunReport, mollify_range_kernel
+from .kernels import RunReport, mollify_range_kernel
 from .stepper import (
     Problem,
     Trajectory,
@@ -123,8 +123,8 @@ def contraction_study(problem: Problem, u0_a: Field, u0_b: Field, p) -> RunRepor
     """
     if u0_a.grid != problem.grid or u0_b.grid != problem.grid:
         raise GridMismatchError("initial states do not live on the problem grid")
-    traj_a = solve_problem(problem, u0=u0_a)
-    traj_b = solve_problem(problem, u0=u0_b)
+    traj_a = solve_problem(replace(problem, u0=u0_a))
+    traj_b = solve_problem(replace(problem, u0=u0_b))
     summary = stability_constant_estimate(traj_a, traj_b, p)
 
     rep = RunReport()
@@ -189,18 +189,19 @@ class CauchyStudyResult:
     report: RunReport
 
 
-def mollifier_cauchy_study(
-    problem: Problem, base: RangeKernel, levels, quad_count: int = 257
-) -> CauchyStudyResult:
-    """Solve at several mollification levels and measure mutual distances.
+def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> CauchyStudyResult:
+    """Solve at several mollification levels of ``problem.kernel`` and
+    measure mutual distances.
 
     The spatial kernel, data, and step grid stay fixed, so the distances
     isolate the smoothing level; the theory then predicts a decay like
     (|n - m| / (n m))^alpha in the two levels, and for consecutive doubling
-    levels a decay in n of exponent alpha.  Requires a monotone base
-    kernel (the hypothesis behind the underlying uniqueness argument) and
-    at least three strictly increasing levels.
+    levels a decay in n of exponent alpha.  Each level is mollified on
+    ``quad_count`` panels, and on no fewer than 257.  Requires a monotone
+    kernel (the hypothesis behind the underlying uniqueness argument),
+    not itself mollified, and at least three strictly increasing levels.
     """
+    base = problem.kernel
     if not base.monotone:
         raise ConfigurationError(
             "the mollification Cauchy study needs a monotone range kernel"
@@ -211,11 +212,12 @@ def mollifier_cauchy_study(
     if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 1:
         raise ConfigurationError("mollification levels must be strictly increasing and >= 1")
 
+    quad_count = max(257, quad_count)
     config = replace(problem.config, record_every=1)
     trajectories = []
     for n in lv:
         smoothed = mollify_range_kernel(base, n, quad_count)
-        trajectories.append(solve_problem(problem, kernel=smoothed, config=config))
+        trajectories.append(solve_problem(replace(problem, kernel=smoothed, config=config)))
 
     grid = problem.grid
     tau = config.T / config.steps
@@ -313,7 +315,7 @@ def time_refinement_study(problem: Problem, step_counts, reference: Field | None
     finals = []
     for n in counts:
         config = replace(problem.config, steps=n, record_every=n)
-        finals.append(solve_problem(problem, config=config).final_state)
+        finals.append(solve_problem(replace(problem, config=config)).final_state)
 
     grid = problem.grid
     if reference is not None:

@@ -28,7 +28,14 @@ import numpy as np
 
 from .analysis import contraction_study, mollifier_cauchy_study, time_refinement_study, verify_invariants
 from .config import build_problem, parse_config, serialize_config
-from .errors import AssumptionViolationError, NldiffError, NumericalBlowupError
+from .errors import (
+    AssumptionViolationError,
+    ConfigParseError,
+    ConfigurationError,
+    KernelValidationError,
+    NldiffError,
+    NumericalBlowupError,
+)
 from .grid import Field, series_csv, write_text
 from .kernels import bilateral_kernel, make_spatial_kernel, zero_reaction
 from .operator import flow_energy, one_step_filter
@@ -117,7 +124,7 @@ def _cmd_denoise(args) -> int:
     lo, hi = float(final.values.min()), float(final.values.max())
     print(f"value range before quantization: [{lo:.6g}, {hi:.6g}]"
           + ("" if 0.0 <= lo and hi <= 1.0 else " (will be clamped to [0, 1])"))
-    save_pgm(field_to_image(final, clamp=True), os.path.join(out, "denoised.pgm"))
+    save_pgm(field_to_image(final), os.path.join(out, "denoised.pgm"))
     print(f"wrote {os.path.join(out, 'denoised.pgm')}")
     return 0
 
@@ -143,9 +150,7 @@ def _cmd_study_cauchy(args) -> int:
     out = _out_dir(args, cfg)
     base_cfg = replace(cfg, range=replace(cfg.range, mollify_n=0))
     problem = build_problem(base_cfg)
-    result = mollifier_cauchy_study(
-        problem, problem.kernel, cfg.study.levels, quad_count=max(257, cfg.range.mollify_quad)
-    )
+    result = mollifier_cauchy_study(problem, cfg.study.levels, cfg.range.mollify_quad)
     print(result.report.to_text())
     print(f"fitted level-decay exponent: {result.fitted_exponent:.4f}")
     i, j = np.triu_indices(len(result.levels), 1)
@@ -229,6 +234,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NldiffError, OSError) as exc:
+        # a refused value names the config it came from, unless the error
+        # names its own file already
+        named = isinstance(exc, (ConfigurationError, KernelValidationError))
+        if named and not isinstance(exc, ConfigParseError) and getattr(args, "config", None):
+            exc = f"{args.config}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

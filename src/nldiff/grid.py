@@ -234,11 +234,15 @@ def save_field(f: Field, path) -> None:
 def load_field(path) -> Field:
     """Read a field written by :func:`save_field`.
 
-    After the header, blank lines and '#' comment lines are skipped.
+    After the header, blank lines and '#' comment lines are skipped.  A
+    malformed header, a value that is not a finite number, or a value
+    count other than the grid's node count raises :class:`ConfigParseError`
+    naming the file and, for a value, its line.
     """
+    path = str(path)
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != FIELD_FILE_MAGIC:
-        raise ConfigurationError(f"{path}: missing '{FIELD_FILE_MAGIC}' header")
+        raise ConfigParseError(f"missing '{FIELD_FILE_MAGIC}' header", line=1, path=path)
     header = {}
     body_start = 1
     for ln in lines[1:4]:
@@ -251,12 +255,11 @@ def load_field(path) -> Field:
         dim = int(header["dim"][0])
         flat_ext = [float(v) for v in header["extents"]]
         counts = [int(v) for v in header["counts"]]
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed field header") from exc
-    if len(flat_ext) != 2 * dim:
-        raise ConfigurationError(f"{path}: expected {2 * dim} extent entries")
-    extents = [(flat_ext[2 * k], flat_ext[2 * k + 1]) for k in range(dim)]
-    grid = build_grid(dim, extents, counts)
+        if len(flat_ext) != 2 * dim:
+            raise ValueError(f"expected {2 * dim} extent entries")
+        grid = build_grid(dim, [(flat_ext[2 * k], flat_ext[2 * k + 1]) for k in range(dim)], counts)
+    except (KeyError, IndexError, ValueError, ConfigurationError) as exc:
+        raise ConfigParseError(f"malformed field header: {exc}", path=path) from exc
     values = []
     for i, ln in enumerate(lines[body_start:], start=body_start + 1):
         if not ln.strip() or ln.lstrip().startswith("#"):
@@ -264,5 +267,11 @@ def load_field(path) -> Field:
         try:
             values.append(float(ln))
         except ValueError as exc:
-            raise ConfigurationError(f"{path}, line {i}: bad value {ln!r}") from exc
+            raise ConfigParseError(f"bad value {ln!r}", line=i, path=path) from exc
+        if not math.isfinite(values[-1]):
+            raise ConfigParseError(f"value {ln.strip()} is not finite", line=i, path=path)
+    if len(values) != grid.node_count:
+        raise ConfigParseError(
+            f"field has {len(values)} values, grid has {grid.node_count} nodes", path=path
+        )
     return Field(grid, np.asarray(values))

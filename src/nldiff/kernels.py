@@ -72,17 +72,15 @@ class SpatialKernelTable:
     The table owns that walk.  The spatial kernel is even and every range
     kernel but ``custom`` is odd, so the pair (x, x + d) and its mirror
     (x + d, x) carry the same flux with opposite signs; the walk therefore
-    visits only the lexicographically positive offsets d > 0.  ``pairs``
-    holds one ``(weight, dst, src)`` triple per such offset, in table
-    order, where ``dst`` and ``src`` are the slice tuples selecting the
-    nodes x and x + d that both lie on the grid; offsets whose overlap with
-    the grid is empty are left out.
+    visits only the lexicographically positive offsets d > 0, in table
+    order, leaving out those whose overlap with the grid is empty.
 
-    ``blocks`` is the walk itself, the same offsets in the same order cut
-    into blocks, each a triple ``(w, dst, src)`` that only the walk,
-    :func:`nldiff.operator._pairs`, decodes.  An offset whose slice holds
-    at least ``_GATHER_BELOW`` pairs is a slice block, its ``pairs``
-    triple itself.  Consecutive shorter offsets are packed into gather
+    ``blocks`` is the walk itself, cut into blocks, each a triple
+    ``(w, dst, src)`` that only the walk, :func:`nldiff.operator._pairs`,
+    decodes.  An offset whose slice holds at least ``_GATHER_BELOW`` pairs
+    is a slice block: its weight, and the slice tuples ``dst`` and ``src``
+    selecting the nodes x and x + d that both lie on the grid.
+    Consecutive shorter offsets are packed into gather
     blocks of about ``_GATHER_CHUNK`` pairs: a float64 weight per pair
     next to int32 flat node indices of every pair, offset after offset.
     On short slices the walk's cost is per-offset numpy dispatch rather
@@ -103,7 +101,6 @@ class SpatialKernelTable:
     offsets: np.ndarray
     weights: np.ndarray
     normalization: float
-    pairs: tuple = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
     zero_weight: float = field(init=False, repr=False, compare=False)
     pair_count: int = field(init=False, repr=False, compare=False)
@@ -142,7 +139,6 @@ class SpatialKernelTable:
             elif size and tuple(offset) > zero:
                 pairs.append((w, tuple(dst), tuple(src)))
                 sizes.append(size)
-        object.__setattr__(self, "pairs", tuple(pairs))
         blocks, largest = _walk_blocks(self.grid, pairs, sizes)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "largest_block", largest)
@@ -698,8 +694,10 @@ def bilateral_kernel(h: float) -> RangeKernel:
     return RangeKernel("bilateral_gaussian", h=bilateral_width(h), holder_alpha=1.0, monotone=False)
 
 
-def custom_kernel(fn, *, monotone: bool = False, holder_alpha: float = 1.0) -> RangeKernel:
-    return RangeKernel("custom", fn=fn, monotone=monotone, holder_alpha=holder_alpha)
+def custom_kernel(fn) -> RangeKernel:
+    """A range kernel A(t, s) = fn(t, s), declared neither monotone nor
+    better than Lipschitz (Holder exponent 1)."""
+    return RangeKernel("custom", fn=fn)
 
 
 def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> RangeKernel:
@@ -753,10 +751,10 @@ def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> 
 class Reaction:
     """Reaction term f(t, x, s); every built-in is autonomous and local.
 
-    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on the declared working
-    range, ``l_lipschitz`` bounds the slope there, and ``non_increasing``
-    declares monotone decay in s.  All three are derived from the family
-    parameters.
+    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on the working range,
+    [-2, 2] unless a table sets it, ``l_lipschitz`` bounds the slope there,
+    and ``non_increasing`` declares monotone decay in s.  All three are
+    derived from the family parameters.
     """
 
     def __init__(
@@ -831,35 +829,46 @@ def linear_decay_reaction(rate: float) -> Reaction:
     return Reaction("linear_decay", rate=rate)
 
 
-def affine_reaction(offset: float, slope: float, working_range=(-2.0, 2.0)) -> Reaction:
+def affine_reaction(offset: float, slope: float) -> Reaction:
     if offset < 0.0:
         raise ConfigurationError(f"affine reaction needs a non-negative offset, got {offset}")
-    return Reaction("affine", offset=offset, slope=slope, working_range=working_range)
+    return Reaction("affine", offset=offset, slope=slope)
 
 
-def logistic_reaction(growth: float, capacity: float, working_range=(-2.0, 2.0)) -> Reaction:
+def logistic_reaction(growth: float, capacity: float) -> Reaction:
     if growth < 0.0 or not capacity > 0.0:
         raise ConfigurationError("logistic reaction needs growth >= 0 and capacity > 0")
-    return Reaction("logistic", rate=growth, capacity=capacity, working_range=working_range)
+    return Reaction("logistic", rate=growth, capacity=capacity)
 
 
-def custom_table_reaction(s_values, f_values, working_range=None) -> Reaction:
+def custom_table_reaction(s_values, f_values) -> Reaction:
+    """Linear interpolation in a table, whose abscissae span the working range."""
     ts = np.asarray(s_values, dtype=np.float64)
-    if working_range is None and ts.ndim == 1 and ts.size:
-        working_range = (float(ts[0]), float(ts[-1]))
     # Reaction refuses a malformed table before it reads the working range
+    working_range = (float(ts[0]), float(ts[-1])) if ts.ndim == 1 and ts.size else None
     return Reaction("custom_table", table=(s_values, f_values), working_range=working_range)
 
 
 # ---------------------------------------------------------------------------
 # sampled constants
 
-def _sample_points(radius: float, rng: np.random.Generator, samples: int, exclude: float):
-    lin = rng.uniform(-radius, radius, size=samples // 2)
-    mags = np.exp(rng.uniform(np.log(max(exclude, 1e-300)), np.log(radius), size=samples - samples // 2))
+# Draws per constant sampler, and per range-kernel check of
+# validate_assumptions.
+_SAMPLES = 4096
+_VALIDATE_SAMPLES = 256
+# The growth and slope samplers skip |s| below _EXCLUDE: for p_laplacian
+# kernels with p < 2 the ratio diverges at the origin, so the value they
+# return is a statement about the sampled window only, and such kernels
+# should run with the manual or certificate mu modes.
+_EXCLUDE = 1e-8
+
+
+def _sample_points(radius: float, rng: np.random.Generator):
+    lin = rng.uniform(-radius, radius, size=_SAMPLES // 2)
+    mags = np.exp(rng.uniform(np.log(_EXCLUDE), np.log(radius), size=_SAMPLES - _SAMPLES // 2))
     signs = rng.choice([-1.0, 1.0], size=mags.shape)
     pts = np.concatenate([lin, signs * mags])
-    return pts[np.abs(pts) >= exclude]
+    return pts[np.abs(pts) >= _EXCLUDE]
 
 
 def _eval_for_constants(kernel: RangeKernel, rng: np.random.Generator, radius: float, *batches):
@@ -878,62 +887,42 @@ def _eval_for_constants(kernel: RangeKernel, rng: np.random.Generator, radius: f
     return out[0] if len(out) == 1 else out
 
 
-def sample_growth_constant(
-    kernel: RangeKernel,
-    radius: float,
-    rng: np.random.Generator,
-    samples: int = 4096,
-    exclude: float = 1e-8,
-) -> float:
-    """Largest sampled |A(s)| / |s| on [-radius, radius].
-
-    Points with |s| below ``exclude`` are skipped; for p_laplacian kernels
-    with p < 2 the ratio diverges at the origin, so the value returned is a
-    statement about the sampled window only and such kernels should run
-    with the manual or certificate mu modes rather than this one.
-    """
-    pts = _sample_points(radius, rng, samples, exclude)
+def sample_growth_constant(kernel: RangeKernel, radius: float, rng: np.random.Generator) -> float:
+    """Largest sampled |A(s)| / |s| on [-radius, radius], over 4096 draws
+    with |s| >= 1e-8."""
+    pts = _sample_points(radius, rng)
     vals = _eval_for_constants(kernel, rng, radius, pts)
     return float(np.max(np.abs(vals) / np.abs(pts)))
 
 
-def sample_lipschitz_constant(
-    kernel: RangeKernel,
-    radius: float,
-    rng: np.random.Generator,
-    samples: int = 4096,
-    exclude: float = 1e-8,
-) -> float:
+def sample_lipschitz_constant(kernel: RangeKernel, radius: float, rng: np.random.Generator) -> float:
     """Largest sampled difference quotient |A(s1)-A(s2)| / |s1-s2|.
 
-    Mixes wide random pairs with tight pairs (spread 1e-6) so local slopes
-    show up; pairs inside the exclusion window around 0 are dropped for the
-    same reason as in :func:`sample_growth_constant`.
+    Mixes 4096 tight pairs (spread 1e-6), so that local slopes show up,
+    with 4096 wide random pairs on [-radius, radius]; pairs with a point
+    inside |s| < 1e-8 are dropped, as in :func:`sample_growth_constant`.
     """
-    base = _sample_points(radius, rng, samples, exclude)
+    base = _sample_points(radius, rng)
     tight = base + 1e-6 * rng.uniform(0.5, 1.5, size=base.shape)
-    wide = _sample_points(radius, rng, samples, exclude)
+    wide = _sample_points(radius, rng)
     s1 = np.concatenate([base, base])
     s2 = np.concatenate([tight, wide])
-    keep = (np.abs(s1) >= exclude) & (np.abs(s2) >= exclude) & (s1 != s2)
+    keep = (np.abs(s1) >= _EXCLUDE) & (np.abs(s2) >= _EXCLUDE) & (s1 != s2)
     s1, s2 = s1[keep], s2[keep]
     v1, v2 = _eval_for_constants(kernel, rng, radius, s1, s2)
     return float(np.max(np.abs(v1 - v2) / np.abs(s1 - s2)))
 
 
 def sample_holder_constant(
-    kernel: RangeKernel,
-    alpha: float,
-    radius: float,
-    rng: np.random.Generator,
-    samples: int = 4096,
+    kernel: RangeKernel, alpha: float, radius: float, rng: np.random.Generator
 ) -> float:
-    """Largest sampled |A(s1)-A(s2)| / |s1-s2|^alpha on [-radius, radius]."""
+    """Largest sampled |A(s1)-A(s2)| / |s1-s2|^alpha on [-radius, radius],
+    over 4096 random pairs and 1024 mirror pairs (s, -s)."""
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(f"Holder exponent must lie in (0, 1], got {alpha}")
-    s1 = rng.uniform(-radius, radius, size=samples)
-    s2 = rng.uniform(-radius, radius, size=samples)
-    mirror = rng.uniform(-radius, radius, size=samples // 4)
+    s1 = rng.uniform(-radius, radius, size=_SAMPLES)
+    s2 = rng.uniform(-radius, radius, size=_SAMPLES)
+    mirror = rng.uniform(-radius, radius, size=_SAMPLES // 4)
     s1 = np.concatenate([s1, mirror])
     s2 = np.concatenate([s2, -mirror])
     keep = s1 != s2
@@ -1004,7 +993,6 @@ def validate_assumptions(
     u0: Field,
     *,
     seed: int = 42,
-    samples: int = 256,
 ) -> RunReport:
     """Check the structural hypotheses the well-posedness theory needs.
 
@@ -1015,8 +1003,9 @@ def validate_assumptions(
     and monotonicity when declared), the reaction (f(t, x, 0) >= 0 and the
     declared growth bound), and non-negativity of the initial state.  Each
     goes into the returned :class:`RunReport` with its measured value and
-    threshold.  Sampling uses a dedicated generator seeded by ``seed`` so
-    reports are reproducible.
+    threshold.  The range kernel is sampled at 256 random points and
+    0 and the ends of its window, with a dedicated generator seeded by
+    ``seed`` so reports are reproducible.
     """
     rng = np.random.default_rng(seed)
     rep = RunReport()
@@ -1031,7 +1020,7 @@ def validate_assumptions(
 
     # range kernel, sampled on a window scaled to the data
     radius = 2.0 * max(1.0, float(np.max(np.abs(u0.values))))
-    s = np.concatenate([rng.uniform(-radius, radius, size=samples), [0.0, radius, -radius]])
+    s = np.concatenate([rng.uniform(-radius, radius, size=_VALIDATE_SAMPLES), [0.0, radius, -radius]])
     pair_ref = None
     if kernel.needs_pair_reference:
         idx = rng.integers(0, u0.grid.node_count, size=(s.size, 2))

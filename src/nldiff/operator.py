@@ -76,7 +76,6 @@ from .kernels import (
     SpatialKernelTable,
     _gaussian_window,
     _p_energy_kernel,
-    bilateral_kernel,
     bilateral_width,
 )
 
@@ -229,13 +228,6 @@ def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> float
     """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p, the flow
     energy of the p-Laplacian kernel."""
     return flow_energy(grid, table, _p_energy_kernel(float(p)), u)
-
-
-def energy_bilateral(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> float:
-    """The saturating energy nv^2 sum sum w(d) (1 - exp(-(du/h)^2)), the
-    flow energy of the bilateral kernel divided by h^2/2."""
-    kernel = bilateral_kernel(h)
-    return flow_energy(grid, table, kernel, u) / (0.5 * kernel.h * kernel.h)
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:

@@ -135,16 +135,13 @@ def image_to_field(image: ImageField) -> tuple:
     return grid, Field(grid, image.values.T.ravel().copy())
 
 
-def field_to_image(f: Field, clamp: bool = True) -> ImageField:
-    """Map a field on an image grid back to an image.
-
-    With ``clamp`` the values are clipped into [0, 1]; callers that care
-    about the overshoot should inspect the field first.
+def field_to_image(f: Field) -> ImageField:
+    """Map a field on an image grid back to an image, its values clipped
+    into [0, 1]; callers that care about the overshoot should inspect the
+    field first.
     """
     if f.grid.dim != 2:
         raise PgmFormatError("only 2-d fields map back to images")
     width, height = f.grid.counts
-    v = f.values.reshape(width, height).T
-    if clamp:
-        v = np.clip(v, 0.0, 1.0)
+    v = np.clip(f.values.reshape(width, height).T, 0.0, 1.0)
     return ImageField(width=width, height=height, values=v)

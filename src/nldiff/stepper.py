@@ -204,16 +204,12 @@ def _resolve_constants(kernel, reaction, u0, config, seed):
     norm_u0 = float(np.max(np.abs(u0.values))) if u0.values.size else 0.0
     c_f, l_f = reaction.c_growth, reaction.l_lipschitz
     sample_radius = 2.0 * max(1.0, norm_u0)
-    c_a = math.nan
-    k = math.nan
+    c_a = k = math.nan
     if config.mu_mode == "auto_growth":
         c_a = sample_growth_constant(kernel, sample_radius, rng)
-        mu = select_mu("auto_growth", c_a=c_a, c_f=c_f, margin=config.mu_margin)
     elif config.mu_mode == "auto_linf":
         k = 1.01 * norm_u0
-        mu = select_mu("auto_linf", c_f=c_f, k=k)
-    else:
-        mu = select_mu("manual", mu=config.mu)
+    mu = select_mu(config.mu_mode, c_a=c_a, c_f=c_f, k=k, margin=config.mu_margin, mu=config.mu)
     # Sampled on twice the initial range: conformant runs stay inside it by
     # the discrete maximum principle, which is what this bound protects.
     l_loc = sample_lipschitz_constant(kernel, sample_radius, rng)
@@ -351,17 +347,16 @@ def solve(
     )
 
 
-def solve_problem(problem: Problem, *, allow_nonconformant: bool = False,
-                  config: SolverConfig | None = None, u0: Field | None = None,
-                  kernel: RangeKernel | None = None) -> Trajectory:
-    """Run a :class:`Problem`, optionally overriding pieces of it."""
+def solve_problem(problem: Problem, *, allow_nonconformant: bool = False) -> Trajectory:
+    """Run a :class:`Problem` with :func:`solve`; to vary one piece of it,
+    pass ``dataclasses.replace(problem, ...)``."""
     return solve(
         problem.grid,
         problem.table,
-        kernel if kernel is not None else problem.kernel,
+        problem.kernel,
         problem.reaction,
-        u0 if u0 is not None else problem.u0,
-        config if config is not None else problem.config,
+        problem.u0,
+        problem.config,
         seed=problem.seed,
         allow_nonconformant=allow_nonconformant,
     )

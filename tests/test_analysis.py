@@ -215,8 +215,9 @@ def test_contraction_study_refusals():
 
 def test_cauchy_study_structure_and_decay():
     rng = np.random.default_rng(30)
-    prob = small_problem(rng.uniform(0.1, 0.9, 16), T=0.25, steps=32)
-    res = mollifier_cauchy_study(prob, p_laplacian_kernel(1.5), [2, 4, 8, 16])
+    prob = small_problem(rng.uniform(0.1, 0.9, 16), kernel=p_laplacian_kernel(1.5), T=0.25,
+                         steps=32)
+    res = mollifier_cauchy_study(prob, [2, 4, 8, 16])
     assert res.pairwise_l1.shape == (4, 4)
     np.testing.assert_array_equal(np.diag(res.pairwise_l1), 0.0)
     np.testing.assert_array_equal(res.pairwise_l1, res.pairwise_l1.T)
@@ -232,7 +233,7 @@ def test_cauchy_study_degenerates_on_an_already_smooth_kernel():
     # smoothing the identity is exact at every level, so all runs coincide
     rng = np.random.default_rng(31)
     prob = small_problem(rng.uniform(0.1, 0.9, 16), T=0.25, steps=32)
-    res = mollifier_cauchy_study(prob, linear_kernel(), [2, 4, 8])
+    res = mollifier_cauchy_study(prob, [2, 4, 8])
     assert float(np.max(res.pairwise_l1)) <= 1e-14
     assert math.isnan(res.fitted_exponent)
     degenerate = next(
@@ -242,14 +243,22 @@ def test_cauchy_study_degenerates_on_an_already_smooth_kernel():
 
 def test_cauchy_study_refusals():
     prob = small_problem(np.linspace(0.1, 0.9, 16))
+    bilateral = small_problem(np.linspace(0.1, 0.9, 16), kernel=bilateral_kernel(0.5))
     with pytest.raises(ConfigurationError, match="monotone"):
-        mollifier_cauchy_study(prob, bilateral_kernel(0.5), [2, 4, 8])
+        mollifier_cauchy_study(bilateral, [2, 4, 8])
     with pytest.raises(ConfigurationError):
-        mollifier_cauchy_study(prob, linear_kernel(), [2, 4])
+        mollifier_cauchy_study(prob, [2, 4])
     with pytest.raises(ConfigurationError):
-        mollifier_cauchy_study(prob, linear_kernel(), [4, 2, 8])
+        mollifier_cauchy_study(prob, [4, 2, 8])
     with pytest.raises(ConfigurationError):
-        mollifier_cauchy_study(prob, linear_kernel(), [0, 2, 4])
+        mollifier_cauchy_study(prob, [0, 2, 4])
+
+
+@pytest.mark.parametrize("quad_count, used", [(129, 257), (513, 513)])
+def test_cauchy_study_mollifies_on_257_panels_at_least(quad_count, used):
+    prob = small_problem(np.linspace(0.1, 0.9, 16), kernel=p_laplacian_kernel(2.5), steps=8)
+    res = mollifier_cauchy_study(prob, [2, 4, 8], quad_count)
+    assert res.report.constants["quad_count"] == used
 
 
 # ---------------------------------------------------------------------------

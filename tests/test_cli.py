@@ -5,11 +5,15 @@ codes, the files a command leaves behind, and byte-level reproducibility
 of a repeated run.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nldiff.cli
 from nldiff import (
     ConfigParseError,
     ConfigurationError,
@@ -271,13 +275,13 @@ def test_image_field_round_trip_and_orientation(tmp_path):
     assert grid.extents[1][1] == pytest.approx(2 / 3)
     # node (x=1, y=0) is column 1 of the top row
     assert f.values[grid.flat_index((1, 0))] == img.values[0, 1]
-    back = field_to_image(f, clamp=False)
+    back = field_to_image(f)
     np.testing.assert_array_equal(back.values, img.values)
 
 
 def test_field_to_image_clamps_overshoot():
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [2, 2])
-    img = field_to_image(Field(g, [-0.5, 0.2, 0.8, 1.7]), clamp=True)
+    img = field_to_image(Field(g, [-0.5, 0.2, 0.8, 1.7]))
     assert img.values.min() == 0.0 and img.values.max() == 1.0
 
 
@@ -379,10 +383,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "line 4: kernel table lists (1,) twice, first on line 1"),
         ("0, 0\n0.5, 1\n0.5, 2\n", "reaction.family = custom_table\nreaction.table_path = {}\n",
          "line 3: reaction table lists (0.5,) twice, first on line 2"),
+        ("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 16\n" + "0.5\n" * 2 + "nan\n"
+         + "0.5\n" * 13, "initial.kind = field_csv\ninitial.path = {}\n", "line 7: value nan is not finite"),
+        ("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 16\n" + "0.5\n" * 13,
+         "initial.kind = field_csv\ninitial.path = {}\n", "field has 13 values, grid has 16 nodes"),
     ],
     ids=["kernel_row_width", "kernel_bad_weight", "reaction_comment_only",
          "reaction_nan", "reaction_latin1", "field_latin1", "kernel_negative_weight",
-         "kernel_duplicate_offset", "reaction_duplicate_abscissa"],
+         "kernel_duplicate_offset", "reaction_duplicate_abscissa", "field_nan", "field_short"],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
     path = tmp_path / "table.csv"
@@ -426,17 +434,25 @@ def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
          "mollifier quadrature needs 64 to 65536 panels, got 65537"),
         (["solve"], "range.p = inf\n", "p_laplacian exponent must be finite and exceed 1, got inf"),
         (["solve"], "range.exponent_values = inf, 3\n", "exponent table entries must be finite"),
+        (["solve"], "range.h = 0\n", "bilateral width must be positive, got 0.0"),
+        (["solve"], "kernel.radius = 0\n", "kernel radius must be positive and finite, got 0.0"),
+        (["solve"], "kernel.family = custom_table\nkernel.table_path = {table}\n",
+         "kernel table is not even under offset negation"),
     ],
-    ids=["huge_mollify_quad", "huge_cauchy_quad", "infinite_p", "infinite_exponent"],
+    ids=["huge_mollify_quad", "huge_cauchy_quad", "infinite_p", "infinite_exponent",
+         "zero_bilateral_width", "zero_kernel_radius", "uneven_kernel_table"],
 )
 def test_refused_kernel_parameters_exit_2(tmp_path, capsys, command, extra, detail):
-    family = "variable_exponent" if "exponent_values" in extra else "p_laplacian"
+    family = ("variable_exponent" if "exponent_values" in extra
+              else "bilateral_gaussian" if "range.h" in extra else "p_laplacian")
+    table = tmp_path / "table.csv"
+    table.write_text("1, 0.5\n0, 1\n-1, 0.25\n", encoding="utf-8")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL.replace("range.family = linear", f"range.family = {family}") + extra,
-                   encoding="utf-8")
+    cfg.write_text(MINIMAL.replace("range.family = linear", f"range.family = {family}")
+                   + extra.format(table=table), encoding="utf-8")
     assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and detail in err and "Traceback" not in err
+    assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -581,3 +597,19 @@ def test_study_cauchy_command(tmp_path, capsys):
     lines = (out / "cauchy.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == "level_i,level_j,l1_distance"
     assert len(lines) == 1 + 6  # upper triangle of a 4x4 matrix
+
+
+def test_benchmark_tracer_finds_every_hook(tmp_path, monkeypatch):
+    # perfbench wraps the public functions it names and reads solve's
+    # config positionally; a renamed function or reordered signature would
+    # silently leave its layer unmeasured
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclass
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(nldiff)
+    argv = ["solve", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "x")]
+    assert tracer.run(nldiff.cli.main, argv) == 0
+    assert tracer.missing == []
+    assert [s.attrs["steps"] for s in tracer.spans if s.name == "stepper.solve"] == [8]

@@ -196,8 +196,11 @@ def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     t = make_spatial_kernel(g, "box", 0.3)
     rows = [tuple(r) for r in t.offsets]
     positive = [r for r in rows if r > (0, 0)]
-    assert len(t.pairs) == len(positive) == (len(rows) - 1) // 2
-    assert [w for w, _, _ in t.pairs] == [t.weight_of(r) for r in positive]
+    assert len(positive) == (len(rows) - 1) // 2
+    # one gather block holds the pairs of each positive offset, in table order
+    (w, _, _), = t.blocks
+    sizes = [(5 - abs(a)) * (4 - abs(b)) for a, b in positive]
+    assert w.tolist() == np.repeat([t.weight_of(r) for r in positive], sizes).tolist()
     assert t.zero_weight == t.weight_of([0, 0])
     # every ordered pair of the full table, the zero offset included
     assert t.pair_count == sum((5 - abs(a)) * (4 - abs(b)) for a, b in rows)

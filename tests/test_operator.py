@@ -21,7 +21,6 @@ from nldiff import (
     build_grid,
     custom_kernel,
     dissipation_pairing,
-    energy_bilateral,
     energy_p,
     eval_range_kernel,
     flow_energy,
@@ -210,8 +209,9 @@ def test_flow_energy_closed_forms():
     assert flow_energy(g, t, linear_kernel(), u) == pytest.approx(0.25 * 0.36, rel=1e-14)
     assert flow_energy(g, t, p_laplacian_kernel(3.0), u) == energy_p(g, t, u, 3.0)
     h = 0.7
+    # two ordered pairs of weight 1 at |s| = 0.6, node volume 1/2
     assert flow_energy(g, t, bilateral_kernel(h), u) == pytest.approx(
-        0.5 * h * h * energy_bilateral(g, t, u, h), rel=1e-15
+        0.5 * (0.5 * h * h) * (1.0 - np.exp(-((0.6 / h) ** 2))), rel=1e-15
     )
     # mollified kernels monitor their base energy
     mol = mollify_range_kernel(p_laplacian_kernel(3.0), 4)
@@ -253,10 +253,10 @@ def test_energy_parameter_validation():
         with pytest.raises(ConfigurationError):
             p_laplacian_kernel(p)
     with pytest.raises(ConfigurationError):
-        energy_bilateral(g, t, u, 0.0)
+        bilateral_kernel(0.0)
     for h in (1e-160, 1e160):  # h^2/2 underflows, overflows
         with pytest.raises(ConfigurationError, match="not a normal float"):
-            energy_bilateral(g, t, u, h)
+            bilateral_kernel(h)
         with pytest.raises(ConfigurationError, match="not a normal float"):
             one_step_filter(g, t, u, h)
     with pytest.raises(ConfigurationError):
@@ -459,11 +459,23 @@ def block_kinds(table):
     return ["slice" if isinstance(dst, tuple) else "gather" for _, dst, _ in table.blocks]
 
 
+def offset_slices(table):
+    """(weight, dst, src) of each positive offset that overlaps the grid, in
+    table order: the node pairs the walk covers, as slice tuples."""
+    out = []
+    for w, d in zip(table.weights, table.offsets.tolist()):
+        dst = tuple(slice(max(0, -a), c - max(0, a)) for c, a in zip(table.grid.counts, d))
+        src = tuple(slice(s.start + a, s.stop + a) for s, a in zip(dst, d))
+        if tuple(d) > (0,) * len(d) and all(s.stop > s.start for s in dst):
+            out.append((w, dst, src))
+    return out
+
+
 def test_walk_layout_follows_slice_length():
     # every offset of a 128^2 Gaussian-0.03 table (the denoise default)
     # holds at least 12,769 pairs: all slices
     big = make_spatial_kernel(build_grid(2, [(0.0, 1.0)] * 2, [128, 128]), "gaussian", 0.03)
-    assert block_kinds(big) == ["slice"] * len(big.pairs)
+    assert block_kinds(big) == ["slice"] * len(offset_slices(big))
     # on a 24^2 Gaussian-0.12 table no offset holds more than 552 pairs
     g = build_grid(2, [(0.0, 1.0)] * 2, [24, 24])
     small = make_spatial_kernel(g, "gaussian", 0.12)
@@ -475,9 +487,10 @@ def test_walk_layout_follows_slice_length():
     # order, each with its offset's weight
     w, dst, src = (np.concatenate(col) for col in zip(*small.blocks))
     nodes = np.arange(g.node_count).reshape(g.counts)
-    assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, d, _ in small.pairs]))
-    assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, s in small.pairs]))
-    assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, d, _ in small.pairs]))
+    pairs = offset_slices(small)
+    assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, d, _ in pairs]))
+    assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, s in pairs]))
+    assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, d, _ in pairs]))
     # a 1-D grid longer than the threshold: offsets 1 and 2 keep their
     # slices, offsets near the grid size are gathered around them
     n = kernels._GATHER_BELOW + 2

@@ -10,6 +10,7 @@ closed-form logistic solution.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,8 +101,8 @@ def test_final_time_is_hit_exactly():
 
 
 def test_record_every_thins_but_keeps_endpoint():
-    traj = solve_problem(two_node_problem([0.2, 0.9], steps=10), config=SolverConfig(
-        T=0.5, steps=10, mu_mode="manual", record_every=4))
+    traj = solve_problem(replace(two_node_problem([0.2, 0.9], steps=10), config=SolverConfig(
+        T=0.5, steps=10, mu_mode="manual", record_every=4)))
     np.testing.assert_array_equal(traj.record_steps, [0, 4, 8, 10])
     assert len(traj.states) == 4
     assert traj.times[-1] == 0.5
@@ -315,7 +316,7 @@ def test_initial_state_grid_mismatch():
     prob = two_node_problem([0.2, 1.0])
     other = build_grid(1, [(0.0, 1.0)], [3])
     with pytest.raises(GridMismatchError):
-        solve_problem(prob, u0=Field(other, np.zeros(3)))
+        solve_problem(replace(prob, u0=Field(other, np.zeros(3))))
 
 
 def test_negative_seed_is_refused_by_the_library():
@@ -335,7 +336,7 @@ def test_negative_seed_is_refused_by_the_library():
 def test_stability_estimate_ratios_and_refusals():
     base = two_node_problem([0.2, 1.0], T=0.5, steps=32)
     a = solve_problem(base)
-    b = solve_problem(base, u0=Field(base.grid, [0.35, 0.8]))
+    b = solve_problem(replace(base, u0=Field(base.grid, [0.35, 0.8])))
     for p in (1, 2, math.inf):
         summ = stability_constant_estimate(a, b, p)
         assert summ.ratios[0] == 1.0
@@ -343,7 +344,7 @@ def test_stability_estimate_ratios_and_refusals():
         assert summ.fitted_rate <= 0.0
     with pytest.raises(UndefinedRatioError):
         stability_constant_estimate(a, a, 2)
-    c = solve_problem(base, config=SolverConfig(T=0.5, steps=16, mu_mode="manual"))
+    c = solve_problem(replace(base, config=SolverConfig(T=0.5, steps=16, mu_mode="manual")))
     with pytest.raises(ConfigurationError):
         stability_constant_estimate(a, c, 2)
 
