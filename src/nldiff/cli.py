@@ -45,9 +45,13 @@ from .stepper import Problem, SolverConfig, export_trajectory, solve_problem
 
 def _load(args):
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    if args.seed is None:
+        return cfg
+    try:
+        return replace(cfg, seed=args.seed)
+    except ConfigurationError as exc:
+        # the refused value came from the flag, not from the config file
+        raise NldiffError(f"--seed: {exc}") from exc
 
 
 def _out_dir(args, cfg) -> str:

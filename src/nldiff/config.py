@@ -142,7 +142,10 @@ def _parse_weight(text: str) -> float:
 
 
 def _parse_norm(text: str) -> float:
-    return math.inf if text.strip() in ("inf", "infinity") else _parse_float(text)
+    v = math.inf if text.strip() in ("inf", "infinity") else _parse_float(text)
+    if not v >= 1.0:
+        raise ValueError(f"norm exponent must be >= 1 or infinity, got {text}")
+    return v
 
 
 def _choice(*options):

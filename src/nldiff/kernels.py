@@ -590,14 +590,28 @@ def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
     """sign(s) |s|^exponent, elementwise, for a scalar or array exponent,
     computed in ``out``.
 
-    At s = 0 this is sign(0) = 0 times 0^e, which is 0 for every e >= 0.
-    No kernel reaches s = 0 with a negative exponent: spatial_exponent
-    tables stay above 1, and a variable exponent has p(0) - 1 >= 1 at
-    s = 0, dropping below 0 only where |s| > 0.
+    A scalar exponent e >= 1 is evaluated as s |s|^(e-1), without the sign
+    pass and its temporary.  |s|^(e-1) is exact for e - 1 of 0 or 1, so
+    p = 2 and p = 3 of the p_laplacian family give sign(s) |s|^e bit for
+    bit but for the sign of a zero (below); numpy's ``**=`` takes its sqrt
+    path for e - 1 = 0.5, so p = 2.5 is within 1 ulp of it; any other e
+    rounds twice and is within 2 ulp.  Adding +0.0 turns the -0.0 of
+    s = -0.0, or of a product that underflows, into +0.0.  An exponent
+    below 1, or an array of them, keeps sign(s) |s|^e; the operator,
+    unlike np.power, takes numpy's sqrt and square paths for a scalar
+    exponent of 0.5 or 2.
+
+    At s = 0 this is 0 for every e >= 0.  No kernel reaches s = 0 with a
+    negative exponent: spatial_exponent tables stay above 1, and a
+    variable exponent has p(0) - 1 >= 1 at s = 0, dropping below 0 only
+    where |s| > 0.
     """
     mag = np.abs(s, out=out)
-    # the operator, unlike np.power, takes numpy's sqrt and square paths
-    # for a scalar exponent of 0.5 or 2
+    if np.ndim(exponent) == 0 and exponent >= 1.0:
+        mag **= exponent - 1.0
+        np.multiply(s, mag, out=mag)
+        mag += 0.0
+        return mag
     mag **= exponent
     return np.multiply(np.sign(s), mag, out=mag)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nldiff.analysis
 import nldiff.cli
 from nldiff import (
     ConfigParseError,
@@ -462,6 +463,13 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert "seed must be a non-negative integer, got -1" in err and "Traceback" not in err
 
 
+def test_refused_seed_flag_names_the_flag_not_the_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed: seed must be a non-negative integer, got -1\n"
+
+
 def test_non_ascii_output_dir_round_trips_the_config(tmp_path):
     cfg = write_cfg(tmp_path, f"output.dir = {tmp_path / 'out_σ'}\n")
     assert main(["solve", "--config", cfg]) == 0
@@ -566,6 +574,25 @@ def test_study_contraction_command(tmp_path, capsys):
     assert lines[0] == "t,ratio"
     assert len(lines) == 10  # header plus both endpoints of 8 steps
     assert (out / "contraction_report.csv").exists()
+
+
+def test_study_norm_below_one_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    for text in ("0.5", "-inf", "0"):
+        with pytest.raises(ConfigParseError, match="line 8: bad value for study.norm: norm exponent"):
+            parse_config_text(MINIMAL + f"study.norm = {text}\n", path="run.cfg")
+    for text, norm in (("1", 1.0), ("inf", math.inf), ("infinity", math.inf), ("3.5", 3.5)):
+        assert parse_config_text(MINIMAL + f"study.norm = {text}\n").study.norm == norm
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the norm was checked")
+
+    monkeypatch.setattr(nldiff.analysis, "solve_problem", no_solve)
+    monkeypatch.setattr(nldiff.cli, "solve_problem", no_solve)
+    cfg = write_cfg(tmp_path, "study.norm = 0.5\n")
+    assert main(["study", "contraction", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}, line 8: bad value for study.norm: "
+                          "norm exponent must be >= 1 or infinity, got 0.5")
 
 
 def test_study_refine_command(tmp_path, capsys):
