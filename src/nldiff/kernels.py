@@ -75,23 +75,32 @@ class SpatialKernelTable:
     visits only the lexicographically positive offsets d > 0, in table
     order, leaving out those whose overlap with the grid is empty.
 
-    ``blocks`` is the walk itself, cut into blocks, each a triple
-    ``(w, dst, src)`` that only the walk, :func:`nldiff.operator._pairs`,
-    decodes.  An offset whose slice holds at least ``_GATHER_BELOW`` pairs
-    is a slice block: its weight, and the slice tuples ``dst`` and ``src``
-    selecting the nodes x and x + d that both lie on the grid.
-    Consecutive shorter offsets are packed into gather
-    blocks of about ``_GATHER_CHUNK`` pairs: a float64 weight per pair
-    next to int32 flat node indices of every pair, offset after offset.
-    On short slices the walk's cost is per-offset numpy dispatch rather
-    than arithmetic, which gathering removes; on long ones the gather
-    costs more than the slices, so the choice follows the slice length.
+    ``blocks`` is the walk itself, cut into blocks, each a tuple
+    ``(w, dst, src, wrap)`` that only the walk,
+    :func:`nldiff.operator._pairs`, decodes.  An offset whose slice holds
+    at least ``_GATHER_BELOW`` pairs is a slice block: its weight, and the
+    flat ranges ``dst = slice(0, n)`` and ``src = slice(D, D + n)`` of the
+    C-ordered node array, with D the flat distance of d and n = N - D, so
+    that the walk forms s with one contiguous 1-D subtraction.  On a 2-D
+    grid an offset d = (di, dj) with dj != 0 has pairs in that range that
+    are no pair of the grid, x and x + D on either side of a row end;
+    ``wrap`` holds their positions in the range, |dj| per row, and is None
+    where no pair wraps (1-D grids, dj = 0).  Every offset of one dj
+    shares one sorted array of such positions, |dj| columns of every row,
+    and its ``wrap`` is the prefix of it inside its range.  Consecutive
+    shorter offsets are packed into gather blocks of about
+    ``_GATHER_CHUNK`` pairs: a float64 weight per pair next to int32 flat
+    node indices of every pair, offset after offset, and wrap None.  On
+    short slices the walk's cost is per-offset numpy dispatch rather than
+    arithmetic, which gathering removes; on long ones the gather costs
+    more than the slices, so the choice follows the slice length.
 
     ``zero_weight`` is the weight of d = 0, which couples a node with
     itself and so carries no flux of an odd kernel; the one-step filter
     still counts it.  ``pair_count`` is the number of ordered node pairs
     the full table couples, every offset included, and ``largest_block``
-    the number of pairs in the walk's largest block.  A table that is not
+    the length of the walk's longest block, a slice block's range counted
+    whole, wrapped pairs included.  A table that is not
     even, offsets and weights bit for bit, raises
     :class:`KernelValidationError`.
     """
@@ -125,21 +134,17 @@ class SpatialKernelTable:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
         zero = (0,) * self.grid.dim
-        pairs, sizes, count, w0 = [], [], 0, 0.0
+        pairs, count, w0 = [], 0, 0.0
         for w, offset in zip(weights, offsets.tolist()):
-            dst, src, size = [], [], 1
+            size = 1
             for c, a in zip(self.grid.counts, offset):
-                lo, hi = max(0, -a), c - max(0, a)
-                dst.append(slice(lo, hi))
-                src.append(slice(lo + a, hi + a))
-                size *= max(0, hi - lo)
+                size *= max(0, c - abs(a))
             count += size
             if tuple(offset) == zero:
                 w0 += float(w)
             elif size and tuple(offset) > zero:
-                pairs.append((w, tuple(dst), tuple(src)))
-                sizes.append(size)
-        blocks, largest = _walk_blocks(self.grid, pairs, sizes)
+                pairs.append((w, tuple(offset), size))
+        blocks, largest = _walk_blocks(self.grid, pairs)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "largest_block", largest)
         object.__setattr__(self, "zero_weight", w0)
@@ -166,39 +171,71 @@ class SpatialKernelTable:
 # of a p = 2.5 operator with its energy:
 # - over 16 offsets of n pairs each, sliced vs gathered: n = 512: 0.32 vs
 #   0.17 ms, 1024: 0.42 vs 0.34 ms, 1536: 0.48 vs 0.50 ms, 4096: 0.86 vs
-#   1.39 ms.  These 1-D slices are contiguous; the strided slices of a 2-D
-#   grid favour gathering further.
+#   1.39 ms.  A slice block of a 2-D grid is a contiguous 1-D range too,
+#   longer than its pairs by the wrapped ones (see SpatialKernelTable).
 # - on an all-gathered 24^2 Gaussian-0.12 table, chunks of 2048, 8192 and
 #   65536 pairs: 1.52, 1.14 and 3.14 ms.
 _GATHER_BELOW = 1024
 _GATHER_CHUNK = 8192
 
 
-def _walk_blocks(grid: Grid, pairs: list, sizes: list) -> tuple:
-    """Cut the per-offset slices into slice blocks and gather blocks, in
-    order; returns the blocks and the pair count of the largest."""
+def _walk_blocks(grid: Grid, pairs: list) -> tuple:
+    """Cut the positive offsets, each (w, offset, pair count), into slice
+    blocks and gather blocks, in order; returns the blocks and the length
+    of the largest, a slice block's whole range included."""
     node = np.arange(grid.node_count, dtype=np.int32).reshape(grid.counts)
-    blocks, group, held, largest = [], [], 0, 0
-    for pair, size in zip(pairs, sizes):
+    blocks, group, held, largest, wraps = [], [], 0, 0, {}
+    for w, offset, size in pairs:
         if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
             blocks.append(_gather_block(node, group))
             group, held = [], 0
         if size >= _GATHER_BELOW:
-            blocks.append(pair)
+            blocks.append(_slice_block(node, w, offset, wraps))
+            largest = max(largest, blocks[-1][1].stop)
         else:
-            group.append((*pair, size))
+            group.append((w, offset, size))
             held += size
-        largest = max(largest, size if size >= _GATHER_BELOW else held)
+            largest = max(largest, held)
     if group:
         blocks.append(_gather_block(node, group))
     return tuple(blocks), largest
 
 
+def _flat_offset(counts, offset) -> int:
+    """The distance between the nodes x and x + d in the C-ordered node
+    array."""
+    return offset[0] * counts[1] + offset[1] if len(counts) == 2 else offset[0]
+
+
+def _slice_block(node: np.ndarray, w, offset, wraps: dict) -> tuple:
+    """The slice block of one offset: its weight, the flat ranges of x and
+    x + d, and the positions of its wrapped pairs in them (None on a 1-D
+    grid and for a column offset of 0).  ``wraps`` keeps one sorted array
+    of wrapped positions per column offset dj, |dj| columns of every row,
+    and an offset's are the prefix of it inside its range."""
+    d = _flat_offset(node.shape, offset)
+    n = node.size - d
+    dj = offset[-1]
+    if node.ndim == 1 or dj == 0:
+        return w, slice(0, n), slice(d, d + n), None
+    if dj not in wraps:
+        rows, cols = node.shape
+        first = cols - dj if dj > 0 else 0
+        wraps[dj] = (np.arange(rows)[:, None] * cols + np.arange(first, first + abs(dj))).ravel()
+    shared = wraps[dj]
+    return w, slice(0, n), slice(d, d + n), shared[: int(np.searchsorted(shared, n))]
+
+
 def _gather_block(node: np.ndarray, group: list) -> tuple:
+    dst = [
+        node[tuple(slice(max(0, -a), c - max(0, a)) for c, a in zip(node.shape, offset))].ravel()
+        for _, offset, _ in group
+    ]
     return (
-        np.concatenate([np.full(size, w) for w, _, _, size in group]),
-        np.concatenate([node[dst].ravel() for _, dst, _, _ in group]),
-        np.concatenate([node[src].ravel() for _, _, src, _ in group]),
+        np.concatenate([np.full(size, w) for w, _, size in group]),
+        np.concatenate(dst),
+        np.concatenate([x + _flat_offset(node.shape, offset) for x, (_, offset, _) in zip(dst, group)]),
+        None,
     )
 
 

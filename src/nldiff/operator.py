@@ -16,17 +16,25 @@ opposite signs.  The one pair walk, :func:`_pairs`, therefore visits each
 unordered pair once: it runs over the table's lexicographically positive
 offsets, cut into blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
 and forms s = u(x+d) - u(x) with one vectorized pass per block.  Every
-block is a triple (w, dst, src), and the walk is the only code that
-decodes one: a slice block is one long offset, its nodes selected by
-slice tuples and w one number; a gather block packs many short offsets,
-its nodes selected by flat indices and w one weight per pair.  The walk
-writes s into a scratch buffer and hands out two more for the block's
-results; the three are allocated once per walk and sized to the table's
-largest block, since a fresh temporary per block is a heap allocation the
-allocator may return to the system and fault in again on the next block.  The operator
+block is a tuple (w, dst, src, wrap), and the walk is the only code that
+decodes one: a slice block is one long offset, its nodes x and x + d two
+flat ranges of the C-ordered node array and w one number; a gather block
+packs many short offsets, its nodes selected by flat indices and w one
+weight per pair.  A flat range is contiguous, so a block costs one 1-D
+pass where a 2-D slice cost one pass per grid row.  On a 2-D grid the
+range of an offset with a column part also holds wrapped pairs, x and
+x + D on either side of a row end, which are no pair of the grid; their
+positions are the block's ``wrap``.  The walk sets s to 0 there, so no
+kernel sees the difference of two unrelated nodes, and every weighted
+value is dropped there (:func:`_drop_wrapped`), so each wrapped pair adds
+exactly +0.0 to every scatter and sum.  The walk writes s into a scratch
+buffer and hands out two more for the block's results; the three are
+allocated once per walk and sized to the table's longest block, since a
+fresh temporary per block is a heap allocation the allocator may return
+to the system and fault in again on the next block.  The operator
 evaluates A(s) once, with :meth:`~nldiff.kernels.RangeKernel.terms`, forms
 w A in place and scatters it to both ends of the pair, with
-``out[dst] += w A`` on slices and ``np.bincount`` on indices, which repeat
+``out[dst] += w A`` on ranges and ``np.bincount`` on indices, which repeat
 inside a gather block (:func:`_scatter`).  A custom kernel is odd only if
 its author made it so; it is evaluated again at -s for the mirror, and at
 the zero offset, which keeps the sum over ordered pairs it is defined by.
@@ -95,76 +103,99 @@ def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
         raise GridMismatchError("kernel reference field lives on a different grid")
     cached = kernel.walk_cache
     if cached is None or cached[0] is not table or cached[1] is not ref:
-        exps = tuple(kernel.pair_exponents(r) for _, _, _, r, _, _ in _pairs(ref.reshaped(), table))
+        exps = tuple(kernel.pair_exponents(r) for _, r, _, _ in _pairs(ref.values, table))
         cached = kernel.walk_cache = (table, ref, exps)
     return cached[2]
 
 
 def _take(a, idx):
-    """The values of the node array ``a`` a block selects: slices of the
-    array, or flat node indices."""
-    return a[idx] if isinstance(idx, tuple) else a.take(idx)
+    """The values of the node array ``a`` a block selects: a flat range of
+    the C-ordered array, or flat node indices."""
+    flat = a.reshape(-1)
+    return flat[idx] if isinstance(idx, slice) else flat.take(idx)
 
 
 def _scatter(op, out, idx, v):
-    """``out[idx] = op(out[idx], v)`` in place, with op np.add or
-    np.subtract; on flat node indices, which repeat, through np.bincount."""
-    if isinstance(idx, tuple):
-        view = out[idx]
+    """``out[idx] = op(out[idx], v)`` in place, on the C-contiguous node
+    array ``out``, with op np.add or np.subtract; on flat node indices,
+    which repeat, through np.bincount."""
+    flat = out.reshape(-1)
+    if isinstance(idx, slice):
+        view = flat[idx]
     else:
-        view, v = out.reshape(-1), np.bincount(idx, v, out.size)
+        view, v = flat, np.bincount(idx, v, out.size)
     op(view, v, out=view)
 
 
-def _weighted_sum(w, v) -> float:
-    """sum(w * v) over a block, w its weight or its per-pair weights; the
-    scratch array v is overwritten."""
-    return w * float(v.sum()) if np.ndim(w) == 0 else float(np.multiply(w, v, out=v).sum())
+def _drop_wrapped(v, wrap):
+    """v, in place, with +0.0 at the wrapped pairs of its block: the one
+    place they are dropped, so each adds exactly +0.0 to a scatter or a
+    sum."""
+    if wrap is not None:
+        v[wrap] = 0.0
+    return v
+
+
+def _weigh(w, v, wrap, out=None):
+    """w v over a block, in ``out`` (by default v), wrapped pairs
+    dropped."""
+    return _drop_wrapped(np.multiply(w, v, out=v if out is None else out), wrap)
+
+
+def _weighted_sum(w, v, wrap) -> float:
+    """sum(w * v) over a block's pairs, w its weight or its per-pair
+    weights, wrapped pairs dropped; the scratch array v is overwritten."""
+    if np.ndim(w):
+        return float(_weigh(w, v, wrap).sum())
+    return w * float(_drop_wrapped(v, wrap).sum())
 
 
 def _pairs(uu, table, kernel=None):
-    """The pair walk, the one decoder of the table's blocks: per block
-    (w, dst, src), yield (w, dst, src, s, pe, scratch) with
-    s = u(x+d) - u(x) over the block's pairs, pe the block's pair exponents
-    for the kernel (None without, see :func:`_walk_exponents`), and scratch
-    two arrays shaped like s that the caller may overwrite.  A block whose
-    dst is a tuple of slices has a scalar weight w; one of flat node
-    indices has a weight per pair.  s and scratch are views of three
-    buffers the walk allocates once, sized to the table's largest block,
-    so they hold only until the next block."""
+    """The pair walk, the one decoder of the table's blocks: per block,
+    yield ((w, dst, src, wrap), s, pe, scratch) with s = u(x+d) - u(x)
+    over the block's pairs, pe the block's pair exponents for the kernel
+    (None without, see :func:`_walk_exponents`), and scratch two arrays
+    shaped like s that the caller may overwrite.  A slice block's dst and
+    src are flat ranges of the C-ordered node array and w is one number;
+    s is 0.0 at its wrapped pairs, so no kernel sees the difference of two
+    nodes that are not a pair.  A gather block's dst and src are flat node
+    indices, w one weight per pair and wrap None.  s and scratch are views
+    of three buffers the walk allocates once, sized to the table's largest
+    block, so they hold only until the next block."""
     exps = None if kernel is None else _walk_exponents(table, kernel)
+    flat = uu.reshape(-1)
     buf = np.empty((3, table.largest_block))
-    for k, (w, dst, src) in enumerate(table.blocks):
-        if isinstance(dst, tuple):
-            hi, lo = uu[src], uu[dst]
-            s, a, b = (row[: hi.size].reshape(hi.shape) for row in buf)
-            np.subtract(hi, lo, out=s)
+    for k, block in enumerate(table.blocks):
+        _, dst, src, wrap = block
+        if isinstance(dst, slice):
+            s, a, b = buf[:, : dst.stop]
+            _drop_wrapped(np.subtract(flat[src], flat[dst], out=s), wrap)
         else:
             s, a, b = buf[:, : src.size]
             # the indices are in range; "clip" writes to out without a copy
-            np.take(uu, src, out=s, mode="clip")
-            np.subtract(s, np.take(uu, dst, out=a, mode="clip"), out=s)
-        yield w, dst, src, s, None if exps is None else exps[k], (a, b)
+            np.take(flat, src, out=s, mode="clip")
+            np.subtract(s, np.take(flat, dst, out=a, mode="clip"), out=s)
+        yield block, s, None if exps is None else exps[k], (a, b)
 
 
 def _apply(uu, table, kernel, t, energy=False):
     """The operator on the node array uu, and with ``energy`` the flow
     energy of uu from the same walk (else None)."""
-    out = np.zeros_like(uu)
+    out = np.zeros(uu.shape)
     acc = 0.0
     # Every family but custom is odd by construction, bit for bit; a custom
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
-    for w, dst, src, s, pe, scratch in _pairs(uu, table, kernel):
+    for (w, dst, src, wrap), s, pe, scratch in _pairs(uu, table, kernel):
         a, phi = kernel.terms(t, s, pe, energy, scratch)
-        wa = np.multiply(w, a, out=a)
+        wa = _weigh(w, a, wrap)
         _scatter(np.add, out, dst, wa)
         if odd:
             _scatter(np.subtract, out, src, wa)
         else:
-            _scatter(np.add, out, src, w * kernel.terms(t, -s, pe)[0])
+            _scatter(np.add, out, src, _weigh(w, kernel.terms(t, -s, pe)[0], wrap))
         if energy:
-            acc += _weighted_sum(w, phi)
+            acc += _weighted_sum(w, phi, wrap)
     if not odd and table.zero_weight:
         out += table.zero_weight * kernel.terms(t, np.zeros_like(uu))[0]
     # the walk visits each unordered pair once; the energy sums ordered pairs
@@ -215,11 +246,11 @@ def dissipation_pairing(
     lhs = grid.node_volume * float(np.sum(pp * _apply(uu, table, kernel, t)[0]))
     odd = kernel.family != "custom"
     acc = 0.0
-    for w, dst, src, s, pe, (a, _) in _pairs(uu, table, kernel):
+    for (w, dst, src, wrap), s, pe, (a, _) in _pairs(uu, table, kernel):
         a = kernel.terms(t, s, pe, out=(a, None))[0]
         # the pair's A minus its mirror's, which for an odd kernel is 2 A
         a = a + a if odd else a - kernel.terms(t, -s, pe)[0]
-        acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)))
+        acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)), wrap)
     rhs = -0.5 * grid.node_volume**2 * acc
     return lhs, rhs
 
@@ -245,8 +276,8 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     if u.grid != grid:
         raise GridMismatchError("field does not live on the energy grid")
     acc = 0.0
-    for w, _, _, s, pe, scratch in _pairs(u.reshaped(), table, kernel):
-        acc += _weighted_sum(w, kernel.density(0.0, s, pe, scratch))
+    for (w, _, _, wrap), s, pe, scratch in _pairs(u.values, table, kernel):
+        acc += _weighted_sum(w, kernel.density(0.0, s, pe, scratch), wrap)
     return 2.0 * grid.node_volume**2 * acc
 
 
@@ -271,12 +302,12 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     uu = u.reshaped()
     num = table.zero_weight * uu
     den = np.full_like(uu, table.zero_weight)
-    for w, dst, src, s, _, (wg, wgu) in _pairs(uu, table):
-        np.multiply(w, _gaussian_window(s, h, wg), out=wg)
+    for (w, dst, src, wrap), s, _, (wg, wgu) in _pairs(uu, table):
+        _weigh(w, _gaussian_window(s, h, wg), wrap)
         _scatter(np.add, den, dst, wg)
         _scatter(np.add, den, src, wg)
-        _scatter(np.add, num, dst, np.multiply(wg, _take(uu, src), out=wgu))
-        _scatter(np.add, num, src, np.multiply(wg, _take(uu, dst), out=wgu))
+        _scatter(np.add, num, dst, _weigh(wg, _take(uu, src), wrap, wgu))
+        _scatter(np.add, num, src, _weigh(wg, _take(uu, dst), wrap, wgu))
     empty = int(np.count_nonzero(den == 0.0))
     if empty:
         raise ConfigurationError(

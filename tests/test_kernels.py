@@ -200,7 +200,8 @@ def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     positive = [r for r in rows if r > (0, 0)]
     assert len(positive) == (len(rows) - 1) // 2
     # one gather block holds the pairs of each positive offset, in table order
-    (w, _, _), = t.blocks
+    (w, _, _, wrap), = t.blocks
+    assert wrap is None
     sizes = [(5 - abs(a)) * (4 - abs(b)) for a, b in positive]
     assert w.tolist() == np.repeat([t.weight_of(r) for r in positive], sizes).tolist()
     assert t.zero_weight == t.weight_of([0, 0])

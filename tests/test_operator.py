@@ -5,6 +5,7 @@ directly from the operator definition, with none of the sliced-array
 machinery of the implementation.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -345,7 +346,7 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
         # the fused pass, in the walk's scratch buffers, is eval and density
         # bit for bit
-        for _, _, _, s, pe, scratch in operator._pairs(u.reshaped(), t, k):
+        for _, s, pe, scratch in operator._pairs(u.reshaped(), t, k):
             a, dens = k.terms(0.3, s, pe, True, scratch)
             assert a is scratch[0] and dens is scratch[1], k.family
             assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
@@ -456,19 +457,63 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
 
 
 def block_kinds(table):
-    return ["slice" if isinstance(dst, tuple) else "gather" for _, dst, _ in table.blocks]
+    return ["slice" if isinstance(dst, slice) else "gather" for _, dst, _, _ in table.blocks]
 
 
 def offset_slices(table):
-    """(weight, dst, src) of each positive offset that overlaps the grid, in
-    table order: the node pairs the walk covers, as slice tuples."""
+    """(weight, offset, dst, src) of each positive offset that overlaps the
+    grid, in table order: the node pairs the walk covers, dst and src as
+    slice tuples of the grid-shaped node array."""
     out = []
     for w, d in zip(table.weights, table.offsets.tolist()):
         dst = tuple(slice(max(0, -a), c - max(0, a)) for c, a in zip(table.grid.counts, d))
         src = tuple(slice(s.start + a, s.stop + a) for s, a in zip(dst, d))
         if tuple(d) > (0,) * len(d) and all(s.stop > s.start for s in dst):
-            out.append((w, dst, src))
+            out.append((w, tuple(d), dst, src))
     return out
+
+
+def block_offsets(table):
+    """Per block of the table's walk, the offset_slices entries whose pairs
+    it holds: one for a slice block, consecutive ones for a gather block."""
+    todo = iter(offset_slices(table))
+    out = []
+    for w, dst, _, _ in table.blocks:
+        if isinstance(dst, slice):
+            out.append([next(todo)])
+            continue
+        group, held = [], 0
+        while held < w.size:
+            group.append(next(todo))
+            held += math.prod(s.stop - s.start for s in group[-1][2])
+        out.append(group)
+    assert next(todo, None) is None
+    return out
+
+
+def check_slice_blocks(table):
+    """Each slice block holds its offset's node pairs: its flat ranges less
+    its wrapped positions are node[dst] and node[src] of the offset's
+    slices; and each wrap is a prefix view of the one array of wrapped
+    positions the table keeps for its column offset dj."""
+    nodes = np.arange(table.grid.node_count).reshape(table.grid.counts)
+    shared = {}
+    for (w, dst, src, wrap), group in zip(table.blocks, block_offsets(table)):
+        if not isinstance(dst, slice):
+            continue
+        (wt, d, dsl, ssl), = group
+        assert w == wt and dst.stop - dst.start == src.stop - src.start
+        keep = np.ones(dst.stop - dst.start, dtype=bool)
+        if table.grid.dim == 1 or d[-1] == 0:
+            assert wrap is None
+        else:
+            base = shared.setdefault(d[-1], wrap.base)
+            assert wrap.base is base and np.array_equal(wrap, base.reshape(-1)[: wrap.size])
+            keep[wrap] = False
+        assert np.array_equal(np.arange(dst.start, dst.stop)[keep], nodes[dsl].ravel())
+        assert np.array_equal(np.arange(src.start, src.stop)[keep], nodes[ssl].ravel())
+    assert len({id(b) for b in shared.values()}) == len(shared)
+    return shared
 
 
 def test_walk_layout_follows_slice_length():
@@ -476,21 +521,26 @@ def test_walk_layout_follows_slice_length():
     # holds at least 12,769 pairs: all slices
     big = make_spatial_kernel(build_grid(2, [(0.0, 1.0)] * 2, [128, 128]), "gaussian", 0.03)
     assert block_kinds(big) == ["slice"] * len(offset_slices(big))
+    shared = check_slice_blocks(big)
+    # every column offset but 0 wraps, |dj| positions per row of the grid
+    assert sorted(shared) == [dj for dj in range(-15, 16) if dj]
+    assert sum(b.size for b in shared.values()) == 128 * sum(abs(dj) for dj in shared)
     # on a 24^2 Gaussian-0.12 table no offset holds more than 552 pairs
     g = build_grid(2, [(0.0, 1.0)] * 2, [24, 24])
     small = make_spatial_kernel(g, "gaussian", 0.12)
     assert set(block_kinds(small)) == {"gather"}
-    for w, dst, src in small.blocks:
+    for w, dst, src, wrap in small.blocks:
         assert w.dtype == np.float64 and dst.dtype == np.int32 and src.dtype == np.int32
         assert w.size == dst.size == src.size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
+        assert wrap is None
     # the gather blocks hold every pair of the positive offsets, in table
     # order, each with its offset's weight
-    w, dst, src = (np.concatenate(col) for col in zip(*small.blocks))
+    w, dst, src = (np.concatenate(col) for col in list(zip(*small.blocks))[:3])
     nodes = np.arange(g.node_count).reshape(g.counts)
     pairs = offset_slices(small)
-    assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, d, _ in pairs]))
-    assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, s in pairs]))
-    assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, d, _ in pairs]))
+    assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, _, d, _ in pairs]))
+    assert np.array_equal(src, np.concatenate([nodes[s].ravel() for _, _, _, s in pairs]))
+    assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, _, d, _ in pairs]))
     # a 1-D grid longer than the threshold: offsets 1 and 2 keep their
     # slices, offsets near the grid size are gathered around them
     n = kernels._GATHER_BELOW + 2
@@ -529,8 +579,128 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
         assert calls == []
         # raw reference differences instead, interpolated on every call
         rr = ref.reshaped()
-        raw = tuple(operator._take(rr, s) - operator._take(rr, d) for _, d, s in t.blocks)
+        raw = tuple(
+            operator._drop_wrapped(operator._take(rr, s) - operator._take(rr, d), wrap)
+            for _, d, s, wrap in t.blocks
+        )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operator, "_walk_exponents", lambda table, kernel: raw)
             assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, op)
             assert flow_energy(g, t, k, u) == energy
+
+
+def sliced_apply(table, kernel, t, u):
+    """The operator as the walk computed it when each slice block held one
+    offset's 2-D slice tuples, for the same blocks: a copy of that walk,
+    the reference the flat ranges must reproduce bit for bit."""
+    uu = u.reshaped()
+    ref = kernel.reference.reshaped() if kernel.needs_pair_reference else None
+    out = np.zeros_like(uu)
+    odd = kernel.family != "custom"
+
+    def scatter(op, idx, v):
+        if isinstance(idx, tuple):
+            view = out[idx]
+        else:
+            view, v = out.reshape(-1), np.bincount(idx, v, out.size)
+        op(view, v, out=view)
+
+    for (w, dst, src, _), group in zip(table.blocks, block_offsets(table)):
+        if isinstance(dst, slice):
+            (_, _, dst, src), = group
+        take = (lambda a, idx: a[idx]) if isinstance(dst, tuple) else (lambda a, idx: a.take(idx))
+        s = take(uu, src) - take(uu, dst)
+        r = None if ref is None else take(ref, src) - take(ref, dst)
+        wa = w * kernel.eval(t, s, r)
+        scatter(np.add, dst, wa)
+        if odd:
+            scatter(np.subtract, src, wa)
+        else:
+            scatter(np.add, src, w * kernel.eval(t, -s, r))
+    if not odd and table.zero_weight:
+        out += table.zero_weight * kernel.eval(t, np.zeros_like(uu))
+    return (out * table.grid.node_volume).ravel()
+
+
+@st.composite
+def tables_2d(draw):
+    """Random 2-D counts, the thinnest grids, 2 x N and N x 2, among them,
+    and an even custom table whose positive offsets have column offsets
+    below, at and above 0, half the time with the zero offset."""
+    counts = (draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    reach = st.tuples(*(st.integers(-(c - 1), c - 1) for c in counts))
+    half = draw(st.lists(reach, min_size=1, max_size=8)) + [(1, -1), (1, 0), (0, 1)]
+    zero = [(0, 0)] if draw(st.booleans()) else []
+    table = {}
+    for d in half + zero:
+        w = draw(st.floats(0.1, 2.0))
+        table[d] = table[(-d[0], -d[1])] = w
+    offsets = sorted(table)
+    return counts, offsets, [table[d] for d in offsets], draw(st.integers(0, 2**31 - 1))
+
+
+# every offset sliced, and mixed layouts of slice and gather blocks
+LAYOUTS_2D = [(1, 1), (3, 1), (4, 5), (8, 12)]
+
+
+@given(tables_2d(), st.sampled_from(LAYOUTS_2D))
+@example(((2, 7), [(-1, 3), (0, -1), (0, 1), (1, -3)], [0.5, 1.0, 1.0, 0.5], 1), (1, 1))
+@example(((7, 2), [(-3, 1), (-1, 0), (1, 0), (3, -1)], [0.5, 1.0, 1.0, 0.5], 2), (1, 1))
+@example(((4, 6), [(-2, 3), (-1, -5), (0, -1), (0, 1), (1, 5), (2, -3)], [1.0] * 6, 3), (1, 1))
+@settings(max_examples=30, deadline=None)
+def test_flat_walk_matches_the_sliced_walk(case, layout):
+    counts, offsets, weights, seed = case
+    g = build_grid(2, [(0.0, 1.0)] * 2, list(counts))
+    t = table_with_layout(g, offsets, weights, *layout)
+    check_slice_blocks(t)
+    rng = np.random.default_rng(seed)
+    u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
+    phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
+    for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), non_odd_kernel()]:
+        op, e = operator._apply(u.reshaped(), t, k, 0.3, True)
+        if k.family != "mollified":
+            assert np.array_equal(op.ravel(), sliced_apply(t, k, 0.3, u)), k.family
+        assert e == flow_energy(g, t, k, u), k.family
+        if k.family != "custom":
+            assert abs(integrate(g, Field(g, op.ravel()))) < 1e-13, k.family
+            lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
+
+
+def test_no_kernel_sees_a_wrapped_pair():
+    # Every offset of this 5 x 5 stencil on a 6 x 7 grid is sliced, so each
+    # with a column part has pairs in its flat range that wrap around a row
+    # end; those join nodes 5 or more columns apart, which no offset does.
+    # The kernel is 1 at +0.0 and -1 at -0.0, so a wrapped pair that reached
+    # a sum or a scatter would show in every result.
+    g = build_grid(2, [(0.0, 1.0)] * 2, [6, 7])
+    offsets = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    t = table_with_layout(g, offsets, [np.exp(-0.5 * (a * a + b * b)) for a, b in offsets], 1, 1)
+    assert set(block_kinds(t)) == {"slice"} and any(b[3] is not None and b[3].size for b in t.blocks)
+    rng = np.random.default_rng(12)
+    u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
+    phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
+    pairs = list(scalar_pairs(g, t))
+    seen = []
+    k = custom_kernel(lambda t, s: seen.append(np.array(s)) or s + np.copysign(1.0, s))
+    got = apply_nonlocal(g, t, k, 0.3, u).values
+    _, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+    # the kernel saw the pairs' differences, their mirrors and zeros only
+    diffs = np.array([u.values[y] - u.values[x] for x, y, _ in pairs])
+    assert np.all(np.isin(np.concatenate([a.ravel() for a in seen]), np.concatenate([diffs, -diffs, [0.0]])))
+    seen.clear()
+    np.testing.assert_allclose(got, dense_oracle(g, t, k, 0.3, u), rtol=1e-12, atol=1e-14)
+    nv = g.node_volume
+    want_rhs = -0.5 * nv**2 * sum(
+        w * eval_range_kernel(k, 0.3, x, y, u.values[y] - u.values[x]) * (phi.values[y] - phi.values[x])
+        for x, y, w in pairs
+    )
+    assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=1e-14)
+    # the filter's window is 1 at s = 0: a wrapped pair would add its weight
+    num = np.zeros(g.node_count)
+    den = np.zeros(g.node_count)
+    for x, y, w in pairs:
+        weight = w * np.exp(-(((u.values[y] - u.values[x]) / 0.7) ** 2))
+        num[x] += weight * u.values[y]
+        den[x] += weight
+    np.testing.assert_allclose(one_step_filter(g, t, u, 0.7).values, num / den, rtol=1e-12, atol=1e-14)
