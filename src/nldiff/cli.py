@@ -177,11 +177,10 @@ def _cmd_study_refine(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _add_common(sub, seed_flag=True):
+def _add_common(sub):
     sub.add_argument("--config", required=True, help="run configuration file")
     sub.add_argument("--out", default="", help="output directory (default: output.dir from the config)")
-    if seed_flag:
-        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -171,7 +171,7 @@ def lp_norm(grid: Grid, f: Field, p) -> float:
     """
     _require_same_grid(grid, f)
     if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
+        return float(np.max(np.abs(f.values)))
     p = float(p)
     if not p >= 1.0:
         raise ConfigurationError(f"norm exponent must be >= 1 or infinity, got {p}")

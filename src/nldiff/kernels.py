@@ -875,20 +875,24 @@ def zero_reaction() -> Reaction:
 
 
 def linear_decay_reaction(rate: float) -> Reaction:
-    if rate < 0.0:
-        raise ConfigurationError(f"decay rate must be non-negative, got {rate}")
+    if not 0.0 <= rate < math.inf:
+        raise ConfigurationError(f"decay rate must be finite and non-negative, got {rate}")
     return Reaction("linear_decay", rate=rate)
 
 
 def affine_reaction(offset: float, slope: float) -> Reaction:
-    if offset < 0.0:
-        raise ConfigurationError(f"affine reaction needs a non-negative offset, got {offset}")
+    if not 0.0 <= offset < math.inf:
+        raise ConfigurationError(f"affine reaction offset must be finite and non-negative, got {offset}")
+    if not math.isfinite(slope):
+        raise ConfigurationError(f"affine reaction slope must be finite, got {slope}")
     return Reaction("affine", offset=offset, slope=slope)
 
 
 def logistic_reaction(growth: float, capacity: float) -> Reaction:
-    if growth < 0.0 or not capacity > 0.0:
-        raise ConfigurationError("logistic reaction needs growth >= 0 and capacity > 0")
+    if not 0.0 <= growth < math.inf:
+        raise ConfigurationError(f"logistic growth rate must be finite and non-negative, got {growth}")
+    if not capacity > 0.0:
+        raise ConfigurationError(f"logistic capacity must be positive, got {capacity}")
     return Reaction("logistic", rate=growth, capacity=capacity)
 
 

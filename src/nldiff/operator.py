@@ -109,21 +109,19 @@ def _walk_exponents(table: SpatialKernelTable, kernel: RangeKernel):
 
 
 def _take(a, idx):
-    """The values of the node array ``a`` a block selects: a flat range of
-    the C-ordered array, or flat node indices."""
-    flat = a.reshape(-1)
-    return flat[idx] if isinstance(idx, slice) else flat.take(idx)
+    """The values of the flat node array ``a`` a block selects: a range,
+    or node indices."""
+    return a[idx] if isinstance(idx, slice) else a.take(idx)
 
 
 def _scatter(op, out, idx, v):
-    """``out[idx] = op(out[idx], v)`` in place, on the C-contiguous node
-    array ``out``, with op np.add or np.subtract; on flat node indices,
-    which repeat, through np.bincount."""
-    flat = out.reshape(-1)
+    """``out[idx] = op(out[idx], v)`` in place, on the flat node array
+    ``out``, with op np.add or np.subtract; on node indices, which repeat,
+    through np.bincount."""
     if isinstance(idx, slice):
-        view = flat[idx]
+        view = out[idx]
     else:
-        view, v = flat, np.bincount(idx, v, out.size)
+        view, v = out, np.bincount(idx, v, out.size)
     op(view, v, out=view)
 
 
@@ -150,12 +148,12 @@ def _weighted_sum(w, v, wrap) -> float:
     return w * float(_drop_wrapped(v, wrap).sum())
 
 
-def _pairs(uu, table, kernel=None):
-    """The pair walk, the one decoder of the table's blocks: per block,
-    yield ((w, dst, src, wrap), s, pe, scratch) with s = u(x+d) - u(x)
-    over the block's pairs, pe the block's pair exponents for the kernel
-    (None without, see :func:`_walk_exponents`), and scratch two arrays
-    shaped like s that the caller may overwrite.  A slice block's dst and
+def _pairs(u, table, kernel=None):
+    """The pair walk over the flat node array u, the one decoder of the
+    table's blocks: per block, yield ((w, dst, src, wrap), s, pe, scratch)
+    with s = u(x+d) - u(x) over the block's pairs, pe the block's pair
+    exponents for the kernel (None without, see :func:`_walk_exponents`),
+    and scratch two arrays shaped like s that the caller may overwrite.  A slice block's dst and
     src are flat ranges of the C-ordered node array and w is one number;
     s is 0.0 at its wrapped pairs, so no kernel sees the difference of two
     nodes that are not a pair.  A gather block's dst and src are flat node
@@ -163,30 +161,29 @@ def _pairs(uu, table, kernel=None):
     of three buffers the walk allocates once, sized to the table's largest
     block, so they hold only until the next block."""
     exps = None if kernel is None else _walk_exponents(table, kernel)
-    flat = uu.reshape(-1)
     buf = np.empty((3, table.largest_block))
     for k, block in enumerate(table.blocks):
         _, dst, src, wrap = block
         if isinstance(dst, slice):
             s, a, b = buf[:, : dst.stop]
-            _drop_wrapped(np.subtract(flat[src], flat[dst], out=s), wrap)
+            _drop_wrapped(np.subtract(u[src], u[dst], out=s), wrap)
         else:
             s, a, b = buf[:, : src.size]
             # the indices are in range; "clip" writes to out without a copy
-            np.take(flat, src, out=s, mode="clip")
-            np.subtract(s, np.take(flat, dst, out=a, mode="clip"), out=s)
+            np.take(u, src, out=s, mode="clip")
+            np.subtract(s, np.take(u, dst, out=a, mode="clip"), out=s)
         yield block, s, None if exps is None else exps[k], (a, b)
 
 
-def _apply(uu, table, kernel, t, energy=False):
-    """The operator on the node array uu, and with ``energy`` the flow
-    energy of uu from the same walk (else None)."""
-    out = np.zeros(uu.shape)
+def _apply(u, table, kernel, t, energy=False):
+    """The operator on the flat node array u, and with ``energy`` the flow
+    energy of u from the same walk (else None)."""
+    out = np.zeros(u.shape)
     acc = 0.0
     # Every family but custom is odd by construction, bit for bit; a custom
     # kernel is evaluated at -s for the mirror pair and at the zero offset.
     odd = kernel.family != "custom"
-    for (w, dst, src, wrap), s, pe, scratch in _pairs(uu, table, kernel):
+    for (w, dst, src, wrap), s, pe, scratch in _pairs(u, table, kernel):
         a, phi = kernel.terms(t, s, pe, energy, scratch)
         wa = _weigh(w, a, wrap)
         _scatter(np.add, out, dst, wa)
@@ -197,7 +194,7 @@ def _apply(uu, table, kernel, t, energy=False):
         if energy:
             acc += _weighted_sum(w, phi, wrap)
     if not odd and table.zero_weight:
-        out += table.zero_weight * kernel.terms(t, np.zeros_like(uu))[0]
+        out += table.zero_weight * kernel.terms(t, np.zeros_like(u))[0]
     # the walk visits each unordered pair once; the energy sums ordered pairs
     e = 2.0 * table.grid.node_volume**2 * acc if energy else None
     return np.multiply(out, table.grid.node_volume, out=out), e
@@ -214,7 +211,7 @@ def apply_nonlocal(
     _check_table(grid, table)
     if u.grid != grid:
         raise GridMismatchError("state field does not live on the operator grid")
-    return Field(grid, _apply(u.reshaped(), table, kernel, t)[0].ravel())
+    return Field(grid, _apply(u.values, table, kernel, t)[0])
 
 
 def _check_table(grid: Grid, table: SpatialKernelTable):
@@ -241,12 +238,11 @@ def dissipation_pairing(
     _check_table(grid, table)
     if u.grid != grid or phi.grid != grid:
         raise GridMismatchError("fields do not live on the operator grid")
-    uu = u.reshaped()
-    pp = phi.reshaped()
-    lhs = grid.node_volume * float(np.sum(pp * _apply(uu, table, kernel, t)[0]))
+    pp = phi.values
+    lhs = grid.node_volume * float(np.sum(pp * _apply(u.values, table, kernel, t)[0]))
     odd = kernel.family != "custom"
     acc = 0.0
-    for (w, dst, src, wrap), s, pe, (a, _) in _pairs(uu, table, kernel):
+    for (w, dst, src, wrap), s, pe, (a, _) in _pairs(u.values, table, kernel):
         a = kernel.terms(t, s, pe, out=(a, None))[0]
         # the pair's A minus its mirror's, which for an odd kernel is 2 A
         a = a + a if odd else a - kernel.terms(t, -s, pe)[0]
@@ -299,7 +295,7 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     if u.grid != grid:
         raise GridMismatchError("field does not live on the filter grid")
     h = bilateral_width(h)
-    uu = u.reshaped()
+    uu = u.values
     num = table.zero_weight * uu
     den = np.full_like(uu, table.zero_weight)
     for (w, dst, src, wrap), s, _, (wg, wgu) in _pairs(uu, table):
@@ -314,4 +310,4 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
             f"the filter weights vanish at {empty} node(s): the table has no zero offset and "
             f"no neighbor window survives at h = {h!r}; widen h or add the zero offset"
         )
-    return Field(grid, (num / den).ravel())
+    return Field(grid, num / den)

@@ -12,6 +12,12 @@ growth and sup-norm estimates close.  With mu = 0 every transform above
 multiplies by exactly 1.0 and the update is, bit for bit, the plain
 explicit Euler scheme u_{j+1} = u_j + tau [ (L u_j) + f(t_j, ., u_j) ].
 
+The loop of :func:`solve` is the only step.  The min and max of each u_j
+are both its blow-up guard (NaN and inf reach them, so a finite pair
+means a finite state) and its min and max diagnostics; w advances only
+while j < N.  States are flat node arrays in the grid's C order, the
+layout the pair walk reads.
+
 Three ways to pick mu:
 
 * ``auto_growth``   mu = 2 C_A + C_f + margin, with C_A the sampled growth
@@ -165,43 +171,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def step_semi_implicit(
-    grid: Grid,
-    table: SpatialKernelTable,
-    kernel: RangeKernel,
-    reaction: Reaction,
-    t_j: float,
-    tau: float,
-    mu: float,
-    w_j: Field,
-) -> Field:
-    """One damped step; takes and returns the transformed unknown w."""
-    if w_j.grid != grid:
-        raise GridMismatchError("state does not live on the given grid")
-    new = _step(w_j.reshaped(), t_j, tau, mu, table, kernel, reaction)[0]
-    return Field(grid, new.ravel())
-
-
-def _step(w, t_j, tau, mu, table, kernel, reaction, energy=False):
-    """One damped step from the transformed unknown w at time t_j.
-
-    Returns (new_w, u, op, e): w at t_j + tau, the original unknown
-    u = e^{mu t_j} w, the operator applied to it and, with ``energy``, the
-    flow energy of u from the same pair walk (else None).  Raises
-    :class:`NumericalBlowupError` when u is not finite; the caller knows
-    the step index and the last finite state.
-    """
-    u = math.exp(mu * t_j) * w
-    if not np.all(np.isfinite(u)):
-        raise NumericalBlowupError("state left the finite range", step=0, t=t_j)
-    op, e = _apply(u, table, kernel, t_j, energy)
-    rhs = op + reaction.eval(t_j, None, u)
-    return (w + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu), u, op, e
-
-
 def _resolve_constants(kernel, reaction, u0, config, seed):
     rng = np.random.default_rng(seed)
-    norm_u0 = float(np.max(np.abs(u0.values))) if u0.values.size else 0.0
+    norm_u0 = float(np.max(np.abs(u0.values)))
     c_f, l_f = reaction.c_growth, reaction.l_lipschitz
     sample_radius = 2.0 * max(1.0, norm_u0)
     c_a = k = math.nan
@@ -245,10 +217,13 @@ def solve(
     :class:`AssumptionViolationError`, which carries that ``RunReport``,
     unless ``allow_nonconformant`` is set, in which case the run proceeds
     and the trajectory constants keep only the verdict, ``assumptions_ok``.  A
-    negative or non-integer ``seed`` raises :class:`ConfigurationError`.  A
-    state that stops being finite raises :class:`NumericalBlowupError`
-    carrying the first step whose u is not finite and the last finite u,
-    recorded or not.
+    negative or non-integer ``seed`` raises :class:`ConfigurationError`.
+
+    Each level j is one pass of the loop: u_j = e^{mu t_j} w_j, its min and
+    max, the operator and energy from one walk, the diagnostics row, the
+    record, then w_{j+1} (for j < N only).  A min or max that is not finite
+    raises :class:`NumericalBlowupError` carrying the first step whose u is
+    not finite and the last finite u, recorded or not.
     """
     _check_seed(seed)
     _check_table(grid, table)
@@ -291,7 +266,7 @@ def solve(
             stacklevel=2,
         )
 
-    state = u0.values.reshape(grid.counts).copy()
+    w = u0.values.copy()
 
     diag = {name: np.empty(N + 1) for name in DIAGNOSTIC_COLUMNS}
     record_steps = [j for j in range(0, N + 1, int(config.record_every))]
@@ -301,37 +276,34 @@ def solve(
     times = []
     states = []
 
-    def t_of(j):
-        return T * (j / N)
-
-    def fill_diag(j, u, op, e):
-        diag["step"][j] = j
-        diag["t"][j] = t_of(j)
-        diag["min"][j] = u.min()
-        diag["max"][j] = u.max()
-        diag["mass"][j] = grid.node_volume * u.sum()
-        diag["energy"][j] = e
-        diag["op_sup"][j] = np.max(np.abs(op)) if op.size else 0.0
-
-    # The step from t_N is taken only for its u and op; its new state is unused.
-    u = state
+    u = w
     for j in range(N + 1):
-        t_j = t_of(j)
-        try:
-            new, u_j, op, e = _step(state, t_j, tau, mu, table, kernel, reaction, True)
-        except NumericalBlowupError as exc:
+        t_j = T * (j / N)
+        last, u = u, math.exp(mu * t_j) * w
+        # NaN and inf reach the min or the max, so these two guard the state
+        lo, hi = u.min(), u.max()
+        if not -math.inf < lo <= hi < math.inf:
             raise NumericalBlowupError(
-                f"{exc} at step {j} (t = {t_j:.6g})",
+                f"state left the finite range at step {j} (t = {t_j:.6g})",
                 step=j,
                 t=t_j,
-                last_state=Field(grid, u.ravel().copy()),
-            ) from None
-        u = u_j
-        fill_diag(j, u, op, e)
+                last_state=Field(grid, last),
+            )
+        op, e = _apply(u, table, kernel, t_j, True)
+        diag["step"][j] = j
+        diag["t"][j] = t_j
+        diag["min"][j] = lo
+        diag["max"][j] = hi
+        diag["mass"][j] = grid.node_volume * u.sum()
+        diag["energy"][j] = e
+        diag["op_sup"][j] = np.max(np.abs(op))
         if j in record_set:
             times.append(t_j)
-            states.append(Field(grid, u.ravel().copy()))
-        state = new
+            states.append(Field(grid, u.copy()))
+        if j < N:
+            # no name for op + f: it would stay alive through the next step
+            dt = tau * math.exp(-mu * t_j)
+            w = (w + dt * (op + reaction.eval(t_j, None, u))) / (1.0 + tau * mu)
 
     return Trajectory(
         grid=grid,
@@ -404,7 +376,7 @@ def stability_constant_estimate(traj_a: Trajectory, traj_b: Trajectory, p) -> St
     else:
         slope = -math.inf
     return StabilitySummary(
-        p=float(p) if p != math.inf else math.inf,
+        p=float(p),
         times=traj_a.times.copy(),
         ratios=ratios,
         max_ratio=float(np.max(ratios)),

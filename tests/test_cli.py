@@ -456,6 +456,31 @@ def test_refused_kernel_parameters_exit_2(tmp_path, capsys, command, extra, deta
     assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra, detail",
+    [
+        ("reaction.family = linear_decay\nreaction.rate = inf\n",
+         "decay rate must be finite and non-negative, got inf"),
+        ("reaction.family = logistic\nreaction.rate = inf\n",
+         "logistic growth rate must be finite and non-negative, got inf"),
+        ("reaction.family = affine\nreaction.offset = inf\n",
+         "affine reaction offset must be finite and non-negative, got inf"),
+        ("reaction.family = affine\nreaction.slope = -inf\n",
+         "affine reaction slope must be finite, got -inf"),
+        ("reaction.family = affine\nreaction.slope = inf\n",
+         "affine reaction slope must be finite, got inf"),
+    ],
+    ids=["infinite_decay_rate", "infinite_logistic_rate", "infinite_affine_offset",
+         "negative_infinite_affine_slope", "infinite_affine_slope"],
+)
+def test_refused_reaction_parameters_exit_2(tmp_path, capsys, extra, detail):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + extra, encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {detail}") and "Traceback" not in err
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "initial.kind = random\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
@@ -640,3 +665,9 @@ def test_benchmark_tracer_finds_every_hook(tmp_path, monkeypatch):
     assert tracer.run(nldiff.cli.main, argv) == 0
     assert tracer.missing == []
     assert [s.attrs["steps"] for s in tracer.spans if s.name == "stepper.solve"] == [8]
+
+
+def test_export_list_resolves_every_name_once():
+    names = nldiff.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(nldiff, n)] == []

@@ -346,7 +346,7 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     for k in _kernels_for(g, u) + [non_odd_kernel()]:
         # the fused pass, in the walk's scratch buffers, is eval and density
         # bit for bit
-        for _, s, pe, scratch in operator._pairs(u.reshaped(), t, k):
+        for _, s, pe, scratch in operator._pairs(u.values, t, k):
             a, dens = k.terms(0.3, s, pe, True, scratch)
             assert a is scratch[0] and dens is scratch[1], k.family
             assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
@@ -578,7 +578,7 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
             assert flow_energy(g, t, k, u) == energy
         assert calls == []
         # raw reference differences instead, interpolated on every call
-        rr = ref.reshaped()
+        rr = ref.values
         raw = tuple(
             operator._drop_wrapped(operator._take(rr, s) - operator._take(rr, d), wrap)
             for _, d, s, wrap in t.blocks
@@ -657,12 +657,12 @@ def test_flat_walk_matches_the_sliced_walk(case, layout):
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
     for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), non_odd_kernel()]:
-        op, e = operator._apply(u.reshaped(), t, k, 0.3, True)
+        op, e = operator._apply(u.values, t, k, 0.3, True)
         if k.family != "mollified":
-            assert np.array_equal(op.ravel(), sliced_apply(t, k, 0.3, u)), k.family
+            assert np.array_equal(op, sliced_apply(t, k, 0.3, u)), k.family
         assert e == flow_energy(g, t, k, u), k.family
         if k.family != "custom":
-            assert abs(integrate(g, Field(g, op.ravel()))) < 1e-13, k.family
+            assert abs(integrate(g, Field(g, op))) < 1e-13, k.family
             lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
 

@@ -27,6 +27,7 @@ from nldiff import (
     affine_reaction,
     apply_nonlocal,
     build_grid,
+    custom_kernel,
     export_trajectory,
     linear_kernel,
     logistic_reaction,
@@ -37,7 +38,6 @@ from nldiff import (
     solve,
     solve_problem,
     stability_constant_estimate,
-    step_semi_implicit,
     zero_reaction,
 )
 
@@ -171,22 +171,6 @@ def test_damped_scheme_matches_scalar_recurrence(mu):
         np.testing.assert_array_equal(got.values, exp)
 
 
-def test_single_step_wrappers_match_solver_formulas():
-    g = build_grid(1, [(0.0, 1.0)], [2])
-    t = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, 0.0, 1.0]))
-    w = Field(g, [0.4, 0.9])
-    tau, mu, t_j = 0.03125, 0.8, 0.25
-    got = step_semi_implicit(g, t, linear_kernel(), zero_reaction(), t_j, tau, mu, w)
-    ept, emt = math.exp(mu * t_j), math.exp(-mu * t_j)
-    u = ept * w.values
-    op = np.array([0.5 * (u[1] - u[0]), 0.5 * (u[0] - u[1])])
-    want = (w.values + (tau * emt) * (op + np.zeros(2))) / (1.0 + tau * mu)
-    np.testing.assert_array_equal(got.values, want)
-    got_e = step_semi_implicit(g, t, linear_kernel(), zero_reaction(), 0.0, tau, 0.0, w)
-    op0 = np.array([0.5 * (w.values[1] - w.values[0]), 0.5 * (w.values[0] - w.values[1])])
-    np.testing.assert_array_equal(got_e.values, w.values + tau * (op0 + np.zeros(2)))
-
-
 # ---------------------------------------------------------------------------
 # constant states: pure reaction dynamics
 
@@ -272,6 +256,17 @@ def box_growth_problem(slope, mu, u0, record_every=1):
     return Problem(g, t, linear_kernel(), affine_reaction(0.0, slope), Field(g, np.full(8, u0)), cfg)
 
 
+def nan_kernel_problem():
+    # the affine growth widens the two-node difference until the kernel,
+    # NaN above |s| = 3, beyond the sampled range, turns the operator and
+    # then the state into NaN
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    t = make_spatial_kernel(g, "custom_table", table=([[-1], [0], [1]], [1.0, 0.0, 1.0]))
+    k = custom_kernel(lambda t, s: np.where(np.abs(s) > 3.0, np.nan, s))
+    cfg = SolverConfig(T=0.5, steps=16, mu_mode="manual")
+    return Problem(g, t, k, affine_reaction(0.0, 40.0), Field(g, [0.2, 0.3]), cfg)
+
+
 def test_blowup_carries_step_time_and_last_finite_state():
     cases = [
         # the reaction drives the stored state out of range
@@ -280,6 +275,8 @@ def test_blowup_carries_step_time_and_last_finite_state():
         (box_growth_problem(1500.0, 690.0, 0.5), 62),
         # u overflows only at the final step, after the last recorded state
         (box_growth_problem(840.0, 699.0, 1.0, record_every=16), 64),
+        # the state turns NaN, not inf
+        (nan_kernel_problem(), 6),
     ]
     for prob, want_step in cases:
         cfg = prob.config
@@ -292,13 +289,19 @@ def test_blowup_carries_step_time_and_last_finite_state():
         if want_step is not None:
             assert err.step == want_step
         assert err.t == pytest.approx(cfg.T * err.step / cfg.steps)
-        # the last finite state is u one step earlier, rebuilt from single steps
-        w = prob.u0
+        assert str(err) == f"state left the finite range at step {err.step} (t = {err.t:.6g})"
+        # the last finite state is u one step earlier, rebuilt from the
+        # damped update written out here
+        tau, mu = cfg.T / cfg.steps, cfg.mu
+        w = prob.u0.values
         for j in range(err.step - 1):
-            w = step_semi_implicit(prob.grid, prob.table, prob.kernel, prob.reaction,
-                                   cfg.T * (j / cfg.steps), cfg.T / cfg.steps, cfg.mu, w)
+            t_j = cfg.T * (j / cfg.steps)
+            u = math.exp(mu * t_j) * w
+            rhs = (apply_nonlocal(prob.grid, prob.table, prob.kernel, t_j, Field(prob.grid, u)).values
+                   + prob.reaction.eval(t_j, None, u))
+            w = (w + (tau * math.exp(-mu * t_j)) * rhs) / (1.0 + tau * mu)
         t_last = cfg.T * ((err.step - 1) / cfg.steps)
-        np.testing.assert_array_equal(err.last_state.values, math.exp(cfg.mu * t_last) * w.values)
+        np.testing.assert_array_equal(err.last_state.values, math.exp(mu * t_last) * w)
 
 
 def test_tau_restriction_warning_mentions_the_bound():
