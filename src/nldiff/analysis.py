@@ -10,6 +10,9 @@ always covers the full battery.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,6 +192,60 @@ class CauchyStudyResult:
     report: RunReport
 
 
+# The problem and quadrature count of the Cauchy study a forked worker
+# serves, inherited through the pool's initializer and never pickled.
+_level_inputs = None
+
+
+def _set_level_inputs(*inputs):
+    global _level_inputs
+    _level_inputs = inputs
+
+
+def _solve_level(n: int, problem: Problem, quad_count: int) -> np.ndarray:
+    """The recorded states of one level of :func:`mollifier_cauchy_study`,
+    stacked row by row; the last row is the final state."""
+    smoothed = mollify_range_kernel(problem.kernel, n, quad_count)
+    return np.stack([s.values for s in solve_problem(replace(problem, kernel=smoothed)).states])
+
+
+def _solve_level_in_worker(n: int):
+    """:func:`_solve_level` in a pool worker, on the inputs it inherited.
+
+    Returns the stacked states, or the exception that ended the solve,
+    and the warnings raised as (message, category, filename, lineno), for
+    the caller to raise and issue in level order.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _solve_level(n, *_level_inputs)
+        except Exception as exc:
+            result = exc
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _collect_levels(results) -> list:
+    """The stacked states of the workers' results, in level order.
+
+    Each level's warnings are issued under the module name and
+    once-registry of the file that raised them, as the solve would have
+    issued them here, and the first failing level's exception is raised;
+    later levels are not looked at.
+    """
+    stacked = []
+    for result, caught in results:
+        for message, category, filename, lineno in caught:
+            where = next((vars(m) for m in list(sys.modules.values())
+                          if getattr(m, "__file__", None) == filename), {})
+            warnings.warn_explicit(message, category, filename, lineno, where.get("__name__"),
+                                   where.setdefault("__warningregistry__", {}))
+        if isinstance(result, Exception):
+            raise result
+        stacked.append(result)
+    return stacked
+
+
 def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> CauchyStudyResult:
     """Solve at several mollification levels of ``problem.kernel`` and
     measure mutual distances.
@@ -200,6 +257,12 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     ``quad_count`` panels, and on no fewer than 257.  Requires a monotone
     kernel (the hypothesis behind the underlying uniqueness argument),
     not itself mollified, and at least three strictly increasing levels.
+
+    The levels are independent serial solves, run on one forked worker
+    process per CPU the caller may use (at most one per level), or in
+    this process when that is one.  Results, warnings and errors are
+    those of a loop over the levels in order: the lowest failing level's
+    exception is raised, and no worker outlives the call.
     """
     base = problem.kernel
     if not base.monotone:
@@ -214,14 +277,23 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
 
     quad_count = max(257, quad_count)
     config = replace(problem.config, record_every=1)
-    trajectories = []
-    for n in lv:
-        smoothed = mollify_range_kernel(base, n, quad_count)
-        trajectories.append(solve_problem(replace(problem, kernel=smoothed, config=config)))
+    inputs = (replace(problem, config=config), quad_count)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(lv), cpus)
+    if workers == 1:
+        stacked = [_solve_level(n, *inputs) for n in lv]
+    else:
+        # Imported here: the import and the pool would cost every command.
+        # Fork, not spawn: workers inherit the problem, custom callables
+        # included, with no pickling and no second import of numpy; the
+        # solve calls no BLAS, whose threads are the only ones at the fork.
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers, _set_level_inputs, inputs) as pool:
+            stacked = _collect_levels(pool.imap(_solve_level_in_worker, lv, chunksize=1))
 
     grid = problem.grid
     tau = config.T / config.steps
-    stacked = [np.stack([s.values for s in tr.states]) for tr in trajectories]
     m = len(lv)
     dist = np.zeros((m, m))
     for i in range(m):
@@ -288,7 +360,7 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     return CauchyStudyResult(
         levels=np.asarray(lv, dtype=np.int64),
         pairwise_l1=dist,
-        limit_estimate=trajectories[-1].final_state,
+        limit_estimate=Field(grid, stacked[-1][-1].copy()),
         fitted_exponent=fitted,
         report=rep,
     )

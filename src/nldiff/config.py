@@ -306,6 +306,10 @@ def build_initial_state(cfg: RunConfig, grid) -> Field:
     n = grid.node_count
     if sec.kind == "constant":
         return Field(grid, np.full(n, sec.value))
+    if sec.kind in ("random", "step"):
+        for key, value in (("low", sec.low), ("high", sec.high)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"initial.{key} must be finite, got {value}")
     if sec.kind == "random":
         rng = np.random.default_rng(cfg.seed)
         return Field(grid, rng.uniform(sec.low, sec.high, size=n))

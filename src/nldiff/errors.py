@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class NldiffError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Errors pickle with their class, message and attributes, so that one
+    raised in a worker process reaches the caller unchanged.
+    """
+
+    def __reduce__(self):
+        # Rebuilt without __init__, whose signature varies by subclass and
+        # may reformat the message: BaseException.__new__ keeps the final
+        # message as args, and the attributes come back as state.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigurationError(NldiffError):

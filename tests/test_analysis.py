@@ -6,15 +6,28 @@ is available without any numerical reference.
 """
 
 import math
+import multiprocessing
+import os
+import pickle
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+import nldiff.analysis
 from nldiff import (
+    AssumptionViolationError,
+    ConfigParseError,
     ConfigurationError,
     Field,
     GridMismatchError,
+    KernelValidationError,
+    NldiffError,
+    NumericalBlowupError,
+    PgmFormatError,
     Problem,
+    RangeKernel,
     RunReport,
     SolverConfig,
     UndefinedRatioError,
@@ -259,6 +272,139 @@ def test_cauchy_study_mollifies_on_257_panels_at_least(quad_count, used):
     prob = small_problem(np.linspace(0.1, 0.9, 16), kernel=p_laplacian_kernel(2.5), steps=8)
     res = mollifier_cauchy_study(prob, [2, 4, 8], quad_count)
     assert res.report.constants["quad_count"] == used
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy study's worker processes
+
+
+def use_cpus(monkeypatch, count):
+    """Make the study see ``count`` CPUs: one runs it in this process,
+    more on a pool of forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_cauchy_study_pool_and_in_process_runs_are_bit_identical(monkeypatch):
+    rng = np.random.default_rng(30)
+    prob = small_problem(rng.uniform(0.1, 0.9, 16), kernel=p_laplacian_kernel(1.5), T=0.25,
+                         steps=32)
+    forks = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: forks.append(method) or get_context(method))
+    results = {}
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
+        results[cpus] = mollifier_cauchy_study(prob, [2, 4, 8, 16])
+        assert multiprocessing.active_children() == []
+    assert forks == ["fork"]  # a pool for four CPUs, none for one
+    one, pool = results[1], results[4]
+    assert one.pairwise_l1.tobytes() == pool.pairwise_l1.tobytes()
+    assert one.limit_estimate.values.tobytes() == pool.limit_estimate.values.tobytes()
+    assert one.report.to_text() == pool.report.to_text()
+    assert one.report.to_csv() == pool.report.to_csv()
+    assert one.report.series.keys() == pool.report.series.keys()
+    for key, values in one.report.series.items():
+        assert values.tobytes() == pool.report.series[key].tobytes(), key
+
+
+def test_cauchy_study_raises_the_lowest_failing_level(monkeypatch):
+    prob = small_problem(np.linspace(0.1, 0.9, 16), kernel=p_laplacian_kernel(2.5), steps=8)
+    solve = nldiff.analysis.solve_problem
+
+    def solve_or_fail(problem):
+        n = problem.kernel.mollifier.n
+        if n == 2:
+            time.sleep(0.2)  # so that level 4 fails first on a pool
+        if n in (2, 4):
+            raise NumericalBlowupError(f"level {n} failed", step=n, t=0.5 * n,
+                                       last_state=Field(problem.grid, np.full(16, float(n))))
+        return solve(problem)
+
+    # forked workers inherit the patched module, and nothing is pickled
+    monkeypatch.setattr(nldiff.analysis, "solve_problem", solve_or_fail)
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericalBlowupError) as exc:
+            mollifier_cauchy_study(prob, [2, 4, 8, 16])
+        assert multiprocessing.active_children() == []
+        err = exc.value
+        assert (str(err), err.step, err.t) == ("level 2 failed", 2, 1.0)
+        np.testing.assert_array_equal(err.last_state.values, 2.0)
+
+
+def test_cauchy_study_blowup_and_warnings_are_those_of_a_serial_loop(monkeypatch):
+    # a custom kernel, which a pool must not need to pickle; the decay
+    # rate breaks the positivity bound, and the state overflows
+    identity = RangeKernel("custom", fn=lambda t, s: np.asarray(s) * 1.0, monotone=True)
+    prob = small_problem(np.full(16, 0.5), kernel=identity, reaction=linear_decay_reaction(1e80),
+                         T=0.1, steps=8)
+    seen = {}
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
+        with np.errstate(over="ignore"), pytest.warns(UserWarning, match="positivity bound") as rec:
+            with pytest.raises(NumericalBlowupError) as exc:
+                mollifier_cauchy_study(prob, [2, 4, 8])
+        assert multiprocessing.active_children() == []
+        err = exc.value
+        # the first level fails, so its warning is the only one
+        seen[cpus] = ([(w.category, str(w.message), w.filename, w.lineno) for w in rec],
+                      str(err), err.step, err.t, err.last_state.values.tobytes())
+    assert len(seen[1][0]) == 1
+    assert seen[1] == seen[4]
+
+
+def test_cauchy_study_warns_level_by_level(monkeypatch):
+    # stable but above the positivity bound: every level warns and finishes
+    prob = small_problem(np.full(16, 0.5), reaction=linear_decay_reaction(100.0), T=0.1, steps=8)
+    seen = {}
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
+        with pytest.warns(UserWarning, match="positivity bound") as rec:
+            mollifier_cauchy_study(prob, [2, 4, 8])
+        seen[cpus] = [(w.category, str(w.message), w.filename, w.lineno) for w in rec]
+        # an error filter raises the first one, as it would inside the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="positivity bound"):
+                mollifier_cauchy_study(prob, [2, 4, 8])
+        assert multiprocessing.active_children() == []
+    assert len(seen[1]) == 3
+    assert seen[1] == seen[4]
+
+
+def test_every_error_pickles_with_its_class_message_and_attributes():
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    report = RunReport()
+    report.add("check", False, 2.0, 1.0, "note")
+    errors = [
+        NldiffError("base"),
+        ConfigurationError("bad parameter"),
+        ConfigParseError("bad value", line=3, path="a.cfg"),
+        GridMismatchError("other grid"),
+        KernelValidationError("uneven", offenders=[(1,), (-2,)]),
+        AssumptionViolationError("nonconformant", report=report),
+        NumericalBlowupError("overflow", step=3, t=0.1, last_state=Field(g, [0.25, 0.5])),
+        PgmFormatError("bad header"),
+        UndefinedRatioError("equal starts"),
+    ]
+
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert {type(e) for e in errors} == subclasses(NldiffError)
+    for err in errors:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert (str(back), back.args) == (str(err), err.args)
+        assert vars(back).keys() == vars(err).keys()
+        for name, value in vars(err).items():
+            if isinstance(value, Field):
+                assert back.__dict__[name].grid == value.grid
+                np.testing.assert_array_equal(back.__dict__[name].values, value.values)
+            else:
+                assert back.__dict__[name] == value, name
+    assert str(errors[2]) == "a.cfg, line 3: bad value"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ of a repeated run.
 
 import importlib.util
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +485,16 @@ def test_refused_reaction_parameters_exit_2(tmp_path, capsys, extra, detail):
     assert err.startswith(f"error: {cfg}: {detail}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["random", "step"])
+@pytest.mark.parametrize("key, value", [("high", "inf"), ("low", "-inf")])
+def test_non_finite_initial_range_exits_2(tmp_path, capsys, kind, key, value):
+    # numpy's uniform used to end an infinite random range in an OverflowError
+    cfg = write_cfg(tmp_path, f"initial.kind = {kind}\ninitial.{key} = {value}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: initial.{key} must be finite, got {float(value)}\n"
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "initial.kind = random\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
@@ -649,6 +663,48 @@ def test_study_cauchy_command(tmp_path, capsys):
     lines = (out / "cauchy.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == "level_i,level_j,l1_distance"
     assert len(lines) == 1 + 6  # upper triangle of a 4x4 matrix
+
+
+CAUCHY_DECAY = ("grid.dim = 1\ngrid.extents = 0, 1\ngrid.counts = 12\nrange.family = linear\n"
+                "reaction.family = linear_decay\ninitial.value = 0.5\nsolver.T = 0.1\n"
+                "solver.steps = 8\nsolver.mu_mode = manual\nstudy.levels = 2, 4, 8\n")
+
+
+def test_study_cauchy_blowup_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cauchy.cfg"
+    cfg.write_text(CAUCHY_DECAY + "reaction.rate = 1e80\n", encoding="utf-8")
+    with np.errstate(over="ignore"), pytest.warns(UserWarning, match="positivity bound"):
+        assert main(["study", "cauchy", "--config", str(cfg), "--out", str(tmp_path / "q")]) == 3
+    assert "error: state left the finite range at step" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_study_cauchy_output_is_that_of_one_cpu(tmp_path, capsys, monkeypatch):
+    # every level warns with the same text from the same line, which the
+    # default filter shows once, on one CPU and on a pool alike
+    cfg = tmp_path / "cauchy.cfg"
+    cfg.write_text(CAUCHY_DECAY + "reaction.rate = 100\n", encoding="utf-8")
+    seen = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / f"q{cpus}"
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")
+            rc = main(["study", "cauchy", "--config", str(cfg), "--out", str(out)])
+        seen[cpus] = (rc, capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()},
+                      [warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                       for w in shown])
+    assert len(seen[1][3]) == 1 and "positivity bound" in seen[1][3][0]
+    assert seen[1] == seen[4]
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # the study imports multiprocessing itself, so no other command pays for it
+    code = "import sys, nldiff.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_benchmark_tracer_finds_every_hook(tmp_path, monkeypatch):

@@ -482,6 +482,56 @@ def test_mollified_single_evaluation_matches_two_evaluations(quad_count):
             assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), base.family
 
 
+def _batch_test_kernels():
+    g = build_grid(1, [(0.0, 1.0)], [2])
+    ref = Field(g, [0.0, 1.0])
+    odd = [
+        linear_kernel(),
+        p_laplacian_kernel(1.5),
+        p_laplacian_kernel(2.5),
+        variable_exponent_kernel([0.0, 1.0], [2.5, 2.0]),
+        spatial_exponent_kernel([0.0, 1.0], [3.0, 1.5], ref),
+        bilateral_kernel(0.3),
+        custom_kernel(lambda t, s: np.tanh(s) + s ** 3),
+    ]
+    mollified = [mollify_range_kernel(k, n, q) for k, n, q in
+                 zip(odd, (2, 4, 8, 4, 4, 16, 4), (64, 129, 257, 513, 129, 257, 64))]
+    return odd + mollified
+
+
+_BATCH_KERNELS = _batch_test_kernels()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, len(_BATCH_KERNELS) - 1),
+    values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=48),
+    cut=st.integers(1, 47),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_value_is_evaluated_as_if_alone(which, values, cut, rows, seed):
+    # A value's A, bit for bit, whatever else its call holds: one batch,
+    # two batches, every other value, a transposed 2-D array; mollified
+    # kernels included, whose quadrature sum must not depend on the layout
+    k = _BATCH_KERNELS[which]
+    s = np.array(values)
+    pair = np.random.default_rng(seed).uniform(-1.0, 1.0, s.shape) if k.needs_pair_reference else None
+
+    def ev(idx):
+        return k.eval(0.0, s[idx], None if pair is None else pair[idx])
+
+    alone = np.array([ev(slice(i, i + 1))[0] for i in range(s.size)])
+    assert ev(slice(None)).tobytes() == alone.tobytes(), k.family
+    cut = min(cut, s.size - 1)
+    assert np.concatenate([ev(slice(None, cut)), ev(slice(cut, None))]).tobytes() == alone.tobytes()
+    assert ev(slice(None, None, 2)).tobytes() == alone[::2].tobytes()
+    n = s.size - s.size % rows
+    pair_t = None if pair is None else pair[:n].reshape(rows, -1).T
+    transposed = k.eval(0.0, s[:n].reshape(rows, -1).T, pair_t)
+    assert transposed.T.tobytes() == alone[:n].reshape(rows, -1).tobytes()
+
+
 def test_mollifying_an_affine_kernel_changes_nothing():
     # the quadrature weights sum to one and the bump is even, so smoothing
     # the identity reproduces it to round-off
@@ -607,6 +657,34 @@ def test_sampled_constants_known_kernels():
     assert lip > 100.0
 
 
+def concatenated_lipschitz_constant(kernel, radius, rng):
+    """sample_lipschitz_constant as it was before it reused the values at
+    ``base``: one evaluation of the concatenated first points."""
+    base = kernels._sample_points(radius, rng)
+    tight = base + 1e-6 * rng.uniform(0.5, 1.5, size=base.shape)
+    wide = kernels._sample_points(radius, rng)
+    s1 = np.concatenate([base, base])
+    s2 = np.concatenate([tight, wide])
+    keep = (np.abs(s1) >= kernels._EXCLUDE) & (np.abs(s2) >= kernels._EXCLUDE) & (s1 != s2)
+    s1, s2 = s1[keep], s2[keep]
+    v1, v2 = kernels._eval_for_constants(kernel, rng, radius, s1, s2)
+    return float(np.max(np.abs(v1 - v2) / np.abs(s1 - s2)))
+
+
+@pytest.mark.parametrize("which", range(len(_BATCH_KERNELS)))
+def test_lipschitz_sampler_evaluates_its_base_points_once(which):
+    k = _BATCH_KERNELS[which]
+    got = sample_lipschitz_constant(k, 2.0, np.random.default_rng(which))
+    assert got == concatenated_lipschitz_constant(k, 2.0, np.random.default_rng(which)), k.family
+    if k.family == "custom":
+        counted = []
+        fn = k.fn
+        k_counted = custom_kernel(lambda t, s: counted.append(np.size(s)) or fn(t, s))
+        sample_lipschitz_constant(k_counted, 2.0, np.random.default_rng(0))
+        # base, then the tight and the wide points; the concatenation was 4 x 4096
+        assert sum(counted) <= 3 * kernels._SAMPLES
+
+
 def test_sample_holder_rejects_bad_alpha():
     with pytest.raises(ConfigurationError):
         sample_holder_constant(linear_kernel(), 0.0, 1.0, np.random.default_rng(0))
@@ -662,6 +740,20 @@ def test_validate_flags_negative_reaction_at_zero():
     r = custom_table_reaction([-1.0, 0.0, 1.0], [0.5, -0.2, 0.1])
     report = validate_assumptions(t, k, r, u0)
     assert not next(c for c in report.checks if c.name == "reaction non-negative at 0").passed
+
+
+def test_reaction_growth_check_of_an_overflowing_reaction_is_inf_not_nan():
+    # |f| and C(1 + |s|) both overflow on [-2, 2]; inf - inf used to make
+    # the measurement NaN, with numpy overflow and invalid-value warnings
+    # (errors under this suite's warning filters)
+    g, t, k, u0 = _conformant_setup()
+    report = validate_assumptions(t, k, linear_decay_reaction(1e308), u0)
+    growth = next(c for c in report.checks if c.name == "reaction growth bound")
+    assert growth.measured == math.inf and not growth.passed
+    # a finite bound with no overflow keeps its measured value
+    fine = validate_assumptions(t, k, linear_decay_reaction(1e300), u0)
+    growth = next(c for c in fine.checks if c.name == "reaction growth bound")
+    assert growth.passed and math.isfinite(growth.measured)
 
 
 def test_validate_report_is_deterministic():
