@@ -100,15 +100,6 @@ class Grid:
             idx = idx * self.counts[k] + i if k else i
         return idx
 
-    def nearest_index(self, point) -> int:
-        """Flat index of the node whose cell contains ``point``."""
-        multi = []
-        for k, x in enumerate(np.atleast_1d(point)):
-            lo, _ = self.extents[k]
-            i = int(round((x - lo) / self.spacing[k] - 0.5))
-            multi.append(min(max(i, 0), self.counts[k] - 1))
-        return self.flat_index(tuple(multi))
-
 
 def build_grid(dim, extents, counts) -> Grid:
     """Construct a validated :class:`Grid`.

@@ -19,15 +19,14 @@ the families
 * ``bilateral_gaussian``  A(s) = s exp(-s^2 / h^2)
 * ``mollified``           a smoothed copy of another family, see
                           :func:`mollify_range_kernel`
-* ``custom``              any callable, for experiments and validation
-                          tests
+* ``custom``              any odd callable with A(0) = 0, for experiments
+                          and validation tests
 
 Note the bilateral family multiplies the Gaussian window by s.  The bare
 window exp(-s^2/h^2) familiar from image filters is even in s, which an
 odd range kernel cannot be; the extra factor of s is what makes the
-classical filter's window fit this framework, and
-:func:`validate_assumptions` flags the bare form if someone supplies it as
-a custom kernel.
+classical filter's window fit this framework, and :func:`custom_kernel`
+refuses the bare form.
 """
 
 from __future__ import annotations
@@ -70,10 +69,10 @@ class SpatialKernelTable:
     to reach a unit discrete integral.
 
     The table owns that walk.  The spatial kernel is even and every range
-    kernel but ``custom`` is odd, so the pair (x, x + d) and its mirror
-    (x + d, x) carry the same flux with opposite signs; the walk therefore
-    visits only the lexicographically positive offsets d > 0, in table
-    order, leaving out those whose overlap with the grid is empty.
+    kernel is odd, so the pair (x, x + d) and its mirror (x + d, x) carry
+    the same flux with opposite signs; the walk therefore visits only the
+    lexicographically positive offsets d > 0, in table order, leaving out
+    those whose overlap with the grid is empty.
 
     ``blocks`` is the walk itself, cut into blocks, each a tuple
     ``(w, dst, src, wrap)`` that only the walk,
@@ -485,6 +484,19 @@ class RangeKernel:
         self.base = base
         self.mollifier = mollifier
         self.fn = fn
+        if family == "custom":
+            # the pair walk takes every range kernel to be odd with A(0) = 0;
+            # a custom one is probed for it at t = 0 on 33 points of [-1, 1]
+            probe = np.linspace(-1.0, 1.0, 33)
+            a = np.broadcast_to(fn(0.0, probe), probe.shape)
+            odd = float(np.max(np.abs(a + fn(0.0, -probe))))
+            zero = abs(float(a[16]))  # probe[16] is 0.0
+            if not (odd <= 1e-12 and zero <= 1e-12):
+                raise ConfigurationError(
+                    f"a custom range kernel must be odd with A(0) = 0: at t = 0 on [-1, 1], "
+                    f"max |A(s) + A(-s)| = {odd:.3e} and |A(0)| = {zero:.3e}, against 1e-12; "
+                    "an even window like exp(-s^2/h^2) fails here, s exp(-s^2/h^2) does not"
+                )
         self.holder_alpha = float(holder_alpha)
         self.monotone = bool(monotone)
         # (table, reference, per-block PairExponents) of the last pair walk,
@@ -588,11 +600,10 @@ class RangeKernel:
         With V the base at s - nodes/n, one row per node and one column per
         value, the smoothed base is w . V at s and w . V(-s) at -s, and
         A = w . (V(s) - V(-s)) / 2 is odd with A(0) = 0 exactly in floating
-        point.  The nodes are mirror images bit for bit, the weights even
-        and every built-in base odd bit for bit, so V(-s) is minus V(s)
+        point.  The nodes are mirror images bit for bit and the weights
+        even, so for a base that is odd bit for bit V(-s) is minus V(s)
         with its rows reversed, and the base is evaluated once per
-        (s, node); a custom base is evaluated at -s as well.  Row k folds
-        onto row K-1-k, and the weighted folded rows and the middle row
+        (s, node).  Row k folds onto row K-1-k, and the weighted folded rows and the middle row
         are summed in a fixed halving tree, with no BLAS, so a value's A
         does not depend on the other values of its call.  Values go in
         blocks of ``_MOLLIFY_BLOCK`` base evaluations.
@@ -601,7 +612,6 @@ class RangeKernel:
         half, rows = m.nodes.size // 2, (m.nodes.size + 1) // 2
         weights = m.weights[:rows, None]
         shift = (m.nodes / m.n)[:, None]
-        custom = self.base.family == "custom"
         flat = s.reshape(-1)
         q = None
         if self.needs_pair_reference:
@@ -612,8 +622,6 @@ class RangeKernel:
             cols = slice(lo, lo + step)
             pe = None if q is None else PairExponents(q[None, cols])
             v = self.base.eval(t, flat[None, cols] - shift, pe)
-            if custom:
-                v -= self.base.eval(t, -flat[None, cols] - shift, pe)
             v[:half] += v[::-1][:half]
             x = v[:rows]
             x *= weights
@@ -622,7 +630,7 @@ class RangeKernel:
                 top = n // 2
                 x[:top] += x[n - top:n]
                 n -= top
-            res[cols] = 0.5 * x[0] if custom else x[0]
+            res[cols] = x[0]
         return out
 
 
@@ -762,7 +770,9 @@ def bilateral_kernel(h: float) -> RangeKernel:
 
 def custom_kernel(fn) -> RangeKernel:
     """A range kernel A(t, s) = fn(t, s), declared neither monotone nor
-    better than Lipschitz (Holder exponent 1)."""
+    better than Lipschitz (Holder exponent 1).  A must be odd in s with
+    A(0) = 0 at every t; only t = 0 is checked, on 33 points of [-1, 1],
+    and a kernel that fails there raises :class:`ConfigurationError`."""
     return RangeKernel("custom", fn=fn)
 
 
@@ -772,7 +782,8 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     The returned kernel evaluates the convolution of the base with the
     unit-mass bump of support 1/n by midpoint quadrature on ``quad_count``
     panels, then antisymmetrizes, which keeps A(0) = 0 and oddness exact in
-    floating point.  Monotonicity and the Holder constant survive
+    floating point for a base that is odd bit for bit, as every built-in
+    family is.  Monotonicity and the Holder constant survive
     mollification, so both declarations are inherited from the base.
     """
     if int(n) != n or n < 1:
@@ -784,10 +795,6 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
         )
     if base.family == "mollified":
         raise ConfigurationError("refusing to mollify an already mollified kernel")
-    probe = np.linspace(-1.0, 1.0, 33)
-    pair_ref = np.zeros_like(probe) if base.needs_pair_reference else None
-    if np.max(np.abs(base.eval(0.0, probe, pair_ref) + base.eval(0.0, -probe, pair_ref))) > 1e-12:
-        raise ConfigurationError("mollification requires an odd base kernel")
     nodes, weights = _mollifier_quadrature(int(quad_count))
     spec = MollifierSpec(n=int(n), quad_count=int(quad_count), nodes=nodes, weights=weights)
     return RangeKernel(
@@ -1109,8 +1116,7 @@ def validate_assumptions(
     odd_defect = float(np.max(np.abs(a_pos + a_neg)))
     odd_thr = 1e-10 * max(1.0, float(np.max(np.abs(a_pos))))
     rep.add("range kernel oddness", odd_defect <= odd_thr, odd_defect, odd_thr,
-            f"max |A(s) + A(-s)| = {odd_defect:.3e}"
-            + ("" if odd_defect <= 1e-10 else "; an even window like exp(-s^2/h^2) fails here"))
+            f"max |A(s) + A(-s)| = {odd_defect:.3e}")
 
     sign_defect = float(np.min(a_pos * s))
     rep.add("range kernel sign condition", sign_defect >= -1e-12, sign_defect, -1e-12,

@@ -9,8 +9,9 @@ pairs that leave the grid are simply dropped, which is the discrete form
 of integrating over the domain only and gives the flow its no-flux
 character.
 
-The spatial kernel is even, w(-d) = w(d), and every range family but
-``custom`` is odd in s and symmetric in the node pair, so the pair
+The spatial kernel is even, w(-d) = w(d), and every range kernel is odd
+in s and symmetric in the node pair (a ``custom`` one is refused at
+construction unless it is odd with A(0) = 0 at t = 0), so the pair
 (x, x + d) and its mirror (x + d, x) exchange the same flux w(d) A(s) with
 opposite signs.  The one pair walk, :func:`_pairs`, therefore visits each
 unordered pair once: it runs over the table's lexicographically positive
@@ -35,11 +36,10 @@ to the system and fault in again on the next block.  The operator
 evaluates A(s) once, with :meth:`~nldiff.kernels.RangeKernel.terms`, forms
 w A in place and scatters it to both ends of the pair, with
 ``out[dst] += w A`` on ranges and ``np.bincount`` on indices, which repeat
-inside a gather block (:func:`_scatter`).  A custom kernel is odd only if
-its author made it so; it is evaluated again at -s for the mirror, and at
-the zero offset, which keeps the sum over ordered pairs it is defined by.
-The operator, the pairing identity, the energies and the one-step filter
-all loop over this walk, so a run is a direct O(nodes * offsets) sum in a
+inside a gather block (:func:`_scatter`).  The zero offset couples a node
+with itself at s = 0, where A vanishes, so it carries no flux.  The
+operator, the pairing identity, the energies and the one-step filter all
+loop over this walk, so a run is a direct O(nodes * offsets) sum in a
 fixed order and bit-reproducible.  The spatial_exponent family's per-pair
 exponents depend only on the fixed reference field, so they are
 interpolated once per (table, reference), from a walk over the reference
@@ -180,21 +180,13 @@ def _apply(u, table, kernel, t, energy=False):
     energy of u from the same walk (else None)."""
     out = np.zeros(u.shape)
     acc = 0.0
-    # Every family but custom is odd by construction, bit for bit; a custom
-    # kernel is evaluated at -s for the mirror pair and at the zero offset.
-    odd = kernel.family != "custom"
     for (w, dst, src, wrap), s, pe, scratch in _pairs(u, table, kernel):
         a, phi = kernel.terms(t, s, pe, energy, scratch)
         wa = _weigh(w, a, wrap)
         _scatter(np.add, out, dst, wa)
-        if odd:
-            _scatter(np.subtract, out, src, wa)
-        else:
-            _scatter(np.add, out, src, _weigh(w, kernel.terms(t, -s, pe)[0], wrap))
+        _scatter(np.subtract, out, src, wa)
         if energy:
             acc += _weighted_sum(w, phi, wrap)
-    if not odd and table.zero_weight:
-        out += table.zero_weight * kernel.terms(t, np.zeros_like(u))[0]
     # the walk visits each unordered pair once; the energy sums ordered pairs
     e = 2.0 * table.grid.node_volume**2 * acc if energy else None
     return np.multiply(out, table.grid.node_volume, out=out), e
@@ -240,14 +232,13 @@ def dissipation_pairing(
         raise GridMismatchError("fields do not live on the operator grid")
     pp = phi.values
     lhs = grid.node_volume * float(np.sum(pp * _apply(u.values, table, kernel, t)[0]))
-    odd = kernel.family != "custom"
     acc = 0.0
     for (w, dst, src, wrap), s, pe, (a, _) in _pairs(u.values, table, kernel):
         a = kernel.terms(t, s, pe, out=(a, None))[0]
-        # the pair's A minus its mirror's, which for an odd kernel is 2 A
-        a = a + a if odd else a - kernel.terms(t, -s, pe)[0]
         acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)), wrap)
-    rhs = -0.5 * grid.node_volume**2 * acc
+    # the mirror pair's term A(-s) (phi(x) - phi(x+d)) equals the pair's, so
+    # the minus-half sum over ordered pairs is minus the walk's sum
+    rhs = -(grid.node_volume**2) * acc
     return lhs, rhs
 
 

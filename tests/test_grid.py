@@ -48,13 +48,6 @@ def test_flat_and_nearest_index():
     assert g.flat_index((2, 3)) == 11
     with pytest.raises(ConfigurationError):
         g.flat_index((3, 0))
-    # every node is nearest to itself
-    coords = g.node_coordinates()
-    for i in range(g.node_count):
-        assert g.nearest_index(coords[i]) == i
-    # points outside clamp to the boundary cell
-    assert g.nearest_index((-5.0, -5.0)) == 0
-    assert g.nearest_index((5.0, 5.0)) == 11
 
 
 @pytest.mark.parametrize(

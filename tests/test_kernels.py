@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nldiff import (
+    AssumptionViolationError,
     ConfigurationError,
     Field,
     KernelValidationError,
+    RangeKernel,
+    SolverConfig,
     SpatialKernelTable,
     bilateral_kernel,
     build_grid,
@@ -35,6 +38,7 @@ from nldiff import (
     sample_growth_constant,
     sample_holder_constant,
     sample_lipschitz_constant,
+    solve,
     spatial_exponent_kernel,
     validate_assumptions,
     variable_exponent_kernel,
@@ -463,8 +467,8 @@ def test_mollified_single_evaluation_matches_two_evaluations(quad_count):
         p_laplacian_kernel(1.5),
         bilateral_kernel(0.3),
         spatial_exponent_kernel([0.0, 1.0], [3.0, 1.5], Field(g, [0.0, 1.0])),
-        # a custom base is odd only at t = 0, so it is evaluated at -s too
-        custom_kernel(lambda t, s: s + 0.1 * t),
+        # odd bit for bit at every t, and t-dependent
+        custom_kernel(lambda t, s: (1.0 + t) * s + 0.1 * s * s * s),
     ]
     rng = np.random.default_rng(quad_count)
     s = np.concatenate([rng.uniform(-1.0, 1.0, 500), rng.uniform(-1e-3, 1e-3, 100), [0.0]])
@@ -591,9 +595,9 @@ def test_mollify_refusals():
         for quad_count in (kernels._BUMP_PANELS + 1, 100_000_000):
             with pytest.raises(ConfigurationError, match="64 to 65536 panels"):
                 mollify_range_kernel(linear_kernel(), 4, quad_count=quad_count)
-    shifted = custom_kernel(lambda t, s: np.asarray(s) + 0.1)
+    # a base that is not odd is refused where it is built
     with pytest.raises(ConfigurationError, match="odd"):
-        mollify_range_kernel(shifted, 4)
+        custom_kernel(lambda t, s: np.asarray(s) + 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +684,7 @@ def test_lipschitz_sampler_evaluates_its_base_points_once(which):
         counted = []
         fn = k.fn
         k_counted = custom_kernel(lambda t, s: counted.append(np.size(s)) or fn(t, s))
+        counted.clear()  # the oddness probe of the constructor
         sample_lipschitz_constant(k_counted, 2.0, np.random.default_rng(0))
         # base, then the tight and the wide points; the concatenation was 4 x 4096
         assert sum(counted) <= 3 * kernels._SAMPLES
@@ -712,17 +717,37 @@ def test_validate_assumptions_conformant_passes():
 
 
 def test_validate_flags_even_window_kernel():
-    # the classical filter window exp(-s^2/h^2) is even, not odd; both the
-    # oddness and the sign condition must fire, and the message should point
-    # at the even-window mistake
+    # the classical filter window exp(-s^2/h^2) is even, not odd: refused
+    # when the kernel is built, with a message pointing at the even-window
+    # mistake
+    with pytest.raises(ConfigurationError, match="even window"):
+        custom_kernel(lambda t_, s: np.exp(-np.asarray(s) ** 2))
+
+
+def test_custom_kernel_that_is_not_odd_is_refused_at_construction():
+    for fn in (
+        lambda t, s: s + 0.1 * s * s,  # neither odd nor even
+        lambda t, s: s + 0.1,  # A(s) + A(-s) = 0.2
+        lambda t, s: np.exp(-s * s),  # the bare even window
+        lambda t, s: s + np.copysign(0.1, s),  # odd bit for bit, but A(+0.0) = 0.1
+    ):
+        with pytest.raises(ConfigurationError, match="odd with A\\(0\\) = 0"):
+            custom_kernel(fn)
+    with pytest.raises(ConfigurationError, match="odd"):
+        RangeKernel("custom", fn=lambda t, s: s * s)
+    # t = 0 is what the probe sees: a kernel odd there is built
+    assert custom_kernel(lambda t, s: s + t).family == "custom"
+
+
+def test_kernel_odd_only_on_the_probe_fails_the_oddness_check_of_solve():
+    # odd on [-1, 1], where the constructor probes, and even beyond it;
+    # validate_assumptions samples [-2, 2] here, so solve refuses the run
     g, t, _, u0 = _conformant_setup()
-    window = custom_kernel(lambda t_, s: np.exp(-np.asarray(s) ** 2))
-    report = validate_assumptions(t, window, zero_reaction(), u0)
-    failed = {c.name for c in report.failed()}
-    assert "range kernel oddness" in failed
-    assert "range kernel sign condition" in failed
-    odd = next(c for c in report.checks if c.name == "range kernel oddness")
-    assert "even window" in odd.note
+    k = custom_kernel(lambda t_, s: np.where(np.abs(s) <= 1.0, s, s * s))
+    cfg = SolverConfig(T=0.01, steps=2, mu_mode="manual", mu=0.0)
+    with pytest.raises(AssumptionViolationError, match="range kernel oddness") as exc:
+        solve(g, t, k, zero_reaction(), u0, cfg)
+    assert not next(c for c in exc.value.report.checks if c.name == "range kernel oddness").passed
 
 
 def test_validate_flags_negative_initial_state():

@@ -308,9 +308,10 @@ def antiderivative(k, s, pr):
     return 0.5 * s * s  # linear, and the quadratic fallback of the others
 
 
-def non_odd_kernel():
-    # neither odd nor zero at s = 0 once t > 0
-    return custom_kernel(lambda t, s: s + 0.1 * s * s + 0.05 * t)
+def custom_odd_kernel():
+    # odd bit for bit at every t, and t-dependent; s ** 3 is not odd bit
+    # for bit on numpy arrays, s * s * s is
+    return custom_kernel(lambda t, s: (1.0 + t) * s + 0.1 * s * s * s)
 
 
 def table_with_layout(grid, offsets, weights, gather_below, chunk):
@@ -343,7 +344,7 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
     assert t.pair_count == len(pairs)
-    for k in _kernels_for(g, u) + [non_odd_kernel()]:
+    for k in _kernels_for(g, u) + [custom_odd_kernel()]:
         # the fused pass, in the walk's scratch buffers, is eval and density
         # bit for bit
         for _, s, pe, scratch in operator._pairs(u.values, t, k):
@@ -414,7 +415,7 @@ def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
     t = make_spatial_kernel(g, "gaussian", 0.3)
     u0 = Field(g, np.random.default_rng(31).uniform(0.1, 0.9, g.node_count))
     cfg = SolverConfig(T=0.05, steps=7, mu_mode="manual", mu=0.5, record_every=record_every)
-    for k in _kernels_for(g, u0) + [non_odd_kernel()]:
+    for k in _kernels_for(g, u0) + [custom_odd_kernel()]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
             traj = solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=True)
@@ -550,7 +551,7 @@ def test_walk_layout_follows_slice_length():
     mixed = make_spatial_kernel(line, "custom_table", table=([[d] for d in offs], [1.0] * len(offs)))
     assert block_kinds(mixed) == ["slice", "slice", "gather"]
     u = Field(line, np.random.default_rng(5).uniform(0.0, 1.0, n))
-    for k in (p_laplacian_kernel(1.5), non_odd_kernel()):
+    for k in (p_laplacian_kernel(1.5), custom_odd_kernel()):
         got = apply_nonlocal(line, mixed, k, 0.3, u).values
         np.testing.assert_allclose(got, dense_oracle(line, mixed, k, 0.3, u), rtol=1e-12, atol=1e-14)
 
@@ -596,7 +597,6 @@ def sliced_apply(table, kernel, t, u):
     uu = u.reshaped()
     ref = kernel.reference.reshaped() if kernel.needs_pair_reference else None
     out = np.zeros_like(uu)
-    odd = kernel.family != "custom"
 
     def scatter(op, idx, v):
         if isinstance(idx, tuple):
@@ -613,12 +613,7 @@ def sliced_apply(table, kernel, t, u):
         r = None if ref is None else take(ref, src) - take(ref, dst)
         wa = w * kernel.eval(t, s, r)
         scatter(np.add, dst, wa)
-        if odd:
-            scatter(np.subtract, src, wa)
-        else:
-            scatter(np.add, src, w * kernel.eval(t, -s, r))
-    if not odd and table.zero_weight:
-        out += table.zero_weight * kernel.eval(t, np.zeros_like(uu))
+        scatter(np.subtract, src, wa)
     return (out * table.grid.node_volume).ravel()
 
 
@@ -656,25 +651,25 @@ def test_flat_walk_matches_the_sliced_walk(case, layout):
     rng = np.random.default_rng(seed)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
-    for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), non_odd_kernel()]:
+    for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), custom_odd_kernel()]:
         op, e = operator._apply(u.values, t, k, 0.3, True)
         if k.family != "mollified":
             assert np.array_equal(op, sliced_apply(t, k, 0.3, u)), k.family
         assert e == flow_energy(g, t, k, u), k.family
-        if k.family != "custom":
-            assert abs(integrate(g, Field(g, op))) < 1e-13, k.family
-            lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
+        assert abs(integrate(g, Field(g, op))) < 1e-13, k.family
+        lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
 
 
 def test_no_kernel_sees_a_wrapped_pair():
-    # Every offset of this 5 x 5 stencil on a 6 x 7 grid is sliced, so each
-    # with a column part has pairs in its flat range that wrap around a row
-    # end; those join nodes 5 or more columns apart, which no offset does.
-    # The kernel is 1 at +0.0 and -1 at -0.0, so a wrapped pair that reached
-    # a sum or a scatter would show in every result.
+    # Every offset of this 5 x 5 stencil, less the zero offset, on a 6 x 7
+    # grid is sliced, so each with a column part has pairs in its flat range
+    # that wrap around a row end; those join nodes 5 or more columns apart,
+    # which no offset does.  The kernel is odd bit for bit, 0 at s = 0 when
+    # t = 0, and 0.3 at +0.0 and -0.3 at -0.0 when t = 0.3, so a wrapped
+    # pair that reached a sum or a scatter would show in every result.
     g = build_grid(2, [(0.0, 1.0)] * 2, [6, 7])
-    offsets = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    offsets = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
     t = table_with_layout(g, offsets, [np.exp(-0.5 * (a * a + b * b)) for a, b in offsets], 1, 1)
     assert set(block_kinds(t)) == {"slice"} and any(b[3] is not None and b[3].size for b in t.blocks)
     rng = np.random.default_rng(12)
@@ -682,12 +677,13 @@ def test_no_kernel_sees_a_wrapped_pair():
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
     pairs = list(scalar_pairs(g, t))
     seen = []
-    k = custom_kernel(lambda t, s: seen.append(np.array(s)) or s + np.copysign(1.0, s))
+    k = custom_kernel(lambda t, s: seen.append(np.array(s)) or s + np.copysign(t, s))
+    seen.clear()  # the oddness probe of the constructor
     got = apply_nonlocal(g, t, k, 0.3, u).values
     _, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
-    # the kernel saw the pairs' differences, their mirrors and zeros only
+    # the kernel saw the pairs' differences and the wrapped pairs' zeros only
     diffs = np.array([u.values[y] - u.values[x] for x, y, _ in pairs])
-    assert np.all(np.isin(np.concatenate([a.ravel() for a in seen]), np.concatenate([diffs, -diffs, [0.0]])))
+    assert np.all(np.isin(np.concatenate([a.ravel() for a in seen]), np.concatenate([diffs, [0.0]])))
     seen.clear()
     np.testing.assert_allclose(got, dense_oracle(g, t, k, 0.3, u), rtol=1e-12, atol=1e-14)
     nv = g.node_volume
