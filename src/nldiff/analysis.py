@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigurationError, GridMismatchError, _caught, _unpack
 from .grid import Field, lp_norm
 from .kernels import RunReport, mollify_range_kernel
 from .stepper import (
@@ -210,40 +208,10 @@ def _solve_level(n: int, problem: Problem, quad_count: int) -> np.ndarray:
 
 
 def _solve_level_in_worker(n: int):
-    """:func:`_solve_level` in a pool worker, on the inputs it inherited.
-
-    Returns the stacked states, or the exception that ended the solve,
-    and the warnings raised as (message, category, filename, lineno), for
-    the caller to raise and issue in level order.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = _solve_level(n, *_level_inputs)
-        except Exception as exc:
-            result = exc
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _collect_levels(results) -> list:
-    """The stacked states of the workers' results, in level order.
-
-    Each level's warnings are issued under the module name and
-    once-registry of the file that raised them, as the solve would have
-    issued them here, and the first failing level's exception is raised;
-    later levels are not looked at.
-    """
-    stacked = []
-    for result, caught in results:
-        for message, category, filename, lineno in caught:
-            where = next((vars(m) for m in list(sys.modules.values())
-                          if getattr(m, "__file__", None) == filename), {})
-            warnings.warn_explicit(message, category, filename, lineno, where.get("__name__"),
-                                   where.setdefault("__warningregistry__", {}))
-        if isinstance(result, Exception):
-            raise result
-        stacked.append(result)
-    return stacked
+    """:func:`_solve_level` in a pool worker, on the inputs it inherited:
+    the stacked states, or the exception that ended the solve, and the
+    warnings raised, for the caller to unpack in level order."""
+    return _caught(_solve_level, n, *_level_inputs)
 
 
 def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> CauchyStudyResult:
@@ -266,9 +234,7 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     """
     base = problem.kernel
     if not base.monotone:
-        raise ConfigurationError(
-            "the mollification Cauchy study needs a monotone range kernel"
-        )
+        raise ConfigurationError("the mollification Cauchy study needs a monotone range kernel")
     lv = [int(n) for n in levels]
     if len(lv) < 3:
         raise ConfigurationError("need at least three mollification levels")
@@ -290,7 +256,8 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers, _set_level_inputs, inputs) as pool:
-            stacked = _collect_levels(pool.imap(_solve_level_in_worker, lv, chunksize=1))
+            # in level order: the lowest failing level raises, later ones are not looked at
+            stacked = [_unpack(r) for r in pool.imap(_solve_level_in_worker, lv, chunksize=1)]
 
     grid = problem.grid
     tau = config.T / config.steps

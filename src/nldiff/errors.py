@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copyreg
+import sys
+import warnings
 
 
 class NldiffError(Exception):
@@ -45,7 +47,8 @@ class AssumptionViolationError(NldiffError):
     ``report`` is the :class:`~nldiff.kernels.RunReport` of
     :func:`~nldiff.kernels.validate_assumptions`, every check with its
     measured value and threshold; pass ``allow_nonconformant=True`` to run
-    anyway (the a priori estimates are then void).
+    anyway (the a priori estimates are then void), unless the range kernel
+    failed its oddness check.
     """
 
     def __init__(self, message: str, report=None):
@@ -95,3 +98,30 @@ class PgmFormatError(NldiffError):
 
 class UndefinedRatioError(NldiffError):
     """A stability ratio was requested for trajectories with equal starts."""
+
+
+def _caught(fn, *args):
+    """``fn(*args)`` or the exception it raised, and its warnings as
+    (message, category, filename, lineno): a forked worker's reply."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _unpack(reply):
+    """The result of a :func:`_caught` reply, after its warnings, each
+    issued under the module name and once-registry of the file that raised
+    it, as in this process; its exception, if any, is raised."""
+    result, caught = reply
+    for message, category, filename, lineno in caught:
+        where = next((vars(m) for m in list(sys.modules.values())
+                      if getattr(m, "__file__", None) == filename), {})
+        warnings.warn_explicit(message, category, filename, lineno, where.get("__name__"),
+                               where.setdefault("__warningregistry__", {}))
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -76,7 +76,7 @@ class SpatialKernelTable:
 
     ``blocks`` is the walk itself, cut into blocks, each a tuple
     ``(w, dst, src, wrap)`` that only the walk,
-    :func:`nldiff.operator._pairs`, decodes.  An offset whose slice holds
+    :meth:`nldiff.operator._Walk.pairs`, decodes.  An offset whose slice holds
     at least ``_GATHER_BELOW`` pairs is a slice block: its weight, and the
     flat ranges ``dst = slice(0, n)`` and ``src = slice(D, D + n)`` of the
     C-ordered node array, with D the flat distance of d and n = N - D, so
@@ -499,9 +499,6 @@ class RangeKernel:
                 )
         self.holder_alpha = float(holder_alpha)
         self.monotone = bool(monotone)
-        # (table, reference, per-block PairExponents) of the last pair walk,
-        # kept by nldiff.operator
-        self.walk_cache = None
 
     @property
     def needs_pair_reference(self) -> bool:

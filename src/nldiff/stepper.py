@@ -63,7 +63,7 @@ from .kernels import (
     sample_lipschitz_constant,
     validate_assumptions,
 )
-from .operator import _apply, _check_table
+from .operator import _check_table, _Walk
 
 MU_MODES = ("auto_growth", "auto_linf", "manual")
 
@@ -216,25 +216,37 @@ def solve(
     by :func:`validate_assumptions`; a failing report raises
     :class:`AssumptionViolationError`, which carries that ``RunReport``,
     unless ``allow_nonconformant`` is set, in which case the run proceeds
-    and the trajectory constants keep only the verdict, ``assumptions_ok``.  A
-    negative or non-integer ``seed`` raises :class:`ConfigurationError`.
+    and the trajectory constants keep only the verdict, ``assumptions_ok``.
+    A failed "range kernel oddness" check raises even then: the pair walk
+    sums the operator of an odd kernel only.  A negative or non-integer
+    ``seed`` raises :class:`ConfigurationError`.
 
     Each level j is one pass of the loop: u_j = e^{mu t_j} w_j, its min and
     max, the operator and energy from one walk, the diagnostics row, the
     record, then w_{j+1} (for j < N only).  A min or max that is not finite
     raises :class:`NumericalBlowupError` carrying the first step whose u is
     not finite and the last finite u, recorded or not.
+
+    One pair walk serves every step.  A table of at least two blocks and
+    ``_SPLIT_PAIRS`` pair positions is walked in two halves, each summed
+    into its own operator output and energy, the second then added to the
+    first.  When this process may use two CPUs and is no multiprocessing
+    worker, a helper process forked at the first step walks the second
+    half, and is reaped on return and on any raise; no bit changes.
     """
     _check_seed(seed)
     _check_table(grid, table)
     if u0.grid != grid:
         raise GridMismatchError("initial state does not live on the given grid")
     report = validate_assumptions(table, kernel, reaction, u0, seed=seed)
-    if not report.all_passed and not allow_nonconformant:
-        names = ", ".join(c.name for c in report.failed())
+    failed = [c.name for c in report.failed()]
+    # the walk sums the operator of an odd kernel only: no override runs another
+    odd = "range kernel oddness" not in failed
+    if failed and not (allow_nonconformant and odd):
         raise AssumptionViolationError(
-            f"problem data violates the structural hypotheses ({names}); "
-            "pass allow_nonconformant=True to run regardless",
+            f"problem data violates the structural hypotheses ({', '.join(failed)}); "
+            + ("pass allow_nonconformant=True to run regardless" if odd else
+               "the pair walk needs an odd range kernel; allow_nonconformant does not override that"),
             report=report,
         )
 
@@ -277,33 +289,32 @@ def solve(
     states = []
 
     u = w
-    for j in range(N + 1):
-        t_j = T * (j / N)
-        last, u = u, math.exp(mu * t_j) * w
-        # NaN and inf reach the min or the max, so these two guard the state
-        lo, hi = u.min(), u.max()
-        if not -math.inf < lo <= hi < math.inf:
-            raise NumericalBlowupError(
-                f"state left the finite range at step {j} (t = {t_j:.6g})",
-                step=j,
-                t=t_j,
-                last_state=Field(grid, last),
-            )
-        op, e = _apply(u, table, kernel, t_j, True)
-        diag["step"][j] = j
-        diag["t"][j] = t_j
-        diag["min"][j] = lo
-        diag["max"][j] = hi
-        diag["mass"][j] = grid.node_volume * u.sum()
-        diag["energy"][j] = e
-        diag["op_sup"][j] = np.max(np.abs(op))
-        if j in record_set:
-            times.append(t_j)
-            states.append(Field(grid, u.copy()))
-        if j < N:
-            # no name for op + f: it would stay alive through the next step
-            dt = tau * math.exp(-mu * t_j)
-            w = (w + dt * (op + reaction.eval(t_j, None, u))) / (1.0 + tau * mu)
+    with _Walk(table, kernel) as walk:
+        for j in range(N + 1):
+            t_j = T * (j / N)
+            last, u = u, math.exp(mu * t_j) * w
+            # NaN and inf reach the min or the max, so these two guard the state
+            lo, hi = u.min(), u.max()
+            if not -math.inf < lo <= hi < math.inf:
+                raise NumericalBlowupError(f"state left the finite range at step {j} (t = {t_j:.6g})",
+                                           step=j, t=t_j, last_state=Field(grid, last))
+            op, e = walk.apply(u, t_j, True)
+            diag["step"][j] = j
+            diag["t"][j] = t_j
+            diag["min"][j] = lo
+            diag["max"][j] = hi
+            diag["mass"][j] = grid.node_volume * u.sum()
+            diag["energy"][j] = e
+            diag["op_sup"][j] = np.max(np.abs(op))
+            if j in record_set:
+                times.append(t_j)
+                states.append(Field(grid, u.copy()))
+            if j < N:
+                # no name for op + f: it would stay alive through the next step;
+                # a zero reaction adds nothing, so it is not evaluated
+                dt = tau * math.exp(-mu * t_j)
+                w = w + dt * (op if reaction.is_zero else op + reaction.eval(t_j, None, u))
+                w /= 1.0 + tau * mu
 
     return Trajectory(
         grid=grid,
@@ -389,9 +400,10 @@ def export_trajectory(traj: Trajectory, out_dir) -> list:
 
     Each recorded state goes to ``field_<step>.csv`` in the grid module's
     field format; diagnostics go to ``diagnostics.csv`` with the columns
-    step, t, min, max, mass, energy, linf_bound_cert, positivity_ok, where
-    the certificate column is e^{mu t} max|u0| and positivity_ok flags
-    min >= -1e-10.  Returns the written paths.
+    step, t, min, max, mass, energy, linf_bound_cert, positivity_ok,
+    op_sup, where the certificate column is e^{mu t} max|u0|,
+    positivity_ok flags min >= -1e-10 and op_sup is max|L u| of the
+    step's state.  Returns the written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -405,6 +417,7 @@ def export_trajectory(traj: Trajectory, out_dir) -> list:
     columns = {name: d[name] for name in ("step", "t", "min", "max", "mass", "energy")}
     columns["linf_bound_cert"] = [math.exp(mu * t) * norm_u0 for t in d["t"]]
     columns["positivity_ok"] = d["min"] >= -1e-10
+    columns["op_sup"] = d["op_sup"]
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     write_text(diag_path, series_csv(columns))
     written.append(diag_path)

@@ -750,6 +750,25 @@ def test_kernel_odd_only_on_the_probe_fails_the_oddness_check_of_solve():
     assert not next(c for c in exc.value.report.checks if c.name == "range kernel oddness").passed
 
 
+def test_no_override_runs_a_kernel_that_fails_the_oddness_check():
+    # odd on [-1, 1] but not beyond, where the walk's flux is not the
+    # ordered-pair operator: allow_nonconformant runs other failures, not this
+    g = build_grid(1, [(0.0, 1.0)], [16])
+    t = make_spatial_kernel(g, "gaussian", 0.2)
+    k = custom_kernel(lambda t_, s: np.where(np.abs(s) <= 1.0, s, s * s))
+    u0 = Field(g, np.linspace(0.0, 3.0, 16))
+    cfg = SolverConfig(T=0.01, steps=2, mu_mode="manual", mu=0.0)
+    for allow in (False, True):
+        with pytest.raises(AssumptionViolationError, match="range kernel oddness") as exc:
+            solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=allow)
+        assert "allow_nonconformant does not override" in str(exc.value)
+        assert not next(c for c in exc.value.report.checks if c.name == "range kernel oddness").passed
+    # a failure other than oddness still runs under the override
+    neg = Field(g, np.linspace(-0.2, 0.8, 16))
+    traj = solve(g, t, linear_kernel(), zero_reaction(), neg, cfg, allow_nonconformant=True)
+    assert traj.constants["assumptions_ok"] is False
+
+
 def test_validate_flags_negative_initial_state():
     g, t, k, _ = _conformant_setup()
     vals = np.linspace(0.1, 0.9, 16)

@@ -5,7 +5,10 @@ directly from the operator definition, with none of the sliced-array
 machinery of the implementation.
 """
 
+import contextlib
+import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +19,8 @@ from nldiff import (
     ConfigurationError,
     Field,
     GridMismatchError,
+    NumericalBlowupError,
+    Problem,
     SolverConfig,
     apply_nonlocal,
     bilateral_kernel,
@@ -26,8 +31,11 @@ from nldiff import (
     eval_range_kernel,
     flow_energy,
     integrate,
+    linear_decay_reaction,
     linear_kernel,
+    logistic_reaction,
     make_spatial_kernel,
+    mollifier_cauchy_study,
     mollify_range_kernel,
     p_laplacian_kernel,
     solve,
@@ -347,7 +355,7 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     for k in _kernels_for(g, u) + [custom_odd_kernel()]:
         # the fused pass, in the walk's scratch buffers, is eval and density
         # bit for bit
-        for _, s, pe, scratch in operator._pairs(u.values, t, k):
+        for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
             a, dens = k.terms(0.3, s, pe, True, scratch)
             assert a is scratch[0] and dens is scratch[1], k.family
             assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
@@ -571,23 +579,23 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
     for k in (base, mollify_range_kernel(base, 4)):
         op = apply_nonlocal(g, t, k, 0.0, u).values
         energy = flow_energy(g, t, k, u)
+        walk = operator._Walk(t, k)  # a solve's walk: the exponents are interpolated here
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             interp = np.interp
             mp.setattr(np, "interp", lambda *a, **kw: calls.append(1) or interp(*a, **kw))
-            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, op)
-            assert flow_energy(g, t, k, u) == energy
+            for _ in range(2):
+                assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
+                assert walk.energy(u.values) == energy
         assert calls == []
         # raw reference differences instead, interpolated on every call
         rr = ref.values
-        raw = tuple(
+        walk.exps = tuple(
             operator._drop_wrapped(operator._take(rr, s) - operator._take(rr, d), wrap)
             for _, d, s, wrap in t.blocks
         )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operator, "_walk_exponents", lambda table, kernel: raw)
-            assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, op)
-            assert flow_energy(g, t, k, u) == energy
+        assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
+        assert walk.energy(u.values) == energy
 
 
 def sliced_apply(table, kernel, t, u):
@@ -652,7 +660,7 @@ def test_flat_walk_matches_the_sliced_walk(case, layout):
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
     for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), custom_odd_kernel()]:
-        op, e = operator._apply(u.values, t, k, 0.3, True)
+        op, e = operator._Walk(t, k).apply(u.values, 0.3, True)
         if k.family != "mollified":
             assert np.array_equal(op, sliced_apply(t, k, 0.3, u)), k.family
         assert e == flow_energy(g, t, k, u), k.family
@@ -700,3 +708,204 @@ def test_no_kernel_sees_a_wrapped_pair():
         num[x] += weight * u.values[y]
         den[x] += weight
     np.testing.assert_allclose(one_step_filter(g, t, u, 0.7).values, num / den, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the split walk and its helper process
+
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+def split_setup(monkeypatch):
+    """A 12 x 10 grid whose table mixes slice and gather blocks, walked in
+    two halves: ``_SPLIT_PAIRS`` is lowered, as table_with_layout lowers
+    the gather constants."""
+    monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
+    g = build_grid(2, [(0.0, 1.0)] * 2, [12, 10])
+    t = table_with_layout(g, *_gaussian_rows(g, 0.3), 40, 64)
+    u0 = Field(g, np.random.default_rng(51).uniform(0.1, 0.9, g.node_count))
+    return g, t, u0
+
+
+def ramp_setup(monkeypatch):
+    """A ramp on 40 nodes and a table of offsets up to 6, one slice block
+    each, walked in two halves; on the ramp an offset d has s = d * 0.8/39,
+    so a threshold between the largest s of the first half and the
+    smallest of the second tells the halves apart."""
+    monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
+    g = build_grid(1, [(0.0, 1.0)], [40])
+    offsets = [(d,) for d in range(-6, 7)]
+    t = table_with_layout(g, offsets, [1.0 / (1 + abs(d)) for (d,) in offsets], 1, 1)
+    first, second = operator._Walk(t).halves
+    assert len(first) == len(second) == 3  # block k holds the offset k + 1
+    return g, t, Field(g, np.linspace(0.1, 0.9, 40)), (len(first) + 0.5) * 0.8 / 39
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = operator._Walk._fork
+    monkeypatch.setattr(operator._Walk, "_fork", lambda walk: forks.append(1) or fork(walk))
+    return forks
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """This process pinned to one of its CPUs, restored afterwards."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def test_split_solve_is_bit_identical_with_the_helper_and_on_one_cpu(monkeypatch):
+    g, t, u0 = split_setup(monkeypatch)
+    forks = count_forks(monkeypatch)
+    cfg = SolverConfig(T=0.05, steps=6, mu_mode="auto_linf", record_every=2)
+    cases = [(k, zero_reaction()) for k in _kernels_for(g, u0)]
+    cases.append((custom_odd_kernel(), logistic_reaction(0.4, 2.0)))
+    for k, r in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
+            forked = solve(g, t, k, r, u0, cfg, allow_nonconformant=True)
+            with one_cpu():
+                pinned = solve(g, t, k, r, u0, cfg, allow_nonconformant=True)
+        pairs = [(forked.times, pinned.times), (forked.record_steps, pinned.record_steps)]
+        pairs += [(a.values, b.values) for a, b in zip(forked.states, pinned.states)]
+        pairs += [(forked.per_step[c], pinned.per_step[c]) for c in forked.per_step]
+        assert len(forked.states) == len(pinned.states) == 4
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes(), k.family
+        assert repr(forked.constants) == repr(pinned.constants)
+        # the split walk is the operator: against the walk in one half
+        op, e = operator._Walk(t, k).apply(u0.values, 0.3, True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operator, "_SPLIT_PAIRS", t.pair_count)
+            whole = operator._Walk(t, k)
+            assert len(whole.halves) == 1
+            op1, e1 = whole.apply(u0.values, 0.3, True)
+        np.testing.assert_allclose(op, op1, rtol=1e-13, atol=1e-15 * np.max(np.abs(op1)))
+        assert e == pytest.approx(e1, rel=1e-14)
+    assert len(forks) == (len(cases) if TWO_CPUS else 0)
+
+
+def test_split_solve_records_the_flow_energy_of_each_state(monkeypatch):
+    g, t, u0 = split_setup(monkeypatch)
+    forks = count_forks(monkeypatch)
+    cfg = SolverConfig(T=0.05, steps=5, mu_mode="manual", mu=0.5)
+    kernels_ = (bilateral_kernel(0.4), p_laplacian_kernel(2.5),
+                spatial_exponent_kernel([0.0, 0.5], [3.0, 2.2], u0))
+    for k in kernels_:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
+            traj = solve(g, t, k, zero_reaction(), u0, cfg)
+        for j, state in zip(traj.record_steps, traj.states):
+            assert traj.per_step["energy"][j] == flow_energy(g, t, k, state), (k.family, j)
+    assert len(forks) == (len(kernels_) if TWO_CPUS else 0)
+
+
+def test_an_error_in_the_second_half_reaches_the_caller_with_its_class(monkeypatch):
+    g, t, u0, between = ramp_setup(monkeypatch)
+    forks = count_forks(monkeypatch)
+
+    def fn(t_, s):
+        if t_ > 0.0 and np.max(np.abs(s), initial=0.0) > between:
+            raise ZeroDivisionError("a value of the second half")
+        return s * 1.0
+
+    k = custom_kernel(fn)
+    cfg = SolverConfig(T=1e-3, steps=3, mu_mode="manual", mu=0.0)
+    blowup = SolverConfig(T=0.1, steps=8, mu_mode="manual", mu=0.0)
+    seen = {}
+    for pin in (False, True):
+        with one_cpu() if pin else contextlib.nullcontext():
+            with pytest.raises(ZeroDivisionError, match="second half"):
+                solve(g, t, k, zero_reaction(), u0, cfg)
+            # a blow-up ends the solve, and its helper, the same way
+            with np.errstate(over="ignore"), pytest.warns(UserWarning, match="positivity bound"):
+                with pytest.raises(NumericalBlowupError) as exc:
+                    solve(g, t, linear_kernel(), linear_decay_reaction(1e80), u0, blowup)
+        err = exc.value
+        seen[pin] = (str(err), err.step, err.t, err.last_state.values.tobytes())
+    assert seen[False] == seen[True]
+    assert len(forks) == (2 if TWO_CPUS else 0)
+
+
+def test_a_warning_in_the_second_half_reaches_the_caller(monkeypatch):
+    g, t, u0, between = ramp_setup(monkeypatch)
+    forks = count_forks(monkeypatch)
+
+    def fn(t_, s):
+        if t_ > 0.0 and np.max(np.abs(s), initial=0.0) > between:
+            warnings.warn("a value of the second half", RuntimeWarning)
+        return s * 1.0
+
+    k = custom_kernel(fn)
+    cfg = SolverConfig(T=1e-3, steps=3, mu_mode="manual", mu=0.0)
+    # pytest's error::RuntimeWarning filter makes it an error here
+    with pytest.raises(RuntimeWarning, match="second half"):
+        solve(g, t, k, zero_reaction(), u0, cfg)
+    seen = {}
+    for pin in (False, True):
+        with one_cpu() if pin else contextlib.nullcontext():
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                solve(g, t, k, zero_reaction(), u0, cfg)
+        seen[pin] = [(w.category, str(w.message), w.filename, w.lineno) for w in rec]
+    assert len(seen[False]) == 3 * 3  # the second half's three blocks at steps 1 to 3, where t > 0
+    assert seen[False] == seen[True]
+    assert len(forks) == (2 if TWO_CPUS else 0)
+
+
+def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, tmp_path):
+    log = tmp_path / "forks"
+    fork = operator._Walk._fork
+
+    def logged(walk):  # in a file, which a pool worker's fork would reach too
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        fork(walk)
+
+    monkeypatch.setattr(operator._Walk, "_fork", logged)
+    g, t, u0, _ = ramp_setup(monkeypatch)
+    cfg = SolverConfig(T=1e-3, steps=3, mu_mode="manual", mu=0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operator, "_SPLIT_PAIRS", 220)  # the walk has 219 pair positions
+        assert len(operator._Walk(t).halves) == 1
+        solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
+    # the study's levels run on a pool of forked workers, one per level
+    mollifier_cauchy_study(Problem(g, t, p_laplacian_kernel(2.5), zero_reaction(), u0, cfg),
+                           [2, 4, 8])
+    assert not log.exists()
+    # the same split solve here does fork its helper
+    solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
+    assert log.read_text(encoding="ascii") == f"{os.getpid()}\n"
+
+
+def test_kernels_that_share_a_table_share_no_walk_state():
+    g = build_grid(2, [(0.0, 1.0)] * 2, [12, 9])
+    t = table_with_layout(g, *_gaussian_rows(g, 0.2), 40, 64)
+    rng = np.random.default_rng(61)
+    u = Field(g, rng.uniform(0.1, 0.9, g.node_count))
+    refs = [Field(g, rng.uniform(0.0, 1.0, g.node_count)) for _ in range(2)]
+    ks = [spatial_exponent_kernel([0.0, 0.3, 1.0], [3.0, 2.4, 1.6], r) for r in refs]
+    ks.append(mollify_range_kernel(ks[0], 4))  # its base is ks[0]
+    before = [dict(vars(k)) for k in ks]
+    first = [apply_nonlocal(g, t, k, 0.0, u).values for k in ks]
+    walks = [operator._Walk(t, k) for k in ks]
+    for a, b in itertools.combinations(walks, 2):
+        assert not np.shares_memory(a.buf, b.buf) and not np.shares_memory(a.out, b.out)
+        assert all(x is not y for x, y in zip(a.exps, b.exps))
+    assert not np.array_equal(walks[0].exps[0].q, walks[1].exps[0].q)
+    # in the other order, each kernel's operator is what it was
+    for k, want in reversed(list(zip(ks, first))):
+        assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, want)
+    # and no walk left anything on a kernel
+    for k, old in zip(ks, before):
+        assert vars(k).keys() == old.keys()
+        assert all(vars(k)[name] is value for name, value in old.items())

@@ -370,13 +370,28 @@ def test_export_writes_fields_and_diagnostics(tmp_path):
         "field_000004.csv",
     ]
     lines = (tmp_path / "diagnostics.csv").read_text(encoding="ascii").splitlines()
-    assert lines[0] == "step,t,min,max,mass,energy,linf_bound_cert,positivity_ok"
+    assert lines[0] == "step,t,min,max,mass,energy,linf_bound_cert,positivity_ok,op_sup"
     assert len(lines) == 6
     # mu = 0: the certificate column is flat at max|u0|, positivity holds
     for row in lines[1:]:
         cols = row.split(",")
         assert float(cols[6]) == 1.0
         assert cols[7] == "1"
+
+
+def test_export_writes_the_op_sup_of_every_step(tmp_path):
+    g = build_grid(1, [(0.0, 1.0)], [24])
+    t = make_spatial_kernel(g, "gaussian", 0.15)
+    u0 = Field(g, np.random.default_rng(5).uniform(0.1, 0.9, 24))
+    cfg = SolverConfig(T=0.1, steps=12, mu_mode="manual", mu=0.0, record_every=5)
+    traj = solve(g, t, p_laplacian_kernel(2.5), logistic_reaction(0.4, 2.0), u0, cfg)
+    export_trajectory(traj, tmp_path)
+    lines = (tmp_path / "diagnostics.csv").read_text(encoding="ascii").splitlines()
+    col = lines[0].split(",").index("op_sup")
+    got = np.array([float(row.split(",")[col]) for row in lines[1:]])
+    # 17 significant digits: the column reads back bit for bit, every step
+    assert got.tobytes() == traj.per_step["op_sup"].tobytes()
+    assert got.size == 13 and np.all(got > 0.0)
 
 
 def test_export_is_byte_stable(tmp_path):
