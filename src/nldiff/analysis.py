@@ -9,13 +9,13 @@ always covers the full battery.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, _caught, _unpack
+from .errors import ConfigurationError, GridMismatchError, _cpus, _Helper
 from .grid import Field, lp_norm
 from .kernels import RunReport, mollify_range_kernel
 from .stepper import (
@@ -190,30 +190,6 @@ class CauchyStudyResult:
     report: RunReport
 
 
-# The problem and quadrature count of the Cauchy study a forked worker
-# serves, inherited through the pool's initializer and never pickled.
-_level_inputs = None
-
-
-def _set_level_inputs(*inputs):
-    global _level_inputs
-    _level_inputs = inputs
-
-
-def _solve_level(n: int, problem: Problem, quad_count: int) -> np.ndarray:
-    """The recorded states of one level of :func:`mollifier_cauchy_study`,
-    stacked row by row; the last row is the final state."""
-    smoothed = mollify_range_kernel(problem.kernel, n, quad_count)
-    return np.stack([s.values for s in solve_problem(replace(problem, kernel=smoothed)).states])
-
-
-def _solve_level_in_worker(n: int):
-    """:func:`_solve_level` in a pool worker, on the inputs it inherited:
-    the stacked states, or the exception that ended the solve, and the
-    warnings raised, for the caller to unpack in level order."""
-    return _caught(_solve_level, n, *_level_inputs)
-
-
 def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> CauchyStudyResult:
     """Solve at several mollification levels of ``problem.kernel`` and
     measure mutual distances.
@@ -226,11 +202,10 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     kernel (the hypothesis behind the underlying uniqueness argument),
     not itself mollified, and at least three strictly increasing levels.
 
-    The levels are independent serial solves, run on one forked worker
-    process per CPU the caller may use (at most one per level), or in
-    this process when that is one.  Results, warnings and errors are
-    those of a loop over the levels in order: the lowest failing level's
-    exception is raised, and no worker outlives the call.
+    Level i is solved on forked helper i mod W, W the CPUs the caller may
+    use (at most one per level), or in this process when W is 1.  Results,
+    warnings and errors are those of a loop over the levels in order; a
+    dead helper raises :class:`RuntimeError`, and none outlives the call.
     """
     base = problem.kernel
     if not base.monotone:
@@ -243,21 +218,27 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
 
     quad_count = max(257, quad_count)
     config = replace(problem.config, record_every=1)
-    inputs = (replace(problem, config=config), quad_count)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(lv), cpus)
-    if workers == 1:
-        stacked = [_solve_level(n, *inputs) for n in lv]
-    else:
-        # Imported here: the import and the pool would cost every command.
-        # Fork, not spawn: workers inherit the problem, custom callables
-        # included, with no pickling and no second import of numpy; the
-        # solve calls no BLAS, whose threads are the only ones at the fork.
-        import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(workers, _set_level_inputs, inputs) as pool:
+    def solve_level(n):
+        """The recorded states of level n, stacked row by row; the last row
+        is the final state."""
+        level = replace(problem, kernel=mollify_range_kernel(base, n, quad_count), config=config)
+        return np.stack([s.values for s in solve_problem(level).states])
+
+    workers = min(len(lv), _cpus())
+    if workers == 1:
+        stacked = [solve_level(n) for n in lv]
+    else:
+        # equal-cost levels, so round robin; the stack closes helpers in reverse fork order
+        with contextlib.ExitStack() as stack:
+            helpers = []
+            for _ in range(workers):
+                helpers.append(_Helper(solve_level, "the Cauchy study"))
+                stack.callback(helpers[-1].close)
+            for i, n in enumerate(lv):
+                helpers[i % workers].send(n)
             # in level order: the lowest failing level raises, later ones are not looked at
-            stacked = [_unpack(r) for r in pool.imap(_solve_level_in_worker, lv, chunksize=1)]
+            stacked = [helpers[i % workers].reply() for i in range(len(lv))]
 
     grid = problem.grid
     tau = config.T / config.steps

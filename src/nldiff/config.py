@@ -311,6 +311,8 @@ def build_initial_state(cfg: RunConfig, grid) -> Field:
             if not math.isfinite(value):
                 raise ConfigurationError(f"initial.{key} must be finite, got {value}")
     if sec.kind == "random":
+        if not math.isfinite(sec.high - sec.low):
+            raise ConfigurationError(f"initial.high - initial.low must be finite, got {sec.high - sec.low}")
         rng = np.random.default_rng(cfg.seed)
         return Field(grid, rng.uniform(sec.low, sec.high, size=n))
     if sec.kind == "step":

@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :class:`_Helper`, the
+one way it runs work in another process, with the reply format."""
 
 from __future__ import annotations
 
 import copyreg
+import os
+import pickle
 import sys
 import warnings
 
@@ -11,7 +14,7 @@ class NldiffError(Exception):
     """Base class for every error raised by this package.
 
     Errors pickle with their class, message and attributes, so that one
-    raised in a worker process reaches the caller unchanged.
+    raised in a helper process reaches the caller unchanged.
     """
 
     def __reduce__(self):
@@ -102,7 +105,7 @@ class UndefinedRatioError(NldiffError):
 
 def _caught(fn, *args):
     """``fn(*args)`` or the exception it raised, and its warnings as
-    (message, category, filename, lineno): a forked worker's reply."""
+    (message, category, filename, lineno): a helper's reply."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -125,3 +128,61 @@ def _unpack(reply):
     if isinstance(result, Exception):
         raise result
     return result
+
+
+# Set in a helper right after its fork, so that no helper forks another.
+_in_helper = False
+
+
+def _cpus() -> int:
+    """The CPUs this process may use; 1 in a helper."""
+    return 1 if _in_helper or not hasattr(os, "sched_getaffinity") else len(os.sched_getaffinity(0))
+
+
+class _Helper:
+    """A forked child process, which inherits everything, serving ``fn`` on
+    the pickled requests of :meth:`send` until they end or it fails; its
+    :func:`_caught` replies are unpacked in order by :meth:`reply`, and a
+    dead child raises :class:`RuntimeError` naming ``what`` it served.
+    :meth:`close` closes both pipe ends, which ends a child waiting or
+    blocked writing, and reaps it.  A child holds the parent's pipe ends of
+    earlier helpers, so helpers are closed in the reverse order of forks."""
+
+    def __init__(self, fn, what: str):
+        self.lost = f"the helper process of {what} ended without a reply"
+        (rq, self.requests), (self.replies, rp) = os.pipe(), os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            global _in_helper
+            _in_helper = True
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                requests, replies = open(rq, "rb"), open(rp, "wb")
+                while True:  # until EOFError at the end of the requests, or any other error
+                    # pickled whole first: a reply that does not pickle sends nothing
+                    replies.write(pickle.dumps(_caught(fn, *pickle.load(requests))))
+                    replies.flush()
+            finally:
+                os._exit(0)
+        os.close(rq)
+        os.close(rp)
+        self.replies = open(self.replies, "rb")
+
+    def send(self, *request):
+        try:
+            os.write(self.requests, pickle.dumps(request))  # a small request: one write
+        except BrokenPipeError:
+            raise RuntimeError(self.lost) from None
+
+    def reply(self):
+        try:
+            reply = pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(self.lost) from None
+        return _unpack(reply)
+
+    def close(self):
+        os.close(self.requests)
+        self.replies.close()
+        os.waitpid(self.pid, 0)

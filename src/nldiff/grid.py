@@ -14,6 +14,7 @@ validates length and finiteness, so any operation that hands back a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,7 +33,7 @@ class Grid:
     dim : int
         1 or 2.
     extents : tuple of (float, float)
-        Per-axis interval (lo, hi), lo < hi.
+        Per-axis interval (lo, hi), lo < hi, with normal float spacings.
     counts : tuple of int
         Nodes per axis, each at least 2.
     spacing : tuple of float
@@ -58,22 +59,21 @@ class Grid:
                 f"expected {self.dim} extents and counts, got "
                 f"{len(self.extents)} and {len(self.counts)}"
             )
-        for lo, hi in self.extents:
-            if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-                raise ConfigurationError(f"degenerate extent ({lo}, {hi})")
         for c in self.counts:
             if int(c) != c or c < 2:
                 raise ConfigurationError(f"axis count must be an integer >= 2, got {c}")
-        spacing = tuple(
-            (hi - lo) / c for (lo, hi), c in zip(self.extents, self.counts)
-        )
+        spacing = tuple((hi - lo) / c for (lo, hi), c in zip(self.extents, self.counts))
+        node_volume = math.prod(spacing)
+        for (lo, hi), h in zip(self.extents, spacing):
+            # so also lo < hi, both finite, and hi - lo finite
+            if not all(sys.float_info.min <= v < math.inf for v in (h, node_volume)):
+                raise ConfigurationError(f"degenerate extent ({lo}, {hi}): spacing {h} and node volume "
+                                         f"{node_volume} must be finite normal positive floats")
         object.__setattr__(self, "extents", tuple((float(lo), float(hi)) for lo, hi in self.extents))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "node_volume", float(np.prod(spacing)))
-        object.__setattr__(
-            self, "total_measure", float(np.prod([hi - lo for lo, hi in self.extents]))
-        )
+        object.__setattr__(self, "node_volume", node_volume)
+        object.__setattr__(self, "total_measure", math.prod(hi - lo for lo, hi in self.extents))
 
     @property
     def node_count(self) -> int:

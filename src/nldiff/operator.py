@@ -50,10 +50,10 @@ positions a split of the blocks in two halves at the block boundary
 nearest half the positions.  The operator and the energy sum each half
 into its own output and energy, then add the second to the first (the
 pairing's right side and the filter walk the blocks in order).  The order
-is the table's, so no bit depends on the CPU count: on two CPUs a solve
-outside a multiprocessing worker forks a helper process at its first step
-to walk the second half of each step on a shared copy of u, and otherwise
-both halves run in process.
+is the table's, so no bit depends on the CPU count: a solve that may use
+two CPUs forks a helper process (:class:`~nldiff.errors._Helper`) before
+its first step to walk the second half of each step on a shared copy of
+u, and otherwise both halves run in process.
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -85,13 +85,11 @@ applies the operator, and :func:`flow_energy` and
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
+import functools
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, _caught, _unpack
+from .errors import ConfigurationError, GridMismatchError, _cpus, _Helper
 from .grid import Field, Grid
 from .kernels import (
     RangeKernel,
@@ -204,7 +202,7 @@ class _Walk:
                 np.subtract(s, np.take(u, dst, out=a, mode="clip"), out=s)
             yield block, s, None if self.exps is None else self.exps[k], (a, b)
 
-    def _half(self, u, t, energy, blocks, out):
+    def _half(self, blocks, out, u, t, energy):
         """Over the pairs of ``blocks``: the operator's sum, less the node
         volume, into ``out``, and the energy's sum, returned (0.0 without
         ``energy``); with ``out`` None, the energy's sum from the density."""
@@ -230,11 +228,10 @@ class _Walk:
         first, *second = self.halves
         if self.helper:
             self.shared_u[:] = u
-            pickle.dump((t, energy), self.helper[1])
-            self.helper[1].flush()
-        acc = self._half(u, t, energy, first, self.out)
+            self.helper.send(t, energy)
+        acc = self._half(first, self.out, u, t, energy)
         if second:
-            acc += self._reply() if self.helper else self._half(u, t, energy, second[0], self.second)
+            acc += self.helper.reply() if self.helper else self._half(second[0], self.second, u, t, energy)
             self.out += self.second
         nv = self.table.grid.node_volume
         # the walk visits each unordered pair once; the energy sums ordered pairs
@@ -244,67 +241,26 @@ class _Walk:
     def energy(self, u) -> float:
         """The flow energy of u at t = 0, from the density alone, summed
         half by half as :meth:`apply` sums it."""
-        acc = sum(self._half(u, 0.0, True, half, None) for half in self.halves)
+        acc = sum(self._half(half, None, u, 0.0, True) for half in self.halves)
         return 2.0 * self.table.grid.node_volume**2 * acc
 
     def __enter__(self):
-        """Fork the helper of a split walk, on two CPUs outside a multiprocessing worker."""
-        mp = sys.modules.get("multiprocessing")
-        if (len(self.halves) == 2 and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2 and (mp is None or mp.parent_process() is None)):
-            self._fork()
+        """Fork the helper of a split walk, when this process may use two CPUs."""
+        if len(self.halves) == 2 and _cpus() >= 2:
+            import mmap  # only a helper needs it
+
+            # u and the second half's output, in pages the helper shares
+            shared = np.frombuffer(mmap.mmap(-1, 16 * self.out.size), dtype=np.float64)
+            self.shared_u, self.second = shared.reshape(2, -1)
+            # per (t, energy) request, the second half on and into the shared arrays
+            second_half = functools.partial(self._half, self.halves[1], self.second, self.shared_u)
+            self.helper = _Helper(second_half, "the pair walk")
         return self
 
-    def _fork(self):
-        import mmap  # only a helper needs it
-
-        # u and the second half's output, in pages the helper shares
-        shared = np.frombuffer(mmap.mmap(-1, 16 * self.out.size), dtype=np.float64)
-        self.shared_u, self.second = shared.reshape(2, -1)
-        requests, replies = os.pipe(), os.pipe()
-        # fork: the helper inherits the walk, custom kernels too, and calls no BLAS
-        pid = os.fork()
-        if pid == 0:  # the helper: serve until the request pipe ends, then exit
-            try:
-                os.close(requests[1])
-                os.close(replies[0])
-                self._serve(os.fdopen(requests[0], "rb"), os.fdopen(replies[1], "wb"))
-            finally:
-                os._exit(0)
-        os.close(requests[0])
-        os.close(replies[1])
-        self.helper = (pid, os.fdopen(requests[1], "wb"), os.fdopen(replies[0], "rb"))
-
-    def _serve(self, requests, replies):
-        """The helper's loop: per (t, energy) request, the second half of
-        :meth:`apply`, on and into the shared arrays, until the pipe ends."""
-        u, blocks, out = self.shared_u, self.halves[1], self.second
-        while True:
-            try:
-                t, energy = pickle.load(requests)
-            except EOFError:
-                return
-            # pickled whole first: a reply that does not pickle sends nothing
-            replies.write(pickle.dumps(_caught(self._half, u, t, energy, blocks, out)))
-            replies.flush()
-
-    def _reply(self) -> float:
-        try:
-            reply = pickle.load(self.helper[2])
-        except EOFError:
-            raise RuntimeError("the helper process of the pair walk ended without a reply") from None
-        return _unpack(reply)
-
     def __exit__(self, *exc):
-        """End the helper, if one runs, at the end of its request pipe, and reap it."""
+        """End the helper, if one runs, and reap it."""
         if self.helper is not None:
-            pid, requests, replies = self.helper
-            self.helper = None
-            try:
-                requests.close()
-            finally:
-                replies.close()
-                os.waitpid(pid, 0)
+            self.helper.close()
 
 
 def apply_nonlocal(

@@ -227,12 +227,11 @@ def solve(
     raises :class:`NumericalBlowupError` carrying the first step whose u is
     not finite and the last finite u, recorded or not.
 
-    One pair walk serves every step.  A table of at least two blocks and
-    ``_SPLIT_PAIRS`` pair positions is walked in two halves, each summed
-    into its own operator output and energy, the second then added to the
-    first.  When this process may use two CPUs and is no multiprocessing
-    worker, a helper process forked at the first step walks the second
-    half, and is reaped on return and on any raise; no bit changes.
+    One pair walk serves every step, in two halves for a table of at least
+    two blocks and ``_SPLIT_PAIRS`` pair positions.  When this process may
+    use two CPUs and is no nldiff helper, a multiprocessing worker included,
+    a helper process walks the second half and is reaped on return and on
+    any raise; no bit changes, and a dead helper raises RuntimeError.
     """
     _check_seed(seed)
     _check_table(grid, table)

@@ -9,6 +9,10 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 import nldiff.analysis
+from nldiff.errors import _Helper
 from nldiff import (
     AssumptionViolationError,
     ConfigParseError,
@@ -280,7 +285,7 @@ def test_cauchy_study_mollifies_on_257_panels_at_least(quad_count, used):
 
 def use_cpus(monkeypatch, count):
     """Make the study see ``count`` CPUs: one runs it in this process,
-    more on a pool of forked workers."""
+    more on forked helper processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -289,23 +294,24 @@ def test_cauchy_study_pool_and_in_process_runs_are_bit_identical(monkeypatch):
     prob = small_problem(rng.uniform(0.1, 0.9, 16), kernel=p_laplacian_kernel(1.5), T=0.25,
                          steps=32)
     forks = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: forks.append(method) or get_context(method))
+    init = _Helper.__init__
+    monkeypatch.setattr(_Helper, "__init__",
+                        lambda helper, fn, what: forks.append(what) or init(helper, fn, what))
     results = {}
     for cpus in (1, 4):
         use_cpus(monkeypatch, cpus)
         results[cpus] = mollifier_cauchy_study(prob, [2, 4, 8, 16])
         assert multiprocessing.active_children() == []
-    assert forks == ["fork"]  # a pool for four CPUs, none for one
-    one, pool = results[1], results[4]
-    assert one.pairwise_l1.tobytes() == pool.pairwise_l1.tobytes()
-    assert one.limit_estimate.values.tobytes() == pool.limit_estimate.values.tobytes()
-    assert one.report.to_text() == pool.report.to_text()
-    assert one.report.to_csv() == pool.report.to_csv()
-    assert one.report.series.keys() == pool.report.series.keys()
+    # a helper per level for four CPUs, none for one, and none in a helper
+    assert forks == ["the Cauchy study"] * 4
+    one, forked = results[1], results[4]
+    assert one.pairwise_l1.tobytes() == forked.pairwise_l1.tobytes()
+    assert one.limit_estimate.values.tobytes() == forked.limit_estimate.values.tobytes()
+    assert one.report.to_text() == forked.report.to_text()
+    assert one.report.to_csv() == forked.report.to_csv()
+    assert one.report.series.keys() == forked.report.series.keys()
     for key, values in one.report.series.items():
-        assert values.tobytes() == pool.report.series[key].tobytes(), key
+        assert values.tobytes() == forked.report.series[key].tobytes(), key
 
 
 def test_cauchy_study_raises_the_lowest_failing_level(monkeypatch):
@@ -315,13 +321,13 @@ def test_cauchy_study_raises_the_lowest_failing_level(monkeypatch):
     def solve_or_fail(problem):
         n = problem.kernel.mollifier.n
         if n == 2:
-            time.sleep(0.2)  # so that level 4 fails first on a pool
+            time.sleep(0.2)  # so that level 4 fails first on its helper
         if n in (2, 4):
             raise NumericalBlowupError(f"level {n} failed", step=n, t=0.5 * n,
                                        last_state=Field(problem.grid, np.full(16, float(n))))
         return solve(problem)
 
-    # forked workers inherit the patched module, and nothing is pickled
+    # forked helpers inherit the patched module, and nothing is pickled
     monkeypatch.setattr(nldiff.analysis, "solve_problem", solve_or_fail)
     for cpus in (1, 4):
         use_cpus(monkeypatch, cpus)
@@ -334,7 +340,7 @@ def test_cauchy_study_raises_the_lowest_failing_level(monkeypatch):
 
 
 def test_cauchy_study_blowup_and_warnings_are_those_of_a_serial_loop(monkeypatch):
-    # a custom kernel, which a pool must not need to pickle; the decay
+    # a custom kernel, which a helper must not need to pickle; the decay
     # rate breaks the positivity bound, and the state overflows
     identity = RangeKernel("custom", fn=lambda t, s: np.asarray(s) * 1.0, monotone=True)
     prob = small_problem(np.full(16, 0.5), kernel=identity, reaction=linear_decay_reaction(1e80),
@@ -352,6 +358,54 @@ def test_cauchy_study_blowup_and_warnings_are_those_of_a_serial_loop(monkeypatch
                       str(err), err.step, err.t, err.last_state.values.tobytes())
     assert len(seen[1][0]) == 1
     assert seen[1] == seen[4]
+
+
+def test_cauchy_study_raises_when_a_helper_dies():
+    # in a subprocess with a timeout: a study waiting for a dead helper would hang
+    code = """if True:
+        import os
+        import numpy as np
+        from nldiff import (Field, Problem, RangeKernel, SolverConfig, build_grid,
+                            make_spatial_kernel, mollifier_cauchy_study, zero_reaction)
+        parent = os.getpid()
+
+        def fn(t, s):
+            if t > 0.0 and os.getpid() != parent:
+                os._exit(1)
+            return np.asarray(s) * 1.0
+
+        g = build_grid(1, [(0.0, 1.0)], [16])
+        prob = Problem(g, make_spatial_kernel(g, "gaussian", 0.1),
+                       RangeKernel("custom", fn=fn, monotone=True), zero_reaction(),
+                       Field(g, np.linspace(0.1, 0.9, 16)), SolverConfig(T=0.1, steps=8))
+        os.sched_getaffinity = lambda pid: {0, 1}
+        try:
+            mollifier_cauchy_study(prob, [2, 4, 8])
+        except RuntimeError as exc:
+            print(exc)
+        try:
+            print("left a child:", os.waitpid(-1, os.WNOHANG))
+        except ChildProcessError:
+            print("no child left")
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        "the helper process of the Cauchy study ended without a reply", "no child left"]
+
+
+def test_closing_a_helper_ends_a_child_blocked_writing_its_reply():
+    helper = _Helper(np.zeros, "a test")
+    helper.send(1 << 17)  # a 1 MB reply, more than a pipe holds, which is never read
+    closer = threading.Thread(target=helper.close)
+    closer.start()
+    closer.join(timeout=30)
+    blocked = closer.is_alive()
+    if blocked:  # end the child, so that the test fails and does not hang
+        os.kill(helper.pid, signal.SIGKILL)
+        closer.join()
+    assert not blocked
 
 
 def test_cauchy_study_warns_level_by_level(monkeypatch):

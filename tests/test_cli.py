@@ -418,9 +418,11 @@ def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
          "line 8: unknown key 'solver.scheme'"),
         ((MINIMAL + "range.mollify_n = -3\n").encode("utf-8"),
          "range.mollify_n must be 0 (off) or a positive level, got -3"),
+        ((MINIMAL + "initial.kind = random\ninitial.low = -1e308\ninitial.high = 1e308\n")
+         .encode("utf-8"), "initial.high - initial.low must be finite, got inf"),
     ],
     ids=["config_latin1", "config_negative_seed", "config_infinite_T",
-         "config_removed_scheme_key", "config_negative_mollify_n"],
+         "config_removed_scheme_key", "config_negative_mollify_n", "config_overflowing_random_range"],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
     cfg = tmp_path / "run.cfg"
@@ -428,6 +430,22 @@ def test_bad_configs_exit_2(tmp_path, capsys, text, detail):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extents, detail", [("-1e308, 1e308", "spacing inf"),
+                                             ("0, 1e-320", "spacing 6.23e-322")],
+                         ids=["overflowing_span", "subnormal_spacing"])
+def test_grid_spacing_that_is_not_a_normal_float_exits_2(tmp_path, capsys, extents, detail):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace("grid.extents = 0, 1", f"grid.extents = {extents}"),
+                   encoding="utf-8")
+    # under the default filters, which would print a numpy warning before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: degenerate extent") and detail in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -647,16 +665,16 @@ def test_study_refine_command(tmp_path, capsys):
     assert len(lines) == 5  # consecutive differencing: one fewer than levels
 
 
+CAUCHY_P = ("grid.dim = 1\ngrid.extents = 0, 1\ngrid.counts = 12\n"
+            "range.family = p_laplacian\nrange.p = 1.5\n"
+            "initial.kind = random\ninitial.low = 0.2\ninitial.high = 0.8\n"
+            "solver.T = 0.1\nsolver.steps = 16\nsolver.mu_mode = manual\n"
+            "study.levels = 2, 4, 8, 16\n")
+
+
 def test_study_cauchy_command(tmp_path, capsys):
     cfg = tmp_path / "cauchy.cfg"
-    cfg.write_text(
-        "grid.dim = 1\ngrid.extents = 0, 1\ngrid.counts = 12\n"
-        "range.family = p_laplacian\nrange.p = 1.5\n"
-        "initial.kind = random\ninitial.low = 0.2\ninitial.high = 0.8\n"
-        "solver.T = 0.1\nsolver.steps = 16\nsolver.mu_mode = manual\n"
-        "study.levels = 2, 4, 8, 16\n",
-        encoding="utf-8",
-    )
+    cfg.write_text(CAUCHY_P, encoding="utf-8")
     out = tmp_path / "q"
     assert main(["study", "cauchy", "--config", str(cfg), "--out", str(out)]) == 0
     assert "fitted level-decay exponent" in capsys.readouterr().out
@@ -681,7 +699,7 @@ def test_study_cauchy_blowup_exits_3(tmp_path, capsys):
 
 def test_study_cauchy_output_is_that_of_one_cpu(tmp_path, capsys, monkeypatch):
     # every level warns with the same text from the same line, which the
-    # default filter shows once, on one CPU and on a pool alike
+    # default filter shows once, on one CPU and on forked helpers alike
     cfg = tmp_path / "cauchy.cfg"
     cfg.write_text(CAUCHY_DECAY + "reaction.rate = 100\n", encoding="utf-8")
     seen = {}
@@ -698,13 +716,21 @@ def test_study_cauchy_output_is_that_of_one_cpu(tmp_path, capsys, monkeypatch):
     assert seen[1] == seen[4]
 
 
-def test_importing_the_cli_starts_no_process_machinery():
-    # the study imports multiprocessing itself, so no other command pays for it
-    code = "import sys, nldiff.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+def test_importing_the_cli_starts_no_process_machinery(tmp_path):
+    # neither the import nor a study on two CPUs, which forks its helpers
+    # directly, loads multiprocessing
+    cfg = tmp_path / "cauchy.cfg"
+    cfg.write_text(CAUCHY_P, encoding="utf-8")
+    argv = ["study", "cauchy", "--config", str(cfg), "--out", str(tmp_path / "q")]
+    code = ("import os, sys, nldiff.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if 'multiprocessing' in m)\n"
+            "before = loaded()\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"print(nldiff.cli.main({argv!r}), before, loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout.splitlines()[-1] == "0 [] []"
 
 
 def test_benchmark_tracer_finds_every_hook(tmp_path, monkeypatch):

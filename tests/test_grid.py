@@ -59,6 +59,9 @@ def test_flat_and_nearest_index():
         (1, [(0.0, 1.0)], [1]),
         (1, [(0.0, 1.0)], [4.5]),
         (2, [(0.0, 1.0)], [4, 4]),
+        (1, [(-1e308, 1e308)], [16]),  # the span overflows
+        (1, [(0.0, 1e-320)], [16]),  # a subnormal spacing
+        (2, [(0.0, 1e-160)] * 2, [4, 4]),  # normal spacings, a subnormal node volume
     ],
 )
 def test_grid_rejects_bad_geometry(dim, extents, counts):

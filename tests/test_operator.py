@@ -44,6 +44,7 @@ from nldiff import (
     zero_reaction,
 )
 from nldiff import kernels, operator
+from nldiff.errors import _Helper
 from nldiff.operator import one_step_filter
 
 
@@ -742,9 +743,11 @@ def ramp_setup(monkeypatch):
 
 
 def count_forks(monkeypatch):
+    """The helper processes forked from now on, by what each serves."""
     forks = []
-    fork = operator._Walk._fork
-    monkeypatch.setattr(operator._Walk, "_fork", lambda walk: forks.append(1) or fork(walk))
+    init = _Helper.__init__
+    monkeypatch.setattr(_Helper, "__init__",
+                        lambda helper, fn, what: forks.append(what) or init(helper, fn, what))
     return forks
 
 
@@ -832,6 +835,23 @@ def test_an_error_in_the_second_half_reaches_the_caller_with_its_class(monkeypat
     assert len(forks) == (2 if TWO_CPUS else 0)
 
 
+def test_a_dead_helper_ends_the_solve_with_a_runtime_error(monkeypatch):
+    g, t, u0, _ = ramp_setup(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def fn(t_, s):
+        if t_ > 0.0 and os.getpid() != parent:
+            os._exit(1)
+        return s * 1.0
+
+    cfg = SolverConfig(T=1e-3, steps=3, mu_mode="manual", mu=0.0)
+    with pytest.raises(RuntimeError, match="helper process of the pair walk ended without a reply"):
+        solve(g, t, custom_kernel(fn), zero_reaction(), u0, cfg)
+    assert forks == ["the pair walk"]
+
+
 def test_a_warning_in_the_second_half_reaches_the_caller(monkeypatch):
     g, t, u0, between = ramp_setup(monkeypatch)
     forks = count_forks(monkeypatch)
@@ -860,14 +880,14 @@ def test_a_warning_in_the_second_half_reaches_the_caller(monkeypatch):
 
 def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, tmp_path):
     log = tmp_path / "forks"
-    fork = operator._Walk._fork
+    init = _Helper.__init__
 
-    def logged(walk):  # in a file, which a pool worker's fork would reach too
+    def logged(helper, fn, what):  # in a file, which a helper's own fork would reach too
         with open(log, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        fork(walk)
+            fh.write(f"{os.getpid()} {what}\n")
+        init(helper, fn, what)
 
-    monkeypatch.setattr(operator._Walk, "_fork", logged)
+    monkeypatch.setattr(_Helper, "__init__", logged)
     g, t, u0, _ = ramp_setup(monkeypatch)
     cfg = SolverConfig(T=1e-3, steps=3, mu_mode="manual", mu=0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -878,13 +898,15 @@ def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, t
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
-    # the study's levels run on a pool of forked workers, one per level
+    assert not log.exists()
+    # the study's levels run on forked helpers, one per level, whose solves fork none
     mollifier_cauchy_study(Problem(g, t, p_laplacian_kernel(2.5), zero_reaction(), u0, cfg),
                            [2, 4, 8])
-    assert not log.exists()
+    study = f"{os.getpid()} the Cauchy study\n" * 3
+    assert log.read_text(encoding="ascii") == study
     # the same split solve here does fork its helper
     solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
-    assert log.read_text(encoding="ascii") == f"{os.getpid()}\n"
+    assert log.read_text(encoding="ascii") == study + f"{os.getpid()} the pair walk\n"
 
 
 def test_kernels_that_share_a_table_share_no_walk_state():
