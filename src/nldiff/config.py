@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigParseError, ConfigurationError
 from .grid import Field, build_grid, load_field, read_text
 from .kernels import (
+    OFFSET_LIMIT,
     REACTION_FAMILIES,
     affine_reaction,
     bilateral_kernel,
@@ -138,6 +139,13 @@ def _parse_weight(text: str) -> float:
     v = float(text)
     if not (math.isfinite(v) and v >= 0.0):
         raise ValueError(f"weight must be finite and non-negative, got {text}")
+    return v
+
+
+def _parse_offset(text: str) -> int:
+    v = int(text)
+    if abs(v) > OFFSET_LIMIT:
+        raise ValueError(f"offset must lie in [-(2^63 - 1), 2^63 - 1], got {text}")
     return v
 
 
@@ -348,7 +356,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     ks = cfg.kernel
     table_data = None
     if ks.family == "custom_table":
-        rows = _read_table(ks.table_path, [int] * dim + [_parse_weight], "kernel table")
+        rows = _read_table(ks.table_path, [_parse_offset] * dim + [_parse_weight], "kernel table")
         table_data = ([r[:-1] for r in rows], [r[-1] for r in rows])
     table = make_spatial_kernel(grid, ks.family, ks.radius, table=table_data)
 

@@ -115,7 +115,7 @@ class SpatialKernelTable:
     largest_block: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets = np.atleast_2d(np.asarray(self.offsets, dtype=np.int64))
+        offsets = _int64_offsets(self.offsets)
         weights = np.asarray(self.weights, dtype=np.float64)
         if offsets.shape[1] != self.grid.dim or offsets.shape[0] != weights.shape[0]:
             raise ConfigurationError("kernel table shapes do not match the grid")
@@ -303,7 +303,7 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
     elif family == "custom_table":
         if table is None:
             raise ConfigurationError("custom_table kernels need an (offsets, weights) table")
-        cand = np.atleast_2d(np.asarray(table[0], dtype=np.int64))
+        cand = _int64_offsets(table[0])
         raw = np.asarray(table[1], dtype=np.float64)
         if cand.shape[1] != grid.dim or cand.shape[0] != raw.shape[0]:
             raise ConfigurationError("kernel table shapes do not match the grid")
@@ -326,6 +326,25 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
         weights=raw / normalization,
         normalization=normalization,
     )
+
+
+OFFSET_LIMIT = 2**63 - 1  # int64 holds the negation of every offset up to this
+
+
+def _int64_offsets(offsets) -> np.ndarray:
+    """``offsets`` as a 2-D int64 array; any beyond +-OFFSET_LIMIT raise
+    :class:`KernelValidationError` (-2^63 negates to itself in int64)."""
+    try:
+        arr = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+        if not np.any(arr < -OFFSET_LIMIT):
+            return arr
+    except OverflowError:
+        pass
+    far = [tuple(r) for r in np.atleast_2d(np.asarray(offsets, dtype=object)).tolist()
+           if any(abs(c) > OFFSET_LIMIT for c in r)]
+    raise KernelValidationError(
+        f"kernel table offsets must lie in [-(2^63 - 1), 2^63 - 1]; offending offsets {far}",
+        offenders=far)
 
 
 def _check_table_validity(offsets: np.ndarray, weights: np.ndarray):
@@ -517,28 +536,22 @@ class RangeKernel:
 
     @property
     def has_energy(self) -> bool:
-        """Whether :meth:`density` is an antiderivative of A in s, so the
-        flow descends its energy; the mollified, variable_exponent and
-        custom densities are only monitors."""
+        """Whether the density Phi of :meth:`terms` is an antiderivative of
+        A in s, so the flow descends its energy; the mollified,
+        variable_exponent and custom densities are only monitors."""
         return self.family in ("linear", "p_laplacian", "spatial_exponent", "bilateral_gaussian")
-
-    def density(self, t: float, s, pair_ref=None, out=None):
-        """The flow's energy density Phi at ``s``; see :meth:`terms`."""
-        # A mollified kernel's density is its base's, so the quadrature A
-        # is not needed for it.
-        kernel = self.base if self.family == "mollified" else self
-        return kernel.terms(t, s, pair_ref, True, out)[1]
 
     def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
         """(A, Phi) at value differences ``s`` from one evaluation, Phi
         only with ``energy`` (else None).
 
-        Phi is the flow's energy density (see :mod:`nldiff.operator`):
-        s A / q = |s|^q / q for the power families of exponent q,
-        (h^2/2)(1 - g) for the bilateral family, whose A is s g with the
-        same window g = exp(-(s/h)^2), the base's density for a mollified
-        kernel, and the quadratic s^2/2 for variable_exponent and custom,
-        which have no antiderivative in s alone.  ``pair_ref`` is as in
+        Phi is the flow's energy density, computed only here (see
+        :mod:`nldiff.operator`): s A / q = |s|^q / q for the power
+        families of exponent q, (h^2/2)(1 - g) for the bilateral family,
+        whose A is s g with the same window g = exp(-(s/h)^2), the base's
+        density for a mollified kernel, and the quadratic s^2/2 for
+        variable_exponent and custom, which have no antiderivative in s
+        alone.  ``pair_ref`` is as in
         :meth:`eval`.  ``out``, a pair of C-contiguous float64 arrays
         shaped like ``s`` (the second may be None without ``energy``),
         receives A and Phi in place of new arrays; the pair walk passes

@@ -47,9 +47,9 @@ interpolated once per walk, from a walk over the reference field.
 A :class:`_Walk` holds what a walk reuses: the pair exponents, buffers,
 output, and for a table of at least two blocks and ``_SPLIT_PAIRS`` pair
 positions a split of the blocks in two halves at the block boundary
-nearest half the positions.  The operator and the energy sum each half
-into its own output and energy, then add the second to the first (the
-pairing's right side and the filter walk the blocks in order).  The order
+nearest half the positions.  :meth:`_Walk.apply` sums each half into its
+own output and energy, then adds the second to the first (the pairing's
+right side and the filter walk the blocks in order).  The order
 is the table's, so no bit depends on the CPU count: a solve that may use
 two CPUs forks a helper process (:class:`~nldiff.errors._Helper`) before
 its first step to walk the second half of each step on a shared copy of
@@ -79,8 +79,8 @@ Phi = (h^2/2)(1 - exp(-s^2/h^2)), along the operator with
 A = s exp(-s^2/h^2).  One call of ``terms`` per block returns A and
 Phi from the same intermediates, the bilateral pair from one Gaussian
 window, so a time step gets the energy of its state from the walk that
-applies the operator, and :func:`flow_energy` and
-:func:`dissipation_pairing` walk the same blocks with the same buffers.
+applies the operator.  That is the one energy sum: :func:`flow_energy`
+is the same walk at t = 0, its operator discarded.
 """
 
 from __future__ import annotations
@@ -205,18 +205,14 @@ class _Walk:
     def _half(self, blocks, out, u, t, energy):
         """Over the pairs of ``blocks``: the operator's sum, less the node
         volume, into ``out``, and the energy's sum, returned (0.0 without
-        ``energy``); with ``out`` None, the energy's sum from the density."""
+        ``energy``)."""
         kernel, acc = self.kernel, 0.0
-        if out is not None:
-            out.fill(0.0)
+        out.fill(0.0)
         for (w, dst, src, wrap), s, pe, scratch in self.pairs(u, blocks):
-            if out is None:
-                phi = kernel.density(t, s, pe, scratch)
-            else:
-                a, phi = kernel.terms(t, s, pe, energy, scratch)
-                wa = _weigh(w, a, wrap)
-                _scatter(np.add, out, dst, wa)
-                _scatter(np.subtract, out, src, wa)
+            a, phi = kernel.terms(t, s, pe, energy, scratch)
+            wa = _weigh(w, a, wrap)
+            _scatter(np.add, out, dst, wa)
+            _scatter(np.subtract, out, src, wa)
             if energy:
                 acc += _weighted_sum(w, phi, wrap)
         return acc
@@ -238,12 +234,6 @@ class _Walk:
         e = 2.0 * nv**2 * acc if energy else None
         return np.multiply(self.out, nv, out=self.out), e
 
-    def energy(self, u) -> float:
-        """The flow energy of u at t = 0, from the density alone, summed
-        half by half as :meth:`apply` sums it."""
-        acc = sum(self._half(half, None, u, 0.0, True) for half in self.halves)
-        return 2.0 * self.table.grid.node_volume**2 * acc
-
     def __enter__(self):
         """Fork the helper of a split walk, when this process may use two CPUs."""
         if len(self.halves) == 2 and _cpus() >= 2:
@@ -264,31 +254,23 @@ class _Walk:
 
 
 def apply_nonlocal(
-    grid: Grid,
-    table: SpatialKernelTable,
-    kernel: RangeKernel,
-    t: float,
-    u: Field,
+    grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, t: float, u: Field
 ) -> Field:
     """Evaluate the nonlocal operator on a field."""
-    _check_table(grid, table)
-    if u.grid != grid:
-        raise GridMismatchError("state field does not live on the operator grid")
+    _check_table(grid, table, u)
     return Field(grid, _Walk(table, kernel).apply(u.values, t)[0])
 
 
-def _check_table(grid: Grid, table: SpatialKernelTable):
+def _check_table(grid: Grid, table: SpatialKernelTable, *fields: Field):
+    """Refuse a table or fields that do not live on ``grid``."""
     if table.grid != grid:
         raise GridMismatchError("kernel table was built for a different grid")
+    if any(f.grid != grid for f in fields):
+        raise GridMismatchError("field does not live on the operator grid")
 
 
 def dissipation_pairing(
-    grid: Grid,
-    table: SpatialKernelTable,
-    kernel: RangeKernel,
-    t: float,
-    u: Field,
-    phi: Field,
+    grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, t: float, u: Field, phi: Field
 ) -> tuple:
     """Both sides of the discrete integration-by-parts identity.
 
@@ -298,9 +280,7 @@ def dissipation_pairing(
     function of u the rhs is visibly non-positive term by term, which is
     the dissipativity estimate.
     """
-    _check_table(grid, table)
-    if u.grid != grid or phi.grid != grid:
-        raise GridMismatchError("fields do not live on the operator grid")
+    _check_table(grid, table, u, phi)
     pp = phi.values
     walk = _Walk(table, kernel)
     lhs = grid.node_volume * float(np.sum(pp * walk.apply(u.values, t)[0]))
@@ -327,14 +307,12 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     (see the module docstring), whose descent direction is exactly the
     operator.  For the families without a closed antiderivative in s alone
     (variable_exponent, custom) it is the quadratic energy, a monitoring
-    quantity rather than a certified descent functional.  A solver step
-    computes the same number, bit for bit, in the walk that applies the
-    operator.
+    quantity rather than a certified descent functional.  It is the energy
+    of a solver step's own walk (:meth:`_Walk.apply`) at t = 0, so a step
+    computes the same number, bit for bit.
     """
-    _check_table(grid, table)
-    if u.grid != grid:
-        raise GridMismatchError("field does not live on the energy grid")
-    return _Walk(table, kernel).energy(u.values)
+    _check_table(grid, table, u)
+    return _Walk(table, kernel).apply(u.values, 0.0, True)[1]
 
 
 def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -> Field:
@@ -351,9 +329,7 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     no weight at all, when every neighbor's window underflows or leaves
     the grid; that raises :class:`ConfigurationError`.
     """
-    _check_table(grid, table)
-    if u.grid != grid:
-        raise GridMismatchError("field does not live on the filter grid")
+    _check_table(grid, table, u)
     h = bilateral_width(h)
     uu = u.values
     num = table.zero_weight * uu

@@ -91,8 +91,8 @@ def load_pgm(path) -> ImageField:
         rest = data[pos:]
         try:
             samples = np.array(rest.split(), dtype=np.int64)
-        except ValueError as exc:
-            raise PgmFormatError(f"{path}: non-numeric sample in P2 data") from exc
+        except (ValueError, OverflowError) as exc:
+            raise PgmFormatError(f"{path}: non-numeric or oversized sample in P2 data") from exc
         if samples.size != count:
             raise PgmFormatError(
                 f"{path}: expected {count} samples, found {samples.size}"

@@ -234,9 +234,7 @@ def solve(
     any raise; no bit changes, and a dead helper raises RuntimeError.
     """
     _check_seed(seed)
-    _check_table(grid, table)
-    if u0.grid != grid:
-        raise GridMismatchError("initial state does not live on the given grid")
+    _check_table(grid, table, u0)
     report = validate_assumptions(table, kernel, reaction, u0, seed=seed)
     failed = [c.name for c in report.failed()]
     # the walk sums the operator of an odd kernel only: no override runs another

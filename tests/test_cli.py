@@ -9,6 +9,7 @@ import importlib.util
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -269,6 +270,10 @@ def test_pgm_format_errors(tmp_path):
     over.write_text("P2\n1 1\n10\n42\n")
     with pytest.raises(PgmFormatError, match="outside"):
         load_pgm(over)
+    huge = tmp_path / "h.pgm"
+    huge.write_text("P2\n2 2\n255\n1 2 3 99999999999999999999\n")
+    with pytest.raises(PgmFormatError, match="non-numeric or oversized sample"):
+        load_pgm(huge)
 
 
 def test_image_field_round_trip_and_orientation(tmp_path):
@@ -392,10 +397,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
          + "0.5\n" * 13, "initial.kind = field_csv\ninitial.path = {}\n", "line 7: value nan is not finite"),
         ("# nldiff-field v1\n# dim 1\n# extents 0 1\n# counts 16\n" + "0.5\n" * 13,
          "initial.kind = field_csv\ninitial.path = {}\n", "field has 13 values, grid has 16 nodes"),
+        ("99999999999999999999, 1.0\n", "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 1: bad kernel table row: offset must lie in [-(2^63 - 1), 2^63 - 1], "
+         "got 99999999999999999999"),
+        ("-9223372036854775808, 1.0\n", "kernel.family = custom_table\nkernel.table_path = {}\n",
+         "line 1: bad kernel table row: offset must lie in [-(2^63 - 1), 2^63 - 1], "
+         "got -9223372036854775808"),
     ],
     ids=["kernel_row_width", "kernel_bad_weight", "reaction_comment_only",
          "reaction_nan", "reaction_latin1", "field_latin1", "kernel_negative_weight",
-         "kernel_duplicate_offset", "reaction_duplicate_abscissa", "field_nan", "field_short"],
+         "kernel_duplicate_offset", "reaction_duplicate_abscissa", "field_nan", "field_short",
+         "kernel_offset_beyond_int64", "kernel_offset_int64_min"],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, table, extra, detail):
     path = tmp_path / "table.csv"
@@ -753,3 +765,15 @@ def test_export_list_resolves_every_name_once():
     names = nldiff.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(nldiff, n)] == []
+
+
+def test_readme_python_example_runs():
+    # the one fenced python block of README.md, run as a reader would run it
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("[PASS] ") for line in done.stdout.splitlines()), done.stdout

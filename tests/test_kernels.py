@@ -197,6 +197,19 @@ def test_custom_table_rejects_uneven_and_duplicate_and_negative():
     assert "offending offsets [(1,), (-1,)]" in str(exc.value)
 
 
+def test_offsets_beyond_int64_are_refused():
+    g = build_grid(1, [(0.0, 1.0)], [8])
+    # -2^63 negates to itself in int64, so it looked even
+    for offs in ([[-(2**63)]], [[-1], [2**64], [1]]):
+        with pytest.raises(KernelValidationError) as exc:
+            make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
+        assert exc.value.offenders == [tuple(o) for o in offs if abs(o[0]) >= 2**63]
+    with pytest.raises(KernelValidationError, match=r"offending offsets \[\(-9223372036854775808,\)\]"):
+        SpatialKernelTable(g, 0.1, np.array([[-(2**63)]]), [1.0], 1.0)
+    t = make_spatial_kernel(g, "custom_table", table=([[-(2**63 - 1)], [2**63 - 1]], [1.0, 1.0]))
+    assert t.offsets.dtype == np.int64 and t.blocks == ()
+
+
 def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [5, 4])
     t = make_spatial_kernel(g, "box", 0.3)

@@ -248,6 +248,13 @@ def test_operator_grid_mismatches():
         apply_nonlocal(other, t, linear_kernel(), 0.0, u_other)
     with pytest.raises(GridMismatchError):
         energy_p(g, t, u_other, 2.0)
+    u = Field(g, np.zeros(8))
+    with pytest.raises(GridMismatchError):
+        dissipation_pairing(g, t, linear_kernel(), 0.0, u_other, u)
+    with pytest.raises(GridMismatchError):
+        dissipation_pairing(g, t, linear_kernel(), 0.0, u, u_other)
+    with pytest.raises(GridMismatchError):
+        one_step_filter(g, t, u_other, 0.5)
     ref_other = Field(other, np.zeros(9))
     k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], ref_other)
     with pytest.raises(GridMismatchError):
@@ -354,13 +361,11 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
     assert t.pair_count == len(pairs)
     for k in _kernels_for(g, u) + [custom_odd_kernel()]:
-        # the fused pass, in the walk's scratch buffers, is eval and density
-        # bit for bit
+        # the fused pass, in the walk's scratch buffers, is eval bit for bit
         for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
             a, dens = k.terms(0.3, s, pe, True, scratch)
             assert a is scratch[0] and dens is scratch[1], k.family
             assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
-            assert np.array_equal(dens, k.density(0.3, s, pe)), k.family
         want = dense_oracle(g, t, k, 0.3, u)
         got = apply_nonlocal(g, t, k, 0.3, u).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
@@ -587,7 +592,7 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
             mp.setattr(np, "interp", lambda *a, **kw: calls.append(1) or interp(*a, **kw))
             for _ in range(2):
                 assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
-                assert walk.energy(u.values) == energy
+                assert walk.apply(u.values, 0.0, True)[1] == energy
         assert calls == []
         # raw reference differences instead, interpolated on every call
         rr = ref.values
@@ -596,7 +601,7 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
             for _, d, s, wrap in t.blocks
         )
         assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
-        assert walk.energy(u.values) == energy
+        assert walk.apply(u.values, 0.0, True)[1] == energy
 
 
 def sliced_apply(table, kernel, t, u):
