@@ -314,15 +314,14 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     )
 
 
-def time_refinement_study(problem: Problem, step_counts, reference: Field | None = None) -> RunReport:
+def time_refinement_study(problem: Problem, step_counts) -> RunReport:
     """First-order convergence of the stepper under step doubling.
 
     Solves at each step count, keeping everything else fixed, and compares
-    final states against ``reference`` (some externally computed field) or,
-    when none is given, between consecutive step counts.  Fits the order
-    on a log-log plot of error versus step size, excluding the coarsest
-    level.  Constant-in-time exact solutions make every error vanish; the
-    report then says so instead of fitting.
+    the final states of consecutive step counts.  Fits the order on a
+    log-log plot of difference versus the coarser step size, excluding the
+    coarsest pair.  Constant-in-time exact solutions make every difference
+    vanish; the report then says so instead of fitting.
     """
     counts = [int(n) for n in step_counts]
     if len(counts) < 3:
@@ -338,26 +337,14 @@ def time_refinement_study(problem: Problem, step_counts, reference: Field | None
         finals.append(solve_problem(replace(problem, config=config)).final_state)
 
     grid = problem.grid
-    if reference is not None:
-        if reference.grid != grid:
-            raise GridMismatchError("reference field lives on a different grid")
-        errs = [
-            lp_norm(grid, Field(grid, f.values - reference.values), math.inf) for f in finals
-        ]
-        used = list(range(len(counts)))
-    else:
-        # Without an external reference, differences to the finest run scale
-        # like (tau_n - tau_finest), which bends the log-log fit away from
-        # the order.  Consecutive differences scale like tau_n itself.
-        errs = [
-            lp_norm(grid, Field(grid, a.values - b.values), math.inf)
-            for a, b in zip(finals, finals[1:])
-        ]
-        used = list(range(len(counts) - 1))
+    # Differences to the finest run scale like (tau_n - tau_finest), which
+    # bends the log-log fit away from the order.  Consecutive differences
+    # scale like tau_n itself.
+    errors = np.array([lp_norm(grid, Field(grid, a.values - b.values), math.inf)
+                       for a, b in zip(finals, finals[1:])])
+    taus = np.array([problem.config.T / n for n in counts[:-1]])
 
     rep = RunReport()
-    taus = np.array([problem.config.T / counts[i] for i in used])
-    errors = np.asarray(errs)
     rep.series["tau"] = taus
     rep.series["error"] = errors
     rep.constants["step_counts"] = tuple(counts)

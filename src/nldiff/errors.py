@@ -49,9 +49,7 @@ class AssumptionViolationError(NldiffError):
 
     ``report`` is the :class:`~nldiff.kernels.RunReport` of
     :func:`~nldiff.kernels.validate_assumptions`, every check with its
-    measured value and threshold; pass ``allow_nonconformant=True`` to run
-    anyway (the a priori estimates are then void), unless the range kernel
-    failed its oddness check.
+    measured value and threshold.
     """
 
     def __init__(self, message: str, report=None):

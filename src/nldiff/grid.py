@@ -77,7 +77,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""

@@ -31,6 +31,7 @@ refuses the bare form.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -77,7 +78,7 @@ class SpatialKernelTable:
     ``blocks`` is the walk itself, cut into blocks, each a tuple
     ``(w, dst, src, wrap)`` that only the walk,
     :meth:`nldiff.operator._Walk.pairs`, decodes.  An offset whose slice holds
-    at least ``_GATHER_BELOW`` pairs is a slice block: its weight, and the
+    at least ``_GATHER_BELOW`` pairs is a slice block: its float weight, and the
     flat ranges ``dst = slice(0, n)`` and ``src = slice(D, D + n)`` of the
     C-ordered node array, with D the flat distance of d and n = N - D, so
     that the walk forms s with one contiguous 1-D subtraction.  On a 2-D
@@ -134,13 +135,13 @@ class SpatialKernelTable:
         object.__setattr__(self, "weights", weights)
         zero = (0,) * self.grid.dim
         pairs, count, w0 = [], 0, 0.0
-        for w, offset in zip(weights, offsets.tolist()):
+        for w, offset in zip(weights.tolist(), offsets.tolist()):
             size = 1
             for c, a in zip(self.grid.counts, offset):
                 size *= max(0, c - abs(a))
             count += size
             if tuple(offset) == zero:
-                w0 += float(w)
+                w0 += w
             elif size and tuple(offset) > zero:
                 pairs.append((w, tuple(offset), size))
         blocks, largest = _walk_blocks(self.grid, pairs)
@@ -252,8 +253,9 @@ def _candidate_offsets(grid: Grid, reach: float):
 
 def _physical_sq_norm(grid: Grid, offsets: np.ndarray) -> np.ndarray:
     acc = np.zeros(offsets.shape[0])
-    for k in range(grid.dim):
-        acc += (offsets[:, k] * grid.spacing[k]) ** 2
+    with np.errstate(over="ignore"):  # inf on wide grids: beyond every radius a table keeps
+        for k in range(grid.dim):
+            acc += (offsets[:, k] * grid.spacing[k]) ** 2
     return acc
 
 
@@ -316,9 +318,10 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
 
     if cand.shape[0] == 0:
         raise ConfigurationError("spatial kernel support contains no offsets")
-    normalization = grid.node_volume * float(np.sum(raw))
-    if not normalization > 0.0:
-        raise ConfigurationError("spatial kernel has zero discrete mass")
+    with np.errstate(over="ignore"):
+        normalization = grid.node_volume * float(np.sum(raw))
+    if not 0.0 < normalization < math.inf:
+        raise ConfigurationError(f"spatial kernel discrete mass {normalization} is not positive and finite")
     return SpatialKernelTable(
         grid=grid,
         radius=float(radius),
@@ -367,7 +370,6 @@ def _check_table_validity(offsets: np.ndarray, weights: np.ndarray):
 # mollifier
 
 _BUMP_PANELS = 1 << 16
-_bump_cache = {}
 
 
 def bump_profile(s) -> np.ndarray:
@@ -386,6 +388,7 @@ def _bump_quadrature(n_panels: int):
     return mid, h
 
 
+@functools.cache
 def bump_mass() -> float:
     """Integral of the unnormalized bump over (-1, 1).
 
@@ -393,20 +396,19 @@ def bump_mass() -> float:
     flat to all orders at the endpoints, so this converges far past float64
     resolution.
     """
-    if "mass" not in _bump_cache:
-        mid, h = _bump_quadrature(_BUMP_PANELS)
-        _bump_cache["mass"] = h * float(np.sum(bump_profile(mid)))
-    return _bump_cache["mass"]
+    mid, h = _bump_quadrature(_BUMP_PANELS)
+    return h * float(np.sum(bump_profile(mid)))
 
 
 def mollifier_moment(alpha: float) -> float:
     """Integral of the unit-mass bump times |s|^alpha over (-1, 1)."""
-    key = ("moment", float(alpha))
-    if key not in _bump_cache:
-        mid, h = _bump_quadrature(_BUMP_PANELS)
-        raw = h * float(np.sum(bump_profile(mid) * np.abs(mid) ** alpha))
-        _bump_cache[key] = raw / bump_mass()
-    return _bump_cache[key]
+    return _moment(float(alpha))  # so that 1 and 1.0 share one cache entry
+
+
+@functools.cache
+def _moment(alpha: float) -> float:
+    mid, h = _bump_quadrature(_BUMP_PANELS)
+    return h * float(np.sum(bump_profile(mid) * np.abs(mid) ** alpha)) / bump_mass()
 
 
 def mollifier_density(n: int, s) -> np.ndarray:
@@ -424,7 +426,6 @@ class MollifierSpec:
     """
 
     n: int
-    quad_count: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -806,7 +807,7 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     if base.family == "mollified":
         raise ConfigurationError("refusing to mollify an already mollified kernel")
     nodes, weights = _mollifier_quadrature(int(quad_count))
-    spec = MollifierSpec(n=int(n), quad_count=int(quad_count), nodes=nodes, weights=weights)
+    spec = MollifierSpec(n=int(n), nodes=nodes, weights=weights)
     return RangeKernel(
         "mollified",
         base=base,
@@ -862,7 +863,7 @@ class Reaction:
         if table is not None:
             ts = np.asarray(table[0], dtype=np.float64)
             tf = np.asarray(table[1], dtype=np.float64)
-            if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or np.any(np.diff(ts) <= 0):
+            if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or np.any(ts[1:] <= ts[:-1]):
                 raise ConfigurationError("reaction table needs strictly increasing abscissae")
             self.table = (ts, tf)
         lo, hi = working_range
@@ -879,11 +880,16 @@ class Reaction:
             return self.rate, self.rate, True
         if self.family == "affine":
             return max(self.offset, abs(self.slope)), abs(self.slope), self.slope <= 0.0
-        grid = np.linspace(self.working_range[0], self.working_range[1], 4097)
-        vals = self.eval(0.0, None, grid)
-        c = float(np.max(np.abs(vals) / (1.0 + np.abs(grid))))
-        slopes = np.diff(vals) / np.diff(grid)
-        return c, float(np.max(np.abs(slopes))), bool(np.all(slopes <= 0.0))
+        with np.errstate(all="ignore"):  # beyond float64 the constants are inf or nan: refused below
+            grid = np.linspace(self.working_range[0], self.working_range[1], 4097)
+            vals = self.eval(0.0, None, grid)
+            c = float(np.max(np.abs(vals) / (1.0 + np.abs(grid))))
+            slopes = np.diff(vals) / np.diff(grid)
+            lip = float(np.max(np.abs(slopes)))
+        if not (math.isfinite(c) and math.isfinite(lip)):
+            raise ConfigurationError(f"{self.family} reaction has no finite growth and Lipschitz constants "
+                                     f"on {self.working_range}: got {c} and {lip}")
+        return c, lip, bool(np.all(slopes <= 0.0))
 
     @property
     def is_zero(self) -> bool:

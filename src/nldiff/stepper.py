@@ -207,19 +207,14 @@ def solve(
     config: SolverConfig,
     *,
     seed: int = 42,
-    allow_nonconformant: bool = False,
 ) -> Trajectory:
     """Integrate the flow from u0 to time T with the damped scheme of the
     module docstring (explicit Euler when mu = 0).
 
     The problem data is validated against the structural hypotheses first
-    by :func:`validate_assumptions`; a failing report raises
-    :class:`AssumptionViolationError`, which carries that ``RunReport``,
-    unless ``allow_nonconformant`` is set, in which case the run proceeds
-    and the trajectory constants keep only the verdict, ``assumptions_ok``.
-    A failed "range kernel oddness" check raises even then: the pair walk
-    sums the operator of an odd kernel only.  A negative or non-integer
-    ``seed`` raises :class:`ConfigurationError`.
+    by :func:`validate_assumptions`; any failed check raises
+    :class:`AssumptionViolationError`, which carries that ``RunReport``.
+    A negative or non-integer ``seed`` raises :class:`ConfigurationError`.
 
     Each level j is one pass of the loop: u_j = e^{mu t_j} w_j, its min and
     max, the operator and energy from one walk, the diagnostics row, the
@@ -237,15 +232,9 @@ def solve(
     _check_table(grid, table, u0)
     report = validate_assumptions(table, kernel, reaction, u0, seed=seed)
     failed = [c.name for c in report.failed()]
-    # the walk sums the operator of an odd kernel only: no override runs another
-    odd = "range kernel oddness" not in failed
-    if failed and not (allow_nonconformant and odd):
+    if failed:
         raise AssumptionViolationError(
-            f"problem data violates the structural hypotheses ({', '.join(failed)}); "
-            + ("pass allow_nonconformant=True to run regardless" if odd else
-               "the pair walk needs an odd range kernel; allow_nonconformant does not override that"),
-            report=report,
-        )
+            f"problem data violates the structural hypotheses ({', '.join(failed)})", report=report)
 
     constants = _resolve_constants(kernel, reaction, u0, config, seed)
     mu = constants["mu"]
@@ -265,7 +254,6 @@ def solve(
             "tau": tau,
             "kernel_mass": mass_s,
             "tau_positivity_limit": tau_limit,
-            "assumptions_ok": report.all_passed,
         }
     )
     if tau > tau_limit:
@@ -327,7 +315,7 @@ def solve(
     )
 
 
-def solve_problem(problem: Problem, *, allow_nonconformant: bool = False) -> Trajectory:
+def solve_problem(problem: Problem) -> Trajectory:
     """Run a :class:`Problem` with :func:`solve`; to vary one piece of it,
     pass ``dataclasses.replace(problem, ...)``."""
     return solve(
@@ -338,7 +326,6 @@ def solve_problem(problem: Problem, *, allow_nonconformant: bool = False) -> Tra
         problem.u0,
         problem.config,
         seed=problem.seed,
-        allow_nonconformant=allow_nonconformant,
     )
 
 

@@ -445,6 +445,7 @@ def test_mollifier_moments_match_quadrature_oracle():
     # alpha = 1/2 has a kink at 0, which caps the midpoint rule near 1e-8
     assert mollifier_moment(0.5) == pytest.approx(MOMENT_HALF_QUAD, abs=5e-8)
     assert mollifier_moment(1.0) == pytest.approx(MOMENT_ONE_QUAD, abs=1e-9)
+    assert mollifier_moment(1) is mollifier_moment(1.0)  # one cached entry
 
 
 def test_mollifier_density_unit_mass_and_support():
@@ -765,21 +766,17 @@ def test_kernel_odd_only_on_the_probe_fails_the_oddness_check_of_solve():
 
 def test_no_override_runs_a_kernel_that_fails_the_oddness_check():
     # odd on [-1, 1] but not beyond, where the walk's flux is not the
-    # ordered-pair operator: allow_nonconformant runs other failures, not this
+    # ordered-pair operator: solve refuses it, like every failed check
     g = build_grid(1, [(0.0, 1.0)], [16])
     t = make_spatial_kernel(g, "gaussian", 0.2)
     k = custom_kernel(lambda t_, s: np.where(np.abs(s) <= 1.0, s, s * s))
     u0 = Field(g, np.linspace(0.0, 3.0, 16))
     cfg = SolverConfig(T=0.01, steps=2, mu_mode="manual", mu=0.0)
-    for allow in (False, True):
-        with pytest.raises(AssumptionViolationError, match="range kernel oddness") as exc:
-            solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=allow)
-        assert "allow_nonconformant does not override" in str(exc.value)
-        assert not next(c for c in exc.value.report.checks if c.name == "range kernel oddness").passed
-    # a failure other than oddness still runs under the override
-    neg = Field(g, np.linspace(-0.2, 0.8, 16))
-    traj = solve(g, t, linear_kernel(), zero_reaction(), neg, cfg, allow_nonconformant=True)
-    assert traj.constants["assumptions_ok"] is False
+    with pytest.raises(AssumptionViolationError) as exc:
+        solve(g, t, k, zero_reaction(), u0, cfg)
+    failed = [c.name for c in exc.value.report.failed()]
+    assert "range kernel oddness" in failed
+    assert str(exc.value) == f"problem data violates the structural hypotheses ({', '.join(failed)})"
 
 
 def test_validate_flags_negative_initial_state():

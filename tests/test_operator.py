@@ -432,9 +432,21 @@ def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
     for k in _kernels_for(g, u0) + [custom_odd_kernel()]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
-            traj = solve(g, t, k, zero_reaction(), u0, cfg, allow_nonconformant=True)
+            traj = solve(g, t, k, zero_reaction(), u0, cfg)
         for j, state in zip(traj.record_steps, traj.states):
             assert traj.per_step["energy"][j] == flow_energy(g, t, k, state), (k.family, j)
+
+
+@pytest.mark.parametrize("counts,h", [([16], 0.1), ([64, 64], 0.03)])
+def test_flow_energy_is_a_python_float_on_gather_and_slice_blocks(counts, h):
+    g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
+    t = make_spatial_kernel(g, "gaussian", h)
+    slices = sum(isinstance(b[1], slice) for b in t.blocks)
+    assert (slices > 0) == (len(counts) == 2)
+    u = Field(g, np.random.default_rng(5).uniform(0.1, 0.9, g.node_count))
+    k = p_laplacian_kernel(2.5)
+    assert type(flow_energy(g, t, k, u)) is float
+    assert type(operator._Walk(t, k).apply(u.values, 0.0, True)[1]) is float
 
 
 def test_eval_wrapped_with_its_exact_signature_changes_no_result():
@@ -776,9 +788,9 @@ def test_split_solve_is_bit_identical_with_the_helper_and_on_one_cpu(monkeypatch
     for k, r in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
-            forked = solve(g, t, k, r, u0, cfg, allow_nonconformant=True)
+            forked = solve(g, t, k, r, u0, cfg)
             with one_cpu():
-                pinned = solve(g, t, k, r, u0, cfg, allow_nonconformant=True)
+                pinned = solve(g, t, k, r, u0, cfg)
         pairs = [(forked.times, pinned.times), (forked.record_steps, pinned.record_steps)]
         pairs += [(a.values, b.values) for a, b in zip(forked.states, pinned.states)]
         pairs += [(forked.per_step[c], pinned.per_step[c]) for c in forked.per_step]

@@ -1,0 +1,229 @@
+"""Fuzz tests of every input reader.
+
+Each reader either loads its input, and the loaded data builds what the
+commands build from it, or it raises an :class:`NldiffError`; a file the
+operating system cannot open may raise :class:`OSError`.  No other
+exception, and no warning, may escape.  Most examples are well formed but
+for a few fields, so that the loaders get past their first check.  The
+inputs are small, so that no example allocates much or runs long: a grid
+of at most 64 nodes, a PGM header that may claim a huge raster but
+carries at most a few dozen samples.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nldiff import NldiffError, build_problem, image_to_field, load_field, load_pgm, parse_config_text
+from nldiff.config import _PARSERS, RunConfig, serialize_config
+
+EXAMPLES = settings(max_examples=200, deadline=None)
+
+# values that probe the edges of the number parsers, and a few valid ones
+NUMBERS = ["nan", "-nan", "inf", "-inf", "infinity", "1e308", "-1e308", "1e309", "1e-320",
+           "-1e-320", "0", "-0.0", "-1", "1", "2", "3", "0.5", "0.1", "1.5", "2.5",
+           "9223372036854775807", "-9223372036854775808", "99999999999999999999", "0x10", "1_0"]
+WORDS = ["", "é", "µ1", "１", "0, 1", "0, 1, 0, 1", "0, 1, 0, 0.5", "1, 2", "1, 2, 3",
+         "0, 1e308", "-1e308, 1e308", "0, 1e-300", "0, 1e-320", "0, 1e308, 0, 1",
+         "gaussian", "box", "custom_table", "linear", "p_laplacian", "variable_exponent",
+         "spatial_exponent", "bilateral_gaussian", "zero", "linear_decay", "affine", "logistic",
+         "constant", "random", "step", "field_csv", "pgm", "auto_growth", "auto_linf", "manual"]
+# text without decimal digits, which cannot spell a large grid
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+TOKENS = st.one_of(st.sampled_from(NUMBERS + WORDS), NO_DIGITS)
+# grid.counts values, none of them a grid larger than 64 nodes
+COUNTS_TOKENS = ["16", "64", "4, 4", "8, 8", "2", "1", "0", "-1", "2.5", "inf", "", "é"]
+COUNTS = st.sampled_from(COUNTS_TOKENS)
+
+
+def parses(key, token):
+    try:
+        _PARSERS[key](token)
+    except (ValueError, TypeError):
+        return False
+    return key != "grid.counts" or token in COUNTS_TOKENS
+
+
+# for each key, the tokens its parser accepts, extreme ones included
+PARSED = {key: [t for t in NUMBERS + WORDS if parses(key, t)] or [""] for key in _PARSERS}
+
+
+def pick(draw, valid, hostile):
+    """``valid`` three times in four, else a draw of ``hostile``."""
+    return valid if draw(st.integers(0, 3)) else draw(hostile)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One directory for the files of every example of a test module."""
+    return tmp_path_factory.mktemp("readers")
+
+
+def reads(load, *args):
+    """``load(*args)``, or None for the refusals the readers may raise."""
+    try:
+        return load(*args)
+    except (NldiffError, OSError):
+        return None
+
+
+# every key at its default, on a 16-node grid; file paths are empty
+BASE = serialize_config(RunConfig()).replace("grid.counts = 64", "grid.counts = 16")
+
+
+@st.composite
+def config_texts(draw):
+    lines = BASE.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key = lines[i].partition(" = ")[0]
+        hostile = COUNTS if key == "grid.counts" else TOKENS
+        lines[i] = f"{key} = {pick(draw, draw(st.sampled_from(PARSED[key])), hostile)}"
+    noise = [f"seed = {draw(TOKENS)}",  # a duplicate key
+             f"{draw(st.sampled_from(['grid', 'grïd.dim', 'solver.t', '']))} = 1",  # unknown keys
+             draw(NO_DIGITS),
+             "# commentaire à la ligne"]
+    lines += [line for line in noise if not draw(st.integers(0, 7))]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@given(config_texts())
+@example(BASE.replace("grid.extents = 0.0, 1.0", "grid.extents = 0, 1e200"))  # |d|^2 overflows
+@example(BASE.replace("reaction.family = zero", "reaction.family = logistic")
+         .replace("reaction.capacity = 1.0", "reaction.capacity = 1e-320"))  # s / capacity overflows
+@EXAMPLES
+def test_config_text_loads_or_is_refused(text):
+    cfg = reads(parse_config_text, text, "fuzz.cfg")
+    if cfg is not None:
+        problem = reads(build_problem, cfg)
+        assert problem is None or problem.u0.values.size == problem.grid.node_count <= 64
+
+
+def negated(token):
+    return token[1:] if token.startswith("-") else "-" + token
+
+
+OFFSETS = st.sampled_from(["0", "1", "2", "3", "15", "16", "9223372036854775807",
+                           "9223372036854775808", "99999999999999999999", "1.5", "nan", "x"])
+
+
+@st.composite
+def kernel_rows(draw):
+    """Rows d, w and, mostly, the mirror row -d, w of an even table."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        d, w = draw(OFFSETS), pick(draw, "0.5", st.sampled_from(NUMBERS))
+        rows.append(f"{d}, {w}")
+        if draw(st.integers(0, 3)):
+            rows.append(f"{negated(d)}, {w}")
+    if not draw(st.integers(0, 3)):
+        rows.append(draw(st.sampled_from(["0", "1, 2, 3", "x, 1", "# c", ""])))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def reaction_rows(draw):
+    """Rows s, f, the abscissae mostly in increasing order."""
+    s = draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=5, unique=True))
+    if draw(st.integers(0, 3)):
+        s.sort(key=lambda v: float(v) if v not in ("0x10", "1_0") else 0.0)
+    return [f"{x}, {draw(st.sampled_from(NUMBERS))}" for x in s]
+
+
+@given(st.one_of(kernel_rows().map(lambda rows: ("kernel", "gaussian", rows)),
+                 reaction_rows().map(lambda rows: ("reaction", "zero", rows))))
+@example(("kernel", "gaussian", ["1, 1e308", "-1, 1e308"]))  # the mass overflows
+@example(("reaction", "zero", ["-inf, inf", "inf, inf"]))
+@example(("reaction", "zero", ["inf, 1", "1e308, 1", "-1e308, 1"]))  # abscissa steps overflow
+@EXAMPLES
+def test_kernel_and_reaction_table_rows_load_or_are_refused(scratch, table):
+    section, default, rows = table
+    path = scratch / "table.csv"
+    path.write_text("\n".join(rows), encoding="utf-8")
+    text = BASE.replace(f"{section}.family = {default}\n", f"{section}.family = custom_table\n")
+    text = text.replace(f"{section}.table_path = \n", f"{section}.table_path = {path}\n")
+    problem = reads(build_problem, parse_config_text(text, "fuzz.cfg"))
+    if problem is not None:
+        assert np.all(np.isfinite(problem.table.weights)) and np.all(problem.table.weights >= 0.0)
+        assert math.isfinite(problem.reaction.c_growth) and math.isfinite(problem.reaction.l_lipschitz)
+
+
+SIZES = ["0", "-1", "255", "256", "65535", "65536", "99999999999", "99999999999999999999",
+         "1e3", "x", "\xff"]
+
+
+@st.composite
+def pgm_bytes(draw):
+    """A header of, mostly, valid fields and a raster of about the length
+    it asks for, else random bytes."""
+    magic = pick(draw, draw(st.sampled_from([b"P2", b"P5"])), st.sampled_from([b"P6", b"P", b"P55"]))
+    fields = [pick(draw, draw(st.sampled_from(["1", "2", "3"])), st.sampled_from(SIZES)) for _ in "wh"]
+    fields.append(pick(draw, draw(st.sampled_from(["255", "1", "65535"])), st.sampled_from(SIZES)))
+    fields = [f.encode("latin-1") for f in fields[: pick(draw, 3, st.integers(0, 2))]]
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b" # note\n"]))
+    count = math.prod(int(f) for f in fields[:2]) if all(f.isdigit() for f in fields[:2]) else 4
+    count = max(0, min(count, 40) + pick(draw, 0, st.integers(-2, 2)))
+    if magic == b"P2":
+        sample = st.sampled_from(["0", "1", "2", "255"] + SIZES)
+        raster = " ".join(draw(sample) for _ in range(count)).encode("latin-1")
+    else:
+        raster = draw(st.binary(min_size=2 * count, max_size=2 * count))
+    raster = pick(draw, raster, st.binary(max_size=24))
+    return sep.join([magic, *fields]) + draw(st.sampled_from([b"\n", b" ", b""])) + raster
+
+
+@given(pgm_bytes())
+@EXAMPLES
+def test_pgm_bytes_load_or_are_refused(scratch, data):
+    path = scratch / "image.pgm"
+    path.write_bytes(data)
+    image = reads(load_pgm, path)
+    mapped = None if image is None else reads(image_to_field, image)
+    if mapped is not None:
+        grid, field = mapped
+        assert field.values.size == image.width * image.height == grid.node_count
+        assert 0.0 <= field.values.min() <= field.values.max() <= 1.0
+
+
+BAD_HEADERS = {
+    "dim": ["0", "3", "nan", "", "1 2"],
+    "extents": ["1 0", "0 1e-320", "-1e308 1e308", "0 inf", "0", "x y", "0 1 0 1 0 1"],
+    "counts": ["1", "99999999999", "1099511627776 1099511627776", "4294967296 4294967296",
+               "-4", "2.5"],
+}
+
+
+@st.composite
+def field_texts(draw):
+    """Mostly the three header lines in order, each value valid or not, and
+    about as many values as a valid header asks for."""
+    dim = draw(st.sampled_from([1, 2]))
+    valid = {"dim": str(dim), "extents": "0 1" if dim == 1 else "0 1 0 0.5",
+             "counts": "4" if dim == 1 else "2 3"}
+    lines = [pick(draw, "# nldiff-field v1", st.sampled_from(["# nldiff-field v2", "", "#"]))]
+    lines += [f"# {key} {pick(draw, valid[key], st.sampled_from(bad))}"
+              for key, bad in BAD_HEADERS.items()]
+    lines[1:] = pick(draw, lines[1:], st.permutations(lines[1:]))
+    if draw(st.integers(0, 3)):
+        value = st.floats(-1e308, 1e308).map(repr)
+    else:
+        value = st.one_of(st.sampled_from(["1e-320", "-0.0", "# c", ""] + NUMBERS), NO_DIGITS)
+    count = 4 if dim == 1 else 6
+    lines += draw(st.lists(value, min_size=count - 1, max_size=count + 1))
+    return "\n".join(lines), pick(draw, "utf-8", st.just("latin-1"))
+
+
+@given(field_texts())
+@example(("# nldiff-field v1\n# dim 2\n# extents 0 1 0 1\n# counts 4294967296 4294967296\n",
+          "utf-8"))  # 2^64 nodes, which an int64 product wraps to 0
+@EXAMPLES
+def test_field_csv_text_loads_or_is_refused(scratch, text_encoding):
+    text, encoding = text_encoding
+    path = scratch / "field.csv"
+    path.write_bytes(text.encode(encoding, errors="replace"))
+    field = reads(load_field, path)
+    if field is not None:
+        assert field.values.size == math.prod(field.grid.counts)
+        assert np.all(np.isfinite(field.values))

@@ -242,11 +242,6 @@ def test_nonconformant_data_is_refused_with_report():
     assert not exc.value.report.all_passed
 
 
-def test_nonconformant_override_records_the_failure():
-    traj = solve_problem(two_node_problem([-0.2, 1.0]), allow_nonconformant=True)
-    assert traj.constants["assumptions_ok"] is False
-
-
 def box_growth_problem(slope, mu, u0, record_every=1):
     # a constant state keeps the operator at zero, so u grows like the
     # affine reaction alone while the damping transform scales it by e^{mu t}
