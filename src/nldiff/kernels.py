@@ -89,11 +89,11 @@ class SpatialKernelTable:
     shares one sorted array of such positions, |dj| columns of every row,
     and its ``wrap`` is the prefix of it inside its range.  Consecutive
     shorter offsets are packed into gather blocks of about
-    ``_GATHER_CHUNK`` pairs: a float64 weight per pair next to int32 flat
-    node indices of every pair, offset after offset, and wrap None.  On
-    short slices the walk's cost is per-offset numpy dispatch rather than
-    arithmetic, which gathering removes; on long ones the gather costs
-    more than the slices, so the choice follows the slice length.
+    ``_GATHER_CHUNK`` pairs: a float64 weight per pair next to ``np.intp``
+    flat node indices of every pair, offset after offset, and wrap None.
+    On short slices the walk's cost is per-offset numpy dispatch rather
+    than arithmetic, which gathering removes; on long ones the gather
+    costs more than the slices, so the choice follows the slice length.
 
     ``zero_weight`` is the weight of d = 0, which couples a node with
     itself and so carries no flux of an odd kernel; the one-step filter
@@ -175,6 +175,11 @@ class SpatialKernelTable:
 #   longer than its pairs by the wrapped ones (see SpatialKernelTable).
 # - on an all-gathered 24^2 Gaussian-0.12 table, chunks of 2048, 8192 and
 #   65536 pairs: 1.52, 1.14 and 3.14 ms.
+# The node indices are np.intp, which take() and bincount() use as they are;
+# int32 indices are converted on every call.  One p = 2.5 apply with its
+# energy on the 24^2 Gaussian-0.12 table, one CPU, 40 interleaved rounds:
+# median 0.79 ms with int32 indices, 0.70 ms with intp, for 4 more bytes
+# per index (0.6 MB on that table).
 _GATHER_BELOW = 1024
 _GATHER_CHUNK = 8192
 
@@ -183,7 +188,7 @@ def _walk_blocks(grid: Grid, pairs: list) -> tuple:
     """Cut the positive offsets, each (w, offset, pair count), into slice
     blocks and gather blocks, in order; returns the blocks and the length
     of the largest, a slice block's whole range included."""
-    node = np.arange(grid.node_count, dtype=np.int32).reshape(grid.counts)
+    node = np.arange(grid.node_count, dtype=np.intp).reshape(grid.counts)
     blocks, group, held, largest, wraps = [], [], 0, 0, {}
     for w, offset, size in pairs:
         if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
@@ -542,13 +547,24 @@ class RangeKernel:
         variable_exponent and custom densities are only monitors."""
         return self.family in ("linear", "p_laplacian", "spatial_exponent", "bilateral_gaussian")
 
+    @property
+    def flux_exponent(self) -> float | None:
+        """The one scalar q with Phi = s A / q in :meth:`terms`: 2 for the
+        linear family, p for p_laplacian, else None.  Where there is one,
+        the pair walk sums the energy from its weighted flux and never
+        forms Phi (see :mod:`nldiff.operator`)."""
+        fam = self.family
+        return 2.0 if fam == "linear" else self.p if fam == "p_laplacian" else None
+
     def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
         """(A, Phi) at value differences ``s`` from one evaluation, Phi
         only with ``energy`` (else None).
 
-        Phi is the flow's energy density, computed only here (see
-        :mod:`nldiff.operator`): s A / q = |s|^q / q for the power
-        families of exponent q, (h^2/2)(1 - g) for the bilateral family,
+        Phi is the flow's energy density, computed only here or, for
+        the families with a :attr:`flux_exponent`, summed by the pair
+        walk from its weighted flux (see :mod:`nldiff.operator`):
+        s A / q, which is |s|^q / q for the power families of exponent q
+        and s^2/2 for linear (q = 2), (h^2/2)(1 - g) for the bilateral family,
         whose A is s g with the same window g = exp(-(s/h)^2), the base's
         density for a mollified kernel, and the quadratic s^2/2 for
         variable_exponent and custom, which have no antiderivative in s
@@ -570,13 +586,12 @@ class RangeKernel:
             if energy:
                 self.base.terms(t, s, pair_ref, True, (a, phi))
             return self._mollified(t, s, pair_ref, a), phi
-        q = None
+        q = self.flux_exponent
         if fam == "linear":
             np.copyto(a, s)
         elif fam == "custom":
             np.copyto(a, self.fn(t, s))
         elif fam == "p_laplacian":
-            q = self.p
             _signed_power(s, q - 1.0, a)
         elif fam == "spatial_exponent":
             q = self.pair_exponents(pair_ref).q
@@ -678,7 +693,7 @@ def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
     where |s| > 0.
     """
     mag = np.abs(s, out=out)
-    if np.ndim(exponent) == 0 and exponent >= 1.0:
+    if np.isscalar(exponent) and exponent >= 1.0:
         mag **= exponent - 1.0
         np.multiply(s, mag, out=mag)
         mag += 0.0

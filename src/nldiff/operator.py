@@ -46,14 +46,19 @@ interpolated once per walk, from a walk over the reference field.
 
 A :class:`_Walk` holds what a walk reuses: the pair exponents, buffers,
 output, and for a table of at least two blocks and ``_SPLIT_PAIRS`` pair
-positions a split of the blocks in two halves at the block boundary
-nearest half the positions.  :meth:`_Walk.apply` sums each half into its
-own output and energy, then adds the second to the first (the pairing's
-right side and the filter walk the blocks in order).  The order
-is the table's, so no bit depends on the CPU count: a solve that may use
-two CPUs forks a helper process (:class:`~nldiff.errors._Helper`) before
-its first step to walk the second half of each step on a shared copy of
-u, and otherwise both halves run in process.
+positions a split of the blocks in two halves at half the positions.
+Where the half falls inside a gather block, the walk cuts that block in
+two, as views of its arrays, so the halves differ by at most one
+position; inside a slice block it cuts at the nearest block boundary,
+which on long slices is close to the half already.  The walk's own
+``blocks`` are the table's with that one cut, and every walk goes over
+them.  :meth:`_Walk.apply` sums each half into its own output and energy,
+then adds the second to the first (the pairing's right side and the
+filter walk the blocks in order).  The cut and the order do not depend on
+the CPU count, so no bit does: a solve that may use two CPUs forks a
+helper process (:class:`~nldiff.errors._Helper`) before its first step
+to walk the second half of each step on a shared copy of u, and
+otherwise both halves run in process.
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -79,8 +84,14 @@ Phi = (h^2/2)(1 - exp(-s^2/h^2)), along the operator with
 A = s exp(-s^2/h^2).  One call of ``terms`` per block returns A and
 Phi from the same intermediates, the bilateral pair from one Gaussian
 window, so a time step gets the energy of its state from the walk that
-applies the operator.  That is the one energy sum: :func:`flow_energy`
-is the same walk at t = 0, its operator discarded.
+applies the operator.  Where Phi = s A / q with one scalar q
+(:attr:`~nldiff.kernels.RangeKernel.flux_exponent`: the linear family,
+q = 2, and p_laplacian, q = p), the walk asks ``terms`` for A alone and
+never forms Phi: the energy is sum(w A s) / q, each block's sum(w A s)
+taken from the weighted flux w A it scatters anyway, in one product and
+one pairwise sum, and the total divided by q once.  The other families
+sum their Phi.  That is the one energy sum: :func:`flow_energy` is the
+same walk at t = 0, its operator discarded.
 """
 
 from __future__ import annotations
@@ -147,7 +158,41 @@ def _weighted_sum(w, v, wrap) -> float:
 # 11k positions 0.21 vs 0.15 ms, 20k 0.37 vs 0.32, 48k 0.84 vs 0.57, 76k
 # 1.25 vs 0.83, 240k 4.1 vs 2.4 ms.  Forking and reaping the helper takes
 # 3-4 ms, which the split repays within about 30 steps from 32k positions.
+# The halves are even, to the position, where the half falls inside a
+# gather block (_split).  On the 24^2 patch table (10 gather blocks, 75,888
+# positions) the nearest block boundary gave 33,712 + 42,176 positions,
+# and over the 513 steps of its solve the main process waited 34-150 ms
+# for the helper (9 solves, 2 CPUs); the even cut, 37,944 each, waited
+# 14-75 ms.  A cut at 53% of the positions, the larger share in the main
+# process, waited 19-72 ms with no shorter solve, so the cut stays at the
+# half.
 _SPLIT_PAIRS = 32768
+
+
+def _positions(block) -> int:
+    """A block's pair positions, a slice block's whole range included."""
+    return block[1].stop if isinstance(block[1], slice) else block[1].size
+
+
+def _split(blocks: tuple) -> tuple:
+    """The blocks of a walk and the index of its second half's first block,
+    len(blocks) for a walk in one half.  A walk of at least _SPLIT_PAIRS
+    positions in two blocks or more is cut at half its positions: inside
+    the gather block that holds the half, which becomes two blocks, views
+    of its arrays, else at the block boundary nearest the half, which on
+    long slice blocks is close to it already."""
+    n = len(blocks)
+    ends = np.cumsum([_positions(b) for b in blocks])
+    if n < 2 or ends[-1] < _SPLIT_PAIRS:
+        return blocks, n
+    half = int(ends[-1]) // 2
+    k = int(np.searchsorted(ends, half, side="right"))  # the block that holds the half
+    w, dst, src, _ = blocks[k]
+    cut = half - (int(ends[k]) - _positions(blocks[k]))
+    if cut and not isinstance(dst, slice):
+        parts = (w[:cut], dst[:cut], src[:cut], None), (w[cut:], dst[cut:], src[cut:], None)
+        return blocks[:k] + parts + blocks[k + 1 :], k + 1
+    return blocks, 1 + int(np.argmin(np.abs(ends[:-1] - 0.5 * ends[-1])))
 
 
 class _Walk:
@@ -159,6 +204,10 @@ class _Walk:
     def __init__(self, table: SpatialKernelTable, kernel: RangeKernel | None = None):
         self.table, self.kernel = table, kernel
         self.buf = np.empty((3, table.largest_block))
+        self.q = None if kernel is None else kernel.flux_exponent
+        self.blocks, cut = _split(table.blocks)
+        n = len(self.blocks)
+        self.halves = (range(cut), range(cut, n)) if cut < n else (range(n),)
         self.exps = None
         if kernel is not None and kernel.needs_pair_reference:
             ref = kernel.reference
@@ -168,12 +217,6 @@ class _Walk:
                 raise GridMismatchError("kernel reference field lives on a different grid")
             # fixed by the reference field, so interpolated once per walk
             self.exps = tuple(kernel.pair_exponents(r) for _, r, _, _ in self.pairs(ref.values))
-        n = len(table.blocks)
-        ends = np.cumsum([b[1].stop if isinstance(b[1], slice) else b[1].size for b in table.blocks])
-        cut = n
-        if n >= 2 and ends[-1] >= _SPLIT_PAIRS:
-            cut = 1 + int(np.argmin(np.abs(ends[:-1] - 0.5 * ends[-1])))
-        self.halves = (range(cut), range(cut, n)) if cut < n else (range(n),)
         nodes = table.grid.node_count
         # the output, and the second half's until a helper shares it
         self.out, self.second = np.empty(nodes), np.empty(nodes if cut < n else 0)
@@ -181,40 +224,47 @@ class _Walk:
 
     def pairs(self, u, blocks=None):
         """The walk over the flat node array u, the one decoder of the
-        table's blocks (see :class:`~nldiff.kernels.SpatialKernelTable`):
-        per block, all or those of the range ``blocks``, yield
+        table's blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
+        as the walk's own ``blocks`` hold them, split in two where a half
+        ends inside a gather block: per block, all or those of the range
+        ``blocks``, yield
         ((w, dst, src, wrap), s, pe, scratch), with s = u(x+d) - u(x) over
         the block's pairs and 0.0 at its wrapped ones, so no kernel sees two
         nodes that are not a pair, pe the block's pair exponents (or None)
         and scratch two arrays shaped like s for the caller to overwrite.
         s and scratch are views of the walk's buffers, valid until the next
         block."""
-        buf, table_blocks = self.buf, self.table.blocks
-        for k in range(len(table_blocks)) if blocks is None else blocks:
-            _, dst, src, wrap = block = table_blocks[k]
+        buf, walk_blocks = self.buf, self.blocks
+        for k in range(len(walk_blocks)) if blocks is None else blocks:
+            _, dst, src, wrap = block = walk_blocks[k]
             if isinstance(dst, slice):
                 s, a, b = buf[:, : dst.stop]
                 _drop_wrapped(np.subtract(u[src], u[dst], out=s), wrap)
             else:
                 s, a, b = buf[:, : src.size]
                 # the indices are in range; "clip" writes to out without a copy
-                np.take(u, src, out=s, mode="clip")
-                np.subtract(s, np.take(u, dst, out=a, mode="clip"), out=s)
+                u.take(src, out=s, mode="clip")
+                np.subtract(s, u.take(dst, out=a, mode="clip"), out=s)
             yield block, s, None if self.exps is None else self.exps[k], (a, b)
 
     def _half(self, blocks, out, u, t, energy):
         """Over the pairs of ``blocks``: the operator's sum, less the node
         volume, into ``out``, and the energy's sum, returned (0.0 without
-        ``energy``)."""
+        ``energy``), times the flux exponent q where the kernel has one."""
         kernel, acc = self.kernel, 0.0
+        phi_energy = energy and self.q is None
         out.fill(0.0)
         for (w, dst, src, wrap), s, pe, scratch in self.pairs(u, blocks):
-            a, phi = kernel.terms(t, s, pe, energy, scratch)
+            a, phi = kernel.terms(t, s, pe, phi_energy, scratch)
             wa = _weigh(w, a, wrap)
             _scatter(np.add, out, dst, wa)
             _scatter(np.subtract, out, src, wa)
-            if energy:
+            if phi_energy:
                 acc += _weighted_sum(w, phi, wrap)
+            elif energy:
+                # q Phi = s A, so the block's q-fold energy is sum(w A s), formed in
+                # the scratch array terms left free and summed pairwise
+                acc += float(np.multiply(wa, s, out=scratch[1]).sum())
         return acc
 
     def apply(self, u, t, energy=False):
@@ -230,6 +280,8 @@ class _Walk:
             acc += self.helper.reply() if self.helper else self._half(second[0], self.second, u, t, energy)
             self.out += self.second
         nv = self.table.grid.node_volume
+        if energy and self.q is not None:
+            acc /= self.q
         # the walk visits each unordered pair once; the energy sums ordered pairs
         e = 2.0 * nv**2 * acc if energy else None
         return np.multiply(self.out, nv, out=self.out), e

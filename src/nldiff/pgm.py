@@ -62,7 +62,8 @@ def _tokens(data: bytes):
 
 
 def load_pgm(path) -> ImageField:
-    """Read a P2 or P5 grayscale image and scale it to [0, 1]."""
+    """Read a P2 or P5 grayscale image and scale it to [0, 1].  An image
+    one pixel wide or high is refused: it maps to no grid."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields = []
@@ -110,6 +111,10 @@ def load_pgm(path) -> ImageField:
             samples = raw.astype(np.int64)
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmFormatError(f"{path}: sample outside [0, {maxval}]")
+    for axis, n in (("width", width), ("height", height)):
+        if n < 2:
+            raise PgmFormatError(f"{path}: image {axis} is {n} pixel; each pixel is a grid node, "
+                                 "and a grid needs at least 2 along each axis")
     values = samples.reshape(height, width).astype(np.float64) / maxval
     return ImageField(width=width, height=height, values=values)
 

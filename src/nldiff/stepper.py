@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +72,19 @@ DIAGNOSTIC_COLUMNS = ("step", "t", "min", "max", "mass", "energy", "op_sup")
 
 # exp overflows float64 just above 709; refuse runs that would hit it
 _MAX_MU_T = 700.0
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by this function's
+    caller names the first frame outside the nldiff package (the outermost
+    frame, if every one is inside), so that callers of every entry point
+    see their own line and the once-per-location filter keeps them apart."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -260,7 +274,7 @@ def solve(
         warnings.warn(
             f"step size {tau:.3g} exceeds the positivity bound {tau_limit:.3g}; "
             "positivity and the maximum principle are not guaranteed",
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
 
     w = u0.values.copy()

@@ -5,6 +5,7 @@ two-node problem the value difference decays like e^{-t}, so the exact
 final state is available without any numerical reference.
 """
 
+import inspect
 import math
 import multiprocessing
 import os
@@ -419,6 +420,7 @@ def test_cauchy_study_warns_level_by_level(monkeypatch):
     for cpus in (1, 4):
         use_cpus(monkeypatch, cpus)
         with pytest.warns(UserWarning, match="positivity bound") as rec:
+            line = inspect.currentframe().f_lineno + 1
             mollifier_cauchy_study(prob, [2, 4, 8])
         seen[cpus] = [(w.category, str(w.message), w.filename, w.lineno) for w in rec]
         # an error filter raises the first one, as it would inside the solve
@@ -429,6 +431,8 @@ def test_cauchy_study_warns_level_by_level(monkeypatch):
         assert multiprocessing.active_children() == []
     assert len(seen[1]) == 3
     assert seen[1] == seen[4]
+    # each names the study's call in this file, from a helper as in process
+    assert {(os.path.basename(f), n) for _, _, f, n in seen[1]} == {(os.path.basename(__file__), line)}
 
 
 def test_every_error_pickles_with_its_class_message_and_attributes():

@@ -622,6 +622,16 @@ def test_bad_denoise_arguments_exit_2(tmp_path, capsys, args, detail):
     assert err.startswith("error: ") and detail in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("size, axis", [("1 3", "width"), ("3 1", "height")])
+def test_denoise_refuses_an_image_one_pixel_thin(tmp_path, capsys, size, axis):
+    img = tmp_path / "thin.pgm"
+    img.write_text(f"P2\n{size}\n255\n0 128 255\n")
+    assert main(["denoise", "--image", str(img), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {img}: image {axis} is 1 pixel") and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_huge_radius_runs_as_radius_1e150(tmp_path):
     img = noisy_image(tmp_path)
     for radius in ("1e150", "1e300"):

@@ -449,6 +449,37 @@ def test_flow_energy_is_a_python_float_on_gather_and_slice_blocks(counts, h):
     assert type(operator._Walk(t, k).apply(u.values, 0.0, True)[1]) is float
 
 
+@pytest.mark.parametrize("counts, layout, kinds, wrapped", [
+    ([40], (1, 1), {"slice"}, False),
+    ([7, 6], (1, 1), {"slice"}, True),
+    ([7, 6], (4, 5), {"slice", "gather"}, True),
+    ([7, 6], (kernels._GATHER_BELOW, kernels._GATHER_CHUNK), {"gather"}, False),
+], ids=["slice", "wrapped_slice", "mixed", "gather"])
+def test_flux_energy_matches_the_scalar_oracle(monkeypatch, counts, layout, kinds, wrapped):
+    # the linear and p_laplacian energies are sum(w A s) / q over the
+    # walk's weighted flux, with no density formed: against an exact sum
+    # of w |s|^p / p (s^2 / 2 for linear) over every ordered pair
+    g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
+    t = table_with_layout(g, *_gaussian_rows(g, 0.25), *layout)
+    assert set(block_kinds(t)) == kinds
+    assert any(b[3] is not None and b[3].size for b in t.blocks) == wrapped
+    u = np.random.default_rng(71).uniform(0.0, 1.0, g.node_count)
+    pairs = list(scalar_pairs(g, t))
+    formed = []
+    terms = kernels.RangeKernel.terms
+    monkeypatch.setattr(kernels.RangeKernel, "terms",
+                        lambda k, t_, s, pr=None, energy=False, out=None:
+                        formed.append(energy) or terms(k, t_, s, pr, energy, out))
+    cases = [(linear_kernel(), 2.0)] + [(p_laplacian_kernel(p), p) for p in (1.5, 2.0, 2.5, 3.0)]
+    for k, q in cases:
+        assert k.flux_exponent == q
+        want = g.node_volume**2 * math.fsum(
+            w * (0.5 * (u[y] - u[x]) ** 2 if k.family == "linear" else abs(u[y] - u[x]) ** q / q)
+            for x, y, w in pairs)
+        assert flow_energy(g, t, k, Field(g, u)) == pytest.approx(want, rel=1e-14), q
+    assert formed and not any(formed)
+
+
 def test_eval_wrapped_with_its_exact_signature_changes_no_result():
     # A profiler may time range evaluations by replacing RangeKernel.eval
     # with a wrapper of exactly (kernel, t, s, pair_ref=None); the program
@@ -557,7 +588,7 @@ def test_walk_layout_follows_slice_length():
     small = make_spatial_kernel(g, "gaussian", 0.12)
     assert set(block_kinds(small)) == {"gather"}
     for w, dst, src, wrap in small.blocks:
-        assert w.dtype == np.float64 and dst.dtype == np.int32 and src.dtype == np.int32
+        assert w.dtype == np.float64 and dst.dtype == np.intp and src.dtype == np.intp
         assert w.size == dst.size == src.size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
         assert wrap is None
     # the gather blocks hold every pair of the positive offsets, in table
@@ -808,6 +839,50 @@ def test_split_solve_is_bit_identical_with_the_helper_and_on_one_cpu(monkeypatch
         np.testing.assert_allclose(op, op1, rtol=1e-13, atol=1e-15 * np.max(np.abs(op1)))
         assert e == pytest.approx(e1, rel=1e-14)
     assert len(forks) == (len(cases) if TWO_CPUS else 0)
+
+
+def test_an_even_split_cuts_the_gather_block_that_holds_the_half(monkeypatch):
+    monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
+    g = build_grid(2, [(0.0, 1.0)] * 2, [12, 10])
+    t = table_with_layout(g, *_gaussian_rows(g, 0.3), kernels._GATHER_BELOW, 64)
+    assert set(block_kinds(t)) == {"gather"}
+    u0 = Field(g, np.random.default_rng(53).uniform(0.1, 0.9, g.node_count))
+    walk = operator._Walk(t)
+    first, second = ([operator._positions(walk.blocks[i]) for i in half] for half in walk.halves)
+    assert abs(sum(first) - sum(second)) <= 1
+    assert sum(first) + sum(second) == sum(map(operator._positions, t.blocks))
+    # the block that holds the half is cut in two, as views of its arrays
+    k = len(first) - 1
+    assert len(walk.blocks) == len(t.blocks) + 1
+    assert walk.blocks[:k] == t.blocks[:k] and walk.blocks[k + 2:] == t.blocks[k + 1:]
+    assert 0 < first[-1] < operator._positions(t.blocks[k])
+    for whole, a, b in zip(t.blocks[k][:3], walk.blocks[k][:3], walk.blocks[k + 1][:3]):
+        assert np.shares_memory(whole, a) and np.shares_memory(whole, b)
+        assert np.array_equal(np.concatenate([a, b]), whole)
+    forks = count_forks(monkeypatch)
+    cfg = SolverConfig(T=0.05, steps=6, mu_mode="auto_linf", record_every=2)
+    ks = _kernels_for(g, u0) + [custom_odd_kernel()]
+    for k in ks:
+        # the split walk against the table's blocks walked in one half
+        op, e = operator._Walk(t, k).apply(u0.values, 0.3, True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operator, "_SPLIT_PAIRS", t.pair_count)
+            whole = operator._Walk(t, k)
+            assert len(whole.halves) == 1 and whole.blocks is t.blocks
+            op1, e1 = whole.apply(u0.values, 0.3, True)
+        np.testing.assert_allclose(op, op1, rtol=1e-13, atol=1e-15 * np.max(np.abs(op1)))
+        assert e == pytest.approx(e1, rel=1e-14)
+        # and a solve gives the same bytes with the helper and on one CPU
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step size above the positivity bound
+            forked = solve(g, t, k, zero_reaction(), u0, cfg)
+            with one_cpu():
+                pinned = solve(g, t, k, zero_reaction(), u0, cfg)
+        for a, b in zip(forked.states, pinned.states):
+            assert a.values.tobytes() == b.values.tobytes(), k.family
+        for c in forked.per_step:
+            assert forked.per_step[c].tobytes() == pinned.per_step[c].tobytes(), (k.family, c)
+    assert len(forks) == (len(ks) if TWO_CPUS else 0)
 
 
 def test_split_solve_records_the_flow_energy_of_each_state(monkeypatch):

@@ -8,8 +8,10 @@ reaction recursion that can be checked both bit for bit and against the
 closed-form logistic solution.
 """
 
+import inspect
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +310,24 @@ def test_tau_restriction_warning_mentions_the_bound():
         traj = solve(g, t, p_laplacian_kernel(1.5), zero_reaction(), u0,
                      SolverConfig(T=0.1, steps=4, mu_mode="manual"))
     assert traj.constants["tau"] > traj.constants["tau_positivity_limit"]
+
+
+def test_step_size_warning_names_the_callers_line():
+    # each entry point's caller is named, so the once-per-location filter
+    # keeps the warnings of different callers apart
+    prob = two_node_problem([0.2, 1.0], T=5.0, steps=2)
+    args = (prob.grid, prob.table, prob.kernel, prob.reaction, prob.u0, prob.config)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("default")
+        line = inspect.currentframe().f_lineno
+        solve(*args)
+        solve_problem(prob)
+        solve_problem(prob)  # the same text from a new line: shown again
+        for _ in range(2):
+            solve(*args)  # the same text from the same line: shown once
+    assert [(os.path.basename(w.filename), w.lineno) for w in rec] == [
+        (os.path.basename(__file__), line + k) for k in (1, 2, 3, 5)]
+    assert all("positivity bound" in str(w.message) for w in rec)
 
 
 def test_initial_state_grid_mismatch():

@@ -1,0 +1,115 @@
+"""Where the time of one config's pair walk goes.
+
+    python tools/walk_timing.py configs/logistic_patch_2d.cfg [--repeats 300] [--solves 3]
+
+Run from the root of a source tree; ``src/`` is put first on the import
+path.  Prints three sections:
+
+* the walk's blocks, by kind (slice or gather) with their count and
+  smallest, median and largest pair positions, and the positions of each
+  half of the walk;
+* the median time of one in-process apply with the energy, the call a
+  solver step makes, over ``--repeats`` calls;
+* the config's whole solve, ``--solves`` times, its wall time split into
+  the halves of the walk this process ran (both on one CPU, the first
+  when a helper process walks the second), the wait for the helper (0
+  when none runs), and the rest.  The split comes from wrapping
+  ``_Walk._half`` and ``_Helper.reply`` from outside; the helper's own
+  half is not timed here.
+
+Only the standard library and numpy; nothing in ``src/`` is changed for it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from nldiff import build_problem, parse_config, solve_problem  # noqa: E402
+from nldiff import errors, operator  # noqa: E402
+
+
+def block_rows(walk) -> list:
+    """(kind, count, smallest, median, largest positions) per block kind of
+    the walk's blocks, in the order the kinds first appear."""
+    sizes = {}
+    for block in walk.blocks:
+        kind = "slice" if isinstance(block[1], slice) else "gather"
+        sizes.setdefault(kind, []).append(operator._positions(block))
+    return [(k, len(v), min(v), int(statistics.median(v)), max(v)) for k, v in sizes.items()]
+
+
+def half_positions(walk) -> list:
+    return [sum(operator._positions(walk.blocks[k]) for k in half) for half in walk.halves]
+
+
+def apply_ms(walk, u, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        walk.apply(u, 0.0, True)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def timed_solve(problem) -> tuple:
+    """(wall, halves walked in this process, wait for the helper) of one
+    solve, in seconds."""
+    spent = {"half": 0.0, "wait": 0.0}
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] += time.perf_counter() - t0
+        return wrapper
+
+    half, reply = operator._Walk._half, errors._Helper.reply
+    operator._Walk._half = timed(half, "half")
+    errors._Helper.reply = timed(reply, "wait")
+    try:
+        t0 = time.perf_counter()
+        solve_problem(problem)
+        wall = time.perf_counter() - t0
+    finally:
+        operator._Walk._half, errors._Helper.reply = half, reply
+    return wall, spent["half"], spent["wait"]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("config")
+    ap.add_argument("--repeats", type=int, default=300, help="applies timed (default 300)")
+    ap.add_argument("--solves", type=int, default=3, help="solves timed (default 3)")
+    args = ap.parse_args(argv)
+
+    problem = build_problem(parse_config(args.config))
+    walk = operator._Walk(problem.table, problem.kernel)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    print(f"{args.config}: {problem.grid.node_count} nodes, {problem.table.size} offsets, "
+          f"kernel {problem.kernel.family}, {cpus} CPU(s)")
+    for kind, count, lo, mid, hi in block_rows(walk):
+        print(f"  {count:4d} {kind} blocks, positions min {lo}, median {mid}, max {hi}")
+    print(f"  halves: {' + '.join(map(str, half_positions(walk)))} positions")
+
+    u = problem.u0.values
+    print(f"apply with energy, in process: median {apply_ms(walk, u, args.repeats):.3f} ms "
+          f"of {args.repeats}")
+
+    for k in range(args.solves):
+        wall, half, wait = timed_solve(problem)
+        print(f"solve {k + 1}: {1e3 * wall:.1f} ms = halves here {1e3 * half:.1f} + "
+              f"wait {1e3 * wait:.1f} + rest {1e3 * (wall - half - wait):.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
