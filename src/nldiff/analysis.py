@@ -326,8 +326,8 @@ def time_refinement_study(problem: Problem, step_counts) -> RunReport:
     counts = [int(n) for n in step_counts]
     if len(counts) < 3:
         raise ConfigurationError("need at least three step counts")
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ConfigurationError("step counts must increase strictly")
+    if any(b <= a for a, b in zip(counts, counts[1:])) or counts[0] < 1:
+        raise ConfigurationError("step counts must be strictly increasing and >= 1")
     if any(b % a for a, b in zip(counts, counts[1:])):
         raise ConfigurationError("each step count must divide the next")
 

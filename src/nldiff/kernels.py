@@ -60,49 +60,19 @@ REACTION_FAMILIES = ("zero", "linear_decay", "affine", "logistic", "custom_table
 
 @dataclass(frozen=True)
 class SpatialKernelTable:
-    """A spatial kernel sampled on integer node offsets, and the walk over
-    the node pairs it couples.
+    """A spatial kernel sampled on integer node offsets.
 
     ``offsets`` has shape (K, dim) and ``weights`` shape (K,).  Entries are
     sorted lexicographically by offset, which fixes the evaluation order of
     every loop that walks the table and so keeps runs reproducible.
     ``normalization`` records the constant the raw samples were divided by
-    to reach a unit discrete integral.
-
-    The table owns that walk.  The spatial kernel is even and every range
-    kernel is odd, so the pair (x, x + d) and its mirror (x + d, x) carry
-    the same flux with opposite signs; the walk therefore visits only the
-    lexicographically positive offsets d > 0, in table order, leaving out
-    those whose overlap with the grid is empty.
-
-    ``blocks`` is the walk itself, cut into blocks, each a tuple
-    ``(w, dst, src, wrap)`` that only the walk,
-    :meth:`nldiff.operator._Walk.pairs`, decodes.  An offset whose slice holds
-    at least ``_GATHER_BELOW`` pairs is a slice block: its float weight, and the
-    flat ranges ``dst = slice(0, n)`` and ``src = slice(D, D + n)`` of the
-    C-ordered node array, with D the flat distance of d and n = N - D, so
-    that the walk forms s with one contiguous 1-D subtraction.  On a 2-D
-    grid an offset d = (di, dj) with dj != 0 has pairs in that range that
-    are no pair of the grid, x and x + D on either side of a row end;
-    ``wrap`` holds their positions in the range, |dj| per row, and is None
-    where no pair wraps (1-D grids, dj = 0).  Every offset of one dj
-    shares one sorted array of such positions, |dj| columns of every row,
-    and its ``wrap`` is the prefix of it inside its range.  Consecutive
-    shorter offsets are packed into gather blocks of about
-    ``_GATHER_CHUNK`` pairs: a float64 weight per pair next to ``np.intp``
-    flat node indices of every pair, offset after offset, and wrap None.
-    On short slices the walk's cost is per-offset numpy dispatch rather
-    than arithmetic, which gathering removes; on long ones the gather
-    costs more than the slices, so the choice follows the slice length.
-
-    ``zero_weight`` is the weight of d = 0, which couples a node with
-    itself and so carries no flux of an odd kernel; the one-step filter
-    still counts it.  ``pair_count`` is the number of ordered node pairs
-    the full table couples, every offset included, and ``largest_block``
-    the length of the walk's longest block, a slice block's range counted
-    whole, wrapped pairs included.  A table that is not
-    even, offsets and weights bit for bit, raises
-    :class:`KernelValidationError`.
+    to reach a unit discrete integral.  ``zero_weight`` is the weight of
+    d = 0, which couples a node with itself and so carries no flux of an
+    odd kernel; the one-step filter still counts it.  ``pair_count`` is
+    the number of ordered node pairs the table couples, every offset
+    included.  The table holds no walk: :class:`nldiff.operator._Walk`
+    cuts its offsets into blocks.  A table that is not even, offsets and
+    weights bit for bit, raises :class:`KernelValidationError`.
     """
 
     grid: Grid
@@ -110,10 +80,8 @@ class SpatialKernelTable:
     offsets: np.ndarray
     weights: np.ndarray
     normalization: float
-    blocks: tuple = field(init=False, repr=False, compare=False)
     zero_weight: float = field(init=False, repr=False, compare=False)
     pair_count: int = field(init=False, repr=False, compare=False)
-    largest_block: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = _int64_offsets(self.offsets)
@@ -133,22 +101,8 @@ class SpatialKernelTable:
             )
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
-        zero = (0,) * self.grid.dim
-        pairs, count, w0 = [], 0, 0.0
-        for w, offset in zip(weights.tolist(), offsets.tolist()):
-            size = 1
-            for c, a in zip(self.grid.counts, offset):
-                size *= max(0, c - abs(a))
-            count += size
-            if tuple(offset) == zero:
-                w0 += w
-            elif size and tuple(offset) > zero:
-                pairs.append((w, tuple(offset), size))
-        blocks, largest = _walk_blocks(self.grid, pairs)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "largest_block", largest)
-        object.__setattr__(self, "zero_weight", w0)
-        object.__setattr__(self, "pair_count", count)
+        object.__setattr__(self, "zero_weight", sum(weights[~offsets.any(axis=1)].tolist(), 0.0))
+        object.__setattr__(self, "pair_count", sum(_pair_counts(self.grid, offsets)))
 
     @property
     def size(self) -> int:
@@ -165,83 +119,10 @@ class SpatialKernelTable:
         return float(self.weights[hit[0]]) if hit.size else 0.0
 
 
-# Offsets with fewer pairs than _GATHER_BELOW are gathered, in blocks of about
-# _GATHER_CHUNK pairs, which bounds the index memory and the temporaries of
-# one block.  Measured on a 2-core x86 machine, numpy 2.4, one application
-# of a p = 2.5 operator with its energy:
-# - over 16 offsets of n pairs each, sliced vs gathered: n = 512: 0.32 vs
-#   0.17 ms, 1024: 0.42 vs 0.34 ms, 1536: 0.48 vs 0.50 ms, 4096: 0.86 vs
-#   1.39 ms.  A slice block of a 2-D grid is a contiguous 1-D range too,
-#   longer than its pairs by the wrapped ones (see SpatialKernelTable).
-# - on an all-gathered 24^2 Gaussian-0.12 table, chunks of 2048, 8192 and
-#   65536 pairs: 1.52, 1.14 and 3.14 ms.
-# The node indices are np.intp, which take() and bincount() use as they are;
-# int32 indices are converted on every call.  One p = 2.5 apply with its
-# energy on the 24^2 Gaussian-0.12 table, one CPU, 40 interleaved rounds:
-# median 0.79 ms with int32 indices, 0.70 ms with intp, for 4 more bytes
-# per index (0.6 MB on that table).
-_GATHER_BELOW = 1024
-_GATHER_CHUNK = 8192
-
-
-def _walk_blocks(grid: Grid, pairs: list) -> tuple:
-    """Cut the positive offsets, each (w, offset, pair count), into slice
-    blocks and gather blocks, in order; returns the blocks and the length
-    of the largest, a slice block's whole range included."""
-    node = np.arange(grid.node_count, dtype=np.intp).reshape(grid.counts)
-    blocks, group, held, largest, wraps = [], [], 0, 0, {}
-    for w, offset, size in pairs:
-        if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
-            blocks.append(_gather_block(node, group))
-            group, held = [], 0
-        if size >= _GATHER_BELOW:
-            blocks.append(_slice_block(node, w, offset, wraps))
-            largest = max(largest, blocks[-1][1].stop)
-        else:
-            group.append((w, offset, size))
-            held += size
-            largest = max(largest, held)
-    if group:
-        blocks.append(_gather_block(node, group))
-    return tuple(blocks), largest
-
-
-def _flat_offset(counts, offset) -> int:
-    """The distance between the nodes x and x + d in the C-ordered node
-    array."""
-    return offset[0] * counts[1] + offset[1] if len(counts) == 2 else offset[0]
-
-
-def _slice_block(node: np.ndarray, w, offset, wraps: dict) -> tuple:
-    """The slice block of one offset: its weight, the flat ranges of x and
-    x + d, and the positions of its wrapped pairs in them (None on a 1-D
-    grid and for a column offset of 0).  ``wraps`` keeps one sorted array
-    of wrapped positions per column offset dj, |dj| columns of every row,
-    and an offset's are the prefix of it inside its range."""
-    d = _flat_offset(node.shape, offset)
-    n = node.size - d
-    dj = offset[-1]
-    if node.ndim == 1 or dj == 0:
-        return w, slice(0, n), slice(d, d + n), None
-    if dj not in wraps:
-        rows, cols = node.shape
-        first = cols - dj if dj > 0 else 0
-        wraps[dj] = (np.arange(rows)[:, None] * cols + np.arange(first, first + abs(dj))).ravel()
-    shared = wraps[dj]
-    return w, slice(0, n), slice(d, d + n), shared[: int(np.searchsorted(shared, n))]
-
-
-def _gather_block(node: np.ndarray, group: list) -> tuple:
-    dst = [
-        node[tuple(slice(max(0, -a), c - max(0, a)) for c, a in zip(node.shape, offset))].ravel()
-        for _, offset, _ in group
-    ]
-    return (
-        np.concatenate([np.full(size, w) for w, _, size in group]),
-        np.concatenate(dst),
-        np.concatenate([x + _flat_offset(node.shape, offset) for x, (_, offset, _) in zip(dst, group)]),
-        None,
-    )
+def _pair_counts(grid: Grid, offsets: np.ndarray) -> list:
+    """Per offset d, the number of nodes x of the grid with x + d on it:
+    the ordered pairs the offset couples."""
+    return [math.prod(max(0, c - abs(a)) for c, a in zip(grid.counts, d)) for d in offsets.tolist()]
 
 
 def _candidate_offsets(grid: Grid, reach: float):
@@ -1149,7 +1030,8 @@ def validate_assumptions(
     rep.add("range kernel oddness", odd_defect <= odd_thr, odd_defect, odd_thr,
             f"max |A(s) + A(-s)| = {odd_defect:.3e}")
 
-    sign_defect = float(np.min(a_pos * s))
+    with np.errstate(over="ignore"):  # an overflow keeps its sign, so the verdict stands
+        sign_defect = float(np.min(a_pos * s))
     rep.add("range kernel sign condition", sign_defect >= -1e-12, sign_defect, -1e-12,
             f"min A(s) s = {sign_defect:.3e}")
 

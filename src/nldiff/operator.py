@@ -15,50 +15,62 @@ construction unless it is odd with A(0) = 0 at t = 0), so the pair
 (x, x + d) and its mirror (x + d, x) exchange the same flux w(d) A(s) with
 opposite signs.  The one pair walk, :meth:`_Walk.pairs`, therefore visits each
 unordered pair once: it runs over the table's lexicographically positive
-offsets, cut into blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
-and forms s = u(x+d) - u(x) with one vectorized pass per block.  Every
-block is a tuple (w, dst, src, wrap), and the walk is the only code that
-decodes one: a slice block is one long offset, its nodes x and x + d two
-flat ranges of the C-ordered node array and w one number; a gather block
-packs many short offsets, its nodes selected by flat indices and w one
-weight per pair.  A flat range is contiguous, so a block costs one 1-D
-pass where a 2-D slice cost one pass per grid row.  On a 2-D grid the
-range of an offset with a column part also holds wrapped pairs, x and
-x + D on either side of a row end, which are no pair of the grid; their
-positions are the block's ``wrap``.  The walk sets s to 0 there, so no
-kernel sees the difference of two unrelated nodes, and every weighted
-value is dropped there (:func:`_drop_wrapped`), so each wrapped pair adds
-exactly +0.0 to every scatter and sum.  The walk writes s into a scratch
-buffer and hands out two more for the block's results; the three are
-allocated once per walk and sized to the table's longest block, since a
-fresh temporary per block is a heap allocation the allocator may return
-to the system and fault in again on the next block.  The operator
-evaluates A(s) once, with :meth:`~nldiff.kernels.RangeKernel.terms`, forms
-w A in place and scatters it to both ends of the pair, with
-``out[dst] += w A`` on ranges and ``np.bincount`` on indices, which repeat
-inside a gather block (:func:`_scatter`).  The zero offset couples a node
-with itself at s = 0, where A vanishes, so it carries no flux.  The
-operator, the pairing identity, the energies and the one-step filter all
-loop over this walk, so a run is a direct O(nodes * offsets) sum in a
-fixed order and bit-reproducible.  The spatial_exponent family's per-pair
-exponents depend only on the fixed reference field, so they are
-interpolated once per walk, from a walk over the reference field.
+offsets d > 0, in table order, leaving out those with no pair on the
+grid, and forms s = u(x+d) - u(x) with one vectorized pass per block.
 
-A :class:`_Walk` holds what a walk reuses: the pair exponents, buffers,
-output, and for a table of at least two blocks and ``_SPLIT_PAIRS`` pair
-positions a split of the blocks in two halves at half the positions.
-Where the half falls inside a gather block, the walk cuts that block in
-two, as views of its arrays, so the halves differ by at most one
-position; inside a slice block it cuts at the nearest block boundary,
-which on long slices is close to the half already.  The walk's own
-``blocks`` are the table's with that one cut, and every walk goes over
-them.  :meth:`_Walk.apply` sums each half into its own output and energy,
-then adds the second to the first (the pairing's right side and the
-filter walk the blocks in order).  The cut and the order do not depend on
-the CPU count, so no bit does: a solve that may use two CPUs forks a
-helper process (:class:`~nldiff.errors._Helper`) before its first step
-to walk the second half of each step on a shared copy of u, and
-otherwise both halves run in process.
+The walk cuts those offsets into blocks when it is built
+(:func:`_walk_blocks`), each a tuple (w, dst, src, wrap) that only the
+walk decodes.  An offset of at least ``_GATHER_BELOW`` pairs is a slice
+block: w its weight, and ``slice(0, n)`` and ``slice(D, D + n)`` the flat
+ranges of x and x + d in the C-ordered node array, D the flat distance of
+d and n = N - D.  A flat range is contiguous, so a block costs one 1-D
+pass where a 2-D slice cost one pass per grid row.  Consecutive shorter
+offsets are packed into gather blocks of about ``_GATHER_CHUNK`` pairs: w
+a float64 weight per pair, dst and src the ``np.intp`` flat node indices
+of every pair, offset after offset.  Short slices cost per-offset numpy
+dispatch rather than arithmetic, which gathering removes; on long ones
+the gather costs more.  On a 2-D grid the range of an offset
+d = (di, dj) with dj != 0 also holds wrapped pairs, x and x + D on either
+side of a row end, which are no pair of the grid; ``wrap`` holds their
+positions, |dj| per row, as the prefix inside the range of one sorted
+array that the offsets of that dj share, and is None where no pair wraps
+(gather blocks, 1-D grids, dj = 0).  A block's pair positions
+(:func:`_positions`) count a slice block's whole range.  The walk sets s to
+0 at the wrapped pairs, so no kernel sees the difference of two
+unrelated nodes, and every weighted value is dropped there
+(:func:`_drop_wrapped`), so each wrapped pair adds exactly +0.0 to every
+scatter and sum.  The walk writes s into a scratch buffer and hands out
+two more for the block's results; the three are allocated once per walk
+and sized to its longest block, since a fresh temporary per block is a
+heap allocation the allocator may return to the system and fault in
+again on the next block.  The operator evaluates A(s) once, with
+:meth:`~nldiff.kernels.RangeKernel.terms`, forms w A in place and
+scatters it to both ends of the pair, with ``out[dst] += w A`` on ranges
+and ``np.bincount`` on indices, which repeat inside a gather block
+(:func:`_scatter`).  The zero offset couples a node with itself at
+s = 0, where A vanishes, so it carries no flux.  The operator, the
+pairing identity, the energies and the one-step filter all loop over
+this walk, so a run is a direct O(nodes * offsets) sum in a fixed order
+and bit-reproducible.  The spatial_exponent family's per-pair exponents
+depend only on the fixed reference field, so they are interpolated once
+per walk, from a walk over the reference field.
+
+A :class:`_Walk` holds what a walk reuses: its blocks, the pair
+exponents, buffers, output, and for a walk of at least two blocks and
+``_SPLIT_PAIRS`` pair positions a split of the blocks in two halves at
+half the positions.  Where the half falls inside a gather block, the
+walk cuts that block in two, as views of its arrays, so the halves
+differ by at most one position; inside a slice block it cuts at the
+nearest block boundary, which on long slices is close to the half
+already.  The blocks, with that one cut, are built with the walk, before
+any helper forks, and every walk goes over them.  :meth:`_Walk.apply`
+sums each half into its own output and energy, then adds the second to
+the first (the pairing's right side and the filter walk the blocks in
+order).  The cut and the order do not depend on the CPU count, so no bit
+does: a solve that may use two CPUs forks a helper process
+(:class:`~nldiff.errors._Helper`) before its first step to walk the
+second half of each step on a shared copy of u, and otherwise both
+halves run in process.
 
 Summing A pairwise against a test field yields the discrete counterpart of
 integration by parts,
@@ -107,6 +119,7 @@ from .kernels import (
     SpatialKernelTable,
     _gaussian_window,
     _p_energy_kernel,
+    _pair_counts,
     bilateral_width,
 )
 
@@ -149,6 +162,88 @@ def _weighted_sum(w, v, wrap) -> float:
     if np.ndim(w):
         return float(_weigh(w, v, wrap).sum())
     return w * float(_drop_wrapped(v, wrap).sum())
+
+
+# Offsets with fewer pairs than _GATHER_BELOW are gathered, in blocks of about
+# _GATHER_CHUNK pairs, which bounds the index memory and the temporaries of
+# one block.  Measured on a 2-core x86 machine, numpy 2.4, one application
+# of a p = 2.5 operator with its energy:
+# - over 16 offsets of n pairs each, sliced vs gathered: n = 512: 0.32 vs
+#   0.17 ms, 1024: 0.42 vs 0.34 ms, 1536: 0.48 vs 0.50 ms, 4096: 0.86 vs
+#   1.39 ms.  A slice block of a 2-D grid is a contiguous 1-D range too,
+#   longer than its pairs by the wrapped ones (see the module docstring).
+# - on an all-gathered 24^2 Gaussian-0.12 table, chunks of 2048, 8192 and
+#   65536 pairs: 1.52, 1.14 and 3.14 ms.
+# The node indices are np.intp, which take() and bincount() use as they are;
+# int32 indices are converted on every call.  One p = 2.5 apply with its
+# energy on the 24^2 Gaussian-0.12 table, one CPU, 40 interleaved rounds:
+# median 0.79 ms with int32 indices, 0.70 ms with intp, for 4 more bytes
+# per index (0.6 MB on that table).
+_GATHER_BELOW = 1024
+_GATHER_CHUNK = 8192
+
+
+def _walk_blocks(table: SpatialKernelTable) -> tuple:
+    """The table's positive offsets that overlap the grid, in table order,
+    cut into slice blocks and gather blocks (see the module docstring)."""
+    grid = table.grid
+    node = np.arange(grid.node_count, dtype=np.intp).reshape(grid.counts)
+    blocks, group, held, wraps = [], [], 0, {}
+    for w, offset, size in zip(table.weights.tolist(), map(tuple, table.offsets.tolist()),
+                               _pair_counts(grid, table.offsets)):
+        if offset <= (0,) * grid.dim or not size:
+            continue
+        if group and (size >= _GATHER_BELOW or held >= _GATHER_CHUNK):
+            blocks.append(_gather_block(node, group))
+            group, held = [], 0
+        if size >= _GATHER_BELOW:
+            blocks.append(_slice_block(node, w, offset, wraps))
+        else:
+            group.append((w, offset, size))
+            held += size
+    if group:
+        blocks.append(_gather_block(node, group))
+    return tuple(blocks)
+
+
+def _flat_offset(counts, offset) -> int:
+    """The distance between the nodes x and x + d in the C-ordered node
+    array."""
+    return offset[0] * counts[1] + offset[1] if len(counts) == 2 else offset[0]
+
+
+def _slice_block(node: np.ndarray, w, offset, wraps: dict) -> tuple:
+    """The slice block of one offset: its weight, the flat ranges of x and
+    x + d, and the positions of its wrapped pairs in them (None on a 1-D
+    grid and for a column offset of 0).  ``wraps`` keeps one sorted array
+    of wrapped positions per column offset dj, |dj| columns of every row,
+    and an offset's are the prefix of it inside its range."""
+    d = _flat_offset(node.shape, offset)
+    n = node.size - d
+    dj = offset[-1]
+    if node.ndim == 1 or dj == 0:
+        return w, slice(0, n), slice(d, d + n), None
+    if dj not in wraps:
+        rows, cols = node.shape
+        first = cols - dj if dj > 0 else 0
+        wraps[dj] = (np.arange(rows)[:, None] * cols + np.arange(first, first + abs(dj))).ravel()
+    shared = wraps[dj]
+    return w, slice(0, n), slice(d, d + n), shared[: int(np.searchsorted(shared, n))]
+
+
+def _gather_block(node: np.ndarray, group: list) -> tuple:
+    """The gather block of consecutive offsets, each (w, offset, pair
+    count): per pair, its weight and the flat node indices of x and x + d."""
+    dst = [
+        node[tuple(slice(max(0, -a), c - max(0, a)) for c, a in zip(node.shape, offset))].ravel()
+        for _, offset, _ in group
+    ]
+    return (
+        np.concatenate([np.full(size, w) for w, _, size in group]),
+        np.concatenate(dst),
+        np.concatenate([x + _flat_offset(node.shape, offset) for x, (_, offset, _) in zip(dst, group)]),
+        None,
+    )
 
 
 # A walk of at least _SPLIT_PAIRS pair positions, in two blocks or more, is
@@ -203,9 +298,9 @@ class _Walk:
 
     def __init__(self, table: SpatialKernelTable, kernel: RangeKernel | None = None):
         self.table, self.kernel = table, kernel
-        self.buf = np.empty((3, table.largest_block))
         self.q = None if kernel is None else kernel.flux_exponent
-        self.blocks, cut = _split(table.blocks)
+        self.blocks, cut = _split(_walk_blocks(table))
+        self.buf = np.empty((3, max(map(_positions, self.blocks), default=0)))
         n = len(self.blocks)
         self.halves = (range(cut), range(cut, n)) if cut < n else (range(n),)
         self.exps = None
@@ -223,11 +318,9 @@ class _Walk:
         self.shared_u = self.helper = None
 
     def pairs(self, u, blocks=None):
-        """The walk over the flat node array u, the one decoder of the
-        table's blocks (see :class:`~nldiff.kernels.SpatialKernelTable`),
-        as the walk's own ``blocks`` hold them, split in two where a half
-        ends inside a gather block: per block, all or those of the range
-        ``blocks``, yield
+        """The walk over the flat node array u, the one decoder of its
+        ``blocks`` (see the module docstring): per block, all or those of
+        the range ``blocks``, yield
         ((w, dst, src, wrap), s, pe, scratch), with s = u(x+d) - u(x) over
         the block's pairs and 0.0 at its wrapped ones, so no kernel sees two
         nodes that are not a pair, pe the block's pair exponents (or None)

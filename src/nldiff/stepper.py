@@ -236,9 +236,9 @@ def solve(
     raises :class:`NumericalBlowupError` carrying the first step whose u is
     not finite and the last finite u, recorded or not.
 
-    One pair walk serves every step, in two halves for a table of at least
+    One pair walk serves every step, in two halves for a walk of at least
     two blocks and ``_SPLIT_PAIRS`` pair positions.  When this process may
-    use two CPUs and is no nldiff helper, a multiprocessing worker included,
+    use two CPUs and is no nldiff helper (a ``study cauchy`` level, say),
     a helper process walks the second half and is reaped on return and on
     any raise; no bit changes, and a dead helper raises RuntimeError.
     """

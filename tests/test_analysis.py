@@ -515,3 +515,7 @@ def test_refinement_refusals():
         time_refinement_study(prob, [16, 8, 32])
     with pytest.raises(ConfigurationError):
         time_refinement_study(prob, [8, 12, 24])
+    # a count below 1 is refused before the divisibility check divides by it
+    for counts in ([0, 1, 2], [-2, 4, 8]):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            time_refinement_study(prob, counts)

@@ -687,6 +687,14 @@ def test_study_refine_command(tmp_path, capsys):
     assert len(lines) == 5  # consecutive differencing: one fewer than levels
 
 
+def test_study_refine_refuses_a_zero_step_count(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "study.refine_steps = 0, 1, 2\n")
+    assert main(["study", "refine", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: step counts must be strictly increasing and >= 1")
+    assert "Traceback" not in err
+
+
 CAUCHY_P = ("grid.dim = 1\ngrid.extents = 0, 1\ngrid.counts = 12\n"
             "range.family = p_laplacian\nrange.p = 1.5\n"
             "initial.kind = random\ninitial.low = 0.2\ninitial.high = 0.8\n"

@@ -8,6 +8,7 @@ forms everywhere a closed form exists.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from nldiff import (
     variable_exponent_kernel,
     zero_reaction,
 )
-from nldiff import kernels
+from nldiff import kernels, operator
 from nldiff.kernels import _signed_power
 
 # scipy.integrate.quad oracles, absolute error below 1e-13
@@ -207,7 +208,7 @@ def test_offsets_beyond_int64_are_refused():
     with pytest.raises(KernelValidationError, match=r"offending offsets \[\(-9223372036854775808,\)\]"):
         SpatialKernelTable(g, 0.1, np.array([[-(2**63)]]), [1.0], 1.0)
     t = make_spatial_kernel(g, "custom_table", table=([[-(2**63 - 1)], [2**63 - 1]], [1.0, 1.0]))
-    assert t.offsets.dtype == np.int64 and t.blocks == ()
+    assert t.offsets.dtype == np.int64 and operator._Walk(t).blocks == ()
 
 
 def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
@@ -217,7 +218,7 @@ def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     positive = [r for r in rows if r > (0, 0)]
     assert len(positive) == (len(rows) - 1) // 2
     # one gather block holds the pairs of each positive offset, in table order
-    (w, _, _, wrap), = t.blocks
+    (w, _, _, wrap), = operator._Walk(t).blocks
     assert wrap is None
     sizes = [(5 - abs(a)) * (4 - abs(b)) for a, b in positive]
     assert w.tolist() == np.repeat([t.weight_of(r) for r in positive], sizes).tolist()
@@ -808,6 +809,17 @@ def test_reaction_growth_check_of_an_overflowing_reaction_is_inf_not_nan():
     fine = validate_assumptions(t, k, linear_decay_reaction(1e300), u0)
     growth = next(c for c in fine.checks if c.name == "reaction growth bound")
     assert growth.passed and math.isfinite(growth.measured)
+
+
+def test_sign_check_of_a_huge_state_raises_no_overflow_warning():
+    # the data-scaled window reaches 2e300, where A(s) s overflows to +inf;
+    # the overflow keeps the sign, so the check passes without a warning
+    g = build_grid(1, [(0.0, 1.0)], [64])
+    t = make_spatial_kernel(g, "gaussian", 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_assumptions(t, linear_kernel(), zero_reaction(), Field(g, np.full(64, 1e300)))
+    assert next(c for c in report.checks if c.name == "range kernel sign condition").passed
 
 
 def test_validate_report_is_deterministic():

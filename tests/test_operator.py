@@ -330,19 +330,37 @@ def custom_odd_kernel():
     return custom_kernel(lambda t, s: (1.0 + t) * s + 0.1 * s * s * s)
 
 
-def table_with_layout(grid, offsets, weights, gather_below, chunk):
-    """A custom table whose walk is cut with the given gather threshold and
+def custom_table(grid, offsets, weights):
+    return make_spatial_kernel(grid, "custom_table", table=(offsets, weights))
+
+
+def set_layout(mp, gather_below, chunk):
+    """Cut the walks built from now on with the given gather threshold and
     chunk, so that small grids mix slice blocks and gather blocks."""
+    mp.setattr(operator, "_GATHER_BELOW", gather_below)
+    mp.setattr(operator, "_GATHER_CHUNK", chunk)
+
+
+@contextlib.contextmanager
+def walk_layout(gather_below, chunk):
+    """The walks built inside cut with the given gather threshold and chunk
+    (see set_layout)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_GATHER_BELOW", gather_below)
-        mp.setattr(kernels, "_GATHER_CHUNK", chunk)
-        return make_spatial_kernel(grid, "custom_table", table=(offsets, weights))
+        set_layout(mp, gather_below, chunk)
+        yield
+
+
+def block_keys(blocks):
+    """Each block's weights, ranges or indices and wrap, as values that
+    compare with ==."""
+    return [tuple((x.dtype.str, x.tobytes()) if isinstance(x, np.ndarray) else x for x in b)
+            for b in blocks]
 
 
 # (gather threshold, chunk): every offset sliced; short offsets gathered one
 # per block; mixed layouts with chunks of several offsets; the defaults,
 # which gather every offset of these small grids
-LAYOUTS = [(1, 1), (3, 1), (4, 5), (8, 12), (kernels._GATHER_BELOW, kernels._GATHER_CHUNK)]
+LAYOUTS = [(1, 1), (3, 1), (4, 5), (8, 12), (operator._GATHER_BELOW, operator._GATHER_CHUNK)]
 
 
 @given(even_tables(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from(LAYOUTS))
@@ -351,49 +369,73 @@ LAYOUTS = [(1, 1), (3, 1), (4, 5), (8, 12), (kernels._GATHER_BELOW, kernels._GAT
 def test_pair_walk_matches_scalar_sums(case, p, layout):
     counts, offsets, weights, seed = case
     g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
-    t = table_with_layout(g, offsets, weights, *layout)
+    t = custom_table(g, offsets, weights)
     rng = np.random.default_rng(seed)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
     pairs = list(scalar_pairs(g, t))
     nv = g.node_volume
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
-    assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
-    assert t.pair_count == len(pairs)
-    for k in _kernels_for(g, u) + [custom_odd_kernel()]:
-        # the fused pass, in the walk's scratch buffers, is eval bit for bit
-        for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
-            a, dens = k.terms(0.3, s, pe, True, scratch)
-            assert a is scratch[0] and dens is scratch[1], k.family
-            assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
-        want = dense_oracle(g, t, k, 0.3, u)
-        got = apply_nonlocal(g, t, k, 0.3, u).values
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
-        lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
-        assert lhs == pytest.approx(nv * float(np.sum(phi.values * want)), rel=1e-12, abs=1e-14)
-        want_rhs = -0.5 * nv**2 * sum(
-            w * eval_range_kernel(k, 0.3, x, y, u.values[y] - u.values[x])
-            * (phi.values[y] - phi.values[x])
-            for x, y, w in pairs
-        )
-        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=1e-14), k.family
-        ref = u.values  # the spatial_exponent kernel's reference is u itself
-        want_flow = nv**2 * sum(
-            w * antiderivative(k, u.values[y] - u.values[x], ref[y] - ref[x]) for x, y, w in pairs
-        )
-        assert flow_energy(g, t, k, u) == pytest.approx(want_flow, rel=1e-12, abs=1e-14), k.family
-    num = np.zeros(g.node_count)
-    den = np.zeros(g.node_count)
-    for x, y, w in pairs:
-        weight = w * np.exp(-(((u.values[y] - u.values[x]) / 0.7) ** 2))
-        num[x] += weight * u.values[y]
-        den[x] += weight
-    if np.all(den > 0.0):
-        got = one_step_filter(g, t, u, 0.7).values
-        np.testing.assert_allclose(got, num / den, rtol=1e-12, atol=1e-14)
-    else:  # a node with no neighbor on the grid and no zero offset
-        with pytest.raises(ConfigurationError):
-            one_step_filter(g, t, u, 0.7)
+    with walk_layout(*layout):
+        assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
+        assert t.pair_count == len(pairs)
+        for k in _kernels_for(g, u) + [custom_odd_kernel()]:
+            # the fused pass, in the walk's scratch buffers, is eval bit for bit
+            for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
+                a, dens = k.terms(0.3, s, pe, True, scratch)
+                assert a is scratch[0] and dens is scratch[1], k.family
+                assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
+            want = dense_oracle(g, t, k, 0.3, u)
+            got = apply_nonlocal(g, t, k, 0.3, u).values
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
+            lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+            assert lhs == pytest.approx(nv * float(np.sum(phi.values * want)), rel=1e-12, abs=1e-14)
+            want_rhs = -0.5 * nv**2 * sum(
+                w * eval_range_kernel(k, 0.3, x, y, u.values[y] - u.values[x])
+                * (phi.values[y] - phi.values[x])
+                for x, y, w in pairs
+            )
+            assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=1e-14), k.family
+            ref = u.values  # the spatial_exponent kernel's reference is u itself
+            want_flow = nv**2 * sum(
+                w * antiderivative(k, u.values[y] - u.values[x], ref[y] - ref[x]) for x, y, w in pairs
+            )
+            assert flow_energy(g, t, k, u) == pytest.approx(want_flow, rel=1e-12, abs=1e-14), k.family
+        num = np.zeros(g.node_count)
+        den = np.zeros(g.node_count)
+        for x, y, w in pairs:
+            weight = w * np.exp(-(((u.values[y] - u.values[x]) / 0.7) ** 2))
+            num[x] += weight * u.values[y]
+            den[x] += weight
+        if np.all(den > 0.0):
+            got = one_step_filter(g, t, u, 0.7).values
+            np.testing.assert_allclose(got, num / den, rtol=1e-12, atol=1e-14)
+        else:  # a node with no neighbor on the grid and no zero offset
+            with pytest.raises(ConfigurationError):
+                one_step_filter(g, t, u, 0.7)
+
+
+@given(even_tables(), st.sampled_from([1.5, 2.0, 3.0]))
+# under the layout (8, 12) the half falls inside the first of two gather blocks
+@example(([6], [(d,) for d in range(-5, 6)], [1.0 / (1 + abs(d)) for d in range(-5, 6)], 4), 3.0)
+@settings(max_examples=12, deadline=None)
+def test_one_table_walks_alike_under_every_layout(case, p):
+    # the layout is the walk's, so one table, built once, is walked under
+    # every layout, whole and split in two halves
+    counts, offsets, weights, seed = case
+    g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
+    t = custom_table(g, offsets, weights)
+    u = Field(g, np.random.default_rng(seed).uniform(0.0, 1.0, g.node_count))
+    ks = _kernels_for(g, u) + [custom_odd_kernel()]
+    want = [apply_nonlocal(g, t, k, 0.3, u).values for k in ks]
+    want_e = energy_p(g, t, u, p)
+    for layout, split in itertools.product(LAYOUTS, (operator._SPLIT_PAIRS, 1)):
+        with walk_layout(*layout), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operator, "_SPLIT_PAIRS", split)
+            for k, op in zip(ks, want):
+                got = apply_nonlocal(g, t, k, 0.3, u).values
+                np.testing.assert_allclose(got, op, rtol=1e-12, atol=1e-14, err_msg=k.family)
+            assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
 
 
 def test_one_step_filter_refuses_a_node_without_weight():
@@ -441,7 +483,7 @@ def test_recorded_energy_is_flow_energy_of_the_recorded_state(record_every):
 def test_flow_energy_is_a_python_float_on_gather_and_slice_blocks(counts, h):
     g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
     t = make_spatial_kernel(g, "gaussian", h)
-    slices = sum(isinstance(b[1], slice) for b in t.blocks)
+    slices = sum(isinstance(b[1], slice) for b in operator._Walk(t).blocks)
     assert (slices > 0) == (len(counts) == 2)
     u = Field(g, np.random.default_rng(5).uniform(0.1, 0.9, g.node_count))
     k = p_laplacian_kernel(2.5)
@@ -453,16 +495,17 @@ def test_flow_energy_is_a_python_float_on_gather_and_slice_blocks(counts, h):
     ([40], (1, 1), {"slice"}, False),
     ([7, 6], (1, 1), {"slice"}, True),
     ([7, 6], (4, 5), {"slice", "gather"}, True),
-    ([7, 6], (kernels._GATHER_BELOW, kernels._GATHER_CHUNK), {"gather"}, False),
+    ([7, 6], (operator._GATHER_BELOW, operator._GATHER_CHUNK), {"gather"}, False),
 ], ids=["slice", "wrapped_slice", "mixed", "gather"])
 def test_flux_energy_matches_the_scalar_oracle(monkeypatch, counts, layout, kinds, wrapped):
     # the linear and p_laplacian energies are sum(w A s) / q over the
     # walk's weighted flux, with no density formed: against an exact sum
     # of w |s|^p / p (s^2 / 2 for linear) over every ordered pair
     g = build_grid(len(counts), [(0.0, 1.0)] * len(counts), counts)
-    t = table_with_layout(g, *_gaussian_rows(g, 0.25), *layout)
+    t = custom_table(g, *_gaussian_rows(g, 0.25))
+    set_layout(monkeypatch, *layout)
     assert set(block_kinds(t)) == kinds
-    assert any(b[3] is not None and b[3].size for b in t.blocks) == wrapped
+    assert any(b[3] is not None and b[3].size for b in operator._Walk(t).blocks) == wrapped
     u = np.random.default_rng(71).uniform(0.0, 1.0, g.node_count)
     pairs = list(scalar_pairs(g, t))
     formed = []
@@ -485,7 +528,7 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
     # with a wrapper of exactly (kernel, t, s, pair_ref=None); the program
     # must pass eval nothing else, and the wrapper must change no result.
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [7, 6])
-    t = table_with_layout(g, *_gaussian_rows(g, 0.3), 30, 64)
+    t = custom_table(g, *_gaussian_rows(g, 0.3))
     u0 = Field(g, np.random.default_rng(41).uniform(0.1, 0.9, g.node_count))
     cfg = SolverConfig(T=0.02, steps=6, mu_mode="manual", mu=0.0)
     kernels_ = (bilateral_kernel(0.4), p_laplacian_kernel(2.5))
@@ -498,7 +541,8 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
             out += [traj.final_state.values, traj.per_step["energy"], flow_energy(g, t, k, u0)]
         return out + [apply_nonlocal(g, t, mol, 0.0, u0).values, flow_energy(g, t, mol, u0)]
 
-    plain = results()
+    with walk_layout(30, 64):
+        plain = results()
     original = kernels.RangeKernel.eval
     seen = []
 
@@ -507,6 +551,7 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
         return original(kernel, t, s, pair_ref)
 
     with pytest.MonkeyPatch.context() as mp:
+        set_layout(mp, 30, 64)
         mp.setattr(kernels.RangeKernel, "eval", traced_eval)
         wrapped = results()
     assert {"bilateral_gaussian", "p_laplacian"} <= set(seen)
@@ -515,7 +560,8 @@ def test_eval_wrapped_with_its_exact_signature_changes_no_result():
 
 
 def block_kinds(table):
-    return ["slice" if isinstance(dst, slice) else "gather" for _, dst, _, _ in table.blocks]
+    blocks = operator._Walk(table).blocks
+    return ["slice" if isinstance(dst, slice) else "gather" for _, dst, _, _ in blocks]
 
 
 def offset_slices(table):
@@ -536,7 +582,7 @@ def block_offsets(table):
     it holds: one for a slice block, consecutive ones for a gather block."""
     todo = iter(offset_slices(table))
     out = []
-    for w, dst, _, _ in table.blocks:
+    for w, dst, _, _ in operator._Walk(table).blocks:
         if isinstance(dst, slice):
             out.append([next(todo)])
             continue
@@ -556,7 +602,7 @@ def check_slice_blocks(table):
     positions the table keeps for its column offset dj."""
     nodes = np.arange(table.grid.node_count).reshape(table.grid.counts)
     shared = {}
-    for (w, dst, src, wrap), group in zip(table.blocks, block_offsets(table)):
+    for (w, dst, src, wrap), group in zip(operator._Walk(table).blocks, block_offsets(table)):
         if not isinstance(dst, slice):
             continue
         (wt, d, dsl, ssl), = group
@@ -587,13 +633,14 @@ def test_walk_layout_follows_slice_length():
     g = build_grid(2, [(0.0, 1.0)] * 2, [24, 24])
     small = make_spatial_kernel(g, "gaussian", 0.12)
     assert set(block_kinds(small)) == {"gather"}
-    for w, dst, src, wrap in small.blocks:
+    small_blocks = operator._Walk(small).blocks
+    for w, dst, src, wrap in small_blocks:
         assert w.dtype == np.float64 and dst.dtype == np.intp and src.dtype == np.intp
-        assert w.size == dst.size == src.size < kernels._GATHER_CHUNK + kernels._GATHER_BELOW
+        assert w.size == dst.size == src.size < operator._GATHER_CHUNK + operator._GATHER_BELOW
         assert wrap is None
     # the gather blocks hold every pair of the positive offsets, in table
     # order, each with its offset's weight
-    w, dst, src = (np.concatenate(col) for col in list(zip(*small.blocks))[:3])
+    w, dst, src = (np.concatenate(col) for col in list(zip(*small_blocks))[:3])
     nodes = np.arange(g.node_count).reshape(g.counts)
     pairs = offset_slices(small)
     assert np.array_equal(dst, np.concatenate([nodes[d].ravel() for _, _, d, _ in pairs]))
@@ -601,7 +648,7 @@ def test_walk_layout_follows_slice_length():
     assert np.array_equal(w, np.concatenate([np.full(nodes[d].size, wt) for wt, _, d, _ in pairs]))
     # a 1-D grid longer than the threshold: offsets 1 and 2 keep their
     # slices, offsets near the grid size are gathered around them
-    n = kernels._GATHER_BELOW + 2
+    n = operator._GATHER_BELOW + 2
     line = build_grid(1, [(0.0, 1.0)], [n])
     half = [1, n - 3, n - 2, 2, n - 1]
     offs = sorted(half + [-d for d in half])
@@ -618,11 +665,12 @@ def _gaussian_rows(grid, radius):
     return t.offsets.tolist(), t.weights.tolist()
 
 
-def test_spatial_exponents_are_interpolated_once_and_bit_identical():
+def test_spatial_exponents_are_interpolated_once_and_bit_identical(monkeypatch):
     g = build_grid(2, [(0.0, 1.0)] * 2, [12, 9])
     u = Field(g, np.random.default_rng(9).uniform(0.1, 0.9, g.node_count))
     ref = Field(g, np.random.default_rng(10).uniform(0.0, 1.0, g.node_count))
-    t = table_with_layout(g, *_gaussian_rows(g, 0.2), 40, 64)
+    t = custom_table(g, *_gaussian_rows(g, 0.2))
+    set_layout(monkeypatch, 40, 64)
     assert set(block_kinds(t)) == {"slice", "gather"}
     base = spatial_exponent_kernel([0.0, 0.3, 1.0], [3.0, 2.4, 1.6], ref)
     for k in (base, mollify_range_kernel(base, 4)):
@@ -641,7 +689,7 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical():
         rr = ref.values
         walk.exps = tuple(
             operator._drop_wrapped(operator._take(rr, s) - operator._take(rr, d), wrap)
-            for _, d, s, wrap in t.blocks
+            for _, d, s, wrap in walk.blocks
         )
         assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
         assert walk.apply(u.values, 0.0, True)[1] == energy
@@ -662,7 +710,7 @@ def sliced_apply(table, kernel, t, u):
             view, v = out.reshape(-1), np.bincount(idx, v, out.size)
         op(view, v, out=view)
 
-    for (w, dst, src, _), group in zip(table.blocks, block_offsets(table)):
+    for (w, dst, src, _), group in zip(operator._Walk(table).blocks, block_offsets(table)):
         if isinstance(dst, slice):
             (_, _, dst, src), = group
         take = (lambda a, idx: a[idx]) if isinstance(dst, tuple) else (lambda a, idx: a.take(idx))
@@ -703,22 +751,23 @@ LAYOUTS_2D = [(1, 1), (3, 1), (4, 5), (8, 12)]
 def test_flat_walk_matches_the_sliced_walk(case, layout):
     counts, offsets, weights, seed = case
     g = build_grid(2, [(0.0, 1.0)] * 2, list(counts))
-    t = table_with_layout(g, offsets, weights, *layout)
-    check_slice_blocks(t)
+    t = custom_table(g, offsets, weights)
     rng = np.random.default_rng(seed)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
-    for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), custom_odd_kernel()]:
-        op, e = operator._Walk(t, k).apply(u.values, 0.3, True)
-        if k.family != "mollified":
-            assert np.array_equal(op, sliced_apply(t, k, 0.3, u)), k.family
-        assert e == flow_energy(g, t, k, u), k.family
-        assert abs(integrate(g, Field(g, op))) < 1e-13, k.family
-        lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
+    with walk_layout(*layout):
+        check_slice_blocks(t)
+        for k in _kernels_for(g, u) + [p_laplacian_kernel(2.5), custom_odd_kernel()]:
+            op, e = operator._Walk(t, k).apply(u.values, 0.3, True)
+            if k.family != "mollified":
+                assert np.array_equal(op, sliced_apply(t, k, 0.3, u)), k.family
+            assert e == flow_energy(g, t, k, u), k.family
+            assert abs(integrate(g, Field(g, op))) < 1e-13, k.family
+            lhs, rhs = dissipation_pairing(g, t, k, 0.3, u, phi)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
 
 
-def test_no_kernel_sees_a_wrapped_pair():
+def test_no_kernel_sees_a_wrapped_pair(monkeypatch):
     # Every offset of this 5 x 5 stencil, less the zero offset, on a 6 x 7
     # grid is sliced, so each with a column part has pairs in its flat range
     # that wrap around a row end; those join nodes 5 or more columns apart,
@@ -727,8 +776,10 @@ def test_no_kernel_sees_a_wrapped_pair():
     # pair that reached a sum or a scatter would show in every result.
     g = build_grid(2, [(0.0, 1.0)] * 2, [6, 7])
     offsets = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
-    t = table_with_layout(g, offsets, [np.exp(-0.5 * (a * a + b * b)) for a, b in offsets], 1, 1)
-    assert set(block_kinds(t)) == {"slice"} and any(b[3] is not None and b[3].size for b in t.blocks)
+    t = custom_table(g, offsets, [np.exp(-0.5 * (a * a + b * b)) for a, b in offsets])
+    set_layout(monkeypatch, 1, 1)
+    assert set(block_kinds(t)) == {"slice"}
+    assert any(b[3] is not None and b[3].size for b in operator._Walk(t).blocks)
     rng = np.random.default_rng(12)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
     phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
@@ -767,11 +818,12 @@ TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
 
 def split_setup(monkeypatch):
     """A 12 x 10 grid whose table mixes slice and gather blocks, walked in
-    two halves: ``_SPLIT_PAIRS`` is lowered, as table_with_layout lowers
-    the gather constants."""
+    two halves: ``_SPLIT_PAIRS`` is lowered, as set_layout lowers the
+    gather constants."""
     monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
     g = build_grid(2, [(0.0, 1.0)] * 2, [12, 10])
-    t = table_with_layout(g, *_gaussian_rows(g, 0.3), 40, 64)
+    t = custom_table(g, *_gaussian_rows(g, 0.3))
+    set_layout(monkeypatch, 40, 64)
     u0 = Field(g, np.random.default_rng(51).uniform(0.1, 0.9, g.node_count))
     return g, t, u0
 
@@ -784,7 +836,8 @@ def ramp_setup(monkeypatch):
     monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
     g = build_grid(1, [(0.0, 1.0)], [40])
     offsets = [(d,) for d in range(-6, 7)]
-    t = table_with_layout(g, offsets, [1.0 / (1 + abs(d)) for (d,) in offsets], 1, 1)
+    t = custom_table(g, offsets, [1.0 / (1 + abs(d)) for (d,) in offsets])
+    set_layout(monkeypatch, 1, 1)
     first, second = operator._Walk(t).halves
     assert len(first) == len(second) == 3  # block k holds the offset k + 1
     return g, t, Field(g, np.linspace(0.1, 0.9, 40)), (len(first) + 0.5) * 0.8 / 39
@@ -844,31 +897,34 @@ def test_split_solve_is_bit_identical_with_the_helper_and_on_one_cpu(monkeypatch
 def test_an_even_split_cuts_the_gather_block_that_holds_the_half(monkeypatch):
     monkeypatch.setattr(operator, "_SPLIT_PAIRS", 1)
     g = build_grid(2, [(0.0, 1.0)] * 2, [12, 10])
-    t = table_with_layout(g, *_gaussian_rows(g, 0.3), kernels._GATHER_BELOW, 64)
+    t = custom_table(g, *_gaussian_rows(g, 0.3))
+    set_layout(monkeypatch, operator._GATHER_BELOW, 64)
     assert set(block_kinds(t)) == {"gather"}
     u0 = Field(g, np.random.default_rng(53).uniform(0.1, 0.9, g.node_count))
+    blocks = operator._walk_blocks(t)
     walk = operator._Walk(t)
     first, second = ([operator._positions(walk.blocks[i]) for i in half] for half in walk.halves)
     assert abs(sum(first) - sum(second)) <= 1
-    assert sum(first) + sum(second) == sum(map(operator._positions, t.blocks))
+    assert sum(first) + sum(second) == sum(map(operator._positions, blocks))
     # the block that holds the half is cut in two, as views of its arrays
     k = len(first) - 1
-    assert len(walk.blocks) == len(t.blocks) + 1
-    assert walk.blocks[:k] == t.blocks[:k] and walk.blocks[k + 2:] == t.blocks[k + 1:]
-    assert 0 < first[-1] < operator._positions(t.blocks[k])
-    for whole, a, b in zip(t.blocks[k][:3], walk.blocks[k][:3], walk.blocks[k + 1][:3]):
-        assert np.shares_memory(whole, a) and np.shares_memory(whole, b)
+    assert len(walk.blocks) == len(blocks) + 1
+    keys = block_keys(walk.blocks)
+    assert keys[:k] == block_keys(blocks[:k]) and keys[k + 2:] == block_keys(blocks[k + 1:])
+    assert 0 < first[-1] < operator._positions(blocks[k])
+    for whole, a, b in zip(blocks[k][:3], walk.blocks[k][:3], walk.blocks[k + 1][:3]):
+        assert a.base is not None and a.base is b.base
         assert np.array_equal(np.concatenate([a, b]), whole)
     forks = count_forks(monkeypatch)
     cfg = SolverConfig(T=0.05, steps=6, mu_mode="auto_linf", record_every=2)
     ks = _kernels_for(g, u0) + [custom_odd_kernel()]
     for k in ks:
-        # the split walk against the table's blocks walked in one half
+        # the split walk against the whole walk's blocks in one half
         op, e = operator._Walk(t, k).apply(u0.values, 0.3, True)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operator, "_SPLIT_PAIRS", t.pair_count)
             whole = operator._Walk(t, k)
-            assert len(whole.halves) == 1 and whole.blocks is t.blocks
+            assert len(whole.halves) == 1 and block_keys(whole.blocks) == block_keys(blocks)
             op1, e1 = whole.apply(u0.values, 0.3, True)
         np.testing.assert_allclose(op, op1, rtol=1e-13, atol=1e-15 * np.max(np.abs(op1)))
         assert e == pytest.approx(e1, rel=1e-14)
@@ -1001,9 +1057,10 @@ def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, t
     assert log.read_text(encoding="ascii") == study + f"{os.getpid()} the pair walk\n"
 
 
-def test_kernels_that_share_a_table_share_no_walk_state():
+def test_kernels_that_share_a_table_share_no_walk_state(monkeypatch):
     g = build_grid(2, [(0.0, 1.0)] * 2, [12, 9])
-    t = table_with_layout(g, *_gaussian_rows(g, 0.2), 40, 64)
+    t = custom_table(g, *_gaussian_rows(g, 0.2))
+    set_layout(monkeypatch, 40, 64)
     rng = np.random.default_rng(61)
     u = Field(g, rng.uniform(0.1, 0.9, g.node_count))
     refs = [Field(g, rng.uniform(0.0, 1.0, g.node_count)) for _ in range(2)]

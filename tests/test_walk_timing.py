@@ -19,9 +19,11 @@ def test_walk_timing_reports_blocks_halves_applies_and_solves(capsys):
     assert lines[1].split() == ["1", "gather", "blocks,", "positions", "min", "1275,", "median",
                                 "1275,", "max", "1275"]
     assert lines[2].strip() == "halves: 1275 positions"
-    assert re.fullmatch(r"apply with energy, in process: median \d+\.\d{3} ms of 3", lines[3])
+    timed = ["table build, make_spatial_kernel", "walk build, operator._Walk", "apply with energy, in process"]
+    for what, line in zip(timed, lines[3:6]):
+        assert re.fullmatch(rf"{what}: median \d+\.\d{{3}} ms of 3", line)
     solve = r"solve {}: (\S+) ms = halves here (\S+) \+ wait 0\.0 \+ rest (\S+) ms"
-    for k, line in enumerate(lines[4:], 1):
+    for k, line in enumerate(lines[6:], 1):
         wall, here, rest = map(float, re.fullmatch(solve.format(k), line).groups())
         assert 0.0 < here < wall and abs(here + rest - wall) < 0.2
-    assert len(lines) == 6
+    assert len(lines) == 8

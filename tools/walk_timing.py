@@ -8,8 +8,11 @@ path.  Prints three sections:
 * the walk's blocks, by kind (slice or gather) with their count and
   smallest, median and largest pair positions, and the positions of each
   half of the walk;
-* the median time of one in-process apply with the energy, the call a
-  solver step makes, over ``--repeats`` calls;
+* the median times, over ``--repeats`` calls each, of building the
+  config's kernel table (``make_spatial_kernel``), of building its walk
+  (``operator._Walk(table, kernel)``, which cuts the table into blocks),
+  and of one in-process apply with the energy, the call a solver step
+  makes;
 * the config's whole solve, ``--solves`` times, its wall time split into
   the halves of the walk this process ran (both on one CPU, the first
   when a helper process walks the second), the wait for the helper (0
@@ -31,7 +34,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from nldiff import build_problem, parse_config, solve_problem  # noqa: E402
+from nldiff import build_problem, make_spatial_kernel, parse_config, solve_problem  # noqa: E402
 from nldiff import errors, operator  # noqa: E402
 
 
@@ -49,11 +52,11 @@ def half_positions(walk) -> list:
     return [sum(operator._positions(walk.blocks[k]) for k in half) for half in walk.halves]
 
 
-def apply_ms(walk, u, repeats: int) -> float:
+def median_ms(call, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        walk.apply(u, 0.0, True)
+        call()
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
 
@@ -91,8 +94,10 @@ def main(argv=None) -> int:
     ap.add_argument("--solves", type=int, default=3, help="solves timed (default 3)")
     args = ap.parse_args(argv)
 
-    problem = build_problem(parse_config(args.config))
-    walk = operator._Walk(problem.table, problem.kernel)
+    config = parse_config(args.config)
+    problem = build_problem(config)
+    table, kernel = problem.table, problem.kernel
+    walk = operator._Walk(table, kernel)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     print(f"{args.config}: {problem.grid.node_count} nodes, {problem.table.size} offsets, "
           f"kernel {problem.kernel.family}, {cpus} CPU(s)")
@@ -100,9 +105,16 @@ def main(argv=None) -> int:
         print(f"  {count:4d} {kind} blocks, positions min {lo}, median {mid}, max {hi}")
     print(f"  halves: {' + '.join(map(str, half_positions(walk)))} positions")
 
-    u = problem.u0.values
-    print(f"apply with energy, in process: median {apply_ms(walk, u, args.repeats):.3f} ms "
-          f"of {args.repeats}")
+    ks = config.kernel
+    rows = (table.offsets, table.weights) if ks.family == "custom_table" else None
+    calls = [
+        ("table build, make_spatial_kernel",
+         lambda: make_spatial_kernel(problem.grid, ks.family, ks.radius, table=rows)),
+        ("walk build, operator._Walk", lambda: operator._Walk(table, kernel)),
+        ("apply with energy, in process", lambda: walk.apply(problem.u0.values, 0.0, True)),
+    ]
+    for what, call in calls:
+        print(f"{what}: median {median_ms(call, args.repeats):.3f} ms of {args.repeats}")
 
     for k in range(args.solves):
         wall, half, wait = timed_solve(problem)
