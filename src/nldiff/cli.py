@@ -40,30 +40,40 @@ from .grid import Field, series_csv, write_text
 from .kernels import bilateral_kernel, make_spatial_kernel, zero_reaction
 from .operator import flow_energy, one_step_filter
 from .pgm import field_to_image, image_to_field, load_pgm, save_pgm
-from .stepper import Problem, SolverConfig, export_trajectory, solve_problem
+from .stepper import SolverConfig, export_trajectory, solve, solve_problem
 
 
-def _load(args):
+def _prepare(args, unmollified=False):
+    """The prologue of every command with ``--config``: the config with
+    ``--seed`` applied, the output directory, created, and the problem,
+    built with ``range.mollify_n = 0`` when ``unmollified``."""
     cfg = parse_config(args.config)
-    if args.seed is None:
-        return cfg
-    try:
-        return replace(cfg, seed=args.seed)
-    except ConfigurationError as exc:
-        # the refused value came from the flag, not from the config file
-        raise NldiffError(f"--seed: {exc}") from exc
-
-
-def _out_dir(args, cfg) -> str:
+    if args.seed is not None:
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ConfigurationError as exc:
+            # the refused value came from the flag, not from the config file
+            raise NldiffError(f"--seed: {exc}") from exc
     out = args.out if args.out else cfg.output.dir
     os.makedirs(out, exist_ok=True)
-    return out
+    built = replace(cfg, range=replace(cfg.range, mollify_n=0)) if unmollified else cfg
+    return cfg, out, build_problem(built)
+
+
+def _finish(report, out, files, *after) -> int:
+    """Print a report and the lines ``after`` it, write ``files`` (name to
+    text) under ``out``, and exit 1 if a check failed."""
+    print(report.to_text())
+    for line in after:
+        print(line)
+    for name, text in files.items():
+        write_text(os.path.join(out, name), text)
+    return 0 if report.all_passed else 1
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    traj = solve_problem(build_problem(cfg))
+    cfg, out, problem = _prepare(args)
+    traj = solve_problem(problem)
     paths = export_trajectory(traj, out)
     write_text(os.path.join(out, "run_config.txt"), serialize_config(cfg))
     final = traj.final_state.values
@@ -75,14 +85,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    traj = solve_problem(build_problem(cfg))
-    report = verify_invariants(traj)
-    print(report.to_text())
-    write_text(os.path.join(out, "report.txt"), report.to_text() + "\n")
-    write_text(os.path.join(out, "report.csv"), report.to_csv())
-    return 0 if report.all_passed else 1
+    _, out, problem = _prepare(args)
+    report = verify_invariants(solve_problem(problem))
+    return _finish(report, out, {"report.txt": report.to_text() + "\n", "report.csv": report.to_csv()})
 
 
 def _cmd_denoise(args) -> int:
@@ -91,10 +96,10 @@ def _cmd_denoise(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     table = make_spatial_kernel(grid, "gaussian", args.radius)
+    kernel = bilateral_kernel(args.h)
 
     if args.one_step:
         final = one_step_filter(grid, table, u0, args.h)
-        kernel = bilateral_kernel(args.h)
         e0 = flow_energy(grid, table, kernel, u0)
         e1 = flow_energy(grid, table, kernel, final)
         write_text(
@@ -102,22 +107,9 @@ def _cmd_denoise(args) -> int:
             series_csv({"step": [0, 1], "t": [0.0, 0.0], "energy": [e0, e1]}),
         )
     else:
-        config = SolverConfig(
-            T=args.T,
-            steps=args.steps,
-            mu_mode="manual",
-            mu=0.0,
-            record_every=max(1, args.steps),
-        )
-        problem = Problem(
-            grid=grid,
-            table=table,
-            kernel=bilateral_kernel(args.h),
-            reaction=zero_reaction(),
-            u0=u0,
-            config=config,
-        )
-        traj = solve_problem(problem)
+        config = SolverConfig(T=args.T, steps=args.steps, mu_mode="manual", mu=0.0,
+                              record_every=max(1, args.steps))
+        traj = solve(grid, table, kernel, zero_reaction(), u0, config)
         d = traj.per_step
         write_text(
             os.path.join(out, "energy_series.csv"),
@@ -134,47 +126,34 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_study_contraction(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    problem = build_problem(cfg)
+    cfg, out, problem = _prepare(args)
     rng = np.random.default_rng(cfg.seed + 1)
     scale = cfg.study.perturb_scale * max(1.0, float(np.max(np.abs(problem.u0.values))))
     bump = rng.uniform(0.0, 1.0, size=problem.grid.node_count)
     u0_b = Field(problem.grid, problem.u0.values + scale * bump)
     report = contraction_study(problem, problem.u0, u0_b, cfg.study.norm)
-    print(report.to_text())
-    write_text(os.path.join(out, "contraction.csv"),
-               series_csv({"t": report.series["t"], "ratio": report.series["ratio"]}))
-    write_text(os.path.join(out, "contraction_report.csv"), report.to_csv())
-    return 0 if report.all_passed else 1
+    return _finish(report, out, {
+        "contraction.csv": series_csv({"t": report.series["t"], "ratio": report.series["ratio"]}),
+        "contraction_report.csv": report.to_csv()})
 
 
 def _cmd_study_cauchy(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    base_cfg = replace(cfg, range=replace(cfg.range, mollify_n=0))
-    problem = build_problem(base_cfg)
+    cfg, out, problem = _prepare(args, unmollified=True)
     result = mollifier_cauchy_study(problem, cfg.study.levels, cfg.range.mollify_quad)
-    print(result.report.to_text())
-    print(f"fitted level-decay exponent: {result.fitted_exponent:.4f}")
     i, j = np.triu_indices(len(result.levels), 1)
-    write_text(os.path.join(out, "cauchy.csv"), series_csv(
-        {"level_i": result.levels[i], "level_j": result.levels[j],
-         "l1_distance": result.pairwise_l1[i, j]}))
-    write_text(os.path.join(out, "cauchy_report.csv"), result.report.to_csv())
-    return 0 if result.report.all_passed else 1
+    return _finish(result.report, out, {
+        "cauchy.csv": series_csv({"level_i": result.levels[i], "level_j": result.levels[j],
+                                  "l1_distance": result.pairwise_l1[i, j]}),
+        "cauchy_report.csv": result.report.to_csv()},
+        f"fitted level-decay exponent: {result.fitted_exponent:.4f}")
 
 
 def _cmd_study_refine(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    problem = build_problem(cfg)
+    cfg, out, problem = _prepare(args)
     report = time_refinement_study(problem, cfg.study.refine_steps)
-    print(report.to_text())
-    write_text(os.path.join(out, "refine.csv"),
-               series_csv({"tau": report.series["tau"], "error": report.series["error"]}))
-    write_text(os.path.join(out, "refine_report.csv"), report.to_csv())
-    return 0 if report.all_passed else 1
+    return _finish(report, out, {
+        "refine.csv": series_csv({"tau": report.series["tau"], "error": report.series["error"]}),
+        "refine_report.csv": report.to_csv()})
 
 
 def _add_common(sub):

@@ -267,8 +267,6 @@ def _assemble(v: dict, path: str) -> RunConfig:
 def _fmt_value(val) -> str:
     if isinstance(val, tuple):
         return ", ".join(_fmt_value(x) for x in val)
-    if isinstance(val, float):
-        return "inf" if math.isinf(val) else repr(val)
     return str(val)
 
 

@@ -448,9 +448,8 @@ class RangeKernel:
         and s^2/2 for linear (q = 2), (h^2/2)(1 - g) for the bilateral family,
         whose A is s g with the same window g = exp(-(s/h)^2), the base's
         density for a mollified kernel, and the quadratic s^2/2 for
-        variable_exponent and custom, which have no antiderivative in s
-        alone.  ``pair_ref`` is as in
-        :meth:`eval`.  ``out``, a pair of C-contiguous float64 arrays
+        variable_exponent and custom, which have no closed-form
+        antiderivative.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of C-contiguous float64 arrays
         shaped like ``s`` (the second may be None without ``energy``),
         receives A and Phi in place of new arrays; the pair walk passes
         buffers it reuses from block to block.

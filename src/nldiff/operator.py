@@ -85,7 +85,7 @@ The flow energy is the raw double sum over ordered pairs
     E = node_volume^2 * sum_x sum_d w(d) Phi(t, x, x+d, u(x+d) - u(x)),
 
 with Phi the energy density of :meth:`~nldiff.kernels.RangeKernel.terms`:
-the even antiderivative of A with Phi(0) = 0 where one exists in s alone,
+the even antiderivative of A with Phi(0) = 0 where it has a closed form,
 the quadratic s^2/2 otherwise.  The walk visits each unordered pair once
 and counts it twice.  With the discrete inner product of weight
 node_volume, the descent direction of E is its coordinate gradient
@@ -450,7 +450,7 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
 
     This is the double sum of the energy density over all weighted pairs
     (see the module docstring), whose descent direction is exactly the
-    operator.  For the families without a closed antiderivative in s alone
+    operator.  For the families without a closed-form antiderivative
     (variable_exponent, custom) it is the quadratic energy, a monitoring
     quantity rather than a certified descent functional.  It is the energy
     of a solver step's own walk (:meth:`_Walk.apply`) at t = 0, so a step

@@ -22,9 +22,9 @@ Three ways to pick mu:
 
 * ``auto_growth``   mu = 2 C_A + C_f + margin, with C_A the sampled growth
   constant of the range kernel; suits kernels with a finite slope near 0.
-* ``auto_linf``     mu = C_f (1 + K) / K with K = 1.01 max|u0|; this is
-  the choice under which the recorded trajectory must satisfy the sup-norm
-  certificate max|u(t)| <= e^{mu T} max|u0|.
+* ``auto_linf``     mu = C_f (1 + K) / K with K = 1.01 max|u0|, refused
+  for a zero u0; this is the choice under which the recorded trajectory
+  must satisfy the sup-norm certificate max|u(t)| <= e^{mu T} max|u0|.
 * ``manual``        mu taken from the config; mu = 0 disables the
   transform, the right choice for contraction and conservation studies.
 
@@ -136,26 +136,6 @@ def _check_seed(seed):
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
 
 
-def select_mu(mode: str, c_a: float = 0.0, c_f: float = 0.0, k: float | None = None,
-              margin: float = 0.01, mu: float = 0.0) -> float:
-    """Resolve the damping constant for a mu mode.
-
-    auto_growth returns 2 c_a + c_f + margin; auto_linf returns
-    c_f (1 + k) / k and requires k > 0; manual passes ``mu`` through.
-    """
-    if mode == "auto_growth":
-        return 2.0 * c_a + c_f + margin
-    if mode == "auto_linf":
-        if k is None or not k > 0.0:
-            raise ConfigurationError(f"auto_linf needs a positive sup-norm bound, got {k}")
-        return c_f * (1.0 + k) / k
-    if mode == "manual":
-        if not mu >= 0.0:
-            raise ConfigurationError(f"mu must be non-negative, got {mu}")
-        return float(mu)
-    raise ConfigurationError(f"unknown mu mode {mode!r}")
-
-
 @dataclass
 class Trajectory:
     """The output of one run.
@@ -185,7 +165,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def _resolve_constants(kernel, reaction, u0, config, seed):
+def _resolve_constants(table, kernel, reaction, u0, config, seed):
+    """The constants of a run, mu by its mode's formula in the module
+    docstring; raises :class:`ConfigurationError` for auto_linf on a zero
+    state and for a mu T the damping transform would overflow."""
     rng = np.random.default_rng(seed)
     norm_u0 = float(np.max(np.abs(u0.values)))
     c_f, l_f = reaction.c_growth, reaction.l_lipschitz
@@ -193,12 +176,25 @@ def _resolve_constants(kernel, reaction, u0, config, seed):
     c_a = k = math.nan
     if config.mu_mode == "auto_growth":
         c_a = sample_growth_constant(kernel, sample_radius, rng)
+        mu = 2.0 * c_a + c_f + config.mu_margin
     elif config.mu_mode == "auto_linf":
         k = 1.01 * norm_u0
-    mu = select_mu(config.mu_mode, c_a=c_a, c_f=c_f, k=k, margin=config.mu_margin, mu=config.mu)
+        if not k > 0.0:
+            raise ConfigurationError(f"auto_linf needs a positive sup-norm bound, got {k}")
+        mu = c_f * (1.0 + k) / k
+    else:
+        mu = float(config.mu)
     # Sampled on twice the initial range: conformant runs stay inside it by
     # the discrete maximum principle, which is what this bound protects.
     l_loc = sample_lipschitz_constant(kernel, sample_radius, rng)
+    T = float(config.T)
+    if mu * T > _MAX_MU_T:
+        raise ConfigurationError(
+            f"mu T = {mu * T:.3g} overflows the damping transform; "
+            "use manual mu or a kernel with bounded growth"
+        )
+    mass_s = table.discrete_mass()
+    denom = mass_s * l_loc + l_f
     return {
         "mu": mu,
         "mu_mode": config.mu_mode,
@@ -209,6 +205,9 @@ def _resolve_constants(kernel, reaction, u0, config, seed):
         "l_a_loc": l_loc,
         "k_linf": k,
         "norm_u0": norm_u0,
+        "tau": T / int(config.steps),
+        "kernel_mass": mass_s,
+        "tau_positivity_limit": math.inf if denom <= 0.0 else 1.0 / denom,
     }
 
 
@@ -250,26 +249,10 @@ def solve(
         raise AssumptionViolationError(
             f"problem data violates the structural hypotheses ({', '.join(failed)})", report=report)
 
-    constants = _resolve_constants(kernel, reaction, u0, config, seed)
-    mu = constants["mu"]
+    constants = _resolve_constants(table, kernel, reaction, u0, config, seed)
+    mu, tau, tau_limit = constants["mu"], constants["tau"], constants["tau_positivity_limit"]
     N = int(config.steps)
     T = float(config.T)
-    tau = T / N
-    if mu * T > _MAX_MU_T:
-        raise ConfigurationError(
-            f"mu T = {mu * T:.3g} overflows the damping transform; "
-            "use manual mu or a kernel with bounded growth"
-        )
-    mass_s = table.discrete_mass()
-    denom = mass_s * constants["l_a_loc"] + constants["l_f"]
-    tau_limit = math.inf if denom <= 0.0 else 1.0 / denom
-    constants.update(
-        {
-            "tau": tau,
-            "kernel_mass": mass_s,
-            "tau_positivity_limit": tau_limit,
-        }
-    )
     if tau > tau_limit:
         warnings.warn(
             f"step size {tau:.3g} exceeds the positivity bound {tau_limit:.3g}; "

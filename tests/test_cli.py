@@ -31,6 +31,7 @@ from nldiff import (
     build_problem,
     field_to_image,
     image_to_field,
+    load_field,
     load_pgm,
     make_spatial_kernel,
     parse_config,
@@ -128,6 +129,17 @@ def test_serialize_round_trips_and_covers_every_key():
         assert f"\n{key} = " in "\n" + out
 
 
+def test_serialize_round_trips_negative_infinity():
+    text = MINIMAL.replace("grid.extents = 0, 1", "grid.extents = -inf, 1") + (
+        "range.p = -inf\nstudy.perturb_scale = -inf\n")
+    cfg = parse_config_text(text)
+    assert cfg.grid.extents == (-math.inf, 1.0) and cfg.range.p == -math.inf
+    out = serialize_config(cfg)
+    assert "\ngrid.extents = -inf, 1.0\n" in out and "\nrange.p = -inf\n" in out
+    assert "\nstudy.perturb_scale = -inf\n" in out
+    assert parse_config_text(out) == cfg
+
+
 def test_parse_config_reads_files_and_reports_io_errors(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(MINIMAL, encoding="utf-8")
@@ -206,6 +218,45 @@ def test_custom_tables_and_fields_load_through_a_config(tmp_path):
     assert prob.reaction.working_range == (0.0, 2.0)
     np.testing.assert_array_equal(prob.reaction.eval(0.0, None, [0.5, 1.5]), [-0.25, -1.25])
     np.testing.assert_array_equal(prob.u0.values, np.linspace(0.1, 0.9, 16))
+
+
+def test_pgm_initial_state_is_the_first_recorded_state(tmp_path, capsys):
+    img = tmp_path / "u0.pgm"
+    write_p2(img, [[0, 128, 255, 64, 32], [16, 200, 100, 50, 25], [255, 0, 128, 1, 2]])
+    w, h = 5, 3
+    rest = ("range.family = linear\nsolver.T = 0.01\nsolver.steps = 4\nsolver.mu_mode = manual\n"
+            f"kernel.radius = 0.5\ninitial.kind = pgm\ninitial.path = {img}\n")
+    cfg = tmp_path / "pgm.cfg"
+    for height, code in ((h / w, 0), (np.nextafter(h / w, 1.0), 2)):
+        cfg.write_text(f"grid.dim = 2\ngrid.extents = 0, 1, 0, {float(height)!r}\n"
+                       f"grid.counts = {w}, {h}\n" + rest, encoding="utf-8")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    grid, u0 = image_to_field(load_pgm(img))
+    first = load_field(tmp_path / "o" / "field_000000.csv")
+    assert first.grid == grid
+    np.testing.assert_array_equal(first.values, u0.values)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: image {img} implies grid counts")
+    assert err.rstrip().endswith("the config grid disagrees")
+
+
+def test_spatial_exponent_config_verifies_energy_descent(tmp_path, capsys):
+    cfg = str(tmp_path / "se.cfg")
+    Path(cfg).write_text(MINIMAL.replace("range.family = linear", "range.family = spatial_exponent")
+                         + "range.exponent_values = 3, 2.5\ninitial.kind = random\n"
+                         "initial.low = 0.2\ninitial.high = 0.8\nsolver.mu_mode = manual\n",
+                         encoding="utf-8")
+    problem = build_problem(parse_config(cfg))
+    assert problem.kernel.family == "spatial_exponent"
+    assert problem.kernel.reference is problem.u0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert "[PASS] energy descent" in capsys.readouterr().out
+
+
+def test_auto_linf_on_a_zero_state_exits_2_naming_the_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "solver.mu_mode = auto_linf\ninitial.kind = constant\ninitial.value = 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: auto_linf needs a positive sup-norm bound, got 0.0\n"
 
 
 def test_negative_seed_is_rejected():

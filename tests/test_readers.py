@@ -97,6 +97,7 @@ def config_texts(draw):
 def test_config_text_loads_or_is_refused(text):
     cfg = reads(parse_config_text, text, "fuzz.cfg")
     if cfg is not None:
+        assert parse_config_text(serialize_config(cfg)) == cfg
         problem = reads(build_problem, cfg)
         assert problem is None or problem.u0.values.size == problem.grid.node_count <= 64
 

@@ -36,10 +36,10 @@ from nldiff import (
     linear_decay_reaction,
     make_spatial_kernel,
     p_laplacian_kernel,
-    select_mu,
     solve,
     solve_problem,
     stability_constant_estimate,
+    verify_invariants,
     zero_reaction,
 )
 
@@ -53,20 +53,6 @@ def two_node_problem(u0_vals, *, T=0.5, steps=16, mu_mode="manual", mu=0.0, reac
 
 # ---------------------------------------------------------------------------
 # mu selection and config validation
-
-
-def test_select_mu_hand_values():
-    assert select_mu("auto_growth", c_a=1.0, c_f=0.5, margin=0.01) == 2.51
-    assert select_mu("auto_linf", c_f=0.6, k=1.2) == pytest.approx(1.1, rel=1e-15)
-    assert select_mu("manual", mu=0.37) == 0.37
-    with pytest.raises(ConfigurationError):
-        select_mu("auto_linf", c_f=0.6, k=0.0)
-    with pytest.raises(ConfigurationError):
-        select_mu("auto_linf", c_f=0.6)
-    with pytest.raises(ConfigurationError):
-        select_mu("no_such_mode")
-    with pytest.raises(ConfigurationError):
-        select_mu("manual", mu=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -225,6 +211,17 @@ def test_auto_growth_uses_sampled_constant():
     # linear kernel growth samples to 1 exactly, so mu = 2 + 0.3 + margin
     assert traj.constants["c_a"] == pytest.approx(1.0, abs=1e-12)
     assert traj.constants["mu"] == pytest.approx(2.31, rel=1e-12)
+
+
+def test_auto_linf_refuses_a_zero_initial_state():
+    with pytest.raises(ConfigurationError, match="auto_linf needs a positive sup-norm bound, got 0.0"):
+        solve_problem(two_node_problem([0.0, 0.0], mu_mode="auto_linf"))
+
+
+def test_manual_mu_is_recorded_as_a_float():
+    traj = solve_problem(two_node_problem([0.2, 1.0], mu=1))
+    assert type(traj.constants["mu"]) is float and traj.constants["mu"] == 1.0
+    assert "constant mu = 1.0\n" in verify_invariants(traj).to_text() + "\n"
 
 
 def test_mu_overflow_guard():

@@ -10,8 +10,9 @@ PYTHONPATH and its own ``configs/``:
 
 * the five commands on ``configs/`` (solve, verify, and the contraction,
   cauchy and refine studies);
-* ``solve`` on ``configs/heat_1d.cfg`` with a negative initial state, a
-  run the solver refuses;
+* ``solve`` on three variants of ``configs/heat_1d.cfg``: under
+  ``auto_growth``, and two runs the solver refuses, one with a negative
+  initial state and one under ``auto_linf`` with a zero initial state;
 * ``denoise`` (the flow and ``--one-step``) on the perfbench images of
   seeds 0 and 1, generated once by this tree's ``perfbench/workloads.py``.
 
@@ -46,6 +47,12 @@ CONFIG_COMMANDS = [
     ("study_refine_heat_1d", ["study", "refine", "--config", "configs/heat_1d.cfg"]),
 ]
 IMAGE_SEEDS = (0, 1)
+# Variants of configs/heat_1d.cfg, each solved: file stem -> {key: value}.
+HEAT_VARIANTS = {
+    "nonconformant": {"initial.low": "-0.2"},
+    "auto_growth": {"solver.mu_mode": "auto_growth"},
+    "zero_auto_linf": {"solver.mu_mode": "auto_linf", "initial.kind": "constant", "initial.value": "0"},
+}
 
 _IMAGES = """
 import sys
@@ -59,9 +66,9 @@ for seed in map(int, sys.argv[2:]):
 
 def commands(inputs: str) -> list:
     """(name, nldiff arguments) of every command, inputs under ``inputs``."""
-    nonconformant = os.path.join(inputs, "nonconformant.cfg")
     runs = list(CONFIG_COMMANDS)
-    runs.append(("solve_nonconformant", ["solve", "--config", nonconformant]))
+    for stem in HEAT_VARIANTS:
+        runs.append((f"solve_{stem}", ["solve", "--config", os.path.join(inputs, f"{stem}.cfg")]))
     for seed in IMAGE_SEEDS:
         image = os.path.join(inputs, f"seed{seed}.pgm")
         runs.append((f"denoise_seed{seed}", ["denoise", "--image", image]))
@@ -70,14 +77,20 @@ def commands(inputs: str) -> list:
 
 
 def write_inputs(inputs: str) -> None:
-    """The perfbench images and a config whose initial state is negative."""
+    """The perfbench images and the variants of ``configs/heat_1d.cfg``;
+    a key a variant sets replaces its line, or is appended."""
     os.makedirs(inputs)
     subprocess.run([sys.executable, "-c", _IMAGES, inputs, *map(str, IMAGE_SEEDS)],
                    cwd=ROOT, check=True)
     with open(os.path.join(ROOT, "configs", "heat_1d.cfg"), encoding="utf-8") as fh:
-        text = fh.read()
-    with open(os.path.join(inputs, "nonconformant.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(re.sub(r"(?m)^initial\.low = .*$", "initial.low = -0.2", text))
+        base = fh.read()
+    for stem, changes in HEAT_VARIANTS.items():
+        text = base
+        for key, value in changes.items():
+            text, found = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
+            text += "" if found else f"{key} = {value}\n"
+        with open(os.path.join(inputs, f"{stem}.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def extract(rev: str, dest: str) -> None:
