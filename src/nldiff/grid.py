@@ -62,6 +62,8 @@ class Grid:
         for c in self.counts:
             if int(c) != c or c < 2:
                 raise ConfigurationError(f"axis count must be an integer >= 2, got {c}")
+        if (nodes := math.prod(int(c) for c in self.counts)) > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"grid of {nodes} nodes exceeds the array index range")
         spacing = tuple((hi - lo) / c for (lo, hi), c in zip(self.extents, self.counts))
         node_volume = math.prod(spacing)
         for (lo, hi), h in zip(self.extents, spacing):

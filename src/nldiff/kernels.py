@@ -430,29 +430,39 @@ class RangeKernel:
 
     @property
     def flux_exponent(self) -> float | None:
-        """The one scalar q with Phi = s A / q in :meth:`terms`: 2 for the
-        linear family, p for p_laplacian, else None.  Where there is one,
-        the pair walk sums the energy from its weighted flux and never
-        forms Phi (see :mod:`nldiff.operator`)."""
+        """The one scalar q with Phi = s A / q: 2 for the linear family, p
+        for p_laplacian, else None.  Where there is one, the pair walk sums
+        the density s A from its weighted flux and never calls
+        :meth:`terms` for it (see :mod:`nldiff.operator`)."""
         fam = self.family
         return 2.0 if fam == "linear" else self.p if fam == "p_laplacian" else None
 
-    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
-        """(A, Phi) at value differences ``s`` from one evaluation, Phi
-        only with ``energy`` (else None).
+    def energy_sum(self, total: float) -> float:
+        """sum(w Phi) from ``total``, a sum of w D (:meth:`terms`): over the
+        :attr:`flux_exponent` q, times h^2/2 for bilateral, the base's for mollified."""
+        if self.family == "mollified":
+            return self.base.energy_sum(total)
+        if self.family == "bilateral_gaussian":
+            return 0.5 * self.h * self.h * total
+        q = self.flux_exponent
+        return total if q is None else total / q
 
-        Phi is the flow's energy density, computed only here or, for
-        the families with a :attr:`flux_exponent`, summed by the pair
-        walk from its weighted flux (see :mod:`nldiff.operator`):
-        s A / q, which is |s|^q / q for the power families of exponent q
-        and s^2/2 for linear (q = 2), (h^2/2)(1 - g) for the bilateral family,
-        whose A is s g with the same window g = exp(-(s/h)^2), the base's
-        density for a mollified kernel, and the quadratic s^2/2 for
-        variable_exponent and custom, which have no closed-form
-        antiderivative.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of C-contiguous float64 arrays
-        shaped like ``s`` (the second may be None without ``energy``),
-        receives A and Phi in place of new arrays; the pair walk passes
-        buffers it reuses from block to block.
+    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
+        """(A, D) at value differences ``s`` from one evaluation, D only
+        with ``energy`` (else None).
+
+        D is the energy density Phi less the scale :meth:`energy_sum` puts
+        on its sums: s A, with Phi = s A / q, where there is a
+        :attr:`flux_exponent` q (|s|^p for p_laplacian, s^2 for linear);
+        1 - g, with Phi = (h^2/2)(1 - g), for the bilateral family, whose A
+        is s g with the same window g = exp(-(s/h)^2); the base's for a
+        mollified kernel; else Phi itself: |s|^q / q with the per-pair q of
+        spatial_exponent, and the quadratic s^2/2 for variable_exponent and
+        custom, which have no closed-form antiderivative.  D is +0.0 where
+        s is.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of
+        C-contiguous float64 arrays shaped like ``s`` (the second may be
+        None without ``energy``), receives A and D in place of new arrays;
+        the pair walk passes buffers it reuses from block to block.
         """
         s = np.asarray(s, dtype=np.float64)
         a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
@@ -460,7 +470,7 @@ class RangeKernel:
         if fam == "bilateral_gaussian":
             g = _gaussian_window(s, self.h, a)
             if energy:
-                np.multiply(0.5 * self.h * self.h, np.subtract(1.0, g, out=phi), out=phi)
+                np.subtract(1.0, g, out=phi)
             return np.multiply(s, g, out=a), phi
         if fam == "mollified":
             if energy:
@@ -483,7 +493,9 @@ class RangeKernel:
             if q is None:
                 np.divide(np.multiply(s, s, out=phi), 2.0, out=phi)
             else:
-                np.divide(np.multiply(s, a, out=phi), q, out=phi)
+                np.multiply(s, a, out=phi)
+                if fam == "spatial_exponent":  # q per pair: no scale for energy_sum
+                    phi /= q
         return a, phi
 
     def pair_exponents(self, pair_ref) -> PairExponents:
@@ -541,15 +553,15 @@ class RangeKernel:
 
 
 def _gaussian_window(s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """exp(-(s/h)^2), computed in ``out``.  In place because every temporary
-    the size of a walk block is a heap allocation that glibc may hand back
-    and fault in again per block.  Minor page faults of a 128^2 denoise
-    run: 98k with the plain expressions; 7k to 32k, with the heap layout,
-    with this window in one new array per call; 5.7k in the pair walk's
-    reused buffers."""
-    z = np.divide(s, h, out=out)
-    z *= z
-    return np.exp(np.negative(z, out=z), out=z)
+    """exp(-(s/h)^2) in ``out``, as exp((s c) s) with c = -1/h/h, which is
+    finite and nonzero for every width :func:`bilateral_width` admits: two
+    products and the exp, no division.  In place because a temporary the
+    size of a walk block is a heap allocation glibc may hand back and fault
+    in again per block (a 128^2 denoise run: 98k minor page faults with the
+    plain expressions, 5.7k in the pair walk's reused buffers)."""
+    z = np.multiply(s, -1.0 / h / h, out=out)
+    z *= s
+    return np.exp(z, out=z)
 
 
 def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:

@@ -36,9 +36,10 @@ positions, |dj| per row, as the prefix inside the range of one sorted
 array that the offsets of that dj share, and is None where no pair wraps
 (gather blocks, 1-D grids, dj = 0).  A block's pair positions
 (:func:`_positions`) count a slice block's whole range.  The walk sets s to
-0 at the wrapped pairs, so no kernel sees the difference of two
-unrelated nodes, and every weighted value is dropped there
-(:func:`_drop_wrapped`), so each wrapped pair adds exactly +0.0 to every
++0.0 at the wrapped pairs, so no kernel sees the difference of two
+unrelated nodes, and drops every weighted value there
+(:func:`_drop_wrapped`) but the energy density, which is +0.0 at s = +0.0
+for every family, so each wrapped pair adds exactly +0.0 to every
 scatter and sum.  The walk writes s into a scratch buffer and hands out
 two more for the block's results; the three are allocated once per walk
 and sized to its longest block, since a fresh temporary per block is a
@@ -94,16 +95,16 @@ Phi = |s|^p / p, descends exactly along the operator with
 A = |s|^(p-2) s, and the bilateral energy,
 Phi = (h^2/2)(1 - exp(-s^2/h^2)), along the operator with
 A = s exp(-s^2/h^2).  One call of ``terms`` per block returns A and
-Phi from the same intermediates, the bilateral pair from one Gaussian
-window, so a time step gets the energy of its state from the walk that
-applies the operator.  Where Phi = s A / q with one scalar q
-(:attr:`~nldiff.kernels.RangeKernel.flux_exponent`: the linear family,
-q = 2, and p_laplacian, q = p), the walk asks ``terms`` for A alone and
-never forms Phi: the energy is sum(w A s) / q, each block's sum(w A s)
-taken from the weighted flux w A it scatters anyway, in one product and
-one pairwise sum, and the total divided by q once.  The other families
-sum their Phi.  That is the one energy sum: :func:`flow_energy` is the
-same walk at t = 0, its operator discarded.
+the density D, Phi less a scale, the bilateral pair (D = 1 - g) from one
+Gaussian window g, so a time step gets its state's energy from the walk
+that applies the operator.  Where D = s A (the linear family and
+p_laplacian, :attr:`~nldiff.kernels.RangeKernel.flux_exponent`), the walk
+asks ``terms`` for A alone and sums w A s from the weighted flux w A it
+scatters anyway.  :meth:`~nldiff.kernels.RangeKernel.energy_sum` scales
+sums, never a pair's D: that total by 1/q once, the others' per block
+(h^2/2 for bilateral), so the block sums add up as when D held the scale.
+That is the one energy sum: :func:`flow_energy` is the same walk at
+t = 0, its operator discarded.
 """
 
 from __future__ import annotations
@@ -353,9 +354,9 @@ class _Walk:
             _scatter(np.add, out, dst, wa)
             _scatter(np.subtract, out, src, wa)
             if phi_energy:
-                acc += _weighted_sum(w, phi, wrap)
+                acc += kernel.energy_sum(_weighted_sum(w, phi, None))  # D is +0.0 where s is
             elif energy:
-                # q Phi = s A, so the block's q-fold energy is sum(w A s), formed in
+                # the density is s A, so the block's sum is sum(w A s), formed in
                 # the scratch array terms left free and summed pairwise
                 acc += float(np.multiply(wa, s, out=scratch[1]).sum())
         return acc
@@ -374,7 +375,7 @@ class _Walk:
             self.out += self.second
         nv = self.table.grid.node_volume
         if energy and self.q is not None:
-            acc /= self.q
+            acc = self.kernel.energy_sum(acc)  # sum(w A s) / q, once per walk
         # the walk visits each unordered pair once; the energy sums ordered pairs
         e = 2.0 * nv**2 * acc if energy else None
         return np.multiply(self.out, nv, out=self.out), e

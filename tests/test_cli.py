@@ -511,6 +511,17 @@ def test_grid_spacing_that_is_not_a_normal_float_exits_2(tmp_path, capsys, exten
     assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+def test_grid_beyond_the_array_index_range_exits_2_naming_the_config(tmp_path, capsys):
+    text = (Path(__file__).parent.parent / "configs" / "heat_1d.cfg").read_text(encoding="utf-8")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(re.sub(r"(?m)^grid\.counts\s*=.*$", "grid.counts = 99999999999999999999", text),
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: grid of 99999999999999999999 nodes exceeds")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, extra, detail",
     [

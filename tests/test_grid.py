@@ -1,6 +1,7 @@
 """Grid geometry, fields, quadrature, and the field file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ def test_flat_and_nearest_index():
 def test_grid_rejects_bad_geometry(dim, extents, counts):
     with pytest.raises(ConfigurationError):
         build_grid(dim, extents, counts)
+
+
+def test_grid_beyond_the_array_index_range_is_refused_before_any_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=f"grid of {2**64} nodes exceeds the array index range"):
+            build_grid(2, [(0.0, 1.0)] * 2, [2**32, 2**32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_field_validation():

@@ -354,6 +354,22 @@ def test_bilateral_width_keeps_its_energy_scale_normal():
     assert bilateral_kernel(1.5e154).h == 1.5e154
 
 
+@pytest.mark.parametrize("h", [2.2e-154, 1e-3, 0.1, 1.0, 1e3, 1.5e154])
+def test_gaussian_window_matches_the_divided_form(h):
+    # the window is exp((s c) s) with c = -1/h/h, no division per value; it
+    # must agree with exp(-(s/h)^2) to the rounding of the exponent z, for
+    # every width the bilateral family admits, and be exactly 1 at s = 0
+    s = np.concatenate([np.linspace(-1.0, 1.0, 2001),
+                        np.random.default_rng(3).uniform(-1.0, 1.0, 2000), [0.0, -0.0]])
+    g = kernels._gaussian_window(s, bilateral_kernel(h).h, np.empty_like(s))
+    z = (s / h) ** 2
+    assert np.all((0.0 <= g) & (g <= 1.0)), h
+    want = np.exp(-z)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(g - want) <= 4.0 * eps * (1.0 + z) * want), h
+    assert np.all(g[s == 0.0] == 1.0), h
+
+
 # ---------------------------------------------------------------------------
 # range kernels
 

@@ -460,7 +460,8 @@ def test_one_step_filter_uses_the_bilateral_window_bit_for_bit():
     for _ in range(200):
         u = rng.uniform(-1.0, 1.0, 2)
         h = 10.0 ** rng.uniform(-1.0, 1.0)
-        gw = np.exp(-(((u[1] - u[0]) / h) ** 2))
+        s = u[1] - u[0]
+        gw = np.exp(s * (-1.0 / h / h) * s)  # the window's exp((s c) s), c = -1/h/h
         want = (w0 * u + w1 * gw * u[::-1]) / (w0 + w1 * gw)
         assert np.array_equal(one_step_filter(g, t, Field(g, u), h).values, want), (u, h)
 
@@ -767,13 +768,11 @@ def test_flat_walk_matches_the_sliced_walk(case, layout):
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15), k.family
 
 
-def test_no_kernel_sees_a_wrapped_pair(monkeypatch):
-    # Every offset of this 5 x 5 stencil, less the zero offset, on a 6 x 7
-    # grid is sliced, so each with a column part has pairs in its flat range
-    # that wrap around a row end; those join nodes 5 or more columns apart,
-    # which no offset does.  The kernel is odd bit for bit, 0 at s = 0 when
-    # t = 0, and 0.3 at +0.0 and -0.3 at -0.0 when t = 0.3, so a wrapped
-    # pair that reached a sum or a scatter would show in every result.
+def wrapping_setup(monkeypatch):
+    """Every offset of a 5 x 5 stencil, less the zero offset, on a 6 x 7
+    grid, all sliced, so each with a column part has pairs in its flat range
+    that wrap around a row end; those join nodes 5 or more columns apart,
+    which no offset does.  Returns the grid, the table, u and a test field."""
     g = build_grid(2, [(0.0, 1.0)] * 2, [6, 7])
     offsets = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
     t = custom_table(g, offsets, [np.exp(-0.5 * (a * a + b * b)) for a, b in offsets])
@@ -782,7 +781,49 @@ def test_no_kernel_sees_a_wrapped_pair(monkeypatch):
     assert any(b[3] is not None and b[3].size for b in operator._Walk(t).blocks)
     rng = np.random.default_rng(12)
     u = Field(g, rng.uniform(0.0, 1.0, g.node_count))
-    phi = Field(g, rng.uniform(-1.0, 1.0, g.node_count))
+    return g, t, u, Field(g, rng.uniform(-1.0, 1.0, g.node_count))
+
+
+def every_family(u):
+    """A kernel of every family, a mollified one of every built-in base, and
+    the custom odd kernel."""
+    bases = [linear_kernel(), p_laplacian_kernel(1.5), p_laplacian_kernel(3.0),
+             variable_exponent_kernel([0.0, 1.0], [2.5, 2.0]),
+             spatial_exponent_kernel([0.0, 0.5], [3.0, 2.2], u), bilateral_kernel(0.4)]
+    return bases + [mollify_range_kernel(k, 4) for k in bases] + [custom_odd_kernel()]
+
+
+def test_every_density_is_plus_zero_where_s_is(monkeypatch):
+    # the walk drops no density at the wrapped pairs, where it sets s = +0.0:
+    # each family's density must be +0.0 there, with no sign bit, so that
+    # the pair adds exactly +0.0 to the energy's sum
+    g, t, u, _ = wrapping_setup(monkeypatch)
+    for k in every_family(u):
+        for time in (0.0, 0.3):
+            zeros = 0
+            for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
+                dens = k.terms(time, s, pe, True, scratch)[1]
+                at = (s == 0.0) & ~np.signbit(s)
+                zeros += int(np.count_nonzero(at))
+                assert np.all(dens[at] == 0.0) and not np.any(np.signbit(dens[at])), (k.family, time)
+            assert zeros, k.family
+
+
+def test_flow_energy_on_a_wrapping_table_matches_the_scalar_oracle(monkeypatch):
+    g, t, u, _ = wrapping_setup(monkeypatch)
+    pairs = list(scalar_pairs(g, t))
+    v = u.values  # also the spatial_exponent kernels' reference
+    for k in every_family(u):
+        want = g.node_volume**2 * math.fsum(w * antiderivative(k, v[y] - v[x], v[y] - v[x])
+                                            for x, y, w in pairs)
+        assert flow_energy(g, t, k, u) == pytest.approx(want, rel=1e-12), (k.family, k.base)
+
+
+def test_no_kernel_sees_a_wrapped_pair(monkeypatch):
+    # The kernel is odd bit for bit, 0 at s = 0 when t = 0, and 0.3 at +0.0
+    # and -0.3 at -0.0 when t = 0.3, so a wrapped pair of wrapping_setup's
+    # table that reached a sum or a scatter would show in every result.
+    g, t, u, phi = wrapping_setup(monkeypatch)
     pairs = list(scalar_pairs(g, t))
     seen = []
     k = custom_kernel(lambda t, s: seen.append(np.array(s)) or s + np.copysign(t, s))

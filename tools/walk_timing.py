@@ -1,19 +1,23 @@
-"""Where the time of one config's pair walk goes.
+"""Where the time of one config's, or one image's, pair walk goes.
 
     python tools/walk_timing.py configs/logistic_patch_2d.cfg [--repeats 300] [--solves 3]
+    python tools/walk_timing.py --image noisy.pgm [--radius 0.03] [--h 0.1] [--repeats 300] [--solves 3]
 
 Run from the root of a source tree; ``src/`` is put first on the import
-path.  Prints three sections:
+path.  With ``--image`` the run is the flow of ``nldiff denoise`` on that
+PGM: the bilateral kernel of width ``--h`` on the image's Gaussian table
+of radius ``--radius``, solved to the CLI's end time in its step count
+with mu = 0; every default is the CLI's.  Prints three sections:
 
 * the walk's blocks, by kind (slice or gather) with their count and
   smallest, median and largest pair positions, and the positions of each
   half of the walk;
 * the median times, over ``--repeats`` calls each, of building the
-  config's kernel table (``make_spatial_kernel``), of building its walk
+  kernel table (``make_spatial_kernel``), of building its walk
   (``operator._Walk(table, kernel)``, which cuts the table into blocks),
   and of one in-process apply with the energy, the call a solver step
   makes;
-* the config's whole solve, ``--solves`` times, its wall time split into
+* the whole solve, ``--solves`` times, its wall time split into
   the halves of the walk this process ran (both on one CPU, the first
   when a helper process walks the second), the wait for the helper (0
   when none runs), and the rest.  The split comes from wrapping
@@ -34,8 +38,19 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from nldiff import build_problem, make_spatial_kernel, parse_config, solve_problem  # noqa: E402
-from nldiff import errors, operator  # noqa: E402
+from nldiff import (  # noqa: E402
+    Problem,
+    SolverConfig,
+    bilateral_kernel,
+    build_problem,
+    image_to_field,
+    load_pgm,
+    make_spatial_kernel,
+    parse_config,
+    solve_problem,
+    zero_reaction,
+)
+from nldiff import cli, errors, operator  # noqa: E402
 
 
 def block_rows(walk) -> list:
@@ -87,29 +102,57 @@ def timed_solve(problem) -> tuple:
     return wall, spent["half"], spent["wait"]
 
 
+def config_problem(path: str) -> tuple:
+    """The problem of a config file, and a call that builds its table."""
+    config = parse_config(path)
+    problem = build_problem(config)
+    ks, table = config.kernel, problem.table
+    rows = (table.offsets, table.weights) if ks.family == "custom_table" else None
+    return problem, lambda: make_spatial_kernel(problem.grid, ks.family, ks.radius, table=rows)
+
+
+def image_problem(path: str, radius: float, h: float, denoise) -> tuple:
+    """The flow ``nldiff denoise`` runs on a PGM, with the end time and step
+    count of the parsed denoise arguments ``denoise``, and a call that
+    builds its table."""
+    grid, u0 = image_to_field(load_pgm(path))
+    config = SolverConfig(T=denoise.T, steps=denoise.steps, mu_mode="manual", mu=0.0,
+                          record_every=max(1, denoise.steps))
+    table = make_spatial_kernel(grid, "gaussian", radius)
+    problem = Problem(grid, table, bilateral_kernel(h), zero_reaction(), u0, config)
+    return problem, lambda: make_spatial_kernel(grid, "gaussian", radius)
+
+
 def main(argv=None) -> int:
+    # the denoise command's defaults, from the CLI's own parser
+    denoise = cli._build_parser().parse_args(["denoise", "--image", "", "--out", ""])
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("config")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?", help="a run configuration file")
+    source.add_argument("--image", help="a PGM image, run as nldiff denoise runs it")
+    ap.add_argument("--radius", type=float, default=denoise.radius,
+                    help=f"with --image, the spatial window radius (default {denoise.radius})")
+    ap.add_argument("--h", type=float, default=denoise.h,
+                    help=f"with --image, the value-difference scale (default {denoise.h})")
     ap.add_argument("--repeats", type=int, default=300, help="applies timed (default 300)")
     ap.add_argument("--solves", type=int, default=3, help="solves timed (default 3)")
     args = ap.parse_args(argv)
 
-    config = parse_config(args.config)
-    problem = build_problem(config)
+    if args.image is None:
+        problem, build_table = config_problem(args.config)
+    else:
+        problem, build_table = image_problem(args.image, args.radius, args.h, denoise)
     table, kernel = problem.table, problem.kernel
     walk = operator._Walk(table, kernel)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    print(f"{args.config}: {problem.grid.node_count} nodes, {problem.table.size} offsets, "
+    print(f"{args.config or args.image}: {problem.grid.node_count} nodes, {problem.table.size} offsets, "
           f"kernel {problem.kernel.family}, {cpus} CPU(s)")
     for kind, count, lo, mid, hi in block_rows(walk):
         print(f"  {count:4d} {kind} blocks, positions min {lo}, median {mid}, max {hi}")
     print(f"  halves: {' + '.join(map(str, half_positions(walk)))} positions")
 
-    ks = config.kernel
-    rows = (table.offsets, table.weights) if ks.family == "custom_table" else None
     calls = [
-        ("table build, make_spatial_kernel",
-         lambda: make_spatial_kernel(problem.grid, ks.family, ks.radius, table=rows)),
+        ("table build, make_spatial_kernel", build_table),
         ("walk build, operator._Walk", lambda: operator._Walk(table, kernel)),
         ("apply with energy, in process", lambda: walk.apply(problem.u0.values, 0.0, True)),
     ]
