@@ -40,7 +40,7 @@ from .grid import Field, series_csv, write_text
 from .kernels import bilateral_kernel, make_spatial_kernel, zero_reaction
 from .operator import flow_energy, one_step_filter
 from .pgm import field_to_image, image_to_field, load_pgm, save_pgm
-from .stepper import SolverConfig, export_trajectory, solve, solve_problem
+from .stepper import Problem, SolverConfig, export_trajectory, solve_problem
 
 
 def _prepare(args, unmollified=False):
@@ -90,15 +90,24 @@ def _cmd_verify(args) -> int:
     return _finish(report, out, {"report.txt": report.to_text() + "\n", "report.csv": report.to_csv()})
 
 
+def denoise_problem(args) -> Problem:
+    """The flow ``denoise`` runs, from its parsed arguments: the bilateral
+    kernel of width ``h`` on the Gaussian table of radius ``radius`` of the
+    PGM ``image``, solved to ``T`` in ``steps`` steps with mu = 0."""
+    grid, u0 = image_to_field(load_pgm(args.image))
+    table = make_spatial_kernel(grid, "gaussian", args.radius)
+    config = SolverConfig(T=args.T, steps=args.steps, mu_mode="manual", mu=0.0,
+                          record_every=max(1, args.steps))
+    return Problem(grid, table, bilateral_kernel(args.h), zero_reaction(), u0, config)
+
+
 def _cmd_denoise(args) -> int:
-    image = load_pgm(args.image)
-    grid, u0 = image_to_field(image)
+    problem = denoise_problem(args)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    table = make_spatial_kernel(grid, "gaussian", args.radius)
-    kernel = bilateral_kernel(args.h)
 
     if args.one_step:
+        grid, table, kernel, u0 = problem.grid, problem.table, problem.kernel, problem.u0
         final = one_step_filter(grid, table, u0, args.h)
         e0 = flow_energy(grid, table, kernel, u0)
         e1 = flow_energy(grid, table, kernel, final)
@@ -107,9 +116,7 @@ def _cmd_denoise(args) -> int:
             series_csv({"step": [0, 1], "t": [0.0, 0.0], "energy": [e0, e1]}),
         )
     else:
-        config = SolverConfig(T=args.T, steps=args.steps, mu_mode="manual", mu=0.0,
-                              record_every=max(1, args.steps))
-        traj = solve(grid, table, kernel, zero_reaction(), u0, config)
+        traj = solve_problem(problem)
         d = traj.per_step
         write_text(
             os.path.join(out, "energy_series.csv"),

@@ -552,15 +552,26 @@ class RangeKernel:
         return out
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+
+
 def _gaussian_window(s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """exp(-(s/h)^2) in ``out``, as exp((s c) s) with c = -1/h/h, which is
-    finite and nonzero for every width :func:`bilateral_width` admits: two
-    products and the exp, no division.  In place because a temporary the
-    size of a walk block is a heap allocation glibc may hand back and fault
-    in again per block (a 128^2 denoise run: 98k minor page faults with the
-    plain expressions, 5.7k in the pair walk's reused buffers)."""
-    z = np.multiply(s, -1.0 / h / h, out=out)
-    z *= s
+    """exp(-(s/h)^2) in ``out``, as exp((s c) s) with c = -1/h/h: two
+    products and the exp, no division.  Above h = 2^511 c is subnormal and
+    would carry up to 4 eps of relative error into the exponent, so there
+    the exponent is ((s (-1/h)) s) (1/h), a third product with normal
+    factors.  In place because a temporary the size of a walk block is a
+    heap allocation glibc may hand back and fault in again per block (a
+    128^2 denoise run: 98k minor page faults with the plain expressions,
+    5.7k in the pair walk's reused buffers)."""
+    c = -1.0 / h / h
+    if -c >= _TINY:
+        z = np.multiply(s, c, out=out)
+        z *= s
+    else:
+        z = np.multiply(s, -1.0 / h, out=out)
+        z *= s
+        z *= 1.0 / h
     return np.exp(z, out=z)
 
 
@@ -677,7 +688,7 @@ def bilateral_width(h: float) -> float:
     infinite."""
     if not h > 0.0:
         raise ConfigurationError(f"bilateral width must be positive, got {h}")
-    if not np.finfo(np.float64).tiny <= 0.5 * h * h < math.inf:
+    if not _TINY <= 0.5 * h * h < math.inf:
         raise ConfigurationError(f"bilateral width {h!r} is out of range: h^2/2 is not a normal float")
     return float(h)
 

@@ -674,8 +674,9 @@ def test_denoise_one_step_smooths(tmp_path):
         (["--one-step", "--h", "1e-200"], "h^2/2 is not a normal float"),
         (["--radius", "inf"], "kernel radius must be positive and finite, got inf"),
         (["--one-step", "--radius", "nan"], "kernel radius must be positive and finite, got nan"),
+        (["--one-step", "--steps", "0"], "step count must be a positive integer, got 0"),
     ],
-    ids=["flow_h_underflow", "one_step_h_underflow", "infinite_radius", "nan_radius"],
+    ids=["flow_h_underflow", "one_step_h_underflow", "infinite_radius", "nan_radius", "one_step_steps_0"],
 )
 def test_bad_denoise_arguments_exit_2(tmp_path, capsys, args, detail):
     img = noisy_image(tmp_path)

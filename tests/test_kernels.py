@@ -354,13 +354,22 @@ def test_bilateral_width_keeps_its_energy_scale_normal():
     assert bilateral_kernel(1.5e154).h == 1.5e154
 
 
-@pytest.mark.parametrize("h", [2.2e-154, 1e-3, 0.1, 1.0, 1e3, 1.5e154])
+# the narrowest and widest widths bilateral_width admits, one each side of
+# h = 2^511, above which -1/h/h is subnormal, and 1.8562714315612554e154,
+# where the product with that subnormal c errs by 5 eps (1 + z), over the bound
+_WIDTHS = [math.sqrt(2.0 * np.finfo(np.float64).tiny) * (1.0 + 1e-15), 2.2e-154, 1e-3, 0.1,
+           1.0, 1e3, 6e153, 7e153, 1.5e154, 1.8562714315612554e154,
+           math.sqrt(2.0) * math.sqrt(np.finfo(np.float64).max)]
+
+
+@pytest.mark.parametrize("h", _WIDTHS)
 def test_gaussian_window_matches_the_divided_form(h):
     # the window is exp((s c) s) with c = -1/h/h, no division per value; it
     # must agree with exp(-(s/h)^2) to the rounding of the exponent z, for
-    # every width the bilateral family admits, and be exactly 1 at s = 0
-    s = np.concatenate([np.linspace(-1.0, 1.0, 2001),
-                        np.random.default_rng(3).uniform(-1.0, 1.0, 2000), [0.0, -0.0]])
+    # every width the bilateral family admits, and be exactly 1 at s = 0.
+    # s = h x with x in [-3, 3], so z covers [0, 9] at every width.
+    x = np.concatenate([np.linspace(-3.0, 3.0, 2001), np.random.default_rng(3).uniform(-3.0, 3.0, 20000)])
+    s = np.concatenate([h * x, [0.0, -0.0]])
     g = kernels._gaussian_window(s, bilateral_kernel(h).h, np.empty_like(s))
     z = (s / h) ** 2
     assert np.all((0.0 <= g) & (g <= 1.0)), h

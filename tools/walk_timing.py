@@ -1,13 +1,12 @@
 """Where the time of one config's, or one image's, pair walk goes.
 
     python tools/walk_timing.py configs/logistic_patch_2d.cfg [--repeats 300] [--solves 3]
-    python tools/walk_timing.py --image noisy.pgm [--radius 0.03] [--h 0.1] [--repeats 300] [--solves 3]
+    python tools/walk_timing.py --image noisy.pgm [--repeats 300] [--solves 3]
 
 Run from the root of a source tree; ``src/`` is put first on the import
 path.  With ``--image`` the run is the flow of ``nldiff denoise`` on that
-PGM: the bilateral kernel of width ``--h`` on the image's Gaussian table
-of radius ``--radius``, solved to the CLI's end time in its step count
-with mu = 0; every default is the CLI's.  Prints three sections:
+PGM with the CLI's default arguments, built by the CLI's own
+``denoise_problem``.  Prints three sections:
 
 * the walk's blocks, by kind (slice or gather) with their count and
   smallest, median and largest pair positions, and the positions of each
@@ -38,18 +37,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from nldiff import (  # noqa: E402
-    Problem,
-    SolverConfig,
-    bilateral_kernel,
-    build_problem,
-    image_to_field,
-    load_pgm,
-    make_spatial_kernel,
-    parse_config,
-    solve_problem,
-    zero_reaction,
-)
+from nldiff import build_problem, make_spatial_kernel, parse_config, solve_problem  # noqa: E402
 from nldiff import cli, errors, operator  # noqa: E402
 
 
@@ -111,29 +99,19 @@ def config_problem(path: str) -> tuple:
     return problem, lambda: make_spatial_kernel(problem.grid, ks.family, ks.radius, table=rows)
 
 
-def image_problem(path: str, radius: float, h: float, denoise) -> tuple:
-    """The flow ``nldiff denoise`` runs on a PGM, with the end time and step
-    count of the parsed denoise arguments ``denoise``, and a call that
-    builds its table."""
-    grid, u0 = image_to_field(load_pgm(path))
-    config = SolverConfig(T=denoise.T, steps=denoise.steps, mu_mode="manual", mu=0.0,
-                          record_every=max(1, denoise.steps))
-    table = make_spatial_kernel(grid, "gaussian", radius)
-    problem = Problem(grid, table, bilateral_kernel(h), zero_reaction(), u0, config)
-    return problem, lambda: make_spatial_kernel(grid, "gaussian", radius)
+def image_problem(path: str) -> tuple:
+    """The flow ``nldiff denoise`` runs on a PGM with its default arguments,
+    and a call that builds its table."""
+    args = cli._build_parser().parse_args(["denoise", "--image", path, "--out", ""])
+    problem = cli.denoise_problem(args)
+    return problem, lambda: make_spatial_kernel(problem.grid, "gaussian", args.radius)
 
 
 def main(argv=None) -> int:
-    # the denoise command's defaults, from the CLI's own parser
-    denoise = cli._build_parser().parse_args(["denoise", "--image", "", "--out", ""])
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     source = ap.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?", help="a run configuration file")
     source.add_argument("--image", help="a PGM image, run as nldiff denoise runs it")
-    ap.add_argument("--radius", type=float, default=denoise.radius,
-                    help=f"with --image, the spatial window radius (default {denoise.radius})")
-    ap.add_argument("--h", type=float, default=denoise.h,
-                    help=f"with --image, the value-difference scale (default {denoise.h})")
     ap.add_argument("--repeats", type=int, default=300, help="applies timed (default 300)")
     ap.add_argument("--solves", type=int, default=3, help="solves timed (default 3)")
     args = ap.parse_args(argv)
@@ -141,7 +119,7 @@ def main(argv=None) -> int:
     if args.image is None:
         problem, build_table = config_problem(args.config)
     else:
-        problem, build_table = image_problem(args.image, args.radius, args.h, denoise)
+        problem, build_table = image_problem(args.image)
     table, kernel = problem.table, problem.kernel
     walk = operator._Walk(table, kernel)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
