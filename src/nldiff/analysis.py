@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, _cpus, _Helper
 from .grid import Field, lp_norm
-from .kernels import RunReport, mollify_range_kernel
+from .kernels import RunReport, _whole, mollify_range_kernel
 from .stepper import (
     Problem,
     Trajectory,
@@ -200,7 +200,9 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     levels a decay in n of exponent alpha.  Each level is mollified on
     ``quad_count`` panels, and on no fewer than 257.  Requires a monotone
     kernel (the hypothesis behind the underlying uniqueness argument),
-    not itself mollified, and at least three strictly increasing levels.
+    not itself mollified, and at least three strictly increasing levels,
+    whole numbers (a level or panel count that is not raises
+    :class:`ConfigurationError` naming it).
 
     Level i is solved on forked helper i mod W, W the CPUs the caller may
     use (at most one per level), or in this process when W is 1.  Results,
@@ -210,13 +212,13 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     base = problem.kernel
     if not base.monotone:
         raise ConfigurationError("the mollification Cauchy study needs a monotone range kernel")
-    lv = [int(n) for n in levels]
+    lv = [_whole(n, "mollification level") for n in levels]
     if len(lv) < 3:
         raise ConfigurationError("need at least three mollification levels")
     if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 1:
         raise ConfigurationError("mollification levels must be strictly increasing and >= 1")
 
-    quad_count = max(257, quad_count)
+    quad_count = max(257, _whole(quad_count, "mollifier quadrature panel count"))
     config = replace(problem.config, record_every=1)
 
     def solve_level(n):

@@ -302,18 +302,63 @@ def mollifier_density(n: int, s) -> np.ndarray:
     return n * bump_profile(np.asarray(s) * n) / bump_mass()
 
 
+# Base evaluations per block of a mollified evaluation (nodes x values):
+# 153 values at 257 nodes, 304 at 129.  A walk allocates the block's two
+# buffers, 630 kB, once (RangeKernel.workspace); per call, glibc maps them
+# anew until a free raises its mmap threshold (`study cauchy`: about 90 more
+# page faults, no time told from noise).  Median us per call on a 2-core
+# x86 machine, numpy 2.4, one CPU, p = 1.5 at level 32, by the values of
+# the call (259 in validation, 306 per walk apply of
+# configs/mollifier_cauchy.cfg, 1,275 on a mollified heat_1d, about 4k and
+# 8k in the Lipschitz sampler) and the block width W:
+#
+#   nodes   W     259    306   1275   4096   8192   apply with energy
+#   257     63    227    257   1034   3259   6544   269
+#   257    128    200    236    916   2890   5806   251
+#   257    153    199    217    906   2851   5800   232
+#   257    256    199    238    913   2845   5746   252
+#   257    306    213    225    963   2963   5990   242
+#   129    153    108    119    504   1583   3167   131
+#   129    304    102    118    442   1432   2835   130
+#
+# From 128 to 256 values all but the apply are within 3%; the apply favours
+# 153, which cuts its 306 values into full blocks (a narrower last block
+# reads the shifts and scales with a row stride).
+_MOLLIFY_BLOCK = 153 * 257
+
+
 @dataclass(frozen=True)
 class MollifierSpec:
     """Quadrature data for one mollification level.
 
-    ``nodes`` are midpoints on (-1, 1) in the rescaled variable, and
-    ``weights`` are bump samples normalized to sum exactly to one, so
-    smoothing an affine kernel reproduces it to round-off.
+    ``nodes`` are midpoints on (-1, 1) in the rescaled variable, mirror
+    images bit for bit, and ``weights`` are bump samples normalized to sum
+    exactly to one, so smoothing an affine kernel reproduces it to
+    round-off.  The rest is built here, read-only, for the mollified
+    evaluation, as wide as one of its blocks of values
+    (``_MOLLIFY_BLOCK``): ``shifts``, nodes/n, and ``scales``, the weights
+    of the first (K + 1) // 2 nodes, each repeated along a row.  Their rows
+    go in the evaluation's node order: the first half of the nodes and the
+    middle one, then the mirrors of the first half, the last node first.
     """
 
     n: int
     nodes: np.ndarray
     weights: np.ndarray
+    shifts: np.ndarray = field(init=False, repr=False, compare=False)
+    scales: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = self.nodes.size
+        rows = (k + 1) // 2
+        width = max(1, _MOLLIFY_BLOCK // k)
+        order = np.concatenate([np.arange(rows), np.arange(k - 1, rows - 1, -1)])
+        shifts = np.repeat((self.nodes[order] / self.n)[:, None], width, axis=1)
+        scales = np.repeat(self.weights[:rows, None], width, axis=1)
+        shifts.setflags(write=False)
+        scales.setflags(write=False)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "scales", scales)
 
 
 def _mollifier_quadrature(quad_count: int):
@@ -324,15 +369,6 @@ def _mollifier_quadrature(quad_count: int):
     nodes = np.concatenate([-half, np.zeros(quad_count % 2), half[::-1]])
     w = bump_profile(nodes)
     return nodes, w / np.sum(w)
-
-
-# Base evaluations per block of a mollified evaluation, (nodes x values).
-# Constant sampling would otherwise make 16 MB temporaries; blocks under
-# 128 kB stay below malloc's mmap threshold and in cache.  For 257 nodes
-# (p = 1.5, level 32, fastest of 40 calls, three processes each), blocks of
-# 63 values evaluated 16,384 values in 25-34 ms, blocks of 31 in 31-43 ms
-# and blocks of 127 in 36-46 ms, with this fold and tree as the reduction.
-_MOLLIFY_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +483,7 @@ class RangeKernel:
         q = self.flux_exponent
         return total if q is None else total / q
 
-    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
+    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None, work=None):
         """(A, D) at value differences ``s`` from one evaluation, D only
         with ``energy`` (else None).
 
@@ -462,7 +498,8 @@ class RangeKernel:
         s is.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of
         C-contiguous float64 arrays shaped like ``s`` (the second may be
         None without ``energy``), receives A and D in place of new arrays;
-        the pair walk passes buffers it reuses from block to block.
+        the pair walk passes buffers it reuses from block to block, and
+        ``work``, a mollified kernel's :meth:`workspace`.
         """
         s = np.asarray(s, dtype=np.float64)
         a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
@@ -475,7 +512,7 @@ class RangeKernel:
         if fam == "mollified":
             if energy:
                 self.base.terms(t, s, pair_ref, True, (a, phi))
-            return self._mollified(t, s, pair_ref, a), phi
+            return self._mollified(t, s, pair_ref, a, work), phi
         q = self.flux_exponent
         if fam == "linear":
             np.copyto(a, s)
@@ -511,7 +548,15 @@ class RangeKernel:
         ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
         return PairExponents(np.interp(ref, self.exponent_sigmas, self.exponent_values))
 
-    def _mollified(self, t, s, pair_ref, out):
+    def workspace(self):
+        """The block buffers a mollified kernel's :meth:`terms` reuses from
+        call to call when it is passed them, else allocates per call; None
+        for the other families, which need none.  The pair walk allocates
+        them once, with its own buffers."""
+        m = self.mollifier
+        return None if m is None else np.empty((2, m.shifts.size))
+
+    def _mollified(self, t, s, pair_ref, out, work=None):
         """The base smoothed by midpoint quadrature, then antisymmetrized,
         written to ``out``.
 
@@ -521,28 +566,36 @@ class RangeKernel:
         point.  The nodes are mirror images bit for bit and the weights
         even, so for a base that is odd bit for bit V(-s) is minus V(s)
         with its rows reversed, and the base is evaluated once per
-        (s, node).  Row k folds onto row K-1-k, and the weighted folded rows and the middle row
-        are summed in a fixed halving tree, with no BLAS, so a value's A
-        does not depend on the other values of its call.  Values go in
-        blocks of ``_MOLLIFY_BLOCK`` base evaluations.
+        (s, node).  The rows go in the spec's order, the first half and the
+        middle node, then the mirrors of the first half, so row k folds
+        onto row K-1-k as one contiguous range onto another; the weighted
+        folded rows and the middle row are summed in a fixed halving tree,
+        with no BLAS, so a value's A does not depend on the other values of
+        its call.  Values go in blocks as wide as the spec's shifts, the
+        last one narrower.  A block subtracts the shifts into the first of
+        two buffers and evaluates the base from there into the second,
+        where it is folded, weighted and summed.  The two buffers are
+        ``work`` (:meth:`workspace`), which the pair walk allocates once
+        per walk, or else one allocation per call.
         """
         m = self.mollifier
-        half, rows = m.nodes.size // 2, (m.nodes.size + 1) // 2
-        weights = m.weights[:rows, None]
-        shift = (m.nodes / m.n)[:, None]
-        flat = s.reshape(-1)
+        k, step = m.shifts.shape
+        half, rows = k // 2, (k + 1) // 2
+        flat, res = s.reshape(-1), out.reshape(-1)
         q = None
         if self.needs_pair_reference:
             q = np.broadcast_to(self.pair_exponents(pair_ref).q, s.shape).reshape(-1)
-        res = out.reshape(-1)
-        step = max(1, _MOLLIFY_BLOCK // m.nodes.size)
+        if work is None:
+            work = np.empty((2, k * min(step, flat.size)))
         for lo in range(0, flat.size, step):
             cols = slice(lo, lo + step)
-            pe = None if q is None else PairExponents(q[None, cols])
-            v = self.base.eval(t, flat[None, cols] - shift, pe)
-            v[:half] += v[::-1][:half]
+            width = min(step, flat.size - lo)
+            d, v = (buf[: k * width].reshape(k, width) for buf in work)
+            np.subtract(flat[None, cols], m.shifts[:, :width], out=d)
+            self.base.terms(t, d, None if q is None else PairExponents(q[None, cols]), out=(v, None))
             x = v[:rows]
-            x *= weights
+            x[:half] += v[rows:]
+            x *= m.scales[:, :width]
             n = rows
             while n > 1:
                 top = n // 2
@@ -585,10 +638,14 @@ def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
     bit but for the sign of a zero (below); numpy's ``**=`` takes its sqrt
     path for e - 1 = 0.5, so p = 2.5 is within 1 ulp of it; any other e
     rounds twice and is within 2 ulp.  Adding +0.0 turns the -0.0 of
-    s = -0.0, or of a product that underflows, into +0.0.  An exponent
-    below 1, or an array of them, keeps sign(s) |s|^e; the operator,
-    unlike np.power, takes numpy's sqrt and square paths for a scalar
-    exponent of 0.5 or 2.
+    s = -0.0, or of a product that underflows, into +0.0.  A scalar
+    exponent 0 < e < 1 copies the sign of s onto |s|^e and adds +0.0,
+    which is sign(s) |s|^e bit for bit (+-0, subnormals, +-inf and NaN
+    included) without sign(s)'s temporary.  e = 0, a negative e and an
+    array of exponents keep sign(s) |s|^e: at e = 0 the copied sign would
+    give +-1 at s = +-0, where sign(s) gives +0.0.  The operator, unlike
+    np.power, takes numpy's sqrt and square paths for a scalar exponent
+    of 0.5 or 2.
 
     At s = 0 this is 0 for every e >= 0.  No kernel reaches s = 0 with a
     negative exponent: spatial_exponent tables stay above 1, and a
@@ -596,12 +653,17 @@ def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
     where |s| > 0.
     """
     mag = np.abs(s, out=out)
-    if np.isscalar(exponent) and exponent >= 1.0:
+    scalar = np.isscalar(exponent)
+    if scalar and exponent >= 1.0:
         mag **= exponent - 1.0
         np.multiply(s, mag, out=mag)
         mag += 0.0
         return mag
     mag **= exponent
+    if scalar and exponent > 0.0:
+        np.copysign(mag, s, out=mag)
+        mag += 0.0
+        return mag
     return np.multiply(np.sign(s), mag, out=mag)
 
 
@@ -705,6 +767,18 @@ def custom_kernel(fn) -> RangeKernel:
     return RangeKernel("custom", fn=fn)
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a :class:`ConfigurationError` naming it unless
+    it is a whole number (a finite float with no fraction will do)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # inf, NaN, text
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
+    return whole
+
+
 def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> RangeKernel:
     """Smooth a range kernel with the level-n mollifier.
 
@@ -713,19 +787,23 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     panels, then antisymmetrizes, which keeps A(0) = 0 and oddness exact in
     floating point for a base that is odd bit for bit, as every built-in
     family is.  Monotonicity and the Holder constant survive
-    mollification, so both declarations are inherited from the base.
+    mollification, so both declarations are inherited from the base.  A
+    level or panel count that is not a whole number raises
+    :class:`ConfigurationError` naming it.
     """
-    if int(n) != n or n < 1:
+    n = _whole(n, "mollification level")
+    if n < 1:
         raise ConfigurationError(f"mollification level must be a positive integer, got {n}")
     # no finer than bump_mass's own quadrature; checked before any allocation
+    quad_count = _whole(quad_count, "mollifier quadrature panel count")
     if not 64 <= quad_count <= _BUMP_PANELS:
         raise ConfigurationError(
             f"mollifier quadrature needs 64 to {_BUMP_PANELS} panels, got {quad_count}"
         )
     if base.family == "mollified":
         raise ConfigurationError("refusing to mollify an already mollified kernel")
-    nodes, weights = _mollifier_quadrature(int(quad_count))
-    spec = MollifierSpec(n=int(n), nodes=nodes, weights=weights)
+    nodes, weights = _mollifier_quadrature(quad_count)
+    spec = MollifierSpec(n=n, nodes=nodes, weights=weights)
     return RangeKernel(
         "mollified",
         base=base,

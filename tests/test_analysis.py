@@ -275,6 +275,14 @@ def test_cauchy_study_refusals():
         mollifier_cauchy_study(prob, [4, 2, 8])
     with pytest.raises(ConfigurationError):
         mollifier_cauchy_study(prob, [0, 2, 4])
+    # a level that is not a whole number is named: 16.5 was studied as 16,
+    # and inf raised OverflowError
+    for levels, named in (([4, 8, 16.5, 32], "got 16.5"), ([4, 8, math.inf], "got inf"),
+                          ([4, 8, math.nan], "got nan")):
+        with pytest.raises(ConfigurationError, match=f"level must be a whole number, {named}"):
+            mollifier_cauchy_study(prob, levels)
+    with pytest.raises(ConfigurationError, match="whole number, got 300.5"):
+        mollifier_cauchy_study(prob, [2, 4, 8], 300.5)
 
 
 @pytest.mark.parametrize("quad_count, used", [(129, 257), (513, 513)])

@@ -304,10 +304,30 @@ def test_signed_power_properties(values, e):
         np.testing.assert_array_equal(fast, plain)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES)), min_size=1, max_size=40),
+    e=st.one_of(st.sampled_from([0.5, 0.25, float(_TINY), float(np.nextafter(1.0, 0.0))]),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signed_power_below_one_copies_the_sign_bit_for_bit(values, e, seed):
+    # a scalar 0 < e < 1 copies the sign of s onto |s|^e and adds +0.0: the
+    # bits of sign(s) |s|^e, on the edge values (zeros, subnormals,
+    # infinities, NaN) and on random values of every magnitude
+    rng = np.random.default_rng(seed)
+    spread = rng.standard_normal(64) * 10.0 ** rng.uniform(-320.0, 308.0, 64)
+    s = np.concatenate([values, _EDGE_VALUES, spread])
+    with np.errstate(all="ignore"):
+        want = np.sign(s) * np.abs(s) ** e
+        got = _signed_power(s, e, np.empty_like(s))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_signed_power_scalar_exponent_allocates_no_block_sized_temporary():
     s = np.random.default_rng(3).standard_normal(1 << 16)
     out = np.empty_like(s)
-    for e in (1.0, 1.5, 2.0, 2.7):
+    for e in (0.5, 0.3, 1.0, 1.5, 2.0, 2.7):
         tracemalloc.start()
         try:
             _signed_power(s, e, out)
@@ -576,6 +596,41 @@ def test_every_value_is_evaluated_as_if_alone(which, values, cut, rows, seed):
     assert transposed.T.tobytes() == alone[:n].reshape(rows, -1).tobytes()
 
 
+@pytest.mark.parametrize("k", [k for k in _BATCH_KERNELS if k.family == "mollified"],
+                         ids=lambda k: f"{k.base.family}-{k.mollifier.nodes.size}")
+def test_values_across_mollified_block_boundaries_are_evaluated_as_if_alone(k):
+    # calls of 1, W - 1, W, W + 1 and 3W + 5 values, W the values of one
+    # block of the quadrature: each value's A, bit for bit, is its own
+    w = k.mollifier.shifts.shape[1]
+    rng = np.random.default_rng(k.mollifier.nodes.size)
+    s = rng.uniform(-3.0, 3.0, 3 * w + 5)
+    pair = rng.uniform(-1.0, 1.0, s.shape) if k.needs_pair_reference else None
+
+    def ev(idx):
+        return k.eval(0.0, s[idx], None if pair is None else pair[idx])
+
+    alone = np.array([ev(slice(i, i + 1))[0] for i in range(s.size)])
+    for size in (1, w - 1, w, w + 1, 3 * w + 5):
+        assert ev(slice(size)).tobytes() == alone[:size].tobytes(), size
+        # the same values through a workspace, as the pair walk passes one
+        a = np.empty(size)
+        k.terms(0.0, s[:size], None if pair is None else pair[:size], out=(a, None),
+                work=k.workspace())
+        assert a.tobytes() == alone[:size].tobytes(), size
+
+
+def test_mollified_quadrature_data_is_read_only():
+    m = mollify_range_kernel(p_laplacian_kernel(1.5), 8, 257).mollifier
+    width = kernels._MOLLIFY_BLOCK // 257
+    assert (m.shifts.shape, m.scales.shape) == ((257, width), (129, width))
+    for a in (m.shifts, m.scales):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # the node order folds each node onto its mirror, two contiguous ranges
+    np.testing.assert_array_equal(m.shifts[129:, 0], -m.shifts[:128, 0])
+    assert m.shifts[128, 0] == 0.0
+
+
 def test_mollifying_an_affine_kernel_changes_nothing():
     # the quadrature weights sum to one and the bump is even, so smoothing
     # the identity reproduces it to round-off
@@ -629,6 +684,16 @@ def test_mollify_refusals():
         mollify_range_kernel(linear_kernel(), 0)
     with pytest.raises(ConfigurationError):
         mollify_range_kernel(linear_kernel(), 4, quad_count=32)
+    # a level or panel count that is not a whole number is named; inf and
+    # NaN levels raised OverflowError and ValueError, 129.5 panels built 129
+    for n, quad_count, named in ((math.inf, 129, "level must be a whole number, got inf"),
+                                 (math.nan, 129, "level must be a whole number, got nan"),
+                                 (2.5, 129, "level must be a whole number, got 2.5"),
+                                 (4, 129.5, "panel count must be a whole number, got 129.5"),
+                                 (4, math.inf, "panel count must be a whole number, got inf")):
+        with pytest.raises(ConfigurationError, match=named):
+            mollify_range_kernel(linear_kernel(), n, quad_count)
+    assert mollify_range_kernel(linear_kernel(), 4.0, 129.0).mollifier.nodes.size == 129
     # refused before the quadrature is allocated
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_mollifier_quadrature", lambda n: pytest.fail("quadrature built"))

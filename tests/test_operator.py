@@ -512,8 +512,8 @@ def test_flux_energy_matches_the_scalar_oracle(monkeypatch, counts, layout, kind
     formed = []
     terms = kernels.RangeKernel.terms
     monkeypatch.setattr(kernels.RangeKernel, "terms",
-                        lambda k, t_, s, pr=None, energy=False, out=None:
-                        formed.append(energy) or terms(k, t_, s, pr, energy, out))
+                        lambda k, t_, s, pr=None, energy=False, out=None, work=None:
+                        formed.append(energy) or terms(k, t_, s, pr, energy, out, work))
     cases = [(linear_kernel(), 2.0)] + [(p_laplacian_kernel(p), p) for p in (1.5, 2.0, 2.5, 3.0)]
     for k, q in cases:
         assert k.flux_exponent == q
@@ -1096,6 +1096,57 @@ def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, t
     # the same split solve here does fork its helper
     solve(g, t, linear_kernel(), zero_reaction(), u0, cfg)
     assert log.read_text(encoding="ascii") == study + f"{os.getpid()} the pair walk\n"
+
+
+def test_a_mollified_walk_applies_what_eval_gives_across_block_boundaries(monkeypatch):
+    # one slice block per offset, of 1, W - 1, W, W + 1 and 3W + 5 pairs, W
+    # the values of one block of the quadrature: the walk hands its
+    # workspace to terms, and each block's A is eval's on the same s
+    k = mollify_range_kernel(p_laplacian_kernel(1.5), 8, 257)
+    w = k.mollifier.shifts.shape[1]
+    n = 3 * w + 6
+    g = build_grid(1, [(0.0, 1.0)], [n])
+    ds = [1, 2 * w + 5, 2 * w + 6, 2 * w + 7, 3 * w + 5]
+    t = custom_table(g, [(s * d,) for d in ds for s in (-1, 1)], [1.0] * 2 * len(ds))
+    set_layout(monkeypatch, 1, 1)
+    walk = operator._Walk(t, k)
+    assert sorted(operator._positions(b) for b in walk.blocks) == [1, w - 1, w, w + 1, 3 * w + 5]
+    seen = []
+    terms = kernels.RangeKernel.terms
+
+    def recorded(kernel, t_, s, pr=None, energy=False, out=None, work=None):
+        a, phi = terms(kernel, t_, s, pr, energy, out, work)
+        if kernel is k:  # not the base's calls inside the quadrature
+            seen.append((s.copy(), a.copy(), work))
+        return a, phi
+
+    monkeypatch.setattr(kernels.RangeKernel, "terms", recorded)
+    u = np.random.default_rng(83).uniform(0.0, 1.0, n)
+    for energy in (False, True):
+        seen.clear()
+        walk.apply(u, 0.4, energy)
+        calls = list(seen)  # eval below records its own call
+        assert len(calls) == len(walk.blocks)
+        for s, a, work in calls:
+            assert work is walk.work
+            assert a.tobytes() == k.eval(0.4, s).tobytes(), s.size
+
+
+def test_a_split_mollified_walk_gives_the_same_bits_with_the_helper():
+    g = build_grid(2, [(0.0, 1.0)] * 2, [20, 20])
+    t = make_spatial_kernel(g, "gaussian", 0.15)
+    k = mollify_range_kernel(p_laplacian_kernel(1.5), 4, 64)
+    rng = np.random.default_rng(89)
+    states = [rng.uniform(0.1, 0.9, g.node_count) for _ in range(2)]
+    walk = operator._Walk(t, k)
+    assert sum(map(operator._positions, walk.blocks)) >= operator._SPLIT_PAIRS
+    assert len(walk.halves) == 2
+    here = [(op.copy(), e) for op, e in (walk.apply(u, 0.2, True) for u in states)]
+    with operator._Walk(t, k) as forked:
+        assert (forked.helper is not None) == TWO_CPUS
+        there = [(op.copy(), e) for op, e in (forked.apply(u, 0.2, True) for u in states)]
+    for (op, e), (fop, fe) in zip(here, there):
+        assert fop.tobytes() == op.tobytes() and fe == e
 
 
 def test_kernels_that_share_a_table_share_no_walk_state(monkeypatch):

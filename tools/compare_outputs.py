@@ -10,9 +10,10 @@ PYTHONPATH and its own ``configs/``:
 
 * the five commands on ``configs/`` (solve, verify, and the contraction,
   cauchy and refine studies);
-* ``solve`` on three variants of ``configs/heat_1d.cfg``: under
-  ``auto_growth``, and two runs the solver refuses, one with a negative
-  initial state and one under ``auto_linf`` with a zero initial state;
+* ``solve`` on four variants of ``configs/heat_1d.cfg``: under
+  ``auto_growth``, with the p = 1.5 kernel mollified at level 8 on 257
+  panels, and two runs the solver refuses, one with a negative initial
+  state and one under ``auto_linf`` with a zero initial state;
 * ``denoise`` (the flow and ``--one-step``) on the perfbench images of
   seeds 0 and 1, generated once by this tree's ``perfbench/workloads.py``.
 
@@ -52,6 +53,8 @@ HEAT_VARIANTS = {
     "nonconformant": {"initial.low": "-0.2"},
     "auto_growth": {"solver.mu_mode": "auto_growth"},
     "zero_auto_linf": {"solver.mu_mode": "auto_linf", "initial.kind": "constant", "initial.value": "0"},
+    "mollified": {"range.family": "p_laplacian", "range.p": "1.5", "range.mollify_n": "8",
+                  "range.mollify_quad": "257"},
 }
 
 _IMAGES = """
