@@ -303,11 +303,11 @@ def mollifier_density(n: int, s) -> np.ndarray:
 
 
 # Base evaluations per block of a mollified evaluation (nodes x values):
-# 153 values at 257 nodes, 304 at 129.  A walk allocates the block's two
-# buffers, 630 kB, once (RangeKernel.workspace); per call, glibc maps them
-# anew until a free raises its mmap threshold (`study cauchy`: about 90 more
-# page faults, no time told from noise).  Median us per call on a 2-core
-# x86 machine, numpy 2.4, one CPU, p = 1.5 at level 32, by the values of
+# 153 values at 257 nodes, 304 at 129.  A call allocates the block's two
+# buffers, 630 kB, once; glibc maps them anew until a free raises its mmap
+# threshold (`study cauchy`: about 90 page faults more than buffers kept
+# for a whole walk, and no time told from noise).  Median us per call on a
+# 2-core x86 machine, numpy 2.4, one CPU, p = 1.5 at level 32, by the values of
 # the call (259 in validation, 306 per walk apply of
 # configs/mollifier_cauchy.cfg, 1,275 on a mollified heat_1d, about 4k and
 # 8k in the Lipschitz sampler) and the block width W:
@@ -483,7 +483,7 @@ class RangeKernel:
         q = self.flux_exponent
         return total if q is None else total / q
 
-    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None, work=None):
+    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
         """(A, D) at value differences ``s`` from one evaluation, D only
         with ``energy`` (else None).
 
@@ -498,8 +498,7 @@ class RangeKernel:
         s is.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of
         C-contiguous float64 arrays shaped like ``s`` (the second may be
         None without ``energy``), receives A and D in place of new arrays;
-        the pair walk passes buffers it reuses from block to block, and
-        ``work``, a mollified kernel's :meth:`workspace`.
+        the pair walk passes buffers it reuses from block to block.
         """
         s = np.asarray(s, dtype=np.float64)
         a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
@@ -512,7 +511,7 @@ class RangeKernel:
         if fam == "mollified":
             if energy:
                 self.base.terms(t, s, pair_ref, True, (a, phi))
-            return self._mollified(t, s, pair_ref, a, work), phi
+            return self._mollified(t, s, pair_ref, a), phi
         q = self.flux_exponent
         if fam == "linear":
             np.copyto(a, s)
@@ -548,15 +547,7 @@ class RangeKernel:
         ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
         return PairExponents(np.interp(ref, self.exponent_sigmas, self.exponent_values))
 
-    def workspace(self):
-        """The block buffers a mollified kernel's :meth:`terms` reuses from
-        call to call when it is passed them, else allocates per call; None
-        for the other families, which need none.  The pair walk allocates
-        them once, with its own buffers."""
-        m = self.mollifier
-        return None if m is None else np.empty((2, m.shifts.size))
-
-    def _mollified(self, t, s, pair_ref, out, work=None):
+    def _mollified(self, t, s, pair_ref, out):
         """The base smoothed by midpoint quadrature, then antisymmetrized,
         written to ``out``.
 
@@ -574,9 +565,8 @@ class RangeKernel:
         its call.  Values go in blocks as wide as the spec's shifts, the
         last one narrower.  A block subtracts the shifts into the first of
         two buffers and evaluates the base from there into the second,
-        where it is folded, weighted and summed.  The two buffers are
-        ``work`` (:meth:`workspace`), which the pair walk allocates once
-        per walk, or else one allocation per call.
+        where it is folded, weighted and summed; the call allocates the
+        two once and every block reuses them.
         """
         m = self.mollifier
         k, step = m.shifts.shape
@@ -585,8 +575,7 @@ class RangeKernel:
         q = None
         if self.needs_pair_reference:
             q = np.broadcast_to(self.pair_exponents(pair_ref).q, s.shape).reshape(-1)
-        if work is None:
-            work = np.empty((2, k * min(step, flat.size)))
+        work = np.empty((2, k * min(step, flat.size)))
         for lo in range(0, flat.size, step):
             cols = slice(lo, lo + step)
             width = min(step, flat.size - lo)

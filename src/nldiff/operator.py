@@ -44,10 +44,7 @@ scatter and sum.  The walk writes s into a scratch buffer and hands out
 two more for the block's results; the three are allocated once per walk
 and sized to its longest block, since a fresh temporary per block is a
 heap allocation the allocator may return to the system and fault in
-again on the next block.  For the same reason the walk allocates a
-mollified kernel's workspace once, the two block buffers of its
-quadrature (:meth:`~nldiff.kernels.RangeKernel.workspace`), and passes
-it to every ``terms`` call.  The operator evaluates A(s) once, with
+again on the next block.  The operator evaluates A(s) once, with
 :meth:`~nldiff.kernels.RangeKernel.terms`, forms w A in place and
 scatters it to both ends of the pair, with ``out[dst] += w A`` on ranges
 and ``np.bincount`` on indices, which repeat inside a gather block
@@ -60,11 +57,11 @@ depend only on the fixed reference field, so they are interpolated once
 per walk, from a walk over the reference field.
 
 A :class:`_Walk` holds what a walk reuses: its blocks, the pair
-exponents, buffers, workspace, output, and for a walk of at least two
-blocks and ``_SPLIT_PAIRS`` pair positions a split of the blocks in two
-halves at half the positions.  Where the half falls inside a gather
-block, the walk cuts that block in two, as views of its arrays, so the
-halves differ by at most one position; inside a slice block it cuts at the
+exponents, buffers, output, and for a walk of at least two blocks and
+``_SPLIT_PAIRS`` pair positions a split of the blocks in two halves at
+half the positions.  Where the half falls inside a gather block, the
+walk cuts that block in two, as views of its arrays, so the halves
+differ by at most one position; inside a slice block it cuts at the
 nearest block boundary, which on long slices is close to the half
 already.  The blocks, with that one cut, are built with the walk, before
 any helper forks, and every walk goes over them.  :meth:`_Walk.apply`
@@ -305,7 +302,6 @@ class _Walk:
         self.q = None if kernel is None else kernel.flux_exponent
         self.blocks, cut = _split(_walk_blocks(table))
         self.buf = np.empty((3, max(map(_positions, self.blocks), default=0)))
-        self.work = None if kernel is None else kernel.workspace()
         n = len(self.blocks)
         self.halves = (range(cut), range(cut, n)) if cut < n else (range(n),)
         self.exps = None
@@ -353,7 +349,7 @@ class _Walk:
         phi_energy = energy and self.q is None
         out.fill(0.0)
         for (w, dst, src, wrap), s, pe, scratch in self.pairs(u, blocks):
-            a, phi = kernel.terms(t, s, pe, phi_energy, scratch, self.work)
+            a, phi = kernel.terms(t, s, pe, phi_energy, scratch)
             wa = _weigh(w, a, wrap)
             _scatter(np.add, out, dst, wa)
             _scatter(np.subtract, out, src, wa)
@@ -436,7 +432,7 @@ def dissipation_pairing(
     lhs = grid.node_volume * float(np.sum(pp * walk.apply(u.values, t)[0]))
     acc = 0.0
     for (w, dst, src, wrap), s, pe, (a, _) in walk.pairs(u.values):
-        a = kernel.terms(t, s, pe, out=(a, None), work=walk.work)[0]
+        a = kernel.terms(t, s, pe, out=(a, None))[0]
         acc += _weighted_sum(w, a * (_take(pp, src) - _take(pp, dst)), wrap)
     # the mirror pair's term A(-s) (phi(x) - phi(x+d)) equals the pair's, so
     # the minus-half sum over ordered pairs is minus the walk's sum

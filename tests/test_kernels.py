@@ -612,11 +612,6 @@ def test_values_across_mollified_block_boundaries_are_evaluated_as_if_alone(k):
     alone = np.array([ev(slice(i, i + 1))[0] for i in range(s.size)])
     for size in (1, w - 1, w, w + 1, 3 * w + 5):
         assert ev(slice(size)).tobytes() == alone[:size].tobytes(), size
-        # the same values through a workspace, as the pair walk passes one
-        a = np.empty(size)
-        k.terms(0.0, s[:size], None if pair is None else pair[:size], out=(a, None),
-                work=k.workspace())
-        assert a.tobytes() == alone[:size].tobytes(), size
 
 
 def test_mollified_quadrature_data_is_read_only():

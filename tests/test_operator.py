@@ -512,8 +512,8 @@ def test_flux_energy_matches_the_scalar_oracle(monkeypatch, counts, layout, kind
     formed = []
     terms = kernels.RangeKernel.terms
     monkeypatch.setattr(kernels.RangeKernel, "terms",
-                        lambda k, t_, s, pr=None, energy=False, out=None, work=None:
-                        formed.append(energy) or terms(k, t_, s, pr, energy, out, work))
+                        lambda k, t_, s, pr=None, energy=False, out=None:
+                        formed.append(energy) or terms(k, t_, s, pr, energy, out))
     cases = [(linear_kernel(), 2.0)] + [(p_laplacian_kernel(p), p) for p in (1.5, 2.0, 2.5, 3.0)]
     for k, q in cases:
         assert k.flux_exponent == q
@@ -1100,8 +1100,8 @@ def test_no_helper_below_the_split_on_one_cpu_or_in_a_pool_worker(monkeypatch, t
 
 def test_a_mollified_walk_applies_what_eval_gives_across_block_boundaries(monkeypatch):
     # one slice block per offset, of 1, W - 1, W, W + 1 and 3W + 5 pairs, W
-    # the values of one block of the quadrature: the walk hands its
-    # workspace to terms, and each block's A is eval's on the same s
+    # the values of one block of the quadrature: each block's A is eval's
+    # on the same s
     k = mollify_range_kernel(p_laplacian_kernel(1.5), 8, 257)
     w = k.mollifier.shifts.shape[1]
     n = 3 * w + 6
@@ -1114,10 +1114,10 @@ def test_a_mollified_walk_applies_what_eval_gives_across_block_boundaries(monkey
     seen = []
     terms = kernels.RangeKernel.terms
 
-    def recorded(kernel, t_, s, pr=None, energy=False, out=None, work=None):
-        a, phi = terms(kernel, t_, s, pr, energy, out, work)
+    def recorded(kernel, t_, s, pr=None, energy=False, out=None):
+        a, phi = terms(kernel, t_, s, pr, energy, out)
         if kernel is k:  # not the base's calls inside the quadrature
-            seen.append((s.copy(), a.copy(), work))
+            seen.append((s.copy(), a.copy()))
         return a, phi
 
     monkeypatch.setattr(kernels.RangeKernel, "terms", recorded)
@@ -1127,8 +1127,7 @@ def test_a_mollified_walk_applies_what_eval_gives_across_block_boundaries(monkey
         walk.apply(u, 0.4, energy)
         calls = list(seen)  # eval below records its own call
         assert len(calls) == len(walk.blocks)
-        for s, a, work in calls:
-            assert work is walk.work
+        for s, a in calls:
             assert a.tobytes() == k.eval(0.4, s).tobytes(), s.size
 
 
