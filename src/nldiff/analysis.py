@@ -15,15 +15,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, _cpus, _Helper
-from .grid import Field, lp_norm
-from .kernels import RunReport, _whole, mollify_range_kernel
+from .errors import ConfigurationError, _cpus, _Helper, _whole
+from .grid import Field, _on_grid, lp_norm
+from .kernels import RunReport, mollify_range_kernel
 from .stepper import (
     Problem,
     Trajectory,
+    _initial_separation,
     solve_problem,
     stability_constant_estimate,
 )
+
+
+def _ladder(values, what: str) -> list:
+    """A study's ladder as ints: at least three whole numbers, strictly
+    increasing from 1 or more; else :class:`ConfigurationError`, naming a
+    value that is not whole."""
+    ladder = [_whole(v, what) for v in values]
+    if len(ladder) < 3:
+        raise ConfigurationError(f"need at least three {what}s")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 1:
+        raise ConfigurationError(f"{what}s must be strictly increasing and >= 1")
+    return ladder
 
 
 def verify_invariants(traj: Trajectory) -> RunReport:
@@ -60,8 +73,7 @@ def verify_invariants(traj: Trajectory) -> RunReport:
         else:
             # The damped update scales total mass by e^{mu tau}/(1 + mu tau)
             # per step, a quadrature artifact of order (mu tau)^2 / 2 each.
-            steps = int(traj.config.steps)
-            thr = 2.0 * scale * (math.exp(0.5 * steps * (mu * tau) ** 2) - 1.0) + 1e-14
+            thr = 2.0 * scale * (math.exp(0.5 * traj.config.steps * (mu * tau) ** 2) - 1.0) + 1e-14
             note = "reaction-free, damped: drift bounded by the transform artifact"
         rep.add("mass conservation", drift <= thr, drift, thr, note)
 
@@ -120,10 +132,12 @@ def contraction_study(problem: Problem, u0_a: Field, u0_b: Field, p) -> RunRepor
     With a monotone range kernel and a non-increasing reaction the flow is
     an L^p contraction, so every ratio must stay at 1 up to round-off; with
     a merely Lipschitz reaction the ratios must stay under the envelope
-    e^{L_f t}.  Both solves reuse the problem's configuration.
+    e^{L_f t}.  Both solves reuse the problem's configuration.  Initial
+    states off the problem grid, a norm exponent ``p`` below 1 and
+    coinciding initial states are refused before either solve runs.
     """
-    if u0_a.grid != problem.grid or u0_b.grid != problem.grid:
-        raise GridMismatchError("initial states do not live on the problem grid")
+    _on_grid(problem.grid, u0_a=u0_a, u0_b=u0_b)
+    _initial_separation(problem.grid, u0_a, u0_b, p)
     traj_a = solve_problem(replace(problem, u0=u0_a))
     traj_b = solve_problem(replace(problem, u0=u0_b))
     summary = stability_constant_estimate(traj_a, traj_b, p)
@@ -212,12 +226,7 @@ def mollifier_cauchy_study(problem: Problem, levels, quad_count: int = 257) -> C
     base = problem.kernel
     if not base.monotone:
         raise ConfigurationError("the mollification Cauchy study needs a monotone range kernel")
-    lv = [_whole(n, "mollification level") for n in levels]
-    if len(lv) < 3:
-        raise ConfigurationError("need at least three mollification levels")
-    if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 1:
-        raise ConfigurationError("mollification levels must be strictly increasing and >= 1")
-
+    lv = _ladder(levels, "mollification level")
     quad_count = max(257, _whole(quad_count, "mollifier quadrature panel count"))
     config = replace(problem.config, record_every=1)
 
@@ -323,13 +332,11 @@ def time_refinement_study(problem: Problem, step_counts) -> RunReport:
     the final states of consecutive step counts.  Fits the order on a
     log-log plot of difference versus the coarser step size, excluding the
     coarsest pair.  Constant-in-time exact solutions make every difference
-    vanish; the report then says so instead of fitting.
+    vanish; the report then says so instead of fitting.  The step counts
+    are at least three whole numbers, strictly increasing from 1 or more,
+    each dividing the next; others raise :class:`ConfigurationError`.
     """
-    counts = [int(n) for n in step_counts]
-    if len(counts) < 3:
-        raise ConfigurationError("need at least three step counts")
-    if any(b <= a for a, b in zip(counts, counts[1:])) or counts[0] < 1:
-        raise ConfigurationError("step counts must be strictly increasing and >= 1")
+    counts = _ladder(step_counts, "step count")
     if any(b % a for a, b in zip(counts, counts[1:])):
         raise ConfigurationError("each step count must divide the next")
 

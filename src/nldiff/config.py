@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError
+from .errors import ConfigParseError, ConfigurationError, _whole
 from .grid import Field, build_grid, load_field, read_text
 from .kernels import (
     OFFSET_LIMIT,
@@ -45,7 +45,7 @@ from .kernels import (
     zero_reaction,
 )
 from .pgm import image_to_field, load_pgm
-from .stepper import MU_MODES, Problem, SolverConfig, _check_seed
+from .stepper import MU_MODES, Problem, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
 
 
 def _parse_float(text: str) -> float:

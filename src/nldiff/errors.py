@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and :class:`_Helper`, the
-one way it runs work in another process, with the reply format."""
+"""Exception types shared across the package, :func:`_whole`, the one
+check of a whole number, and :class:`_Helper`, the one way it runs work
+in another process, with the reply format."""
 
 from __future__ import annotations
 
@@ -99,6 +100,23 @@ class PgmFormatError(NldiffError):
 
 class UndefinedRatioError(NldiffError):
     """A stability ratio was requested for trajectories with equal starts."""
+
+
+def _whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; a :class:`ConfigurationError` naming it unless
+    it is a whole number (a finite float with no fraction will do) and, with
+    ``least``, at least that.  Every count, level, offset and seed the
+    package takes goes through here."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # inf, NaN, text
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and whole < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ConfigurationError(f"{what} must be {kind}, got {whole}")
+    return whole
 
 
 def _caught(fn, *args):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError, GridMismatchError
+from .errors import ConfigParseError, ConfigurationError, GridMismatchError, _whole
 
 FIELD_FILE_MAGIC = "# nldiff-field v1"
 
@@ -52,27 +52,26 @@ class Grid:
     total_measure: float = dataclass_field(init=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ConfigurationError(f"grid dimension must be 1 or 2, got {self.dim}")
-        if len(self.extents) != self.dim or len(self.counts) != self.dim:
+        dim = _whole(self.dim, "grid dimension")
+        if dim not in (1, 2):
+            raise ConfigurationError(f"grid dimension must be 1 or 2, got {dim}")
+        if len(self.extents) != dim or len(self.counts) != dim:
             raise ConfigurationError(
-                f"expected {self.dim} extents and counts, got "
-                f"{len(self.extents)} and {len(self.counts)}"
+                f"expected {dim} extents and counts, got {len(self.extents)} and {len(self.counts)}"
             )
-        for c in self.counts:
-            if int(c) != c or c < 2:
-                raise ConfigurationError(f"axis count must be an integer >= 2, got {c}")
-        if (nodes := math.prod(int(c) for c in self.counts)) > np.iinfo(np.intp).max:
+        counts = tuple(_whole(c, "axis count", 2) for c in self.counts)
+        if (nodes := math.prod(counts)) > np.iinfo(np.intp).max:
             raise ConfigurationError(f"grid of {nodes} nodes exceeds the array index range")
-        spacing = tuple((hi - lo) / c for (lo, hi), c in zip(self.extents, self.counts))
+        spacing = tuple((hi - lo) / c for (lo, hi), c in zip(self.extents, counts))
         node_volume = math.prod(spacing)
         for (lo, hi), h in zip(self.extents, spacing):
             # so also lo < hi, both finite, and hi - lo finite
             if not all(sys.float_info.min <= v < math.inf for v in (h, node_volume)):
                 raise ConfigurationError(f"degenerate extent ({lo}, {hi}): spacing {h} and node volume "
                                          f"{node_volume} must be finite normal positive floats")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "extents", tuple((float(lo), float(hi)) for lo, hi in self.extents))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "node_volume", node_volume)
         object.__setattr__(self, "total_measure", math.prod(hi - lo for lo, hi in self.extents))
@@ -115,7 +114,7 @@ def build_grid(dim, extents, counts) -> Grid:
     counts : sequence of int
         Nodes per axis.
     """
-    return Grid(dim=int(dim), extents=tuple(tuple(e) for e in extents), counts=tuple(counts))
+    return Grid(dim=dim, extents=tuple(tuple(e) for e in extents), counts=tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,19 @@ class Field:
         return self.values.reshape(self.grid.counts)
 
 
-def _require_same_grid(grid: Grid, f: Field):
-    if f.grid != grid:
-        raise GridMismatchError("field does not live on the given grid")
+def _on_grid(grid: Grid, **arguments):
+    """Refuse arguments, by name, that do not live on ``grid``: fields,
+    kernel tables, trajectories, anything with a ``grid``.  The first
+    offender raises :class:`GridMismatchError` naming it and the grid."""
+    for name, value in arguments.items():
+        if value.grid != grid:
+            raise GridMismatchError(f"{name} does not live on the {grid.dim}-D grid of counts {grid.counts} "
+                                    f"on {grid.extents}")
 
 
 def integrate(grid: Grid, f: Field) -> float:
     """Midpoint-rule integral of a field over the grid's box."""
-    _require_same_grid(grid, f)
+    _on_grid(grid, f=f)
     return grid.node_volume * float(np.sum(f.values))
 
 
@@ -162,7 +166,7 @@ def lp_norm(grid: Grid, f: Field, p) -> float:
     The finite-p norm is the quadrature of |f|^p raised to 1/p; infinity
     gives the plain max of |f|.
     """
-    _require_same_grid(grid, f)
+    _on_grid(grid, f=f)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
     p = float(p)

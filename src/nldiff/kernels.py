@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, KernelValidationError
+from .errors import ConfigurationError, KernelValidationError, _whole
 from .grid import Field, Grid
 
 RANGE_FAMILIES = (
@@ -221,19 +221,28 @@ OFFSET_LIMIT = 2**63 - 1  # int64 holds the negation of every offset up to this
 
 
 def _int64_offsets(offsets) -> np.ndarray:
-    """``offsets`` as a 2-D int64 array; any beyond +-OFFSET_LIMIT raise
-    :class:`KernelValidationError` (-2^63 negates to itself in int64)."""
+    """``offsets`` as a 2-D int64 array; any that is not a whole number in
+    +-OFFSET_LIMIT raise :class:`KernelValidationError` naming them
+    (-2^63 negates to itself in int64).  An integer array is checked whole."""
+    arr = np.atleast_2d(np.asarray(offsets))
+    if arr.dtype.kind == "i" and not np.any(arr < -OFFSET_LIMIT):
+        return arr.astype(np.int64, copy=False)
+    rows = arr.tolist()
+    whole = [[_offset(c) for c in r] for r in rows]
+    bad = [tuple(r) for r, w in zip(rows, whole) if None in w]
+    if bad:
+        raise KernelValidationError(f"kernel table offsets must be whole numbers in [-(2^63 - 1), 2^63 - 1]; "
+                                    f"offending offsets {bad}", offenders=bad)
+    return np.array(whole, dtype=np.int64)
+
+
+def _offset(c):
+    """``c`` as an int, or None unless it is a whole number in +-OFFSET_LIMIT."""
     try:
-        arr = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
-        if not np.any(arr < -OFFSET_LIMIT):
-            return arr
-    except OverflowError:
-        pass
-    far = [tuple(r) for r in np.atleast_2d(np.asarray(offsets, dtype=object)).tolist()
-           if any(abs(c) > OFFSET_LIMIT for c in r)]
-    raise KernelValidationError(
-        f"kernel table offsets must lie in [-(2^63 - 1), 2^63 - 1]; offending offsets {far}",
-        offenders=far)
+        c = _whole(c, "offset")
+    except ConfigurationError:
+        return None
+    return c if abs(c) <= OFFSET_LIMIT else None
 
 
 def _check_table_validity(offsets: np.ndarray, weights: np.ndarray):
@@ -756,18 +765,6 @@ def custom_kernel(fn) -> RangeKernel:
     return RangeKernel("custom", fn=fn)
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; a :class:`ConfigurationError` naming it unless
-    it is a whole number (a finite float with no fraction will do)."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):  # inf, NaN, text
-        whole = None
-    if whole is None or whole != value:
-        raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
-    return whole
-
-
 def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> RangeKernel:
     """Smooth a range kernel with the level-n mollifier.
 
@@ -780,9 +777,7 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     level or panel count that is not a whole number raises
     :class:`ConfigurationError` naming it.
     """
-    n = _whole(n, "mollification level")
-    if n < 1:
-        raise ConfigurationError(f"mollification level must be a positive integer, got {n}")
+    n = _whole(n, "mollification level", 1)
     # no finer than bump_mass's own quadrature; checked before any allocation
     quad_count = _whole(quad_count, "mollifier quadrature panel count")
     if not 64 <= quad_count <= _BUMP_PANELS:
@@ -1079,7 +1074,8 @@ def validate_assumptions(
 ) -> RunReport:
     """Check the structural hypotheses the well-posedness theory needs.
 
-    Everything is reported; nothing raises.  The checks cover the spatial
+    Everything is reported; only a ``seed`` that is not a whole number
+    >= 0 raises (:class:`ConfigurationError`).  The checks cover the spatial
     kernel (non-negative weights, unit discrete mass; evenness bit for bit
     is enforced when the table is built), the range kernel (A(0) = 0,
     oddness, the sign condition A(s) s >= 0, symmetry in the node pair,
@@ -1090,7 +1086,7 @@ def validate_assumptions(
     0 and the ends of its window, with a dedicated generator seeded by
     ``seed`` so reports are reproducible.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     rep = RunReport()
 
     # spatial kernel

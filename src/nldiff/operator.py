@@ -113,8 +113,8 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, _cpus, _Helper
-from .grid import Field, Grid
+from .errors import ConfigurationError, _cpus, _Helper
+from .grid import Field, Grid, _on_grid
 from .kernels import (
     RangeKernel,
     SpatialKernelTable,
@@ -309,8 +309,7 @@ class _Walk:
             ref = kernel.reference
             if ref is None:
                 raise ConfigurationError("spatial_exponent kernel is missing its reference field")
-            if ref.grid != table.grid:
-                raise GridMismatchError("kernel reference field lives on a different grid")
+            _on_grid(table.grid, **{"the kernel's reference field": ref})
             # fixed by the reference field, so interpolated once per walk
             self.exps = tuple(kernel.pair_exponents(r) for _, r, _, _ in self.pairs(ref.values))
         nodes = table.grid.node_count
@@ -403,16 +402,8 @@ def apply_nonlocal(
     grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, t: float, u: Field
 ) -> Field:
     """Evaluate the nonlocal operator on a field."""
-    _check_table(grid, table, u)
+    _on_grid(grid, table=table, u=u)
     return Field(grid, _Walk(table, kernel).apply(u.values, t)[0])
-
-
-def _check_table(grid: Grid, table: SpatialKernelTable, *fields: Field):
-    """Refuse a table or fields that do not live on ``grid``."""
-    if table.grid != grid:
-        raise GridMismatchError("kernel table was built for a different grid")
-    if any(f.grid != grid for f in fields):
-        raise GridMismatchError("field does not live on the operator grid")
 
 
 def dissipation_pairing(
@@ -426,7 +417,7 @@ def dissipation_pairing(
     function of u the rhs is visibly non-positive term by term, which is
     the dissipativity estimate.
     """
-    _check_table(grid, table, u, phi)
+    _on_grid(grid, table=table, u=u, phi=phi)
     pp = phi.values
     walk = _Walk(table, kernel)
     lhs = grid.node_volume * float(np.sum(pp * walk.apply(u.values, t)[0]))
@@ -452,12 +443,13 @@ def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: F
     This is the double sum of the energy density over all weighted pairs
     (see the module docstring), whose descent direction is exactly the
     operator.  For the families without a closed-form antiderivative
-    (variable_exponent, custom) it is the quadratic energy, a monitoring
-    quantity rather than a certified descent functional.  It is the energy
-    of a solver step's own walk (:meth:`_Walk.apply`) at t = 0, so a step
-    computes the same number, bit for bit.
+    (variable_exponent, custom) it is the quadratic energy, and for a
+    mollified kernel its base's energy; each is a monitoring quantity
+    rather than a certified descent functional (``has_energy`` is False).
+    It is the energy of a solver step's own walk (:meth:`_Walk.apply`) at
+    t = 0, so a step computes the same number, bit for bit.
     """
-    _check_table(grid, table, u)
+    _on_grid(grid, table=table, u=u)
     return _Walk(table, kernel).apply(u.values, 0.0, True)[1]
 
 
@@ -475,7 +467,7 @@ def one_step_filter(grid: Grid, table: SpatialKernelTable, u: Field, h: float) -
     no weight at all, when every neighbor's window underflows or leaves
     the grid; that raises :class:`ConfigurationError`.
     """
-    _check_table(grid, table, u)
+    _on_grid(grid, table=table, u=u)
     h = bilateral_width(h)
     uu = u.values
     num = table.zero_weight * uu

@@ -51,11 +51,11 @@ import numpy as np
 from .errors import (
     AssumptionViolationError,
     ConfigurationError,
-    GridMismatchError,
     NumericalBlowupError,
     UndefinedRatioError,
+    _whole,
 )
-from .grid import Field, Grid, lp_norm, save_field, series_csv, write_text
+from .grid import Field, Grid, _on_grid, lp_norm, save_field, series_csv, write_text
 from .kernels import (
     RangeKernel,
     Reaction,
@@ -64,7 +64,7 @@ from .kernels import (
     sample_lipschitz_constant,
     validate_assumptions,
 )
-from .operator import _check_table, _Walk
+from .operator import _Walk
 
 MU_MODES = ("auto_growth", "auto_linf", "manual")
 
@@ -92,7 +92,8 @@ class SolverConfig:
     """Run parameters for :func:`solve`.
 
     ``record_every`` thins the stored states; diagnostics are still taken
-    at every step.  The final state is always recorded.
+    at every step.  The final state is always recorded.  Both counts are
+    stored as ints; a float with no fraction will do.
     """
 
     T: float
@@ -105,16 +106,14 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
             raise ConfigurationError(f"final time must be finite and positive, got {self.T}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ConfigurationError(f"step count must be a positive integer, got {self.steps}")
+        object.__setattr__(self, "steps", _whole(self.steps, "step count", 1))
+        object.__setattr__(self, "record_every", _whole(self.record_every, "record_every", 1))
         if self.mu_mode not in MU_MODES:
             raise ConfigurationError(f"unknown mu mode {self.mu_mode!r}")
         if not self.mu >= 0.0:
             raise ConfigurationError(f"mu must be non-negative, got {self.mu}")
         if not self.mu_margin > 0.0:
             raise ConfigurationError(f"mu margin must be positive, got {self.mu_margin}")
-        if int(self.record_every) != self.record_every or self.record_every < 1:
-            raise ConfigurationError("record_every must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,6 @@ class Problem:
     u0: Field
     config: SolverConfig
     seed: int = 42
-
-
-def _check_seed(seed):
-    """Refuse a seed that numpy's generators would reject."""
-    if int(seed) != seed or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass
@@ -205,7 +198,7 @@ def _resolve_constants(table, kernel, reaction, u0, config, seed):
         "l_a_loc": l_loc,
         "k_linf": k,
         "norm_u0": norm_u0,
-        "tau": T / int(config.steps),
+        "tau": T / config.steps,
         "kernel_mass": mass_s,
         "tau_positivity_limit": math.inf if denom <= 0.0 else 1.0 / denom,
     }
@@ -227,7 +220,9 @@ def solve(
     The problem data is validated against the structural hypotheses first
     by :func:`validate_assumptions`; any failed check raises
     :class:`AssumptionViolationError`, which carries that ``RunReport``.
-    A negative or non-integer ``seed`` raises :class:`ConfigurationError`.
+    A ``seed`` that is not a whole number >= 0 raises
+    :class:`ConfigurationError`, and a table or u0 on another grid
+    :class:`GridMismatchError`.
 
     Each level j is one pass of the loop: u_j = e^{mu t_j} w_j, its min and
     max, the operator and energy from one walk, the diagnostics row, the
@@ -241,8 +236,8 @@ def solve(
     a helper process walks the second half and is reaped on return and on
     any raise; no bit changes, and a dead helper raises RuntimeError.
     """
-    _check_seed(seed)
-    _check_table(grid, table, u0)
+    seed = _whole(seed, "seed", 0)
+    _on_grid(grid, table=table, u0=u0)
     report = validate_assumptions(table, kernel, reaction, u0, seed=seed)
     failed = [c.name for c in report.failed()]
     if failed:
@@ -251,7 +246,7 @@ def solve(
 
     constants = _resolve_constants(table, kernel, reaction, u0, config, seed)
     mu, tau, tau_limit = constants["mu"], constants["tau"], constants["tau_positivity_limit"]
-    N = int(config.steps)
+    N = config.steps
     T = float(config.T)
     if tau > tau_limit:
         warnings.warn(
@@ -263,7 +258,7 @@ def solve(
     w = u0.values.copy()
 
     diag = {name: np.empty(N + 1) for name in DIAGNOSTIC_COLUMNS}
-    record_steps = [j for j in range(0, N + 1, int(config.record_every))]
+    record_steps = [j for j in range(0, N + 1, config.record_every)]
     if record_steps[-1] != N:
         record_steps.append(N)
     record_set = set(record_steps)
@@ -337,6 +332,15 @@ class StabilitySummary:
     fitted_rate: float
 
 
+def _initial_separation(grid: Grid, a: Field, b: Field, p) -> float:
+    """|a - b|_p, the denominator of every separation ratio; a p below 1
+    raises :class:`ConfigurationError`, and zero :class:`UndefinedRatioError`."""
+    d0 = lp_norm(grid, Field(grid, a.values - b.values), p)
+    if d0 == 0.0:
+        raise UndefinedRatioError("initial states coincide; separation ratios are undefined")
+    return d0
+
+
 def stability_constant_estimate(traj_a: Trajectory, traj_b: Trajectory, p) -> StabilitySummary:
     """Ratios |u_a(t) - u_b(t)|_p / |u_a(0) - u_b(0)|_p over recorded times.
 
@@ -346,14 +350,11 @@ def stability_constant_estimate(traj_a: Trajectory, traj_b: Trajectory, p) -> St
     slope of log ratio against time, the exponential rate to compare with
     a Lipschitz envelope.
     """
-    if traj_a.grid != traj_b.grid:
-        raise GridMismatchError("trajectories live on different grids")
+    _on_grid(traj_a.grid, traj_b=traj_b)
     if len(traj_a.states) != len(traj_b.states) or not np.array_equal(traj_a.times, traj_b.times):
         raise ConfigurationError("trajectories have different recording schedules")
     grid = traj_a.grid
-    d0 = lp_norm(grid, Field(grid, traj_a.states[0].values - traj_b.states[0].values), p)
-    if d0 == 0.0:
-        raise UndefinedRatioError("initial states coincide; separation ratios are undefined")
+    d0 = _initial_separation(grid, traj_a.states[0], traj_b.states[0], p)
     ratios = np.array(
         [
             lp_norm(grid, Field(grid, a.values - b.values), p) / d0

@@ -232,6 +232,24 @@ def test_contraction_study_refusals():
         contraction_study(prob, prob.u0, prob.u0, 2)
 
 
+def test_contraction_study_refuses_before_solving(monkeypatch):
+    # a bad norm exponent or coinciding starts used to surface only after both solves
+    prob = two_node_problem([0.2, 1.0])
+    solves = []
+    real = nldiff.analysis.solve_problem
+    monkeypatch.setattr(nldiff.analysis, "solve_problem", lambda p: solves.append(p) or real(p))
+    other = build_grid(1, [(0.0, 1.0)], [3])
+    with pytest.raises(GridMismatchError, match="u0_a does not live on the 1-D grid of counts"):
+        contraction_study(prob, Field(other, np.zeros(3)), prob.u0, 2)
+    with pytest.raises(ConfigurationError, match="norm exponent must be >= 1 or infinity, got 0.5"):
+        contraction_study(prob, prob.u0, Field(prob.grid, [0.3, 1.0]), 0.5)
+    with pytest.raises(UndefinedRatioError):
+        contraction_study(prob, prob.u0, Field(prob.grid, [0.2, 1.0]), 2)
+    assert solves == []
+    contraction_study(prob, prob.u0, Field(prob.grid, [0.3, 1.0]), 2)
+    assert len(solves) == 2
+
+
 # ---------------------------------------------------------------------------
 # mollification Cauchy study
 

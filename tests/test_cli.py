@@ -26,6 +26,7 @@ from nldiff import (
     Field,
     PgmFormatError,
     RunConfig,
+    SolverConfig,
     build_grid,
     build_initial_state,
     build_problem,
@@ -137,6 +138,15 @@ def test_serialize_round_trips_negative_infinity():
     out = serialize_config(cfg)
     assert "\ngrid.extents = -inf, 1.0\n" in out and "\nrange.p = -inf\n" in out
     assert "\nstudy.perturb_scale = -inf\n" in out
+    assert parse_config_text(out) == cfg
+
+
+def test_serialize_round_trips_whole_float_counts():
+    # the counts are stored as ints, so 4.0 is written as 4, which the parser reads
+    cfg = RunConfig(solver=SolverConfig(T=1.0, steps=4.0, record_every=2.0), seed=3.0)
+    out = serialize_config(cfg)
+    assert "\nsolver.steps = 4\n" in out and "\nsolver.record_every = 2\n" in out
+    assert out.startswith("seed = 3\n")
     assert parse_config_text(out) == cfg
 
 

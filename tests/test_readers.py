@@ -8,6 +8,10 @@ for a few fields, so that the loaders get past their first check.  The
 inputs are small, so that no example allocates much or runs long: a grid
 of at most 64 nodes, a PGM header that may claim a huge raster but
 carries at most a few dozen samples.
+
+Every count, level, offset and seed the library takes is fuzzed the same
+way: a whole number is accepted and stored as an int, and anything else
+is refused with an :class:`NldiffError`.
 """
 
 import math
@@ -16,7 +20,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nldiff import NldiffError, build_problem, image_to_field, load_field, load_pgm, parse_config_text
+from nldiff import (
+    Field,
+    NldiffError,
+    Problem,
+    SolverConfig,
+    build_grid,
+    build_problem,
+    image_to_field,
+    linear_kernel,
+    load_field,
+    load_pgm,
+    make_spatial_kernel,
+    mollifier_cauchy_study,
+    parse_config_text,
+    solve,
+    time_refinement_study,
+    validate_assumptions,
+    zero_reaction,
+)
 from nldiff.config import _PARSERS, RunConfig, serialize_config
 
 EXAMPLES = settings(max_examples=200, deadline=None)
@@ -228,3 +250,66 @@ def test_field_csv_text_loads_or_is_refused(scratch, text_encoding):
     if field is not None:
         assert field.values.size == math.prod(field.grid.counts)
         assert np.all(np.isfinite(field.values))
+
+
+# ---------------------------------------------------------------------------
+# whole-number arguments of the library
+
+# the probes every entry point sees, then integers and floats near them
+WHOLE_PROBES = [math.inf, -math.inf, math.nan, 2.5, "4", -1, 4.0]
+WHOLE_VALUES = st.one_of(st.sampled_from(WHOLE_PROBES), st.integers(-3, 40), st.floats(-40.0, 40.0))
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    """A conformant problem of 4 nodes and 4 steps."""
+    grid = build_grid(1, [(0.0, 1.0)], [4])
+    table = make_spatial_kernel(grid, "gaussian", 0.5)
+    u0 = Field(grid, [0.2, 0.4, 0.6, 0.8])
+    config = SolverConfig(T=0.1, steps=4, mu_mode="manual")
+    return Problem(grid, table, linear_kernel(), zero_reaction(), u0, config)
+
+
+def _solve_seed(p, seed):
+    solve(p.grid, p.table, p.kernel, p.reaction, p.u0, p.config, seed=seed)
+
+
+def _validate_seed(p, seed):
+    validate_assumptions(p.table, p.kernel, p.reaction, p.u0, seed=seed)
+
+
+# per entry point, its call on one value and what it stored of it (None
+# where it stores nothing); a refusal raises an NldiffError
+WHOLE_ENTRIES = {
+    "grid_counts": lambda p, v: build_grid(1, [(0.0, 1.0)], [v]).counts[0],
+    "grid_dim": lambda p, v: build_grid(v, [(0.0, 1.0)], [4]).dim,
+    "solver_steps": lambda p, v: SolverConfig(T=1.0, steps=v).steps,
+    "solver_record_every": lambda p, v: SolverConfig(T=1.0, steps=4, record_every=v).record_every,
+    "run_config_seed": lambda p, v: RunConfig(seed=v).seed,
+    "solve_seed": _solve_seed,
+    "validate_seed": _validate_seed,
+    "refine_step_count": lambda p, v: time_refinement_study(p, [v, 16, 32]).constants["step_counts"][0],
+    "cauchy_level": lambda p, v: mollifier_cauchy_study(p, [v, 16, 32]).report.constants["levels"][0],
+    "table_offset": lambda p, v: make_spatial_kernel(
+        p.grid, "custom_table", table=([[v], [-4]], [1.0, 1.0])).offsets[-1, 0],
+}
+
+
+def _with_probes(test):
+    for value in WHOLE_PROBES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("entry", WHOLE_ENTRIES)
+@settings(max_examples=25, deadline=None)
+@_with_probes
+@given(value=WHOLE_VALUES)
+def test_whole_number_arguments_are_stored_as_ints_or_refused(tiny, entry, value):
+    try:
+        stored = WHOLE_ENTRIES[entry](tiny, value)
+    except NldiffError:
+        return
+    # accepted: a whole number, stored as an int (the table's as int64)
+    assert isinstance(value, (int, float)) and value == int(value)
+    assert stored is None or (type(stored) in (int, np.int64) and stored == value)

@@ -10,10 +10,12 @@ PYTHONPATH and its own ``configs/``:
 
 * the five commands on ``configs/`` (solve, verify, and the contraction,
   cauchy and refine studies);
-* ``solve`` on four variants of ``configs/heat_1d.cfg``: under
+* ``solve`` on six variants of ``configs/heat_1d.cfg``: under
   ``auto_growth``, with the p = 1.5 kernel mollified at level 8 on 257
-  panels, and two runs the solver refuses, one with a negative initial
-  state and one under ``auto_linf`` with a zero initial state;
+  panels, with the ``spatial_exponent`` and the ``variable_exponent``
+  kernel of one exponent table, and two runs the solver refuses, one with
+  a negative initial state and one under ``auto_linf`` with a zero
+  initial state;
 * ``denoise`` (the flow and ``--one-step``) on the perfbench images of
   seeds 0 and 1, generated once by this tree's ``perfbench/workloads.py``.
 
@@ -48,6 +50,7 @@ CONFIG_COMMANDS = [
     ("study_refine_heat_1d", ["study", "refine", "--config", "configs/heat_1d.cfg"]),
 ]
 IMAGE_SEEDS = (0, 1)
+_EXPONENT_TABLE = {"range.exponent_sigmas": "0, 0.5", "range.exponent_values": "2.5, 1.8"}
 # Variants of configs/heat_1d.cfg, each solved: file stem -> {key: value}.
 HEAT_VARIANTS = {
     "nonconformant": {"initial.low": "-0.2"},
@@ -55,6 +58,8 @@ HEAT_VARIANTS = {
     "zero_auto_linf": {"solver.mu_mode": "auto_linf", "initial.kind": "constant", "initial.value": "0"},
     "mollified": {"range.family": "p_laplacian", "range.p": "1.5", "range.mollify_n": "8",
                   "range.mollify_quad": "257"},
+    "spatial_exponent": {"range.family": "spatial_exponent", **_EXPONENT_TABLE},
+    "variable_exponent": {"range.family": "variable_exponent", **_EXPONENT_TABLE},
 }
 
 _IMAGES = """
