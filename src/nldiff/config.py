@@ -15,8 +15,9 @@ keys, duplicate keys, malformed values, and missing required keys are all
 errors that name the offending line.  Every optional key has a default
 that is materialized into the parsed configuration, and serializing a
 configuration writes every key back out, so parse(serialize(c)) == c.
-The keys, their defaults, their order and how each value is parsed all
-come from the fields of the section dataclasses below.
+The keys, their defaults, their order and how each value is read and
+checked all come from the fields of the section dataclasses below, and a
+:class:`RunConfig` built in code is checked by the same rule per key.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError, _whole
-from .grid import Field, build_grid, load_field, read_text
+from .errors import ConfigParseError, ConfigurationError, _real, _whole
+from .grid import Field, _norm_exponent, build_grid, load_field, read_text
 from .kernels import (
+    _NON_NEGATIVE,
     OFFSET_LIMIT,
     REACTION_FAMILIES,
     affine_reaction,
@@ -71,13 +73,6 @@ class RangeSection:
     exponent_values: tuple = (2.0, 2.0)
     mollify_n: int = 0
     mollify_quad: int = 129
-
-    def __post_init__(self):
-        # 0 means no mollification; a level is checked where it is built
-        if self.mollify_n < 0:
-            raise ConfigurationError(
-                f"range.mollify_n must be 0 (off) or a positive level, got {self.mollify_n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -125,48 +120,21 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
+        values = {key: _RULES[key](value, key) for key, value in _items(self)}
+        for name, value in {"seed": values["seed"], **_sections(values)}.items():
+            object.__setattr__(self, name, value)
+        dim, extents, counts = self.grid.dim, self.grid.extents, self.grid.counts
+        if dim not in (1, 2):
+            raise ConfigurationError(f"grid.dim must be 1 or 2, got {dim}")
+        if len(extents) != 2 * dim:
+            raise ConfigurationError(f"grid.extents needs {2 * dim} numbers for dim {dim}, "
+                                     f"got {len(extents)}")
+        if len(counts) != dim:
+            raise ConfigurationError(f"grid.counts needs {dim} entries, got {len(counts)}")
 
 
-def _parse_float(text: str) -> float:
-    v = float(text)
-    if math.isnan(v):
-        raise ValueError("nan is not a valid value")
-    return v
-
-
-def _parse_weight(text: str) -> float:
-    v = float(text)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"weight must be finite and non-negative, got {text}")
-    return v
-
-
-def _parse_offset(text: str) -> int:
-    v = int(text)
-    if abs(v) > OFFSET_LIMIT:
-        raise ValueError(f"offset must lie in [-(2^63 - 1), 2^63 - 1], got {text}")
-    return v
-
-
-def _parse_norm(text: str) -> float:
-    v = math.inf if text.strip() in ("inf", "infinity") else _parse_float(text)
-    if not v >= 1.0:
-        raise ValueError(f"norm exponent must be >= 1 or infinity, got {text}")
-    return v
-
-
-def _choice(*options):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return text
-
-    return parse
-
-
-def _items(cfg: RunConfig):
-    """(key, value) for every key of a configuration, in file order."""
+def _items(cfg):
+    """(key, value) for every key of a configuration (or the class's defaults), in file order."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
@@ -176,29 +144,80 @@ def _items(cfg: RunConfig):
             yield f.name, value
 
 
-def _parser_for(default):
-    if isinstance(default, tuple):
-        item = _parse_float if isinstance(default[0], float) else int
-        return lambda text: tuple(item(p.strip()) for p in text.split(","))
-    return {int: int, float: _parse_float, str: str}[type(default)]
+def _sections(values: dict) -> dict:
+    """Each section of a configuration, built from the values of its keys."""
+    return {f.name: type(f.default)(**{g.name: values[f"{f.name}.{g.name}"] for g in fields(f.default)})
+            for f in fields(RunConfig) if is_dataclass(f.default)}
 
 
-# Every key and its default come from the section dataclasses; a value is
-# parsed by the type of its default unless it is listed here.
-_DEFAULTS = dict(_items(RunConfig()))
-_PARSERS = {key: _parser_for(default) for key, default in _DEFAULTS.items()}
-_PARSERS.update(
+def _parse_offset(text: str) -> int:
+    v = int(text)
+    if abs(v) > OFFSET_LIMIT:
+        raise ValueError(f"offset must lie in [-(2^63 - 1), 2^63 - 1], got {text}")
+    return v
+
+
+def _choice(*options):
+    def check(value, key):
+        if value not in options:
+            raise ConfigurationError(f"{key} must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _rule(default):
+    """A key's check by its default's type: :func:`_whole`, :func:`_real`, per item, or none."""
+    if not isinstance(default, tuple):
+        return {int: _whole, float: _real, str: lambda value, key: value}[type(default)]
+    item = _rule(default[0])
+
+    def each(value, key):
+        if not (isinstance(value, (tuple, list)) and value):
+            raise ConfigurationError(f"{key} must be a non-empty tuple, got {value!r}")
+        return tuple(item(v, key) for v in value)
+
+    return each
+
+
+def _parser(key, default):
+    """A key's text to its checked value; a refusal is a ValueError, reported with the line."""
+    many = isinstance(default, tuple)
+    read = type(default[0] if many else default)
+
+    def parse(text):
+        try:
+            return _RULES[key](tuple(read(p.strip()) for p in text.split(",")) if many else read(text), key)
+        except ConfigurationError as exc:
+            raise ValueError(exc) from None
+
+    return parse
+
+
+# range.family: the kernel each name builds, from the range section and u0
+_RANGE_KERNELS = {
+    "linear": lambda rs, u0: linear_kernel(),
+    "p_laplacian": lambda rs, u0: p_laplacian_kernel(rs.p),
+    "variable_exponent": lambda rs, u0: variable_exponent_kernel(rs.exponent_sigmas, rs.exponent_values),
+    "spatial_exponent": lambda rs, u0: spatial_exponent_kernel(rs.exponent_sigmas, rs.exponent_values, u0),
+    "bilateral_gaussian": lambda rs, u0: bilateral_kernel(rs.h),
+}
+# Every key and its default come from the sections; its rule, unless listed here, from the default's type.
+_DEFAULTS = dict(_items(RunConfig))
+_RULES = {key: _rule(default) for key, default in _DEFAULTS.items()}
+_RULES.update(
     {
+        "seed": lambda value, key: _whole(value, key, 0),
+        "range.mollify_n": lambda value, key: _whole(value, key, 0, "0 (off) or a positive level"),
         "kernel.family": _choice("gaussian", "box", "custom_table"),
-        "range.family": _choice(
-            "linear", "p_laplacian", "variable_exponent", "spatial_exponent", "bilateral_gaussian"
-        ),
+        "range.family": _choice(*_RANGE_KERNELS),
         "reaction.family": _choice(*REACTION_FAMILIES),
         "initial.kind": _choice("constant", "random", "step", "field_csv", "pgm"),
         "solver.mu_mode": _choice(*MU_MODES),
-        "study.norm": _parse_norm,
+        "study.norm": lambda value, key: _norm_exponent(value),
     }
 )
+_PARSERS = {key: _parser(key, default) for key, default in _DEFAULTS.items()}
 _REQUIRED = ("grid.dim", "grid.extents", "grid.counts", "range.family", "solver.T", "solver.steps")
 
 
@@ -231,37 +250,16 @@ def parse_config_text(text: str, path: str = "<string>") -> RunConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigParseError(f"missing required keys: {', '.join(missing)}", path=path)
-    return _assemble({**_DEFAULTS, **values}, path)
+    values = {**_DEFAULTS, **values}
+    try:
+        return RunConfig(seed=values["seed"], **_sections(values))
+    except ConfigurationError as exc:
+        raise ConfigParseError(str(exc), path=path) from exc
 
 
 def parse_config(path) -> RunConfig:
     """Parse a configuration file into a fully defaulted :class:`RunConfig`."""
     return parse_config_text(read_text(path), path=str(path))
-
-
-def _assemble(v: dict, path: str) -> RunConfig:
-    dim = v["grid.dim"]
-    flat_ext = v["grid.extents"]
-    if dim not in (1, 2):
-        raise ConfigParseError(f"grid.dim must be 1 or 2, got {dim}", path=path)
-    if len(flat_ext) != 2 * dim:
-        raise ConfigParseError(
-            f"grid.extents needs {2 * dim} numbers for dim {dim}, got {len(flat_ext)}",
-            path=path,
-        )
-    if len(v["grid.counts"]) != dim:
-        raise ConfigParseError(
-            f"grid.counts needs {dim} entries, got {len(v['grid.counts'])}", path=path
-        )
-    sections = {}
-    try:
-        for f in fields(RunConfig):
-            if is_dataclass(f.default):
-                cls = type(f.default)
-                sections[f.name] = cls(**{g.name: v[f"{f.name}.{g.name}"] for g in fields(cls)})
-        return RunConfig(seed=v["seed"], **sections)
-    except ConfigurationError as exc:
-        raise ConfigParseError(str(exc), path=path) from exc
 
 
 def _fmt_value(val) -> str:
@@ -295,7 +293,7 @@ def _read_table(path, columns, what: str) -> list:
             )
         try:
             rows.append([parse(p.strip()) for parse, p in zip(columns, parts)])
-        except ValueError as exc:
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigParseError(f"bad {what} row: {exc}", line=lineno, path=str(path)) from exc
         key = tuple(rows[-1][:-1])
         if first.setdefault(key, lineno) != lineno:
@@ -313,12 +311,10 @@ def build_initial_state(cfg: RunConfig, grid) -> Field:
     if sec.kind == "constant":
         return Field(grid, np.full(n, sec.value))
     if sec.kind in ("random", "step"):
-        for key, value in (("low", sec.low), ("high", sec.high)):
-            if not math.isfinite(value):
-                raise ConfigurationError(f"initial.{key} must be finite, got {value}")
+        for key in ("low", "high"):
+            _real(getattr(sec, key), f"initial.{key}", math.isfinite, "be finite")
     if sec.kind == "random":
-        if not math.isfinite(sec.high - sec.low):
-            raise ConfigurationError(f"initial.high - initial.low must be finite, got {sec.high - sec.low}")
+        _real(sec.high - sec.low, "initial.high - initial.low", math.isfinite, "be finite")
         rng = np.random.default_rng(cfg.seed)
         return Field(grid, rng.uniform(sec.low, sec.high, size=n))
     if sec.kind == "step":
@@ -354,23 +350,15 @@ def build_problem(cfg: RunConfig) -> Problem:
     ks = cfg.kernel
     table_data = None
     if ks.family == "custom_table":
-        rows = _read_table(ks.table_path, [_parse_offset] * dim + [_parse_weight], "kernel table")
+        weight = [lambda text: _real(float(text), "weight", *_NON_NEGATIVE)]
+        rows = _read_table(ks.table_path, [_parse_offset] * dim + weight, "kernel table")
         table_data = ([r[:-1] for r in rows], [r[-1] for r in rows])
     table = make_spatial_kernel(grid, ks.family, ks.radius, table=table_data)
 
     u0 = build_initial_state(cfg, grid)
 
     rs = cfg.range
-    if rs.family == "linear":
-        kernel = linear_kernel()
-    elif rs.family == "p_laplacian":
-        kernel = p_laplacian_kernel(rs.p)
-    elif rs.family == "variable_exponent":
-        kernel = variable_exponent_kernel(rs.exponent_sigmas, rs.exponent_values)
-    elif rs.family == "spatial_exponent":
-        kernel = spatial_exponent_kernel(rs.exponent_sigmas, rs.exponent_values, u0)
-    else:
-        kernel = bilateral_kernel(rs.h)
+    kernel = _RANGE_KERNELS[rs.family](rs, u0)
     if rs.mollify_n >= 1:
         kernel = mollify_range_kernel(kernel, rs.mollify_n, rs.mollify_quad)
 
@@ -384,7 +372,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     elif fs.family == "logistic":
         reaction = logistic_reaction(fs.rate, fs.capacity)
     else:
-        rows = _read_table(fs.table_path, [_parse_float, _parse_float], "reaction table")
+        rows = _read_table(fs.table_path, [lambda text: _real(float(text), "value")] * 2, "reaction table")
         reaction = custom_table_reaction(*zip(*rows))
 
     return Problem(

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, :func:`_whole`, the one
-check of a whole number, and :class:`_Helper`, the one way it runs work
-in another process, with the reply format."""
+"""Exception types shared across the package, :func:`_whole` and
+:func:`_real`, the checks of a number, and :class:`_Helper`, the one way
+it runs work in another process, with the reply format."""
 
 from __future__ import annotations
 
 import copyreg
+import math
+import numbers
 import os
 import pickle
 import sys
@@ -102,11 +104,11 @@ class UndefinedRatioError(NldiffError):
     """A stability ratio was requested for trajectories with equal starts."""
 
 
-def _whole(value, what: str, least: int | None = None) -> int:
+def _whole(value, what: str, least: int | None = None, kind: str = "") -> int:
     """``value`` as an int; a :class:`ConfigurationError` naming it unless
     it is a whole number (a finite float with no fraction will do) and, with
-    ``least``, at least that.  Every count, level, offset and seed the
-    package takes goes through here."""
+    ``least``, at least that ("{what} must be {kind}, got {value}").  Every
+    count, level, offset and seed the package takes goes through here."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):  # inf, NaN, text
@@ -114,9 +116,24 @@ def _whole(value, what: str, least: int | None = None) -> int:
     if whole is None or whole != value:
         raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
     if least is not None and whole < least:
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
-        raise ConfigurationError(f"{what} must be {kind}, got {whole}")
+        named = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ConfigurationError(f"{what} must be {kind or named}, got {whole}")
     return whole
+
+
+def _real(value, what: str, ok=None, must: str = "") -> float:
+    """``value`` as a float; a :class:`ConfigurationError` naming it unless
+    it is a real number (not text, None or NaN) and, with ``ok``, ``ok``
+    holds of it: "{what} must {must}, got {value}", for NaN too."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else None
+    except OverflowError:  # an int beyond float
+        real = math.inf if value > 0 else -math.inf
+    if real is None or (real != real and ok is None):
+        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    if real != real or ok is not None and not ok(real):
+        raise ConfigurationError(f"{what} must {must}, got {real}")
+    return real
 
 
 def _caught(fn, *args):

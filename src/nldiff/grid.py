@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError, GridMismatchError, _whole
+from .errors import ConfigParseError, ConfigurationError, GridMismatchError, _real, _whole
 
 FIELD_FILE_MAGIC = "# nldiff-field v1"
 
@@ -62,19 +62,20 @@ class Grid:
         counts = tuple(_whole(c, "axis count", 2) for c in self.counts)
         if (nodes := math.prod(counts)) > np.iinfo(np.intp).max:
             raise ConfigurationError(f"grid of {nodes} nodes exceeds the array index range")
-        spacing = tuple((hi - lo) / c for (lo, hi), c in zip(self.extents, counts))
+        extents = tuple((_real(lo, "grid extent"), _real(hi, "grid extent")) for lo, hi in self.extents)
+        spacing = tuple((hi - lo) / c for (lo, hi), c in zip(extents, counts))
         node_volume = math.prod(spacing)
-        for (lo, hi), h in zip(self.extents, spacing):
+        for (lo, hi), h in zip(extents, spacing):
             # so also lo < hi, both finite, and hi - lo finite
             if not all(sys.float_info.min <= v < math.inf for v in (h, node_volume)):
                 raise ConfigurationError(f"degenerate extent ({lo}, {hi}): spacing {h} and node volume "
                                          f"{node_volume} must be finite normal positive floats")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "extents", tuple((float(lo), float(hi)) for lo, hi in self.extents))
+        object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "node_volume", node_volume)
-        object.__setattr__(self, "total_measure", math.prod(hi - lo for lo, hi in self.extents))
+        object.__setattr__(self, "total_measure", math.prod(hi - lo for lo, hi in extents))
 
     @property
     def node_count(self) -> int:
@@ -167,12 +168,15 @@ def lp_norm(grid: Grid, f: Field, p) -> float:
     gives the plain max of |f|.
     """
     _on_grid(grid, f=f)
+    p = _norm_exponent(p)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    p = float(p)
-    if not p >= 1.0:
-        raise ConfigurationError(f"norm exponent must be >= 1 or infinity, got {p}")
     return float((grid.node_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+
+
+def _norm_exponent(p) -> float:
+    """``p`` as a float, refused unless it is at least 1 (infinity included)."""
+    return _real(p, "norm exponent", lambda p: p >= 1.0, "be >= 1 or infinity")
 
 
 def read_text(path) -> str:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, KernelValidationError, _whole
+from .errors import ConfigurationError, KernelValidationError, _real, _whole
 from .grid import Field, Grid
 
 RANGE_FAMILIES = (
@@ -175,9 +175,8 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
     ``normalization``.
     """
     if family in ("gaussian", "box"):
-        if not 0.0 < radius < math.inf:
-            raise ConfigurationError(f"kernel radius must be positive and finite, got {radius}")
-        r = min(float(radius), _FLAT_RADIUS)
+        radius = _real(radius, "kernel radius", lambda r: 0.0 < r < math.inf, "be positive and finite")
+        r = min(radius, _FLAT_RADIUS)
         cand = _candidate_offsets(grid, 4.0 * r if family == "gaussian" else r)
         rsq = _physical_sq_norm(grid, cand)
         if family == "gaussian":
@@ -221,10 +220,15 @@ OFFSET_LIMIT = 2**63 - 1  # int64 holds the negation of every offset up to this
 
 
 def _int64_offsets(offsets) -> np.ndarray:
-    """``offsets`` as a 2-D int64 array; any that is not a whole number in
-    +-OFFSET_LIMIT raise :class:`KernelValidationError` naming them
-    (-2^63 negates to itself in int64).  An integer array is checked whole."""
-    arr = np.atleast_2d(np.asarray(offsets))
+    """``offsets`` as a 2-D int64 array; rows not as long as the first and
+    offsets not whole in +-OFFSET_LIMIT (-2^63 negates to itself in int64)
+    raise :class:`KernelValidationError` naming them; an int array is checked whole."""
+    try:
+        arr = np.atleast_2d(np.asarray(offsets))
+    except ValueError:  # rows of different lengths
+        bad = [tuple(r) for r in offsets if len(r) != len(offsets[0])]
+        raise KernelValidationError(f"kernel table offset rows must all be as long as the first; "
+                                    f"offending offsets {bad}", offenders=bad) from None
     if arr.dtype.kind == "i" and not np.any(arr < -OFFSET_LIMIT):
         return arr.astype(np.int64, copy=False)
     rows = arr.tolist()
@@ -384,16 +388,6 @@ def _mollifier_quadrature(quad_count: int):
 # range kernels
 
 
-@dataclass(frozen=True)
-class PairExponents:
-    """The exponents q of a set of node pairs for the spatial_exponent
-    family, interpolated once from the pairs' reference differences by
-    :meth:`RangeKernel.pair_exponents`.  :meth:`RangeKernel.eval` takes it
-    in place of the differences."""
-
-    q: np.ndarray
-
-
 class RangeKernel:
     """Odd range kernel A(t, x, y, s).
 
@@ -458,13 +452,10 @@ class RangeKernel:
         return self.family == "mollified" and self.base.needs_pair_reference
 
     def eval(self, t: float, s, pair_ref=None) -> np.ndarray:
-        """Vectorized evaluation at value differences ``s``.
-
-        ``pair_ref`` carries the reference-field differences, or their
-        :class:`PairExponents`, for the spatial_exponent family and is
-        ignored elsewhere.
-        """
-        return self.terms(t, s, pair_ref)[0]
+        """Vectorized evaluation at value differences ``s``; ``pair_ref`` holds
+        the pairs' reference differences where :attr:`needs_pair_reference`."""
+        q = self.pair_exponents(pair_ref) if self.needs_pair_reference else None
+        return self.terms(t, s, q)[0]
 
     @property
     def has_energy(self) -> bool:
@@ -492,7 +483,7 @@ class RangeKernel:
         q = self.flux_exponent
         return total if q is None else total / q
 
-    def terms(self, t: float, s, pair_ref=None, energy: bool = False, out=None):
+    def terms(self, t: float, s, q=None, energy: bool = False, out=None):
         """(A, D) at value differences ``s`` from one evaluation, D only
         with ``energy`` (else None).
 
@@ -504,10 +495,11 @@ class RangeKernel:
         mollified kernel; else Phi itself: |s|^q / q with the per-pair q of
         spatial_exponent, and the quadratic s^2/2 for variable_exponent and
         custom, which have no closed-form antiderivative.  D is +0.0 where
-        s is.  ``pair_ref`` is as in :meth:`eval`.  ``out``, a pair of
-        C-contiguous float64 arrays shaped like ``s`` (the second may be
-        None without ``energy``), receives A and D in place of new arrays;
-        the pair walk passes buffers it reuses from block to block.
+        s is.  ``q``, the pairs' :meth:`pair_exponents`, is read where
+        :attr:`needs_pair_reference`.  ``out``, a pair of C-contiguous float64
+        arrays shaped like ``s`` (the second may be None without ``energy``),
+        receives A and D in place of new arrays; the pair walk passes buffers
+        it reuses from block to block.
         """
         s = np.asarray(s, dtype=np.float64)
         a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
@@ -519,17 +511,17 @@ class RangeKernel:
             return np.multiply(s, g, out=a), phi
         if fam == "mollified":
             if energy:
-                self.base.terms(t, s, pair_ref, True, (a, phi))
-            return self._mollified(t, s, pair_ref, a), phi
-        q = self.flux_exponent
+                self.base.terms(t, s, q, True, (a, phi))
+            return self._mollified(t, s, q, a), phi
+        if fam != "spatial_exponent":
+            q = self.flux_exponent
+        elif q is None:
+            raise ConfigurationError("spatial_exponent kernels need the pair exponents")
         if fam == "linear":
             np.copyto(a, s)
         elif fam == "custom":
             np.copyto(a, self.fn(t, s))
-        elif fam == "p_laplacian":
-            _signed_power(s, q - 1.0, a)
-        elif fam == "spatial_exponent":
-            q = self.pair_exponents(pair_ref).q
+        elif fam in ("p_laplacian", "spatial_exponent"):
             _signed_power(s, q - 1.0, a)
         else:  # variable_exponent
             p = np.interp(np.abs(s), self.exponent_sigmas, self.exponent_values)
@@ -543,20 +535,18 @@ class RangeKernel:
                     phi /= q
         return a, phi
 
-    def pair_exponents(self, pair_ref) -> PairExponents:
+    def pair_exponents(self, pair_ref) -> np.ndarray:
         """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
         differences ``pair_ref`` (a spatial_exponent kernel or one mollified
-        from it), or ``pair_ref`` itself when it holds them already."""
+        from it)."""
         if self.family == "mollified":
             return self.base.pair_exponents(pair_ref)
-        if isinstance(pair_ref, PairExponents):
-            return pair_ref
         if pair_ref is None:
             raise ConfigurationError("spatial_exponent kernels need the reference differences")
         ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
-        return PairExponents(np.interp(ref, self.exponent_sigmas, self.exponent_values))
+        return np.interp(ref, self.exponent_sigmas, self.exponent_values)
 
-    def _mollified(self, t, s, pair_ref, out):
+    def _mollified(self, t, s, q, out):
         """The base smoothed by midpoint quadrature, then antisymmetrized,
         written to ``out``.
 
@@ -581,16 +571,15 @@ class RangeKernel:
         k, step = m.shifts.shape
         half, rows = k // 2, (k + 1) // 2
         flat, res = s.reshape(-1), out.reshape(-1)
-        q = None
-        if self.needs_pair_reference:
-            q = np.broadcast_to(self.pair_exponents(pair_ref).q, s.shape).reshape(-1)
+        if q is not None:
+            q = np.broadcast_to(q, s.shape).reshape(-1)
         work = np.empty((2, k * min(step, flat.size)))
         for lo in range(0, flat.size, step):
             cols = slice(lo, lo + step)
             width = min(step, flat.size - lo)
             d, v = (buf[: k * width].reshape(k, width) for buf in work)
             np.subtract(flat[None, cols], m.shifts[:, :width], out=d)
-            self.base.terms(t, d, None if q is None else PairExponents(q[None, cols]), out=(v, None))
+            self.base.terms(t, d, None if q is None else q[None, cols], out=(v, None))
             x = v[:rows]
             x[:half] += v[rows:]
             x *= m.scales[:, :width]
@@ -670,17 +659,15 @@ def linear_kernel() -> RangeKernel:
 
 
 def p_laplacian_kernel(p: float) -> RangeKernel:
-    if not 1.0 < p < math.inf:
-        raise ConfigurationError(f"p_laplacian exponent must be finite and exceed 1, got {p}")
-    return RangeKernel("p_laplacian", p=float(p), holder_alpha=min(1.0, p - 1.0), monotone=True)
+    p = _real(p, "p_laplacian exponent", lambda p: 1.0 < p < math.inf, "be finite and exceed 1")
+    return RangeKernel("p_laplacian", p=p, holder_alpha=min(1.0, p - 1.0), monotone=True)
 
 
 def _p_energy_kernel(p: float) -> RangeKernel:
     """The p_laplacian kernel of the p-energy, for any p >= 1; the energy
     of p = 1, the total variation, has no admissible kernel."""
-    if not 1.0 <= p < math.inf:
-        raise ConfigurationError(f"energy exponent must be finite and >= 1, got {p}")
-    return RangeKernel("p_laplacian", p=float(p))
+    p = _real(p, "energy exponent", lambda p: 1.0 <= p < math.inf, "be finite and >= 1")
+    return RangeKernel("p_laplacian", p=p)
 
 
 def _validated_exponent_table(sigmas, values):
@@ -743,14 +730,12 @@ def spatial_exponent_kernel(sigmas, values, reference: Field) -> RangeKernel:
 
 
 def bilateral_width(h: float) -> float:
-    """The width h of a bilateral window, checked: positive, with h^2/2 a
-    normal finite float, so that the energy scale h^2/2 is neither 0 nor
-    infinite."""
-    if not h > 0.0:
-        raise ConfigurationError(f"bilateral width must be positive, got {h}")
+    """The width h of a bilateral window, checked: positive, with the energy
+    scale h^2/2 a normal finite float, neither 0 nor infinite."""
+    h = _real(h, "bilateral width", lambda h: h > 0.0, "be positive")
     if not _TINY <= 0.5 * h * h < math.inf:
         raise ConfigurationError(f"bilateral width {h!r} is out of range: h^2/2 is not a normal float")
-    return float(h)
+    return h
 
 
 def bilateral_kernel(h: float) -> RangeKernel:
@@ -892,25 +877,22 @@ def zero_reaction() -> Reaction:
     return Reaction("zero")
 
 
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
+
+
 def linear_decay_reaction(rate: float) -> Reaction:
-    if not 0.0 <= rate < math.inf:
-        raise ConfigurationError(f"decay rate must be finite and non-negative, got {rate}")
-    return Reaction("linear_decay", rate=rate)
+    return Reaction("linear_decay", rate=_real(rate, "decay rate", *_NON_NEGATIVE))
 
 
 def affine_reaction(offset: float, slope: float) -> Reaction:
-    if not 0.0 <= offset < math.inf:
-        raise ConfigurationError(f"affine reaction offset must be finite and non-negative, got {offset}")
-    if not math.isfinite(slope):
-        raise ConfigurationError(f"affine reaction slope must be finite, got {slope}")
+    offset = _real(offset, "affine reaction offset", *_NON_NEGATIVE)
+    slope = _real(slope, "affine reaction slope", math.isfinite, "be finite")
     return Reaction("affine", offset=offset, slope=slope)
 
 
 def logistic_reaction(growth: float, capacity: float) -> Reaction:
-    if not 0.0 <= growth < math.inf:
-        raise ConfigurationError(f"logistic growth rate must be finite and non-negative, got {growth}")
-    if not capacity > 0.0:
-        raise ConfigurationError(f"logistic capacity must be positive, got {capacity}")
+    growth = _real(growth, "logistic growth rate", *_NON_NEGATIVE)
+    capacity = _real(capacity, "logistic capacity", lambda c: c > 0.0, "be positive")
     return Reaction("logistic", rate=growth, capacity=capacity)
 
 
@@ -996,8 +978,7 @@ def sample_holder_constant(
 ) -> float:
     """Largest sampled |A(s1)-A(s2)| / |s1-s2|^alpha on [-radius, radius],
     over 4096 random pairs and 1024 mirror pairs (s, -s)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(f"Holder exponent must lie in (0, 1], got {alpha}")
+    alpha = _real(alpha, "Holder exponent", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
     s1 = rng.uniform(-radius, radius, size=_SAMPLES)
     s2 = rng.uniform(-radius, radius, size=_SAMPLES)
     mirror = rng.uniform(-radius, radius, size=_SAMPLES // 4)

@@ -53,6 +53,7 @@ from .errors import (
     ConfigurationError,
     NumericalBlowupError,
     UndefinedRatioError,
+    _real,
     _whole,
 )
 from .grid import Field, Grid, _on_grid, lp_norm, save_field, series_csv, write_text
@@ -104,16 +105,15 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.T < math.inf:
-            raise ConfigurationError(f"final time must be finite and positive, got {self.T}")
+        T = _real(self.T, "final time", lambda T: 0.0 < T < math.inf, "be finite and positive")
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "steps", _whole(self.steps, "step count", 1))
         object.__setattr__(self, "record_every", _whole(self.record_every, "record_every", 1))
         if self.mu_mode not in MU_MODES:
             raise ConfigurationError(f"unknown mu mode {self.mu_mode!r}")
-        if not self.mu >= 0.0:
-            raise ConfigurationError(f"mu must be non-negative, got {self.mu}")
-        if not self.mu_margin > 0.0:
-            raise ConfigurationError(f"mu margin must be positive, got {self.mu_margin}")
+        object.__setattr__(self, "mu", _real(self.mu, "mu", lambda m: m >= 0.0, "be non-negative"))
+        margin = _real(self.mu_margin, "mu margin", lambda m: m > 0.0, "be positive")
+        object.__setattr__(self, "mu_margin", margin)
 
 
 @dataclass(frozen=True)

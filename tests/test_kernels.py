@@ -211,6 +211,15 @@ def test_offsets_beyond_int64_are_refused():
     assert t.offsets.dtype == np.int64 and operator._Walk(t).blocks == ()
 
 
+def test_ragged_table_offsets_are_refused():
+    # numpy's "inhomogeneous shape" ValueError used to escape
+    g = build_grid(1, [(0.0, 1.0)], [8])
+    for offs, bad in (([[1], [1, 2]], [(1, 2)]), ([[1, 2], [3], [-1, -2], []], [(3,), ()])):
+        with pytest.raises(KernelValidationError, match="as long as the first") as exc:
+            make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
+        assert exc.value.offenders == bad
+
+
 def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     g = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [5, 4])
     t = make_spatial_kernel(g, "box", 0.3)

@@ -380,11 +380,11 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
         assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
         assert t.pair_count == len(pairs)
         for k in _kernels_for(g, u) + [custom_odd_kernel()]:
-            # the fused pass, in the walk's scratch buffers, is eval bit for bit
+            # the fused pass, in the walk's scratch buffers, is terms alone bit for bit
             for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
                 a, dens = k.terms(0.3, s, pe, True, scratch)
                 assert a is scratch[0] and dens is scratch[1], k.family
-                assert np.array_equal(a, k.eval(0.3, s, pe)), k.family
+                assert np.array_equal(a, k.terms(0.3, s, pe)[0]), k.family
             want = dense_oracle(g, t, k, 0.3, u)
             got = apply_nonlocal(g, t, k, 0.3, u).values
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=k.family)
@@ -686,14 +686,11 @@ def test_spatial_exponents_are_interpolated_once_and_bit_identical(monkeypatch):
                 assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
                 assert walk.apply(u.values, 0.0, True)[1] == energy
         assert calls == []
-        # raw reference differences instead, interpolated on every call
+        # eval, which interpolates raw reference differences on every call, agrees
         rr = ref.values
-        walk.exps = tuple(
-            operator._drop_wrapped(operator._take(rr, s) - operator._take(rr, d), wrap)
-            for _, d, s, wrap in walk.blocks
-        )
-        assert np.array_equal(walk.apply(u.values, 0.0)[0], op)
-        assert walk.apply(u.values, 0.0, True)[1] == energy
+        for (_, d, src, wrap), s, pe, _ in walk.pairs(u.values):
+            raw = operator._drop_wrapped(operator._take(rr, src) - operator._take(rr, d), wrap)
+            assert np.array_equal(k.eval(0.0, s, raw), k.terms(0.0, s, pe)[0])
 
 
 def sliced_apply(table, kernel, t, u):
@@ -1163,7 +1160,7 @@ def test_kernels_that_share_a_table_share_no_walk_state(monkeypatch):
     for a, b in itertools.combinations(walks, 2):
         assert not np.shares_memory(a.buf, b.buf) and not np.shares_memory(a.out, b.out)
         assert all(x is not y for x, y in zip(a.exps, b.exps))
-    assert not np.array_equal(walks[0].exps[0].q, walks[1].exps[0].q)
+    assert not np.array_equal(walks[0].exps[0], walks[1].exps[0])
     # in the other order, each kernel's operator is what it was
     for k, want in reversed(list(zip(ks, first))):
         assert np.array_equal(apply_nonlocal(g, t, k, 0.0, u).values, want)

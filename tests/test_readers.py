@@ -11,7 +11,9 @@ carries at most a few dozen samples.
 
 Every count, level, offset and seed the library takes is fuzzed the same
 way: a whole number is accepted and stored as an int, and anything else
-is refused with an :class:`NldiffError`.
+is refused with an :class:`NldiffError`.  So is every real argument with
+a range: a real number is accepted and stored as a float, or refused.  A
+:class:`RunConfig` built in code is checked by the rules of the file.
 """
 
 import math
@@ -21,25 +23,43 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nldiff import (
+    ConfigurationError,
     Field,
     NldiffError,
     Problem,
     SolverConfig,
+    affine_reaction,
     build_grid,
     build_problem,
     image_to_field,
+    linear_decay_reaction,
     linear_kernel,
     load_field,
     load_pgm,
+    logistic_reaction,
+    lp_norm,
     make_spatial_kernel,
     mollifier_cauchy_study,
+    p_laplacian_kernel,
     parse_config_text,
+    sample_holder_constant,
     solve,
     time_refinement_study,
     validate_assumptions,
     zero_reaction,
 )
-from nldiff.config import _PARSERS, RunConfig, serialize_config
+from nldiff.config import (
+    _PARSERS,
+    GridSection,
+    InitialSection,
+    KernelSection,
+    RangeSection,
+    ReactionSection,
+    RunConfig,
+    StudySection,
+    serialize_config,
+)
+from nldiff.kernels import _p_energy_kernel, bilateral_width
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -313,3 +333,82 @@ def test_whole_number_arguments_are_stored_as_ints_or_refused(tiny, entry, value
     # accepted: a whole number, stored as an int (the table's as int64)
     assert isinstance(value, (int, float)) and value == int(value)
     assert stored is None or (type(stored) in (int, np.int64) and stored == value)
+
+
+# ---------------------------------------------------------------------------
+# real arguments of the library, and the keys of a configuration built in code
+
+REAL_PROBES = [math.inf, -math.inf, math.nan, "0.5", None, np.float32(0.5), 0.5, 2.5, 0]
+REAL_VALUES = st.one_of(st.sampled_from(REAL_PROBES), st.floats())
+
+def _lp_norm_p(p, value):
+    lp_norm(p.grid, p.u0, value)
+
+
+def _holder_alpha(p, value):
+    sample_holder_constant(p.kernel, value, 1.0, np.random.default_rng(0))
+
+
+# per entry point, its call on one value and what it stored of it (None
+# where it stores nothing); a refusal raises an NldiffError
+REAL_ENTRIES = {
+    "grid_extent": lambda p, v: build_grid(1, [(0.0, v)], [4]).extents[0][1],
+    "lp_norm_p": _lp_norm_p,
+    "kernel_radius": lambda p, v: make_spatial_kernel(p.grid, "gaussian", v).radius,
+    "p_laplacian_p": lambda p, v: p_laplacian_kernel(v).p,
+    "energy_p": lambda p, v: _p_energy_kernel(v).p,
+    "bilateral_width": lambda p, v: bilateral_width(v),
+    "decay_rate": lambda p, v: linear_decay_reaction(v).rate,
+    "affine_offset": lambda p, v: affine_reaction(v, 0.0).offset,
+    "affine_slope": lambda p, v: affine_reaction(0.0, v).slope,
+    "logistic_rate": lambda p, v: logistic_reaction(v, 1.0).rate,
+    "logistic_capacity": lambda p, v: logistic_reaction(1.0, v).capacity,
+    "holder_alpha": _holder_alpha,
+    "solver_T": lambda p, v: SolverConfig(T=v, steps=4).T,
+    "solver_mu": lambda p, v: SolverConfig(T=1.0, steps=4, mu=v).mu,
+    "solver_mu_margin": lambda p, v: SolverConfig(T=1.0, steps=4, mu_margin=v).mu_margin,
+}
+
+
+def _with_real_probes(test):
+    for value in REAL_PROBES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+@settings(max_examples=25, deadline=None)
+@_with_real_probes
+@given(value=REAL_VALUES)
+def test_real_arguments_are_stored_as_floats_or_refused(tiny, entry, value):
+    try:
+        stored = REAL_ENTRIES[entry](tiny, value)
+    except NldiffError:
+        return
+    # accepted: a real number other than NaN, stored as a float
+    assert isinstance(value, (int, float, np.floating)) and value == value
+    assert stored is None or (type(stored) is float and stored == value)
+
+
+def test_configs_built_in_code_round_trip_and_refuse_unknown_names():
+    cfg = RunConfig(
+        seed=np.int64(7),
+        grid=GridSection(dim=1.0, extents=(0, np.float64(2.0)), counts=(16.0,)),
+        kernel=KernelSection(radius=np.float64(0.25)),
+        range=RangeSection(family="p_laplacian", p=3, mollify_n=2.0, mollify_quad=129.0),
+        reaction=ReactionSection(family="logistic", rate=np.float64(0.5), capacity=2),
+        initial=InitialSection(low=0, high=np.float32(0.5)),
+        solver=SolverConfig(T=1, steps=4.0, mu=np.float64(0.0)),
+        study=StudySection(levels=(4.0, 8, 16.0), norm=np.float64(math.inf), perturb_scale=1),
+    )
+    assert parse_config_text(serialize_config(cfg)) == cfg
+    assert cfg.grid.counts == (16,) and cfg.study.levels == (4, 8, 16) and cfg.range.mollify_n == 2
+    assert type(cfg.range.p) is float and type(cfg.grid.extents[0]) is float
+    # an unknown name is refused when the RunConfig is built, as in a file
+    sections = {"kernel": KernelSection(family="gauss"), "range": RangeSection(family="lienar"),
+                "reaction": ReactionSection(family="logistc"), "initial": InitialSection(kind="rand")}
+    for name, section in sections.items():
+        with pytest.raises(ConfigurationError, match=rf"{name}\.(family|kind) must be one of"):
+            RunConfig(**{name: section})
+    with pytest.raises(ConfigurationError, match="unknown mu mode"):
+        RunConfig(solver=SolverConfig(T=1.0, steps=4, mu_mode="auto"))
