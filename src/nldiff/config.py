@@ -23,6 +23,7 @@ checked all come from the fields of the section dataclasses below, and a
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .grid import Field, _norm_exponent, build_grid, load_field, read_text
 from .kernels import (
     _NON_NEGATIVE,
     OFFSET_LIMIT,
-    REACTION_FAMILIES,
     affine_reaction,
     bilateral_kernel,
     custom_table_reaction,
@@ -166,10 +166,21 @@ def _choice(*options):
     return check
 
 
+def _text(value, key) -> str:
+    """A text key's value, a str or a path, as a str the file format carries back."""
+    text = os.fspath(value) if isinstance(value, os.PathLike) else value
+    if not isinstance(text, str):
+        raise ConfigurationError(f"{key} must be text or a path, got {value!r}")
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigurationError(f"{key} must have no leading or trailing whitespace and no line break, "
+                                 f"got {text!r}")
+    return text
+
+
 def _rule(default):
-    """A key's check by its default's type: :func:`_whole`, :func:`_real`, per item, or none."""
+    """A key's check by its default's type: :func:`_whole`, :func:`_real`, :func:`_text`, per item."""
     if not isinstance(default, tuple):
-        return {int: _whole, float: _real, str: lambda value, key: value}[type(default)]
+        return {int: _whole, float: _real, str: _text}[type(default)]
     item = _rule(default[0])
 
     def each(value, key):
@@ -194,13 +205,21 @@ def _parser(key, default):
     return parse
 
 
-# range.family: the kernel each name builds, from the range section and u0
+# range.family and reaction.family: what each name builds, from its section (and u0)
 _RANGE_KERNELS = {
     "linear": lambda rs, u0: linear_kernel(),
     "p_laplacian": lambda rs, u0: p_laplacian_kernel(rs.p),
     "variable_exponent": lambda rs, u0: variable_exponent_kernel(rs.exponent_sigmas, rs.exponent_values),
     "spatial_exponent": lambda rs, u0: spatial_exponent_kernel(rs.exponent_sigmas, rs.exponent_values, u0),
     "bilateral_gaussian": lambda rs, u0: bilateral_kernel(rs.h),
+}
+_REACTIONS = {
+    "zero": lambda fs: zero_reaction(),
+    "linear_decay": lambda fs: linear_decay_reaction(fs.rate),
+    "affine": lambda fs: affine_reaction(fs.offset, fs.slope),
+    "logistic": lambda fs: logistic_reaction(fs.rate, fs.capacity),
+    "custom_table": lambda fs: custom_table_reaction(*zip(*_read_table(
+        fs.table_path, [lambda text: _real(float(text), "value")] * 2, "reaction table"))),
 }
 # Every key and its default come from the sections; its rule, unless listed here, from the default's type.
 _DEFAULTS = dict(_items(RunConfig))
@@ -211,7 +230,7 @@ _RULES.update(
         "range.mollify_n": lambda value, key: _whole(value, key, 0, "0 (off) or a positive level"),
         "kernel.family": _choice("gaussian", "box", "custom_table"),
         "range.family": _choice(*_RANGE_KERNELS),
-        "reaction.family": _choice(*REACTION_FAMILIES),
+        "reaction.family": _choice(*_REACTIONS),
         "initial.kind": _choice("constant", "random", "step", "field_csv", "pgm"),
         "solver.mu_mode": _choice(*MU_MODES),
         "study.norm": lambda value, key: _norm_exponent(value),
@@ -362,24 +381,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     if rs.mollify_n >= 1:
         kernel = mollify_range_kernel(kernel, rs.mollify_n, rs.mollify_quad)
 
-    fs = cfg.reaction
-    if fs.family == "zero":
-        reaction = zero_reaction()
-    elif fs.family == "linear_decay":
-        reaction = linear_decay_reaction(fs.rate)
-    elif fs.family == "affine":
-        reaction = affine_reaction(fs.offset, fs.slope)
-    elif fs.family == "logistic":
-        reaction = logistic_reaction(fs.rate, fs.capacity)
-    else:
-        rows = _read_table(fs.table_path, [lambda text: _real(float(text), "value")] * 2, "reaction table")
-        reaction = custom_table_reaction(*zip(*rows))
-
     return Problem(
         grid=grid,
         table=table,
         kernel=kernel,
-        reaction=reaction,
+        reaction=_REACTIONS[cfg.reaction.family](cfg.reaction),
         u0=u0,
         config=cfg.solver,
         seed=cfg.seed,

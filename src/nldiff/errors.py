@@ -1,6 +1,6 @@
-"""Exception types shared across the package, :func:`_whole` and
-:func:`_real`, the checks of a number, and :class:`_Helper`, the one way
-it runs work in another process, with the reply format."""
+"""Exception types shared across the package, :func:`_whole`, :func:`_real`
+and :func:`_reals`, the checks of numbers, and :class:`_Helper`, the one
+way it runs work in another process, with the reply format."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import os
 import pickle
 import sys
 import warnings
+
+import numpy as np
 
 
 class NldiffError(Exception):
@@ -134,6 +136,14 @@ def _real(value, what: str, ok=None, must: str = "") -> float:
     if real != real or ok is not None and not ok(real):
         raise ConfigurationError(f"{what} must {must}, got {real}")
     return real
+
+
+def _reals(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array, or a :class:`ConfigurationError` naming it."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be real numbers: {exc}") from None
 
 
 def _caught(fn, *args):

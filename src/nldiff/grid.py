@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError, GridMismatchError, _real, _whole
+from .errors import ConfigParseError, ConfigurationError, GridMismatchError, _real, _reals, _whole
 
 FIELD_FILE_MAGIC = "# nldiff-field v1"
 
@@ -130,7 +130,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _reals(self.values, "field values")
         if values.ndim != 1 or values.shape[0] != self.grid.node_count:
             raise GridMismatchError(
                 f"field has {values.size} values, grid has {self.grid.node_count} nodes"

@@ -34,11 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, KernelValidationError, _real, _whole
+from .errors import ConfigurationError, KernelValidationError, _real, _reals, _whole
 from .grid import Field, Grid
 
 RANGE_FAMILIES = (
@@ -68,11 +69,10 @@ class SpatialKernelTable:
     ``normalization`` records the constant the raw samples were divided by
     to reach a unit discrete integral.  ``zero_weight`` is the weight of
     d = 0, which couples a node with itself and so carries no flux of an
-    odd kernel; the one-step filter still counts it.  ``pair_count`` is
-    the number of ordered node pairs the table couples, every offset
-    included.  The table holds no walk: :class:`nldiff.operator._Walk`
-    cuts its offsets into blocks.  A table that is not even, offsets and
-    weights bit for bit, raises :class:`KernelValidationError`.
+    odd kernel; the one-step filter still counts it.  The table holds no
+    walk: :class:`nldiff.operator._Walk` cuts its offsets into blocks.  A
+    table that is not even, offsets and weights bit for bit, raises
+    :class:`KernelValidationError`.
     """
 
     grid: Grid
@@ -81,7 +81,6 @@ class SpatialKernelTable:
     weights: np.ndarray
     normalization: float
     zero_weight: float = field(init=False, repr=False, compare=False)
-    pair_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = _int64_offsets(self.offsets)
@@ -102,7 +101,6 @@ class SpatialKernelTable:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "zero_weight", sum(weights[~offsets.any(axis=1)].tolist(), 0.0))
-        object.__setattr__(self, "pair_count", sum(_pair_counts(self.grid, offsets)))
 
     @property
     def size(self) -> int:
@@ -191,7 +189,7 @@ def make_spatial_kernel(grid: Grid, family: str, radius: float = 0.0, table=None
         if table is None:
             raise ConfigurationError("custom_table kernels need an (offsets, weights) table")
         cand = _int64_offsets(table[0])
-        raw = np.asarray(table[1], dtype=np.float64)
+        raw = _reals(table[1], "kernel table weights")
         if cand.shape[1] != grid.dim or cand.shape[0] != raw.shape[0]:
             raise ConfigurationError("kernel table shapes do not match the grid")
         _check_table_validity(cand, raw)
@@ -225,8 +223,9 @@ def _int64_offsets(offsets) -> np.ndarray:
     raise :class:`KernelValidationError` naming them; an int array is checked whole."""
     try:
         arr = np.atleast_2d(np.asarray(offsets))
-    except ValueError:  # rows of different lengths
-        bad = [tuple(r) for r in offsets if len(r) != len(offsets[0])]
+    except ValueError:  # rows of different lengths, or not all sequences
+        size = [len(r) if isinstance(r, Sized) else None for r in offsets]
+        bad = [r if n is None else tuple(r) for r, n in zip(offsets, size) if n != size[0]]
         raise KernelValidationError(f"kernel table offset rows must all be as long as the first; "
                                     f"offending offsets {bad}", offenders=bad) from None
     if arr.dtype.kind == "i" and not np.any(arr < -OFFSET_LIMIT):
@@ -416,15 +415,15 @@ class RangeKernel:
     ):
         if family not in RANGE_FAMILIES:
             raise ConfigurationError(f"unknown range kernel family {family!r}")
+        if family == "mollified":  # mollification keeps the reference and both declarations
+            reference, holder_alpha, monotone = base.reference, base.holder_alpha, base.monotone
+        if family == "spatial_exponent" and not isinstance(reference, Field):
+            raise ConfigurationError(f"a spatial_exponent kernel needs a reference Field, "
+                                     f"got {type(reference).__name__}")
         self.family = family
         self.p = p
         self.h = h
-        self.exponent_sigmas = (
-            None if exponent_sigmas is None else np.asarray(exponent_sigmas, dtype=np.float64)
-        )
-        self.exponent_values = (
-            None if exponent_values is None else np.asarray(exponent_values, dtype=np.float64)
-        )
+        self.exponent_sigmas, self.exponent_values = exponent_sigmas, exponent_values
         self.reference = reference
         self.base = base
         self.mollifier = mollifier
@@ -671,8 +670,7 @@ def _p_energy_kernel(p: float) -> RangeKernel:
 
 
 def _validated_exponent_table(sigmas, values):
-    sig = np.asarray(sigmas, dtype=np.float64)
-    val = np.asarray(values, dtype=np.float64)
+    sig, val = _reals(sigmas, "exponent table abscissae"), _reals(values, "exponent table values")
     if sig.ndim != 1 or sig.shape != val.shape or sig.size < 2:
         raise ConfigurationError("exponent table needs matching 1-d arrays of length >= 2")
     if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(val))):
@@ -773,23 +771,14 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
         raise ConfigurationError("refusing to mollify an already mollified kernel")
     nodes, weights = _mollifier_quadrature(quad_count)
     spec = MollifierSpec(n=n, nodes=nodes, weights=weights)
-    return RangeKernel(
-        "mollified",
-        base=base,
-        mollifier=spec,
-        reference=base.reference,
-        holder_alpha=base.holder_alpha,
-        monotone=base.monotone,
-    )
+    return RangeKernel("mollified", base=base, mollifier=spec)
 
 
 def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> float:
     """Scalar evaluation at a node pair, resolving the pair reference."""
     pair_ref = None
     if spec.needs_pair_reference:
-        if spec.reference is None:
-            raise ConfigurationError("spatial_exponent kernel is missing its reference field")
-        pair_ref = np.float64(spec.reference.values[y] - spec.reference.values[x])
+        pair_ref = spec.reference.values[y] - spec.reference.values[x]
     return float(spec.eval(t, np.asarray(float(s)), pair_ref))
 
 
@@ -800,10 +789,10 @@ def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> 
 class Reaction:
     """Reaction term f(t, x, s); every built-in is autonomous and local.
 
-    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on the working range,
-    [-2, 2] unless a table sets it, ``l_lipschitz`` bounds the slope there,
-    and ``non_increasing`` declares monotone decay in s.  All three are
-    derived from the family parameters.
+    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on ``working_range``,
+    derived: a table's span (its abscissae strictly increasing, no NaN),
+    else [-2, 2].  ``l_lipschitz`` bounds the slope there, ``non_increasing``
+    declares monotone decay in s; all three come from the family parameters.
     """
 
     def __init__(
@@ -815,7 +804,6 @@ class Reaction:
         slope: float = 0.0,
         capacity: float = 1.0,
         table=None,
-        working_range: tuple = (-2.0, 2.0),
     ):
         if family not in REACTION_FAMILIES:
             raise ConfigurationError(f"unknown reaction family {family!r}")
@@ -824,17 +812,12 @@ class Reaction:
         self.offset = float(offset)
         self.slope = float(slope)
         self.capacity = float(capacity)
-        self.table = None
+        self.table, self.working_range = None, (-2.0, 2.0)
         if table is not None:
-            ts = np.asarray(table[0], dtype=np.float64)
-            tf = np.asarray(table[1], dtype=np.float64)
-            if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or np.any(ts[1:] <= ts[:-1]):
+            ts, tf = _reals(table[0], "reaction table abscissae"), _reals(table[1], "reaction table values")
+            if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or not np.all(ts[1:] > ts[:-1]):
                 raise ConfigurationError("reaction table needs strictly increasing abscissae")
-            self.table = (ts, tf)
-        lo, hi = working_range
-        if not lo < hi:
-            raise ConfigurationError("reaction working range is empty")
-        self.working_range = (float(lo), float(hi))
+            self.table, self.working_range = (ts, tf), (float(ts[0]), float(ts[-1]))
         c, lip, mono = self._derive_constants()
         self.c_growth, self.l_lipschitz, self.non_increasing = float(c), float(lip), bool(mono)
 
@@ -898,10 +881,7 @@ def logistic_reaction(growth: float, capacity: float) -> Reaction:
 
 def custom_table_reaction(s_values, f_values) -> Reaction:
     """Linear interpolation in a table, whose abscissae span the working range."""
-    ts = np.asarray(s_values, dtype=np.float64)
-    # Reaction refuses a malformed table before it reads the working range
-    working_range = (float(ts[0]), float(ts[-1])) if ts.ndim == 1 and ts.size else None
-    return Reaction("custom_table", table=(s_values, f_values), working_range=working_range)
+    return Reaction("custom_table", table=(s_values, f_values))
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,6 @@ class _Walk:
         self.exps = None
         if kernel is not None and kernel.needs_pair_reference:
             ref = kernel.reference
-            if ref is None:
-                raise ConfigurationError("spatial_exponent kernel is missing its reference field")
             _on_grid(table.grid, **{"the kernel's reference field": ref})
             # fixed by the reference field, so interpolated once per walk
             self.exps = tuple(kernel.pair_exponents(r) for _, r, _, _ in self.pairs(ref.values))

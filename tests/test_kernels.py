@@ -214,7 +214,9 @@ def test_offsets_beyond_int64_are_refused():
 def test_ragged_table_offsets_are_refused():
     # numpy's "inhomogeneous shape" ValueError used to escape
     g = build_grid(1, [(0.0, 1.0)], [8])
-    for offs, bad in (([[1], [1, 2]], [(1, 2)]), ([[1, 2], [3], [-1, -2], []], [(3,), ()])):
+    cases = (([[1], [1, 2]], [(1, 2)]), ([[1, 2], [3], [-1, -2], []], [(3,), ()]),
+             ([1, [2]], [(2,)]), ([[1], 2], [2]))  # rows that are not sequences
+    for offs, bad in cases:
         with pytest.raises(KernelValidationError, match="as long as the first") as exc:
             make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
         assert exc.value.offenders == bad
@@ -233,7 +235,7 @@ def test_table_walks_positive_offsets_and_keeps_the_zero_weight():
     assert w.tolist() == np.repeat([t.weight_of(r) for r in positive], sizes).tolist()
     assert t.zero_weight == t.weight_of([0, 0])
     # every ordered pair of the full table, the zero offset included
-    assert t.pair_count == sum((5 - abs(a)) * (4 - abs(b)) for a, b in rows)
+    assert sum(kernels._pair_counts(g, t.offsets)) == sum((5 - abs(a)) * (4 - abs(b)) for a, b in rows)
 
 
 def test_uneven_table_is_refused_at_construction():
@@ -325,9 +327,9 @@ def test_signed_power_below_one_copies_the_sign_bit_for_bit(values, e, seed):
     # bits of sign(s) |s|^e, on the edge values (zeros, subnormals,
     # infinities, NaN) and on random values of every magnitude
     rng = np.random.default_rng(seed)
-    spread = rng.standard_normal(64) * 10.0 ** rng.uniform(-320.0, 308.0, 64)
-    s = np.concatenate([values, _EDGE_VALUES, spread])
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a product of the spread may overflow to inf
+        spread = rng.standard_normal(64) * 10.0 ** rng.uniform(-320.0, 308.0, 64)
+        s = np.concatenate([values, _EDGE_VALUES, spread])
         want = np.sign(s) * np.abs(s) ** e
         got = _signed_power(s, e, np.empty_like(s))
     assert got.tobytes() == want.tobytes()
@@ -482,9 +484,26 @@ def test_every_builtin_family_is_odd_bit_for_bit():
         assert np.all(plus * s >= 0.0), k.family
 
 
+def test_spatial_exponent_kernel_without_a_reference_field_is_refused_when_built():
+    g = build_grid(1, [(0.0, 1.0)], [4])
+    u = Field(g, [0.0, 0.5, 1.0, 0.5])
+    for ref in (None, u.values):
+        with pytest.raises(ConfigurationError, match="needs a reference Field"):
+            spatial_exponent_kernel([0.0, 1.0], [3.0, 2.5], ref)
+        with pytest.raises(ConfigurationError, match="needs a reference Field"):
+            RangeKernel("spatial_exponent", exponent_sigmas=[0.0, 1.0], exponent_values=[3.0, 2.5],
+                        reference=ref)
+    # a mollified kernel takes its reference and declarations from its base
+    base = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.5], u)
+    spec = mollify_range_kernel(base, 4).mollifier
+    mol = RangeKernel("mollified", base=base, mollifier=spec, holder_alpha=0.1, monotone=False)
+    assert mol.reference is u
+    assert (mol.holder_alpha, mol.monotone) == (base.holder_alpha, base.monotone) == (1.0, True)
+
+
 def test_eval_range_kernel_requires_reference():
-    k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.5], None)
     with pytest.raises(ConfigurationError):
+        k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.5], None)
         eval_range_kernel(k, 0.0, 0, 1, 0.5)
 
 
@@ -745,6 +764,15 @@ def test_reaction_bad_parameters():
         logistic_reaction(0.4, 0.0)
     with pytest.raises(ConfigurationError):
         custom_table_reaction([0.0, 0.0], [1.0, 1.0])
+
+
+def test_reaction_working_range_is_derived_and_a_nan_abscissa_is_refused():
+    assert zero_reaction().working_range == logistic_reaction(0.4, 2.0).working_range == (-2.0, 2.0)
+    r = kernels.Reaction("custom_table", table=([-0.5, 0.25, 3.0], [1.0, 0.5, 0.0]))
+    assert r.working_range == (-0.5, 3.0)
+    for ts in ([math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
+        with pytest.raises(ConfigurationError, match="reaction table needs strictly increasing abscissae"):
+            custom_table_reaction(ts, [1.0, 0.5, 0.0])
 
 
 def test_empty_reaction_table_is_refused():

@@ -43,3 +43,23 @@ def test_the_kinds_of_each_module_of_the_package_sum_to_its_wc_l():
             with open(os.path.join(src, name), "rb") as fh:
                 assert total == fh.read().count(b"\n"), name
         assert sum(kinds) == total, name
+
+
+def test_two_directories_print_the_difference_per_module_and_both_totals(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir(), new.mkdir()
+    (old / "a.py").write_text("x = 1\n\n# a comment\n")
+    (old / "gone.py").write_text('"""Only a docstring."""\n')
+    (new / "a.py").write_text("x = 1\ny = 2\n")
+    (new / "b.py").write_text(SOURCE)
+    out = subprocess.run([sys.executable, _PATH, str(old), str(new)], capture_output=True, text=True,
+                         check=True).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["module", *line_counts.KINDS, "total"]
+    assert [row.split() for row in rows] == [
+        ["a.py", "+1", "+0", "-1", "-1", "-1"],
+        ["b.py", "+5", "+3", "+1", "+2", "+11"],
+        ["gone.py", "+0", "-1", "+0", "+0", "-1"],
+        ["old", "total", "1", "1", "1", "1", "4"],
+        ["new", "total", "7", "3", "1", "2", "13"],
+    ]

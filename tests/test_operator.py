@@ -60,7 +60,7 @@ def test_two_node_hand_values():
     g, t, u = two_node_setup(0.8)
     out = apply_nonlocal(g, t, linear_kernel(), 0.0, u)
     np.testing.assert_allclose(out.values, [0.4, -0.4], rtol=1e-15)
-    assert t.pair_count == 2
+    assert sum(kernels._pair_counts(g, t.offsets)) == 2
     assert energy_p(g, t, u, 2.0) == pytest.approx(0.25 * 0.8**2, rel=1e-15)
 
 
@@ -234,7 +234,7 @@ def test_flow_energy_closed_forms():
 def test_flops_counts_clipped_pairs():
     g = build_grid(1, [(0.0, 1.0)], [8])
     t = make_spatial_kernel(g, "box", 0.15)  # offsets -1, 0, 1
-    assert t.pair_count == 7 + 8 + 7
+    assert sum(kernels._pair_counts(g, t.offsets)) == 7 + 8 + 7
 
 
 def test_operator_grid_mismatches():
@@ -278,8 +278,8 @@ def test_energy_parameter_validation():
             one_step_filter(g, t, u, h)
     with pytest.raises(ConfigurationError):
         one_step_filter(g, t, u, 0.0)
-    k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
     with pytest.raises(ConfigurationError):
+        k = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.0], None)
         apply_nonlocal(g, t, k, 0.0, u)
 
 
@@ -378,7 +378,7 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     with walk_layout(*layout):
         assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
-        assert t.pair_count == len(pairs)
+        assert sum(kernels._pair_counts(g, t.offsets)) == len(pairs)
         for k in _kernels_for(g, u) + [custom_odd_kernel()]:
             # the fused pass, in the walk's scratch buffers, is terms alone bit for bit
             for _, s, pe, scratch in operator._Walk(t, k).pairs(u.values):
@@ -923,7 +923,7 @@ def test_split_solve_is_bit_identical_with_the_helper_and_on_one_cpu(monkeypatch
         # the split walk is the operator: against the walk in one half
         op, e = operator._Walk(t, k).apply(u0.values, 0.3, True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operator, "_SPLIT_PAIRS", t.pair_count)
+            mp.setattr(operator, "_SPLIT_PAIRS", sum(kernels._pair_counts(g, t.offsets)))
             whole = operator._Walk(t, k)
             assert len(whole.halves) == 1
             op1, e1 = whole.apply(u0.values, 0.3, True)
@@ -960,7 +960,7 @@ def test_an_even_split_cuts_the_gather_block_that_holds_the_half(monkeypatch):
         # the split walk against the whole walk's blocks in one half
         op, e = operator._Walk(t, k).apply(u0.values, 0.3, True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operator, "_SPLIT_PAIRS", t.pair_count)
+            mp.setattr(operator, "_SPLIT_PAIRS", sum(kernels._pair_counts(g, t.offsets)))
             whole = operator._Walk(t, k)
             assert len(whole.halves) == 1 and block_keys(whole.blocks) == block_keys(blocks)
             op1, e1 = whole.apply(u0.values, 0.3, True)

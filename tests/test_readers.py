@@ -17,6 +17,7 @@ a range: a real number is accepted and stored as a float, or refused.  A
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from nldiff import (
     affine_reaction,
     build_grid,
     build_problem,
+    custom_table_reaction,
     image_to_field,
     linear_decay_reaction,
     linear_kernel,
@@ -46,20 +48,23 @@ from nldiff import (
     solve,
     time_refinement_study,
     validate_assumptions,
+    variable_exponent_kernel,
     zero_reaction,
 )
+from nldiff import config
 from nldiff.config import (
     _PARSERS,
     GridSection,
     InitialSection,
     KernelSection,
+    OutputSection,
     RangeSection,
     ReactionSection,
     RunConfig,
     StudySection,
     serialize_config,
 )
-from nldiff.kernels import _p_energy_kernel, bilateral_width
+from nldiff.kernels import REACTION_FAMILIES, _p_energy_kernel, bilateral_width
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -412,3 +417,36 @@ def test_configs_built_in_code_round_trip_and_refuse_unknown_names():
             RunConfig(**{name: section})
     with pytest.raises(ConfigurationError, match="unknown mu mode"):
         RunConfig(solver=SolverConfig(T=1.0, steps=4, mu_mode="auto"))
+
+
+def test_text_keys_of_a_config_built_in_code_round_trip_or_are_refused():
+    cfg = RunConfig(initial=InitialSection(path=pathlib.Path("u.csv")))
+    assert cfg.initial.path == "u.csv" and type(cfg.initial.path) is str
+    assert parse_config_text(serialize_config(cfg)) == cfg
+    # text the format cannot carry back, and a value that is no text
+    for value in (" out", "out ", "a\nb", "a\rb", "a\u2028b", 3, None, b"out"):
+        with pytest.raises(ConfigurationError, match="output.dir must"):
+            RunConfig(output=OutputSection(dir=value))
+
+
+def test_reaction_names_are_the_keys_of_the_table_that_builds_them():
+    assert tuple(config._REACTIONS) == REACTION_FAMILIES
+    with pytest.raises(ConfigurationError, match="reaction.family must be one of zero, linear_decay, affine, "
+                                                 "logistic, custom_table, got 'logistc'"):
+        RunConfig(reaction=ReactionSection(family="logistc"))
+
+
+def test_array_arguments_that_are_not_real_numbers_are_refused_by_name():
+    g = build_grid(1, [(0.0, 1.0)], [16])
+    cases = {
+        "field values": lambda: Field(g, ["a"] * 16),
+        "field values must be real": lambda: Field(g, [[0.0]] * 15 + [[0.0, 1.0]]),
+        "exponent table abscissae": lambda: variable_exponent_kernel(["x", 1], [3, 2]),
+        "exponent table values": lambda: variable_exponent_kernel([0, 1], [3, "y"]),
+        "reaction table abscissae": lambda: custom_table_reaction(["a", "b"], [1.0, 0.0]),
+        "reaction table values": lambda: custom_table_reaction([0.0, 1.0], [None, {}]),
+        "kernel table weights": lambda: make_spatial_kernel(g, "custom_table", table=([[-1], [1]], ["w", "w"])),
+    }
+    for name, call in cases.items():
+        with pytest.raises(ConfigurationError, match=name):
+            call()

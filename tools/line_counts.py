@@ -1,6 +1,7 @@
 """The lines of each module of a package, by kind.
 
     python tools/line_counts.py [DIR]
+    python tools/line_counts.py OLD NEW
 
 DIR defaults to ``src/nldiff`` beside this script's directory.  Prints one
 row per ``*.py`` file of DIR, and a total, with its lines counted once each
@@ -13,7 +14,14 @@ as code, docstring, comment or blank, in that order of precedence:
 * blank: every other line.
 
 So the four columns of a row add up to its total, the ``wc -l`` of the
-file (for a file that ends in a newline).  Only the standard library.
+file (for a file that ends in a newline).  Given two directories, it prints
+NEW less OLD for each module of either, a module missing from one counting
+as empty, then the totals of OLD and of NEW.  To compare with a commit:
+
+    git archive <commit> src/nldiff | tar -x -C <tmp>
+    python tools/line_counts.py <tmp>/src/nldiff src/nldiff
+
+Only the standard library.
 """
 
 from __future__ import annotations
@@ -68,16 +76,34 @@ def table(directory: str) -> dict:
     return rows
 
 
+def _total(rows: dict) -> dict:
+    return {k: sum(r[k] for r in rows.values()) for k in KINDS}
+
+
+def _print_row(name: str, width: int, row: dict, sign: str = ""):
+    print(f"{name:<{width}}" + "".join(f"{v:{sign}11,}" for v in (*row.values(), sum(row.values()))))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nldiff")
-    parser.add_argument("directory", nargs="?", default=default)
-    rows = table(parser.parse_args(argv).directory)
-    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in KINDS}
-    width = max(map(len, rows))
+    parser.add_argument("directory", nargs="?", default=default, help="DIR, or OLD before NEW")
+    parser.add_argument("new", nargs="?", help="NEW, compared with OLD")
+    args = parser.parse_args(argv)
+    rows = table(args.directory)
+    if args.new is None:
+        out, totals, sign = {**rows, "total": _total(rows)}, {}, ""
+    else:
+        new, zero = table(args.new), dict.fromkeys(KINDS, 0)
+        out = {name: {k: new.get(name, zero)[k] - rows.get(name, zero)[k] for k in KINDS}
+               for name in sorted({*rows, *new})}
+        totals, sign = {"old total": _total(rows), "new total": _total(new)}, "+"
+    width = max(map(len, [*out, *totals]))
     print(f"{'module':<{width}}" + "".join(f"{k:>11}" for k in (*KINDS, "total")))
-    for name, r in rows.items():
-        print(f"{name:<{width}}" + "".join(f"{r[k]:>11,}" for k in KINDS) + f"{sum(r.values()):>11,}")
+    for name, row in out.items():
+        _print_row(name, width, row, sign)
+    for name, row in totals.items():
+        _print_row(name, width, row)
     return 0
 
 
