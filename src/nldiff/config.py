@@ -22,6 +22,7 @@ checked all come from the fields of the section dataclasses below, and a
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
@@ -32,19 +33,13 @@ from .errors import ConfigParseError, ConfigurationError, _real, _whole
 from .grid import Field, _norm_exponent, build_grid, load_field, read_text
 from .kernels import (
     _NON_NEGATIVE,
+    _RANGE_FAMILIES,
+    _REACTION_FAMILIES,
     OFFSET_LIMIT,
-    affine_reaction,
-    bilateral_kernel,
-    custom_table_reaction,
-    linear_decay_reaction,
-    linear_kernel,
-    logistic_reaction,
+    RangeKernel,
+    Reaction,
     make_spatial_kernel,
     mollify_range_kernel,
-    p_laplacian_kernel,
-    spatial_exponent_kernel,
-    variable_exponent_kernel,
-    zero_reaction,
 )
 from .pgm import image_to_field, load_pgm
 from .stepper import MU_MODES, Problem, SolverConfig
@@ -205,22 +200,23 @@ def _parser(key, default):
     return parse
 
 
-# range.family and reaction.family: what each name builds, from its section (and u0)
-_RANGE_KERNELS = {
-    "linear": lambda rs, u0: linear_kernel(),
-    "p_laplacian": lambda rs, u0: p_laplacian_kernel(rs.p),
-    "variable_exponent": lambda rs, u0: variable_exponent_kernel(rs.exponent_sigmas, rs.exponent_values),
-    "spatial_exponent": lambda rs, u0: spatial_exponent_kernel(rs.exponent_sigmas, rs.exponent_values, u0),
-    "bilateral_gaussian": lambda rs, u0: bilateral_kernel(rs.h),
+_UNKEYED = {  # the parameters of a range kernel or reaction that are not keys of its section
+    "reference": lambda section, u0: u0,
+    "table": lambda section, u0: tuple(zip(*_read_table(
+        section.table_path, [lambda text: _real(float(text), "value")] * 2, "reaction table"))),
 }
-_REACTIONS = {
-    "zero": lambda fs: zero_reaction(),
-    "linear_decay": lambda fs: linear_decay_reaction(fs.rate),
-    "affine": lambda fs: affine_reaction(fs.offset, fs.slope),
-    "logistic": lambda fs: logistic_reaction(fs.rate, fs.capacity),
-    "custom_table": lambda fs: custom_table_reaction(*zip(*_read_table(
-        fs.table_path, [lambda text: _real(float(text), "value")] * 2, "reaction table"))),
-}
+
+
+def _buildable(families: dict, section) -> dict:
+    """The families whose parameters are keys of ``section`` or unkeyed: each name and its parameters."""
+    keys = {f.name for f in fields(section)} | set(_UNKEYED)
+    named = {name: tuple(inspect.signature(f.rule).parameters) for name, f in families.items()}
+    return {name: params for name, params in named.items() if keys.issuperset(params)}
+
+
+# range.family and reaction.family: the names of both tables a config builds
+_RANGE_KERNELS = _buildable(_RANGE_FAMILIES, RangeSection)
+_REACTIONS = _buildable(_REACTION_FAMILIES, ReactionSection)
 # Every key and its default come from the sections; its rule, unless listed here, from the default's type.
 _DEFAULTS = dict(_items(RunConfig))
 _RULES = {key: _rule(default) for key, default in _DEFAULTS.items()}
@@ -358,6 +354,11 @@ def build_initial_state(cfg: RunConfig, grid) -> Field:
     return f
 
 
+def _built(cls, params: tuple, section, u0):
+    return cls(section.family, **{k: _UNKEYED[k](section, u0) if k in _UNKEYED else getattr(section, k)
+                                  for k in params})
+
+
 def build_problem(cfg: RunConfig) -> Problem:
     """Materialize a :class:`RunConfig` into a runnable :class:`Problem`."""
     dim = cfg.grid.dim
@@ -377,7 +378,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     u0 = build_initial_state(cfg, grid)
 
     rs = cfg.range
-    kernel = _RANGE_KERNELS[rs.family](rs, u0)
+    kernel = _built(RangeKernel, _RANGE_KERNELS[rs.family], rs, u0)
     if rs.mollify_n >= 1:
         kernel = mollify_range_kernel(kernel, rs.mollify_n, rs.mollify_quad)
 
@@ -385,7 +386,7 @@ def build_problem(cfg: RunConfig) -> Problem:
         grid=grid,
         table=table,
         kernel=kernel,
-        reaction=_REACTIONS[cfg.reaction.family](cfg.reaction),
+        reaction=_built(Reaction, _REACTIONS[cfg.reaction.family], cfg.reaction, u0),
         u0=u0,
         config=cfg.solver,
         seed=cfg.seed,

@@ -32,28 +32,17 @@ refuses the bare form.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from collections import Counter
-from collections.abc import Sized
+from collections.abc import Callable, Sized
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, KernelValidationError, _real, _reals, _whole
 from .grid import Field, Grid
-
-RANGE_FAMILIES = (
-    "linear",
-    "p_laplacian",
-    "variable_exponent",
-    "spatial_exponent",
-    "bilateral_gaussian",
-    "mollified",
-    "custom",
-)
-
-REACTION_FAMILIES = ("zero", "linear_decay", "affine", "logistic", "custom_table")
-
 
 # ---------------------------------------------------------------------------
 # spatial kernels
@@ -218,15 +207,16 @@ OFFSET_LIMIT = 2**63 - 1  # int64 holds the negation of every offset up to this
 
 
 def _int64_offsets(offsets) -> np.ndarray:
-    """``offsets`` as a 2-D int64 array; rows not as long as the first and
+    """``offsets`` as a 2-D int64 array; rows not flat or not as long as the first and
     offsets not whole in +-OFFSET_LIMIT (-2^63 negates to itself in int64)
     raise :class:`KernelValidationError` naming them; an int array is checked whole."""
     try:
         arr = np.atleast_2d(np.asarray(offsets))
-    except ValueError:  # rows of different lengths, or not all sequences
+    except ValueError:  # rows of different lengths, not all sequences, or nested unevenly
         size = [len(r) if isinstance(r, Sized) else None for r in offsets]
-        bad = [r if n is None else tuple(r) for r, n in zip(offsets, size) if n != size[0]]
-        raise KernelValidationError(f"kernel table offset rows must all be as long as the first; "
+        bad = [r if n is None else tuple(r) for r, n in zip(offsets, size)
+               if n != size[0] or n is not None and any(isinstance(c, Sized) for c in r)]
+        raise KernelValidationError(f"kernel table offset rows must all be flat and as long as the first; "
                                     f"offending offsets {bad}", offenders=bad) from None
     if arr.dtype.kind == "i" and not np.any(arr < -OFFSET_LIMIT):
         return arr.astype(np.int64, copy=False)
@@ -384,71 +374,54 @@ def _mollifier_quadrature(quad_count: int):
 
 
 # ---------------------------------------------------------------------------
-# range kernels
+# range kernels and reactions: one record per family
+
+
+class _Family(NamedTuple):
+    """One family of range kernels or reactions: ``rule`` checks its
+    parameters, by name, as its factory did and returns the attributes they
+    set, declarations derived; ``code`` is the (A, D) of :meth:`RangeKernel.terms`
+    or the f of :meth:`Reaction.eval`; ``scale`` is :meth:`RangeKernel.energy_sum`."""
+
+    rule: Callable
+    code: Callable
+    scale: Callable = lambda k, total: total if k.flux_exponent is None else total / k.flux_exponent
+    has_energy: bool = False
+
+
+def _build(obj, records: dict, family, what: str, params: dict) -> None:
+    """Set ``obj``'s family and the attributes its record's rule makes of ``params``."""
+    if not (isinstance(family, str) and family in records):
+        raise ConfigurationError(f"unknown {what} family {family!r}")
+    rule = records[family].rule
+    try:
+        inspect.signature(rule).bind(**params)
+    except TypeError as exc:
+        raise ConfigurationError(f"{family} {what}: {exc}") from None
+    obj.family = family
+    vars(obj).update(rule(**params))
 
 
 class RangeKernel:
-    """Odd range kernel A(t, x, y, s).
+    """Odd range kernel A(t, x, y, s): ``RangeKernel(family, **params)``,
+    ``params`` named as its factory's arguments (for ``mollified``,
+    ``base``, ``n`` and ``quad_count``) and checked by its factory's rule.
 
-    All built-in families are autonomous and act through the value
-    difference s; the spatial_exponent family additionally reads the
-    difference of a reference field between the two nodes.  ``monotone``
-    declares non-decreasing dependence on s (the hypothesis behind the
-    contraction estimates) and ``holder_alpha`` the Holder exponent used by
-    the mollification bounds.
-    """
+    Built-in families act through the value difference s, spatial_exponent
+    also through a reference field's difference between the two nodes.
+    The rule derives ``monotone``, non-decreasing in s (the contraction
+    hypothesis), and ``holder_alpha``, the Holder exponent of the
+    mollification bounds; only ``custom`` takes them.  ``has_energy``: the
+    density Phi of :meth:`terms` is an antiderivative of A in s, so the flow
+    descends its energy.  ``flux_exponent``: the one q with Phi = s A / q
+    (2 for linear, p for p_laplacian), whose walk sums s A from its flux."""
 
-    def __init__(
-        self,
-        family: str,
-        *,
-        p: float | None = None,
-        h: float | None = None,
-        exponent_sigmas=None,
-        exponent_values=None,
-        reference: Field | None = None,
-        base: "RangeKernel | None" = None,
-        mollifier: MollifierSpec | None = None,
-        fn=None,
-        holder_alpha: float = 1.0,
-        monotone: bool = False,
-    ):
-        if family not in RANGE_FAMILIES:
-            raise ConfigurationError(f"unknown range kernel family {family!r}")
-        if family == "mollified":  # mollification keeps the reference and both declarations
-            reference, holder_alpha, monotone = base.reference, base.holder_alpha, base.monotone
-        if family == "spatial_exponent" and not isinstance(reference, Field):
-            raise ConfigurationError(f"a spatial_exponent kernel needs a reference Field, "
-                                     f"got {type(reference).__name__}")
-        self.family = family
-        self.p = p
-        self.h = h
-        self.exponent_sigmas, self.exponent_values = exponent_sigmas, exponent_values
-        self.reference = reference
-        self.base = base
-        self.mollifier = mollifier
-        self.fn = fn
-        if family == "custom":
-            # the pair walk takes every range kernel to be odd with A(0) = 0;
-            # a custom one is probed for it at t = 0 on 33 points of [-1, 1]
-            probe = np.linspace(-1.0, 1.0, 33)
-            a = np.broadcast_to(fn(0.0, probe), probe.shape)
-            odd = float(np.max(np.abs(a + fn(0.0, -probe))))
-            zero = abs(float(a[16]))  # probe[16] is 0.0
-            if not (odd <= 1e-12 and zero <= 1e-12):
-                raise ConfigurationError(
-                    f"a custom range kernel must be odd with A(0) = 0: at t = 0 on [-1, 1], "
-                    f"max |A(s) + A(-s)| = {odd:.3e} and |A(0)| = {zero:.3e}, against 1e-12; "
-                    "an even window like exp(-s^2/h^2) fails here, s exp(-s^2/h^2) does not"
-                )
-        self.holder_alpha = float(holder_alpha)
-        self.monotone = bool(monotone)
+    p = h = exponent_sigmas = exponent_values = reference = base = mollifier = fn = flux_exponent = None
+    needs_pair_reference = False
 
-    @property
-    def needs_pair_reference(self) -> bool:
-        if self.family == "spatial_exponent":
-            return True
-        return self.family == "mollified" and self.base.needs_pair_reference
+    def __init__(self, family: str, **params):
+        _build(self, _RANGE_FAMILIES, family, "range kernel", params)
+        self.has_energy = _RANGE_FAMILIES[family].has_energy
 
     def eval(self, t: float, s, pair_ref=None) -> np.ndarray:
         """Vectorized evaluation at value differences ``s``; ``pair_ref`` holds
@@ -456,31 +429,10 @@ class RangeKernel:
         q = self.pair_exponents(pair_ref) if self.needs_pair_reference else None
         return self.terms(t, s, q)[0]
 
-    @property
-    def has_energy(self) -> bool:
-        """Whether the density Phi of :meth:`terms` is an antiderivative of
-        A in s, so the flow descends its energy; the mollified,
-        variable_exponent and custom densities are only monitors."""
-        return self.family in ("linear", "p_laplacian", "spatial_exponent", "bilateral_gaussian")
-
-    @property
-    def flux_exponent(self) -> float | None:
-        """The one scalar q with Phi = s A / q: 2 for the linear family, p
-        for p_laplacian, else None.  Where there is one, the pair walk sums
-        the density s A from its weighted flux and never calls
-        :meth:`terms` for it (see :mod:`nldiff.operator`)."""
-        fam = self.family
-        return 2.0 if fam == "linear" else self.p if fam == "p_laplacian" else None
-
     def energy_sum(self, total: float) -> float:
         """sum(w Phi) from ``total``, a sum of w D (:meth:`terms`): over the
         :attr:`flux_exponent` q, times h^2/2 for bilateral, the base's for mollified."""
-        if self.family == "mollified":
-            return self.base.energy_sum(total)
-        if self.family == "bilateral_gaussian":
-            return 0.5 * self.h * self.h * total
-        q = self.flux_exponent
-        return total if q is None else total / q
+        return _RANGE_FAMILIES[self.family].scale(self, total)
 
     def terms(self, t: float, s, q=None, energy: bool = False, out=None):
         """(A, D) at value differences ``s`` from one evaluation, D only
@@ -502,93 +454,16 @@ class RangeKernel:
         """
         s = np.asarray(s, dtype=np.float64)
         a, phi = (np.empty(s.shape), np.empty(s.shape) if energy else None) if out is None else out
-        fam = self.family
-        if fam == "bilateral_gaussian":
-            g = _gaussian_window(s, self.h, a)
-            if energy:
-                np.subtract(1.0, g, out=phi)
-            return np.multiply(s, g, out=a), phi
-        if fam == "mollified":
-            if energy:
-                self.base.terms(t, s, q, True, (a, phi))
-            return self._mollified(t, s, q, a), phi
-        if fam != "spatial_exponent":
-            q = self.flux_exponent
-        elif q is None:
-            raise ConfigurationError("spatial_exponent kernels need the pair exponents")
-        if fam == "linear":
-            np.copyto(a, s)
-        elif fam == "custom":
-            np.copyto(a, self.fn(t, s))
-        elif fam in ("p_laplacian", "spatial_exponent"):
-            _signed_power(s, q - 1.0, a)
-        else:  # variable_exponent
-            p = np.interp(np.abs(s), self.exponent_sigmas, self.exponent_values)
-            _signed_power(s, p - 1.0, a)
-        if energy:
-            if q is None:
-                np.divide(np.multiply(s, s, out=phi), 2.0, out=phi)
-            else:
-                np.multiply(s, a, out=phi)
-                if fam == "spatial_exponent":  # q per pair: no scale for energy_sum
-                    phi /= q
-        return a, phi
+        return _RANGE_FAMILIES[self.family].code(self, t, s, q, energy, a, phi)
 
     def pair_exponents(self, pair_ref) -> np.ndarray:
         """The exponents q = table(|r(y) - r(x)|) of the pairs with reference
         differences ``pair_ref`` (a spatial_exponent kernel or one mollified
         from it)."""
-        if self.family == "mollified":
-            return self.base.pair_exponents(pair_ref)
         if pair_ref is None:
             raise ConfigurationError("spatial_exponent kernels need the reference differences")
-        ref = np.abs(np.asarray(pair_ref, dtype=np.float64))
-        return np.interp(ref, self.exponent_sigmas, self.exponent_values)
-
-    def _mollified(self, t, s, q, out):
-        """The base smoothed by midpoint quadrature, then antisymmetrized,
-        written to ``out``.
-
-        With V the base at s - nodes/n, one row per node and one column per
-        value, the smoothed base is w . V at s and w . V(-s) at -s, and
-        A = w . (V(s) - V(-s)) / 2 is odd with A(0) = 0 exactly in floating
-        point.  The nodes are mirror images bit for bit and the weights
-        even, so for a base that is odd bit for bit V(-s) is minus V(s)
-        with its rows reversed, and the base is evaluated once per
-        (s, node).  The rows go in the spec's order, the first half and the
-        middle node, then the mirrors of the first half, so row k folds
-        onto row K-1-k as one contiguous range onto another; the weighted
-        folded rows and the middle row are summed in a fixed halving tree,
-        with no BLAS, so a value's A does not depend on the other values of
-        its call.  Values go in blocks as wide as the spec's shifts, the
-        last one narrower.  A block subtracts the shifts into the first of
-        two buffers and evaluates the base from there into the second,
-        where it is folded, weighted and summed; the call allocates the
-        two once and every block reuses them.
-        """
-        m = self.mollifier
-        k, step = m.shifts.shape
-        half, rows = k // 2, (k + 1) // 2
-        flat, res = s.reshape(-1), out.reshape(-1)
-        if q is not None:
-            q = np.broadcast_to(q, s.shape).reshape(-1)
-        work = np.empty((2, k * min(step, flat.size)))
-        for lo in range(0, flat.size, step):
-            cols = slice(lo, lo + step)
-            width = min(step, flat.size - lo)
-            d, v = (buf[: k * width].reshape(k, width) for buf in work)
-            np.subtract(flat[None, cols], m.shifts[:, :width], out=d)
-            self.base.terms(t, d, None if q is None else q[None, cols], out=(v, None))
-            x = v[:rows]
-            x[:half] += v[rows:]
-            x *= m.scales[:, :width]
-            n = rows
-            while n > 1:
-                top = n // 2
-                x[:top] += x[n - top:n]
-                n -= top
-            res[cols] = x[0]
-        return out
+        k = self.base or self
+        return np.interp(np.abs(np.asarray(pair_ref, dtype=np.float64)), k.exponent_sigmas, k.exponent_values)
 
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -653,20 +528,23 @@ def _signed_power(s: np.ndarray, exponent, out: np.ndarray) -> np.ndarray:
     return np.multiply(np.sign(s), mag, out=mag)
 
 
-def linear_kernel() -> RangeKernel:
-    return RangeKernel("linear", holder_alpha=1.0, monotone=True)
+def _linear_terms(k, t, s, q, energy, a, phi):
+    np.copyto(a, s)
+    if energy:
+        np.multiply(s, a, out=phi)
+    return a, phi
 
 
-def p_laplacian_kernel(p: float) -> RangeKernel:
+def _p_laplacian(p):
     p = _real(p, "p_laplacian exponent", lambda p: 1.0 < p < math.inf, "be finite and exceed 1")
-    return RangeKernel("p_laplacian", p=p, holder_alpha=min(1.0, p - 1.0), monotone=True)
+    return dict(p=p, flux_exponent=p, holder_alpha=min(1.0, p - 1.0), monotone=True)
 
 
-def _p_energy_kernel(p: float) -> RangeKernel:
-    """The p_laplacian kernel of the p-energy, for any p >= 1; the energy
-    of p = 1, the total variation, has no admissible kernel."""
-    p = _real(p, "energy exponent", lambda p: 1.0 <= p < math.inf, "be finite and >= 1")
-    return RangeKernel("p_laplacian", p=p)
+def _p_laplacian_terms(k, t, s, q, energy, a, phi):
+    _signed_power(s, k.p - 1.0, a)
+    if energy:
+        np.multiply(s, a, out=phi)
+    return a, phi
 
 
 def _validated_exponent_table(sigmas, values):
@@ -682,49 +560,40 @@ def _validated_exponent_table(sigmas, values):
     return sig, val
 
 
-def variable_exponent_kernel(sigmas, values) -> RangeKernel:
-    """Kernel |s|^(p(|s|)-2) s with a tabulated exponent function.
-
-    The table is interpolated linearly and held constant past its last
-    abscissa.  Admissibility requires p(0) > 2, or p(0) = 2 with the table
-    strictly decreasing on its first segment; either keeps the derivative
-    of A bounded near s = 0 even though the exponent may fall below one
-    farther out.
-    """
-    sig, val = _validated_exponent_table(sigmas, values)
-    p0 = val[0]
-    if not (p0 > 2.0 or (p0 == 2.0 and val[1] < val[0])):
-        raise ConfigurationError(
-            "variable exponent needs p(0) > 2, or p(0) = 2 strictly decreasing at 0"
-        )
-    return RangeKernel(
-        "variable_exponent",
-        exponent_sigmas=sig,
-        exponent_values=val,
-        holder_alpha=1.0,
-        monotone=False,
-    )
+def _variable_exponent(exponent_sigmas, exponent_values):
+    sig, val = _validated_exponent_table(exponent_sigmas, exponent_values)
+    if not (val[0] > 2.0 or (val[0] == 2.0 and val[1] < val[0])):
+        raise ConfigurationError("variable exponent needs p(0) > 2, or p(0) = 2 strictly decreasing at 0")
+    return dict(exponent_sigmas=sig, exponent_values=val, holder_alpha=1.0, monotone=False)
 
 
-def spatial_exponent_kernel(sigmas, values, reference: Field) -> RangeKernel:
-    """Kernel |s|^(q-2) s with q set per node pair from a reference field.
+def _variable_exponent_terms(k, t, s, q, energy, a, phi):
+    p = np.interp(np.abs(s), k.exponent_sigmas, k.exponent_values)
+    _signed_power(s, p - 1.0, a)
+    if energy:
+        np.divide(np.multiply(s, s, out=phi), 2.0, out=phi)
+    return a, phi
 
-    The exponent is the table evaluated at |r(y) - r(x)| where r is the
-    reference field (typically the initial state), so each pair sees a
-    fixed exponent and the kernel stays monotone in s as long as the table
-    stays above one.
-    """
-    sig, val = _validated_exponent_table(sigmas, values)
+
+def _spatial_exponent(exponent_sigmas, exponent_values, reference):
+    sig, val = _validated_exponent_table(exponent_sigmas, exponent_values)
     if not np.min(val) > 1.0:
         raise ConfigurationError("spatial exponent table must stay strictly above 1")
-    return RangeKernel(
-        "spatial_exponent",
-        exponent_sigmas=sig,
-        exponent_values=val,
-        reference=reference,
-        holder_alpha=min(1.0, float(np.min(val)) - 1.0),
-        monotone=True,
-    )
+    if not isinstance(reference, Field):
+        raise ConfigurationError(f"a spatial_exponent kernel needs a reference Field, "
+                                 f"got {type(reference).__name__}")
+    return dict(exponent_sigmas=sig, exponent_values=val, reference=reference, needs_pair_reference=True,
+                holder_alpha=min(1.0, float(np.min(val)) - 1.0), monotone=True)
+
+
+def _spatial_exponent_terms(k, t, s, q, energy, a, phi):
+    if q is None:
+        raise ConfigurationError("spatial_exponent kernels need the pair exponents")
+    _signed_power(s, q - 1.0, a)
+    if energy:
+        np.multiply(s, a, out=phi)
+        phi /= q  # q per pair: no scale for energy_sum
+    return a, phi
 
 
 def bilateral_width(h: float) -> float:
@@ -736,15 +605,158 @@ def bilateral_width(h: float) -> float:
     return h
 
 
+def _bilateral_terms(k, t, s, q, energy, a, phi):
+    g = _gaussian_window(s, k.h, a)
+    if energy:
+        np.subtract(1.0, g, out=phi)
+    return np.multiply(s, g, out=a), phi
+
+
+def _mollified(base, n, quad_count=129):
+    n = _whole(n, "mollification level", 1)
+    # no finer than bump_mass's own quadrature; checked before any allocation
+    quad_count = _whole(quad_count, "mollifier quadrature panel count")
+    if not 64 <= quad_count <= _BUMP_PANELS:
+        raise ConfigurationError(f"mollifier quadrature needs 64 to {_BUMP_PANELS} panels, got {quad_count}")
+    if not isinstance(base, RangeKernel):
+        raise ConfigurationError(f"a mollified kernel needs a base RangeKernel, got {type(base).__name__}")
+    if base.family == "mollified":
+        raise ConfigurationError("refusing to mollify an already mollified kernel")
+    nodes, weights = _mollifier_quadrature(quad_count)
+    return dict(base=base, mollifier=MollifierSpec(n=n, nodes=nodes, weights=weights), reference=base.reference,
+                needs_pair_reference=base.needs_pair_reference, holder_alpha=base.holder_alpha,
+                monotone=base.monotone)
+
+
+def _mollified_terms(k, t, s, q, energy, a, phi):
+    """The base's D and, in ``a``, A: the base smoothed by midpoint
+    quadrature, then antisymmetrized.
+
+    With V the base at s - nodes/n, one row per node and one column per
+    value, the smoothed base is w . V at s and w . V(-s) at -s, and
+    A = w . (V(s) - V(-s)) / 2 is odd with A(0) = 0 exactly in floating
+    point.  The nodes are mirror images bit for bit and the weights
+    even, so for a base that is odd bit for bit V(-s) is minus V(s)
+    with its rows reversed, and the base is evaluated once per
+    (s, node).  The rows go in the spec's order, the first half and the
+    middle node, then the mirrors of the first half, so row k folds
+    onto row K-1-k as one contiguous range onto another; the weighted
+    folded rows and the middle row are summed in a fixed halving tree,
+    with no BLAS, so a value's A does not depend on the other values of
+    its call.  Values go in blocks as wide as the spec's shifts, the
+    last one narrower.  A block subtracts the shifts into the first of
+    two buffers and evaluates the base from there into the second,
+    where it is folded, weighted and summed; the call allocates the
+    two once and every block reuses them.
+    """
+    if energy:
+        k.base.terms(t, s, q, True, (a, phi))
+    m = k.mollifier
+    kk, step = m.shifts.shape
+    half, rows = kk // 2, (kk + 1) // 2
+    flat, res = s.reshape(-1), a.reshape(-1)
+    if q is not None:
+        q = np.broadcast_to(q, s.shape).reshape(-1)
+    work = np.empty((2, kk * min(step, flat.size)))
+    for lo in range(0, flat.size, step):
+        cols = slice(lo, lo + step)
+        width = min(step, flat.size - lo)
+        d, v = (buf[: kk * width].reshape(kk, width) for buf in work)
+        np.subtract(flat[None, cols], m.shifts[:, :width], out=d)
+        k.base.terms(t, d, None if q is None else q[None, cols], out=(v, None))
+        x = v[:rows]
+        x[:half] += v[rows:]
+        x *= m.scales[:, :width]
+        n = rows
+        while n > 1:
+            top = n // 2
+            x[:top] += x[n - top:n]
+            n -= top
+        res[cols] = x[0]
+    return a, phi
+
+
+def _custom(fn, holder_alpha=1.0, monotone=False):
+    if not callable(fn):
+        raise ConfigurationError(f"a custom range kernel needs a callable A(t, s), got {type(fn).__name__}")
+    # the pair walk takes every range kernel to be odd with A(0) = 0;
+    # a custom one is probed for it at t = 0 on 33 points of [-1, 1]
+    probe = np.linspace(-1.0, 1.0, 33)
+    a = np.broadcast_to(fn(0.0, probe), probe.shape)
+    odd = float(np.max(np.abs(a + fn(0.0, -probe))))
+    zero = abs(float(a[16]))  # probe[16] is 0.0
+    if not (odd <= 1e-12 and zero <= 1e-12):
+        raise ConfigurationError(
+            f"a custom range kernel must be odd with A(0) = 0: at t = 0 on [-1, 1], "
+            f"max |A(s) + A(-s)| = {odd:.3e} and |A(0)| = {zero:.3e}, against 1e-12; "
+            "an even window like exp(-s^2/h^2) fails here, s exp(-s^2/h^2) does not"
+        )
+    alpha = _real(holder_alpha, "Holder exponent", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
+    if not isinstance(monotone, (bool, np.bool_)):
+        raise ConfigurationError(f"a custom range kernel's monotone declaration must be a bool, got {monotone!r}")
+    return dict(fn=fn, holder_alpha=alpha, monotone=bool(monotone))
+
+
+def _custom_terms(k, t, s, q, energy, a, phi):
+    np.copyto(a, k.fn(t, s))
+    if energy:
+        np.divide(np.multiply(s, s, out=phi), 2.0, out=phi)
+    return a, phi
+
+
+_RANGE_FAMILIES = {
+    "linear": _Family(lambda: dict(flux_exponent=2.0, holder_alpha=1.0, monotone=True), _linear_terms,
+                      has_energy=True),
+    "p_laplacian": _Family(_p_laplacian, _p_laplacian_terms, has_energy=True),
+    "variable_exponent": _Family(_variable_exponent, _variable_exponent_terms),
+    "spatial_exponent": _Family(_spatial_exponent, _spatial_exponent_terms, has_energy=True),
+    "bilateral_gaussian": _Family(lambda h: dict(h=bilateral_width(h), holder_alpha=1.0, monotone=False),
+                                  _bilateral_terms, lambda k, total: 0.5 * k.h * k.h * total, True),
+    "mollified": _Family(_mollified, _mollified_terms, lambda k, total: k.base.energy_sum(total)),
+    "custom": _Family(_custom, _custom_terms),
+}
+
+
+def linear_kernel() -> RangeKernel:
+    return RangeKernel("linear")
+
+
+def p_laplacian_kernel(p: float) -> RangeKernel:
+    return RangeKernel("p_laplacian", p=p)
+
+
+def variable_exponent_kernel(sigmas, values) -> RangeKernel:
+    """Kernel |s|^(p(|s|)-2) s with a tabulated exponent function.
+
+    The table is interpolated linearly and held constant past its last
+    abscissa.  Admissibility requires p(0) > 2, or p(0) = 2 with the table
+    strictly decreasing on its first segment; either keeps the derivative
+    of A bounded near s = 0 even though the exponent may fall below one
+    farther out.
+    """
+    return RangeKernel("variable_exponent", exponent_sigmas=sigmas, exponent_values=values)
+
+
+def spatial_exponent_kernel(sigmas, values, reference: Field) -> RangeKernel:
+    """Kernel |s|^(q-2) s with q set per node pair from a reference field.
+
+    The exponent is the table evaluated at |r(y) - r(x)| where r is the
+    reference field (typically the initial state), so each pair sees a
+    fixed exponent and the kernel stays monotone in s as long as the table
+    stays above one.
+    """
+    return RangeKernel("spatial_exponent", exponent_sigmas=sigmas, exponent_values=values, reference=reference)
+
+
 def bilateral_kernel(h: float) -> RangeKernel:
-    return RangeKernel("bilateral_gaussian", h=bilateral_width(h), holder_alpha=1.0, monotone=False)
+    return RangeKernel("bilateral_gaussian", h=h)
 
 
 def custom_kernel(fn) -> RangeKernel:
     """A range kernel A(t, s) = fn(t, s), declared neither monotone nor
-    better than Lipschitz (Holder exponent 1).  A must be odd in s with
-    A(0) = 0 at every t; only t = 0 is checked, on 33 points of [-1, 1],
-    and a kernel that fails there raises :class:`ConfigurationError`."""
+    Holder better than exponent 1 (``RangeKernel("custom", ...)`` takes both
+    declarations).  A must be odd in s with A(0) = 0 at every t; only t = 0
+    is checked, on 33 points of [-1, 1], refusing with :class:`ConfigurationError`."""
     return RangeKernel("custom", fn=fn)
 
 
@@ -756,22 +768,11 @@ def mollify_range_kernel(base: RangeKernel, n: int, quad_count: int = 129) -> Ra
     panels, then antisymmetrizes, which keeps A(0) = 0 and oddness exact in
     floating point for a base that is odd bit for bit, as every built-in
     family is.  Monotonicity and the Holder constant survive
-    mollification, so both declarations are inherited from the base.  A
-    level or panel count that is not a whole number raises
+    mollification, so both declarations, and the reference, are inherited
+    from the base.  A level or panel count that is not a whole number raises
     :class:`ConfigurationError` naming it.
     """
-    n = _whole(n, "mollification level", 1)
-    # no finer than bump_mass's own quadrature; checked before any allocation
-    quad_count = _whole(quad_count, "mollifier quadrature panel count")
-    if not 64 <= quad_count <= _BUMP_PANELS:
-        raise ConfigurationError(
-            f"mollifier quadrature needs 64 to {_BUMP_PANELS} panels, got {quad_count}"
-        )
-    if base.family == "mollified":
-        raise ConfigurationError("refusing to mollify an already mollified kernel")
-    nodes, weights = _mollifier_quadrature(quad_count)
-    spec = MollifierSpec(n=n, nodes=nodes, weights=weights)
-    return RangeKernel("mollified", base=base, mollifier=spec)
+    return RangeKernel("mollified", base=base, n=n, quad_count=quad_count)
 
 
 def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> float:
@@ -782,52 +783,24 @@ def eval_range_kernel(spec: RangeKernel, t: float, x: int, y: int, s: float) -> 
     return float(spec.eval(t, np.asarray(float(s)), pair_ref))
 
 
-# ---------------------------------------------------------------------------
-# reactions
-
-
 class Reaction:
-    """Reaction term f(t, x, s); every built-in is autonomous and local.
+    """Reaction term f(t, x, s), autonomous and local: ``Reaction(family,
+    **params)``, checked as :class:`RangeKernel` is, ``params`` named as the attributes they set.
 
-    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on ``working_range``,
-    derived: a table's span (its abscissae strictly increasing, no NaN),
-    else [-2, 2].  ``l_lipschitz`` bounds the slope there, ``non_increasing``
-    declares monotone decay in s; all three come from the family parameters.
+    ``c_growth`` bounds |f| <= c_growth (1 + |s|) on ``working_range``, a
+    table's span (its abscissae strictly increasing, no NaN), else [-2, 2];
+    ``l_lipschitz`` bounds the slope there, ``non_increasing`` declares
+    monotone decay in s; the rule derives all three, or f is sampled.
     """
 
-    def __init__(
-        self,
-        family: str,
-        *,
-        rate: float = 0.0,
-        offset: float = 0.0,
-        slope: float = 0.0,
-        capacity: float = 1.0,
-        table=None,
-    ):
-        if family not in REACTION_FAMILIES:
-            raise ConfigurationError(f"unknown reaction family {family!r}")
-        self.family = family
-        self.rate = float(rate)
-        self.offset = float(offset)
-        self.slope = float(slope)
-        self.capacity = float(capacity)
-        self.table, self.working_range = None, (-2.0, 2.0)
-        if table is not None:
-            ts, tf = _reals(table[0], "reaction table abscissae"), _reals(table[1], "reaction table values")
-            if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or not np.all(ts[1:] > ts[:-1]):
-                raise ConfigurationError("reaction table needs strictly increasing abscissae")
-            self.table, self.working_range = (ts, tf), (float(ts[0]), float(ts[-1]))
-        c, lip, mono = self._derive_constants()
-        self.c_growth, self.l_lipschitz, self.non_increasing = float(c), float(lip), bool(mono)
+    rate, offset, slope, capacity, table, working_range, c_growth = 0.0, 0.0, 0.0, 1.0, None, (-2.0, 2.0), None
+
+    def __init__(self, family: str, **params):
+        _build(self, _REACTION_FAMILIES, family, "reaction", params)
+        if self.c_growth is None:
+            self.c_growth, self.l_lipschitz, self.non_increasing = self._derive_constants()
 
     def _derive_constants(self):
-        if self.family == "zero":
-            return 0.0, 0.0, True
-        if self.family == "linear_decay":
-            return self.rate, self.rate, True
-        if self.family == "affine":
-            return max(self.offset, abs(self.slope)), abs(self.slope), self.slope <= 0.0
         with np.errstate(all="ignore"):  # beyond float64 the constants are inf or nan: refused below
             grid = np.linspace(self.working_range[0], self.working_range[1], 4097)
             vals = self.eval(0.0, None, grid)
@@ -844,38 +817,62 @@ class Reaction:
         return self.family == "zero"
 
     def eval(self, t: float, x, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if self.family == "zero":
-            return np.zeros_like(s)
-        if self.family == "linear_decay":
-            return -self.rate * s
-        if self.family == "affine":
-            return self.offset + self.slope * s
-        if self.family == "logistic":
-            return self.rate * s * (1.0 - s / self.capacity)
-        return np.interp(s, self.table[0], self.table[1])
+        return _REACTION_FAMILIES[self.family].code(self, np.asarray(s, dtype=np.float64))
+
+
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
+
+
+def _linear_decay(rate):
+    rate = _real(rate, "decay rate", *_NON_NEGATIVE)
+    return dict(rate=rate, c_growth=rate, l_lipschitz=rate, non_increasing=True)
+
+
+def _affine(offset, slope):
+    offset = _real(offset, "affine reaction offset", *_NON_NEGATIVE)
+    slope = _real(slope, "affine reaction slope", math.isfinite, "be finite")
+    return dict(offset=offset, slope=slope, c_growth=max(offset, abs(slope)), l_lipschitz=abs(slope),
+                non_increasing=slope <= 0.0)
+
+
+def _logistic(rate, capacity):
+    rate = _real(rate, "logistic growth rate", *_NON_NEGATIVE)
+    return dict(rate=rate, capacity=_real(capacity, "logistic capacity", lambda c: c > 0.0, "be positive"))
+
+
+def _custom_table(table):
+    if not (isinstance(table, (tuple, list)) and len(table) == 2):
+        raise ConfigurationError("a reaction table is a pair (abscissae, values)")
+    ts, tf = _reals(table[0], "reaction table abscissae"), _reals(table[1], "reaction table values")
+    if ts.ndim != 1 or ts.shape != tf.shape or ts.size < 2 or not np.all(ts[1:] > ts[:-1]):
+        raise ConfigurationError("reaction table needs strictly increasing abscissae")
+    return dict(table=(ts, tf), working_range=(float(ts[0]), float(ts[-1])))
+
+
+_REACTION_FAMILIES = {
+    "zero": _Family(lambda: dict(c_growth=0.0, l_lipschitz=0.0, non_increasing=True),
+                    lambda r, s: np.zeros_like(s)),
+    "linear_decay": _Family(_linear_decay, lambda r, s: -r.rate * s),
+    "affine": _Family(_affine, lambda r, s: r.offset + r.slope * s),
+    "logistic": _Family(_logistic, lambda r, s: r.rate * s * (1.0 - s / r.capacity)),
+    "custom_table": _Family(_custom_table, lambda r, s: np.interp(s, r.table[0], r.table[1])),
+}
+REACTION_FAMILIES = tuple(_REACTION_FAMILIES)
 
 
 def zero_reaction() -> Reaction:
     return Reaction("zero")
 
 
-_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
-
-
 def linear_decay_reaction(rate: float) -> Reaction:
-    return Reaction("linear_decay", rate=_real(rate, "decay rate", *_NON_NEGATIVE))
+    return Reaction("linear_decay", rate=rate)
 
 
 def affine_reaction(offset: float, slope: float) -> Reaction:
-    offset = _real(offset, "affine reaction offset", *_NON_NEGATIVE)
-    slope = _real(slope, "affine reaction slope", math.isfinite, "be finite")
     return Reaction("affine", offset=offset, slope=slope)
 
 
 def logistic_reaction(growth: float, capacity: float) -> Reaction:
-    growth = _real(growth, "logistic growth rate", *_NON_NEGATIVE)
-    capacity = _real(capacity, "logistic capacity", lambda c: c > 0.0, "be positive")
     return Reaction("logistic", rate=growth, capacity=capacity)
 
 

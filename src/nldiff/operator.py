@@ -119,9 +119,9 @@ from .kernels import (
     RangeKernel,
     SpatialKernelTable,
     _gaussian_window,
-    _p_energy_kernel,
     _pair_counts,
     bilateral_width,
+    p_laplacian_kernel,
 )
 
 
@@ -431,8 +431,8 @@ def dissipation_pairing(
 
 def energy_p(grid: Grid, table: SpatialKernelTable, u: Field, p: float) -> float:
     """The p-energy (1/p) nv^2 sum_x sum_d w(d) |u(x+d) - u(x)|^p, the flow
-    energy of the p-Laplacian kernel."""
-    return flow_energy(grid, table, _p_energy_kernel(float(p)), u)
+    energy of the p-Laplacian kernel, for p > 1 as that kernel takes it."""
+    return flow_energy(grid, table, p_laplacian_kernel(p), u)
 
 
 def flow_energy(grid: Grid, table: SpatialKernelTable, kernel: RangeKernel, u: Field) -> float:

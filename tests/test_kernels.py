@@ -215,7 +215,8 @@ def test_ragged_table_offsets_are_refused():
     # numpy's "inhomogeneous shape" ValueError used to escape
     g = build_grid(1, [(0.0, 1.0)], [8])
     cases = (([[1], [1, 2]], [(1, 2)]), ([[1, 2], [3], [-1, -2], []], [(3,), ()]),
-             ([1, [2]], [(2,)]), ([[1], 2], [2]))  # rows that are not sequences
+             ([1, [2]], [(2,)]), ([[1], 2], [2]),  # rows that are not sequences
+             ([[1, [2]], [-1, -2]], [(1, [2])]))  # a row as long as the first, but nested
     for offs, bad in cases:
         with pytest.raises(KernelValidationError, match="as long as the first") as exc:
             make_spatial_kernel(g, "custom_table", table=(offs, [1.0] * len(offs)))
@@ -495,8 +496,9 @@ def test_spatial_exponent_kernel_without_a_reference_field_is_refused_when_built
                         reference=ref)
     # a mollified kernel takes its reference and declarations from its base
     base = spatial_exponent_kernel([0.0, 1.0], [3.0, 2.5], u)
-    spec = mollify_range_kernel(base, 4).mollifier
-    mol = RangeKernel("mollified", base=base, mollifier=spec, holder_alpha=0.1, monotone=False)
+    with pytest.raises(ConfigurationError, match="unexpected keyword argument 'holder_alpha'"):
+        RangeKernel("mollified", base=base, n=4, holder_alpha=0.1, monotone=False)
+    mol = RangeKernel("mollified", base=base, n=4)
     assert mol.reference is u
     assert (mol.holder_alpha, mol.monotone) == (base.holder_alpha, base.monotone) == (1.0, True)
 
@@ -778,6 +780,46 @@ def test_reaction_working_range_is_derived_and_a_nan_abscissa_is_refused():
 def test_empty_reaction_table_is_refused():
     with pytest.raises(ConfigurationError, match="reaction table"):
         custom_table_reaction([], [])
+
+
+# A public constructor checks a family by its factory's rule, before any
+# evaluation: (call, the factory's call or None, the message both raise).
+_REFUSED_CONSTRUCTIONS = {
+    "p_laplacian_holder_alpha": (lambda: RangeKernel("p_laplacian", p=1.5, holder_alpha=1.0), None,
+                                 "p_laplacian range kernel: got an unexpected keyword argument 'holder_alpha'"),
+    "linear_p": (lambda: RangeKernel("linear", p=7.0), None,
+                 "linear range kernel: got an unexpected keyword argument 'p'"),
+    "p_laplacian_without_p": (lambda: RangeKernel("p_laplacian").eval(0.0, np.linspace(-1.0, 1.0, 5)), None,
+                              "p_laplacian range kernel: missing a required argument: 'p'"),
+    "custom_without_fn": (lambda: RangeKernel("custom"), None,
+                          "custom range kernel: missing a required argument: 'fn'"),
+    "mollified_without_base": (lambda: RangeKernel("mollified"), None,
+                               "mollified range kernel: missing a required argument: 'base'"),
+    "custom_not_callable": (lambda: RangeKernel("custom", fn=None), None,
+                            "a custom range kernel needs a callable A(t, s), got NoneType"),
+    "custom_holder_alpha_above_1": (lambda: RangeKernel("custom", fn=lambda t, s: s, holder_alpha=1.5), None,
+                                    "Holder exponent must lie in (0, 1], got 1.5"),
+    "custom_monotone_not_bool": (lambda: RangeKernel("custom", fn=lambda t, s: s, monotone="no"), None,
+                                 "a custom range kernel's monotone declaration must be a bool, got 'no'"),
+    "bilateral_negative_h": (lambda: RangeKernel("bilateral_gaussian", h=-1.0), lambda: bilateral_kernel(-1.0),
+                             "bilateral width must be positive, got -1.0"),
+    "linear_decay_negative_rate": (lambda: kernels.Reaction("linear_decay", rate=-1.0),
+                                   lambda: linear_decay_reaction(-1.0),
+                                   "decay rate must be finite and non-negative, got -1.0"),
+    "custom_table_without_table": (lambda: kernels.Reaction("custom_table"), None,
+                                   "custom_table reaction: missing a required argument: 'table'"),
+    "zero_with_table": (lambda: kernels.Reaction("zero", table=([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])), None,
+                        "zero reaction: got an unexpected keyword argument 'table'"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_CONSTRUCTIONS)
+def test_public_constructors_refuse_what_the_factories_refuse(case):
+    build, factory, message = _REFUSED_CONSTRUCTIONS[case]
+    for call in (build, factory or build):
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

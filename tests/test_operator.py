@@ -263,7 +263,7 @@ def test_operator_grid_mismatches():
 
 def test_energy_parameter_validation():
     g, t, u = two_node_setup(1.0)
-    for p in (0.5, np.inf, np.nan):  # energy_p(inf) was 0.0
+    for p in (0.5, 1.0, np.inf, np.nan):  # energy_p(inf) was 0.0; p = 1 has no admissible kernel
         with pytest.raises(ConfigurationError):
             energy_p(g, t, u, p)
     for p in (1.0, np.inf, np.nan):  # p = inf gave A(0.5) = 0, A(2) = inf
@@ -377,7 +377,11 @@ def test_pair_walk_matches_scalar_sums(case, p, layout):
     nv = g.node_volume
     want_e = nv**2 * sum(w * abs(u.values[y] - u.values[x]) ** p for x, y, w in pairs) / p
     with walk_layout(*layout):
-        assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
+        if p == 1.0:  # the total variation: no admissible p_laplacian kernel has it
+            with pytest.raises(ConfigurationError, match="p_laplacian exponent must be finite and exceed 1"):
+                energy_p(g, t, u, p)
+        else:
+            assert energy_p(g, t, u, p) == pytest.approx(want_e, rel=1e-12, abs=1e-14)
         assert sum(kernels._pair_counts(g, t.offsets)) == len(pairs)
         for k in _kernels_for(g, u) + [custom_odd_kernel()]:
             # the fused pass, in the walk's scratch buffers, is terms alone bit for bit

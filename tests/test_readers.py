@@ -28,11 +28,16 @@ from nldiff import (
     Field,
     NldiffError,
     Problem,
+    RangeKernel,
+    Reaction,
     SolverConfig,
     affine_reaction,
+    bilateral_kernel,
     build_grid,
     build_problem,
+    custom_kernel,
     custom_table_reaction,
+    energy_p,
     image_to_field,
     linear_decay_reaction,
     linear_kernel,
@@ -42,16 +47,18 @@ from nldiff import (
     lp_norm,
     make_spatial_kernel,
     mollifier_cauchy_study,
+    mollify_range_kernel,
     p_laplacian_kernel,
     parse_config_text,
     sample_holder_constant,
     solve,
+    spatial_exponent_kernel,
     time_refinement_study,
     validate_assumptions,
     variable_exponent_kernel,
     zero_reaction,
 )
-from nldiff import config
+from nldiff import config, kernels
 from nldiff.config import (
     _PARSERS,
     GridSection,
@@ -64,7 +71,7 @@ from nldiff.config import (
     StudySection,
     serialize_config,
 )
-from nldiff.kernels import REACTION_FAMILIES, _p_energy_kernel, bilateral_width
+from nldiff.kernels import REACTION_FAMILIES, bilateral_width
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -350,6 +357,10 @@ def _lp_norm_p(p, value):
     lp_norm(p.grid, p.u0, value)
 
 
+def _energy_p(p, value):
+    energy_p(p.grid, p.table, p.u0, value)
+
+
 def _holder_alpha(p, value):
     sample_holder_constant(p.kernel, value, 1.0, np.random.default_rng(0))
 
@@ -361,7 +372,7 @@ REAL_ENTRIES = {
     "lp_norm_p": _lp_norm_p,
     "kernel_radius": lambda p, v: make_spatial_kernel(p.grid, "gaussian", v).radius,
     "p_laplacian_p": lambda p, v: p_laplacian_kernel(v).p,
-    "energy_p": lambda p, v: _p_energy_kernel(v).p,
+    "energy_p": _energy_p,
     "bilateral_width": lambda p, v: bilateral_width(v),
     "decay_rate": lambda p, v: linear_decay_reaction(v).rate,
     "affine_offset": lambda p, v: affine_reaction(v, 0.0).offset,
@@ -434,6 +445,85 @@ def test_reaction_names_are_the_keys_of_the_table_that_builds_them():
     with pytest.raises(ConfigurationError, match="reaction.family must be one of zero, linear_decay, affine, "
                                                  "logistic, custom_table, got 'logistc'"):
         RunConfig(reaction=ReactionSection(family="logistc"))
+
+
+def test_range_names_are_the_keys_of_the_table_that_builds_them():
+    # every family but the two whose parameters are no config keys: a base kernel, a callable
+    buildable = tuple(f for f in kernels._RANGE_FAMILIES if f not in ("mollified", "custom"))
+    assert tuple(config._RANGE_KERNELS) == buildable
+    with pytest.raises(ConfigurationError, match="range.family must be one of linear, p_laplacian, variable_exponent, "
+                                                 "spatial_exponent, bilateral_gaussian, got 'lienar'"):
+        RunConfig(range=RangeSection(family="lienar"))
+
+
+_SIGMAS, _VALUES = (0.0, 0.5), (2.5, 1.8)
+_TABLE = ((-1.0, 0.0, 0.5, 1.0, 2.0), (0.2, 0.1, 0.3, 0.0, -0.4))
+
+
+def _odd(t, s):
+    return np.asarray(s) * (1.0 + t)
+
+
+def _range_ways(u0):
+    """Per range family: its factory's kernel, the constructor's parameters
+    and the range keys of a config, or None where no config builds it."""
+    table = {"exponent_sigmas": _SIGMAS, "exponent_values": _VALUES}
+    return {
+        "linear": (linear_kernel(), {}, {}),
+        "p_laplacian": (p_laplacian_kernel(1.5), {"p": 1.5}, {"p": 1.5}),
+        "variable_exponent": (variable_exponent_kernel(*table.values()), table, table),
+        "spatial_exponent": (spatial_exponent_kernel(*table.values(), u0), {**table, "reference": u0}, table),
+        "bilateral_gaussian": (bilateral_kernel(0.3), {"h": 0.3}, {"h": 0.3}),
+        "mollified": (mollify_range_kernel(p_laplacian_kernel(1.5), 4, 64),
+                      {"base": p_laplacian_kernel(1.5), "n": 4, "quad_count": 64}, None),
+        "custom": (custom_kernel(_odd), {"fn": _odd}, None),
+    }
+
+
+def _reaction_ways(table_path):
+    return {
+        "zero": (zero_reaction(), {}, {}),
+        "linear_decay": (linear_decay_reaction(0.5), {"rate": 0.5}, {"rate": 0.5}),
+        "affine": (affine_reaction(0.1, -0.5), {"offset": 0.1, "slope": -0.5}, {"offset": 0.1, "slope": -0.5}),
+        "logistic": (logistic_reaction(0.4, 2.0), {"rate": 0.4, "capacity": 2.0}, {"rate": 0.4, "capacity": 2.0}),
+        "custom_table": (custom_table_reaction(*_TABLE), {"table": _TABLE}, {"table_path": str(table_path)}),
+    }
+
+
+def _built(**sections):
+    return build_problem(RunConfig(grid=GridSection(dim=1, extents=(0.0, 1.0), counts=(16,)),
+                                   initial=InitialSection(kind="random"), solver=SolverConfig(T=0.1, steps=4),
+                                   **sections))
+
+
+def test_every_way_of_building_a_family_agrees(tmp_path):
+    u0 = _built().u0
+    rng = np.random.default_rng(31)
+    s = rng.uniform(-3.0, 3.0, 257)
+    q, pair_ref = rng.uniform(1.5, 3.0, s.shape), rng.uniform(-1.0, 1.0, s.shape)
+    ways = _range_ways(u0)
+    assert tuple(ways) == tuple(kernels._RANGE_FAMILIES)
+    for family, (by_factory, params, keys) in ways.items():
+        built = [by_factory, RangeKernel(family, **params)]
+        if keys is not None:
+            built.append(_built(range=RangeSection(family=family, **keys)).kernel)
+        seen = set()
+        for k in built:
+            pq = q if k.needs_pair_reference else None
+            a, d = k.terms(0.3, s, pq, True)
+            seen.add((k.family, k.holder_alpha, k.monotone, k.has_energy, k.flux_exponent, k.needs_pair_reference,
+                      a.tobytes(), d.tobytes(), k.eval(0.3, s, pair_ref if pq is not None else None).tobytes()))
+        assert len(seen) == 1, family
+    path = tmp_path / "reaction.csv"
+    path.write_text("".join(f"{a}, {b}\n" for a, b in zip(*_TABLE)))
+    ways = _reaction_ways(path)
+    assert tuple(ways) == REACTION_FAMILIES
+    for family, (by_factory, params, keys) in ways.items():
+        by_config = _built(reaction=ReactionSection(family=family, **keys)).reaction
+        built = [by_factory, Reaction(family, **params), by_config]
+        seen = {(r.family, r.c_growth, r.l_lipschitz, r.non_increasing, r.working_range,
+                 r.eval(0.0, None, s).tobytes()) for r in built}
+        assert len(seen) == 1, family
 
 
 def test_array_arguments_that_are_not_real_numbers_are_refused_by_name():

@@ -10,12 +10,15 @@ PYTHONPATH and its own ``configs/``:
 
 * the five commands on ``configs/`` (solve, verify, and the contraction,
   cauchy and refine studies);
-* ``solve`` on six variants of ``configs/heat_1d.cfg``: under
+* ``solve`` on eleven variants of ``configs/heat_1d.cfg``: under
   ``auto_growth``, with the p = 1.5 kernel mollified at level 8 on 257
   panels, with the ``spatial_exponent`` and the ``variable_exponent``
-  kernel of one exponent table, and two runs the solver refuses, one with
-  a negative initial state and one under ``auto_linf`` with a zero
-  initial state;
+  kernel of one exponent table, with the ``bilateral_gaussian`` kernel,
+  with the ``affine`` and the ``custom_table`` reaction, with the ``box``
+  and the ``custom_table`` spatial kernel, and two runs the solver
+  refuses, one with a negative initial state and one under ``auto_linf``
+  with a zero initial state; the two tables are files written next to
+  the variants;
 * ``denoise`` (the flow and ``--one-step``) on the perfbench images of
   seeds 0 and 1, generated once by this tree's ``perfbench/workloads.py``.
 
@@ -60,6 +63,16 @@ HEAT_VARIANTS = {
                   "range.mollify_quad": "257"},
     "spatial_exponent": {"range.family": "spatial_exponent", **_EXPONENT_TABLE},
     "variable_exponent": {"range.family": "variable_exponent", **_EXPONENT_TABLE},
+    "bilateral_gaussian": {"range.family": "bilateral_gaussian", "range.h": "0.3"},
+    "affine": {"reaction.family": "affine", "reaction.offset": "0.1", "reaction.slope": "-0.5"},
+    "reaction_table": {"reaction.family": "custom_table", "reaction.table_path": "{inputs}/reaction.csv"},
+    "box": {"kernel.family": "box", "kernel.radius": "0.1"},
+    "kernel_table": {"kernel.family": "custom_table", "kernel.table_path": "{inputs}/kernel.csv"},
+}
+# The table files the variants read, by name: a reaction s, f and a 1-d kernel d, w per row.
+TABLES = {
+    "reaction.csv": "-1, 0.2\n0, 0.1\n0.5, 0.3\n1, 0\n2, -0.4\n",
+    "kernel.csv": "-3, 0.25\n-1, 1\n0, 2\n1, 1\n3, 0.25\n",
 }
 
 _IMAGES = """
@@ -85,9 +98,13 @@ def commands(inputs: str) -> list:
 
 
 def write_inputs(inputs: str) -> None:
-    """The perfbench images and the variants of ``configs/heat_1d.cfg``;
-    a key a variant sets replaces its line, or is appended."""
+    """The perfbench images, the table files and the variants of
+    ``configs/heat_1d.cfg``; a key a variant sets replaces its line, or is
+    appended, with ``{inputs}`` in its value replaced by ``inputs``."""
     os.makedirs(inputs)
+    for name, rows in TABLES.items():
+        with open(os.path.join(inputs, name), "w", encoding="utf-8") as fh:
+            fh.write(rows)
     subprocess.run([sys.executable, "-c", _IMAGES, inputs, *map(str, IMAGE_SEEDS)],
                    cwd=ROOT, check=True)
     with open(os.path.join(ROOT, "configs", "heat_1d.cfg"), encoding="utf-8") as fh:
@@ -95,6 +112,7 @@ def write_inputs(inputs: str) -> None:
     for stem, changes in HEAT_VARIANTS.items():
         text = base
         for key, value in changes.items():
+            value = value.replace("{inputs}", inputs)
             text, found = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
             text += "" if found else f"{key} = {value}\n"
         with open(os.path.join(inputs, f"{stem}.cfg"), "w", encoding="utf-8") as fh:
